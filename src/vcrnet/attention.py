@@ -26,30 +26,30 @@ from vcrnet.layers import (
     init_layer_norm,
     layer_norm,
 )
-from vcrnet.tensor import Tensor, ShapeError, concat, record_op
+from vcrnet.tensor import Tensor, ShapeError, record_op
 
 _MASK_SCORE = -1e9
 
 
 @dataclass
 class MhaParams:
-    """Per-head projections plus the shared output projection."""
+    """Query/key/value projections plus the shared output projection.
 
-    wq: list
-    wk: list
-    wv: list
+    Each of wq, wk, wv is one (d_model, d_model) matrix whose column block i
+    (of width d_model / heads) projects into head i.
+    """
+
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
     wo: Tensor
+    heads: int
 
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for i in range(len(self.wq)):
-            yield f"{prefix}.wq{i}", self.wq[i]
-            yield f"{prefix}.wk{i}", self.wk[i]
-            yield f"{prefix}.wv{i}", self.wv[i]
+        yield f"{prefix}.wq", self.wq
+        yield f"{prefix}.wk", self.wk
+        yield f"{prefix}.wv", self.wv
         yield f"{prefix}.wo", self.wo
-
-    @property
-    def heads(self) -> int:
-        return len(self.wq)
 
 
 @dataclass
@@ -107,13 +107,17 @@ def mask_bias(mask: Optional[np.ndarray], n: int) -> Optional[Tensor]:
 
 
 def sdpa(
-    q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None
+    q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None, heads: int = 1
 ) -> tuple[Tensor, Tensor]:
-    """softmax(q kᵀ / sqrt(d_k)) v; returns (output, weight matrix).
+    """softmax(q kᵀ / sqrt(d_k)) v per head; returns (output, weights).
+
+    q, k, v are split into `heads` equal column blocks and head i attends
+    with block i of each, so the output is (m, heads·d_v) with the heads
+    side by side and the weights are (heads, m, n).
 
     One fused tape entry; gradients flow through the output only, and the
-    returned weight matrix is a value-only view for inspection. This op runs
-    inside every head of every unit, hence the hand-written backward.
+    returned weights are a value-only view for inspection. This op runs
+    inside every unit, hence the hand-written backward.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
@@ -122,8 +126,18 @@ def sdpa(
         raise ShapeError(f"query width {qd.shape} does not match key width {kd.shape}")
     if kd.shape[0] != vd.shape[0]:
         raise ShapeError(f"key count {kd.shape} does not match value count {vd.shape}")
-    scale = 1.0 / math.sqrt(qd.shape[1])
-    scores = (qd @ kd.T) * scale
+    if heads < 1 or qd.shape[1] % heads or vd.shape[1] % heads:
+        raise ShapeError(f"{heads} heads do not split widths {qd.shape[1]} and {vd.shape[1]}")
+
+    def split(a):  # (rows, heads·d) -> (heads, rows, d)
+        return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+
+    def merge(a):  # (heads, rows, d) -> (rows, heads·d)
+        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+    qh, kh, vh = split(qd), split(kd), split(vd)
+    scale = 1.0 / math.sqrt(qh.shape[2])
+    scores = (qh @ kh.transpose(0, 2, 1)) * scale
     bias = mask_bias(mask, kd.shape[0])
     if bias is not None:
         scores = scores + bias.data
@@ -132,11 +146,13 @@ def sdpa(
     w = e / e.sum(axis=-1, keepdims=True)
 
     def rule(g):
-        g_w = g @ vd.T
+        gh = split(g)
+        g_w = gh @ vh.transpose(0, 2, 1)
         g_s = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
-        return (g_s @ kd) * scale, (g_s.T @ qd) * scale, w.T @ g
+        return (merge(g_s @ kh) * scale, merge(g_s.transpose(0, 2, 1) @ qh) * scale,
+                merge(w.transpose(0, 2, 1) @ gh))
 
-    return record_op(w @ vd, (q, k, v), rule), Tensor._wrap(w, False)
+    return record_op(merge(w @ vh), (q, k, v), rule), Tensor._wrap(w, False)
 
 
 def init_mha(rng: np.random.Generator, d_model: int, h: int) -> MhaParams:
@@ -145,18 +161,22 @@ def init_mha(rng: np.random.Generator, d_model: int, h: int) -> MhaParams:
     d_head = d_model // h
     lim = 1.0 / math.sqrt(d_model)
 
+    # drawn head by head, all of wq then wk then wv, so a seed gives the
+    # same weights as one (d_model, d_head) matrix per head would
     def proj():
-        return Tensor(rng.uniform(-lim, lim, size=(d_model, d_head)), requires_grad=True)
+        blocks = [rng.uniform(-lim, lim, size=(d_model, d_head)) for _ in range(h)]
+        return Tensor(np.hstack(blocks), requires_grad=True)
 
     return MhaParams(
-        wq=[proj() for _ in range(h)],
-        wk=[proj() for _ in range(h)],
-        wv=[proj() for _ in range(h)],
+        wq=proj(),
+        wk=proj(),
+        wv=proj(),
         wo=Tensor(
             rng.uniform(-1.0 / math.sqrt(h * d_head), 1.0 / math.sqrt(h * d_head),
                         size=(h * d_head, d_model)),
             requires_grad=True,
         ),
+        heads=h,
     )
 
 
@@ -168,15 +188,9 @@ def multi_head(
     mask: Optional[np.ndarray] = None,
     label: str = "mha",
 ) -> tuple[Tensor, AttentionTrace]:
-    """Project into each head, attend per head, concatenate, project out."""
-    head_outs = []
-    head_weights = []
-    for i in range(p.heads):
-        out_i, w_i = sdpa(q_in @ p.wq[i], k_in @ p.wk[i], v_in @ p.wv[i], mask)
-        head_outs.append(out_i)
-        head_weights.append(w_i.data)
-    joined = head_outs[0] if len(head_outs) == 1 else concat(head_outs, axis=1)
-    return joined @ p.wo, AttentionTrace(unit=label, heads=head_weights)
+    """Project, attend with every head at once, project out."""
+    out, w = sdpa(q_in @ p.wq, k_in @ p.wk, v_in @ p.wv, mask, p.heads)
+    return out @ p.wo, AttentionTrace(unit=label, heads=list(w.data))
 
 
 def init_attn_unit(

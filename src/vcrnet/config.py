@@ -11,8 +11,10 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-PROFILES = ("f64", "f32")
 ENCODERS = ("coattention", "lstm")
+# exact JSON value types per field annotation, so a bool never passes for a
+# number; a float field also takes an int
+_JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
 
 
 class ConfigError(ValueError):
@@ -25,7 +27,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 8
     seed: int = 7
-    profile: str = "f64"
     residual: bool = True
     ga: bool = True
     encoder: str = "coattention"
@@ -54,8 +55,6 @@ class TrainConfig:
             raise ConfigError(f"heads={self.heads} must divide d_model={self.d_model}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.profile not in PROFILES:
-            raise ConfigError(f"profile must be one of {PROFILES}, got {self.profile!r}")
         if self.encoder not in ENCODERS:
             raise ConfigError(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
         from vcrnet.grounding import GA_ORDERS
@@ -76,15 +75,28 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, blob: str) -> "TrainConfig":
-        return cls.from_mapping(json.loads(blob))
+        try:
+            mapping = json.loads(blob)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(mapping).__name__}")
+        return cls.from_mapping(mapping)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(mapping) - known
+        """Build and validate a config whose values have their fields' JSON types."""
+        kinds = {f.name: str(f.type) for f in dataclasses.fields(cls)}
+        unknown = set(mapping) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**mapping).validate()
+        values = {}
+        for key, value in mapping.items():
+            kind = kinds[key]
+            if type(value) not in _JSON_TYPES[kind]:
+                raise ConfigError(f"{key} must be {kind}, got {value!r}")
+            values[key] = float(value) if kind == "float" else value
+        return cls(**values).validate()
 
     def with_overrides(self, overrides: dict) -> "TrainConfig":
         merged = dataclasses.asdict(self)

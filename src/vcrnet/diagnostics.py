@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from vcrnet import layers as L
-from vcrnet import tensor as T
 from vcrnet.attention import guided_attention_unit, init_attn_unit, sdpa
 from vcrnet.config import TrainConfig
 from vcrnet.data import TASK_Q2A, TaggedToken, VcrInstance, Vocab, make_task
@@ -53,29 +52,22 @@ def _timed(name: str, coords: int, fn: Callable[[], float]) -> CheckResult:
     return CheckResult(name, float(err), coords, time.perf_counter() - t0)
 
 
-def _installed(obj, key, fn: Callable[[], Tensor]) -> Callable[[Tensor], Tensor]:
+def _installed(obj, key: str, fn: Callable[[], Tensor]) -> Callable[[Tensor], Tensor]:
     """Adapt `fn` for grad_check by temporarily installing its probe tensor."""
 
     def wrapped(t: Tensor) -> Tensor:
-        if isinstance(key, int):
-            old, obj[key] = obj[key], t
-        else:
-            old = getattr(obj, key)
-            setattr(obj, key, t)
+        old = getattr(obj, key)
+        setattr(obj, key, t)
         try:
             return fn()
         finally:
-            if isinstance(key, int):
-                obj[key] = old
-            else:
-                setattr(obj, key, old)
+            setattr(obj, key, old)
 
     return wrapped
 
 
 def layer_checks(h: float = 1e-5) -> list:
     """Per-coordinate gradient sweeps for each building block in isolation."""
-    T.set_default_dtype(np.float64)
     rng = np.random.default_rng(42)
     results = []
 
@@ -128,6 +120,10 @@ def layer_checks(h: float = 1e-5) -> list:
     check("sdpa/q", lambda t: sdpa(t, k, v, mask)[0], q)
     check("sdpa/k", lambda t: sdpa(q, t, v, mask)[0], k)
     check("sdpa/v", lambda t: sdpa(q, k, t, mask)[0], v)
+    # the same inputs split into two heads of width 2
+    check("sdpa/heads2/q", lambda t: sdpa(t, k, v, mask, 2)[0], q)
+    check("sdpa/heads2/k", lambda t: sdpa(q, t, v, mask, 2)[0], k)
+    check("sdpa/heads2/v", lambda t: sdpa(q, k, t, mask, 2)[0], v)
 
     # one full guided attention unit, every parameter
     unit = init_attn_unit(rng, 8, 2, 32, 0.0)
@@ -178,15 +174,8 @@ def _locate(root, path: list):
     """Walk a dotted parameter path, returning (holder, final key)."""
     holder = root
     for part in path[:-1]:
-        holder = holder[int(part)] if part.isdigit() else getattr(holder, part)
-    last = path[-1]
-    if last.isdigit():
-        return holder, int(last)
-    if not hasattr(holder, last):
-        # per-head projections are named wq0, wk1, ... over list attributes
-        stem = last.rstrip("0123456789")
-        return getattr(holder, stem), int(last[len(stem):])
-    return holder, last
+        holder = getattr(holder, part)
+    return holder, path[-1]
 
 
 # -- end-to-end ------------------------------------------------------------
@@ -251,7 +240,6 @@ def end_to_end_checks(h: float = 1e-5) -> list:
     Returns one result per forward stage; the union covers every coordinate
     of every parameter exactly once.
     """
-    T.set_default_dtype(np.float64)
     inst = probe_instance()
     model = probe_model(inst)
     ex = make_task(inst, TASK_Q2A)

@@ -217,7 +217,7 @@ class VcrModel:
                 raise CheckpointError(
                     f"parameter {name!r} has shape {arr.shape}, expected {t.data.shape}"
                 )
-            t.data = np.asarray(arr, dtype=T.get_default_dtype())
+            t.data = np.asarray(arr, dtype=np.float64)
             t.grad = None
 
     def save(self, path) -> None:

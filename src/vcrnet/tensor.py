@@ -23,8 +23,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeError",
-    "set_default_dtype",
-    "get_default_dtype",
     "set_finite_checks",
     "record_op",
     "relu",
@@ -43,25 +41,7 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
 
 
-_DEFAULT_DTYPE = np.float64
 _CHECK_FINITE = False
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype for newly created tensors (float64 or float32).
-
-    float64 is the test profile; finite-difference checks are unreliable
-    in float32, which is only intended for faster training runs.
-    """
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError(f"unsupported dtype {dtype!r}; use float64 or float32")
-    _DEFAULT_DTYPE = dt.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
 
 
 def set_finite_checks(enabled: bool) -> None:
@@ -73,15 +53,15 @@ def set_finite_checks(enabled: bool) -> None:
 class Tensor:
     """A dense n-dimensional value that can participate in gradient taping.
 
-    `data` is a row-major numpy array; `grad`, once populated by a backward
-    pass, always has the same shape as `data`. Tensors are value-like: no op
-    ever mutates an existing tensor's data or grad in place.
+    `data` is a row-major float64 numpy array; `grad`, once populated by a
+    backward pass, always has the same shape as `data`. Tensors are
+    value-like: no op ever mutates an existing tensor's data or grad in place.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 
@@ -311,7 +291,7 @@ def record_op(data, inputs: Sequence[Tensor], rule: Callable) -> Tensor:
     gradient. Returned arrays must be fresh or safe to share, never later
     mutated in place.
     """
-    return _result(np.asarray(data, dtype=_DEFAULT_DTYPE), tuple(inputs), rule)
+    return _result(np.asarray(data, dtype=np.float64), tuple(inputs), rule)
 
 
 # -- arithmetic ------------------------------------------------------------

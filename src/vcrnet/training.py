@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from vcrnet import tensor as T
-from vcrnet.config import TrainConfig
+from vcrnet.config import ConfigError, TrainConfig
 from vcrnet.data import (
     TASK_Q2A,
     TASK_QA2R,
@@ -36,8 +36,6 @@ CHECKPOINT_NAME = "model.canckpt"
 CONFIG_NAME = "config.json"
 VOCAB_NAME = "vocab.json"
 LOG_NAME = "train_log.jsonl"
-
-_PROFILE_DTYPES = {"f64": np.float64, "f32": np.float32}
 
 
 class TrainingDiverged(RuntimeError):
@@ -144,10 +142,6 @@ def evaluate(model: VcrModel, instances: Sequence[VcrInstance]) -> dict:
     return metrics_report(q2a, qa2r)
 
 
-def apply_profile(config: TrainConfig) -> None:
-    T.set_default_dtype(_PROFILE_DTYPES[config.profile])
-
-
 def _object_width(instances: Sequence[VcrInstance]) -> int:
     widths = {inst.objects.shape[1] for inst in instances}
     if len(widths) != 1:
@@ -171,7 +165,6 @@ def train(
     config.validate()
     if not train_insts:
         raise DataError("cannot train on an empty dataset")
-    apply_profile(config)
 
     vocab = Vocab.build(train_insts)
     d_o = _object_width(list(train_insts) + list(val_insts))
@@ -259,8 +252,10 @@ def load_run(ckpt_path) -> tuple:
     for path in (config_path, vocab_path):
         if not path.is_file():
             raise FileNotFoundError(f"missing sidecar file {path}")
-    config = TrainConfig.from_json(config_path.read_text(encoding="utf-8"))
-    apply_profile(config)
+    try:
+        config = TrainConfig.from_json(config_path.read_text(encoding="utf-8"))
+    except ConfigError as exc:
+        raise ConfigError(f"{config_path}: {exc}") from exc
     vocab = Vocab.from_json(vocab_path.read_text(encoding="utf-8"))
     model = VcrModel.load(ckpt_path, config, vocab)
     return model, config, vocab

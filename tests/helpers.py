@@ -21,10 +21,11 @@ def zero_unit(d, d_ff, h=2):
 
     return A.AttnUnitParams(
         mha=A.MhaParams(
-            wq=[Tensor(np.zeros((d, d // h))) for _ in range(h)],
-            wk=[Tensor(np.zeros((d, d // h))) for _ in range(h)],
-            wv=[Tensor(np.zeros((d, d // h))) for _ in range(h)],
+            wq=Tensor(np.zeros((d, d))),
+            wk=Tensor(np.zeros((d, d))),
+            wv=Tensor(np.zeros((d, d))),
             wo=Tensor(np.zeros((d, d))),
+            heads=h,
         ),
         ffn=FeedForwardParams(lin1=zlin(d, d_ff), lin2=zlin(d_ff, d)),
         ln1=init_layer_norm(d),

@@ -106,10 +106,12 @@ def test_a2_attention_oracles():
         g = rng.standard_normal((n, d_model))
         mask = _rand_mask(rng, n)
         got, _ = multi_head(Tensor(x), Tensor(g), Tensor(g), p, mask)
-        heads = [
-            _np_sdpa(x @ p.wq[i].data, g @ p.wk[i].data, g @ p.wv[i].data, mask)[0]
-            for i in range(h)
-        ]
+        d_head = d_model // h
+        heads = []
+        for i in range(h):
+            cols = slice(i * d_head, (i + 1) * d_head)
+            heads.append(_np_sdpa(x @ p.wq.data[:, cols], g @ p.wk.data[:, cols],
+                                  g @ p.wv.data[:, cols], mask)[0])
         want = np.concatenate(heads, axis=1) @ p.wo.data
         worst = max(worst, np.abs(got.data - want).max())
 

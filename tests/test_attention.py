@@ -42,7 +42,7 @@ def test_sdpa_single_key_copies_value():
     k = Tensor(rng.standard_normal((1, 4)))
     v = Tensor(rng.standard_normal((1, 5)))
     out, w = A.sdpa(q, k, v)
-    npt.assert_allclose(w.data, np.ones((3, 1)))
+    npt.assert_allclose(w.data, np.ones((1, 3, 1)))
     npt.assert_allclose(out.data, np.repeat(v.data, 3, axis=0))
 
 
@@ -51,7 +51,7 @@ def test_sdpa_identical_keys_split_evenly():
     k = Tensor(np.array([[0.5, -0.3], [0.5, -0.3]]))
     v = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     out, w = A.sdpa(q, k, v)
-    npt.assert_allclose(w.data, [[0.5, 0.5]], atol=1e-12)
+    npt.assert_allclose(w.data, [[[0.5, 0.5]]], atol=1e-12)
     npt.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-12)
 
 
@@ -70,7 +70,27 @@ def test_sdpa_matches_scalar_loop_oracle():
             mask[rng.integers(n)] = True
         out, w = A.sdpa(Tensor(q), Tensor(k), Tensor(v), mask)
         want_out, want_w = np_sdpa(q, k, v, mask)
-        worst = max(worst, np.abs(out.data - want_out).max(), np.abs(w.data - want_w).max())
+        worst = max(worst, np.abs(out.data - want_out).max(), np.abs(w.data[0] - want_w).max())
+    # several heads: head i attends with column block i of q, k and v
+    for seed in range(100):
+        rng = np.random.default_rng(2100 + seed)
+        h = int(rng.integers(2, 4))
+        m, n = rng.integers(1, 5, size=2)
+        d_k, d_v = rng.integers(1, 4, size=2)
+        q = rng.standard_normal((m, h * d_k))
+        k = rng.standard_normal((n, h * d_k))
+        v = rng.standard_normal((n, h * d_v))
+        mask = None
+        if n > 1 and seed % 3 == 0:
+            mask = rng.random(n) < 0.7
+            mask[rng.integers(n)] = True
+        out, w = A.sdpa(Tensor(q), Tensor(k), Tensor(v), mask, h)
+        assert out.data.shape == (m, h * d_v) and w.data.shape == (h, m, n)
+        for i in range(h):
+            qk, vk = slice(i * d_k, (i + 1) * d_k), slice(i * d_v, (i + 1) * d_v)
+            want_out, want_w = np_sdpa(q[:, qk], k[:, qk], v[:, vk], mask)
+            worst = max(worst, np.abs(out.data[:, vk] - want_out).max(),
+                        np.abs(w.data[i] - want_w).max())
     assert worst < 1e-10
 
 
@@ -83,8 +103,8 @@ def test_sdpa_masked_weights_are_exact_zeros():
         Tensor(rng.standard_normal((4, 2))),
         mask,
     )
-    assert (w.data[:, ~mask] == 0.0).all()
-    npt.assert_allclose(w.data.sum(axis=1), np.ones(3), atol=1e-12)
+    assert (w.data[0][:, ~mask] == 0.0).all()
+    npt.assert_allclose(w.data[0].sum(axis=1), np.ones(3), atol=1e-12)
 
 
 def test_sdpa_rejects_fully_masked():
@@ -101,14 +121,17 @@ def test_sdpa_shape_errors():
     with pytest.raises(ShapeError):
         A.sdpa(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
                np.array([True]))
+    with pytest.raises(ShapeError):
+        A.sdpa(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+               heads=2)
 
 
 def test_multi_head_single_identity_head_reduces_to_sdpa():
     rng = np.random.default_rng(3)
     d = 4
     p = A.MhaParams(
-        wq=[Tensor(np.eye(d))], wk=[Tensor(np.eye(d))], wv=[Tensor(np.eye(d))],
-        wo=Tensor(np.eye(d)),
+        wq=Tensor(np.eye(d)), wk=Tensor(np.eye(d)), wv=Tensor(np.eye(d)),
+        wo=Tensor(np.eye(d)), heads=1,
     )
     q = rng.standard_normal((3, d))
     k = rng.standard_normal((5, d))
@@ -121,8 +144,12 @@ def test_multi_head_single_identity_head_reduces_to_sdpa():
 def test_multi_head_identical_heads_identical_traces():
     rng = np.random.default_rng(4)
     base = A.init_mha(rng, 4, 2)
-    p = A.MhaParams(wq=[base.wq[0]] * 2, wk=[base.wk[0]] * 2, wv=[base.wv[0]] * 2,
-                    wo=base.wo)
+
+    def twice(w):  # head 0's column block for both heads
+        return Tensor(np.hstack([w.data[:, :2]] * 2))
+
+    p = A.MhaParams(wq=twice(base.wq), wk=twice(base.wk), wv=twice(base.wv),
+                    wo=base.wo, heads=2)
     x = Tensor(rng.standard_normal((3, 4)))
     _, trace = A.multi_head(x, x, x, p)
     npt.assert_array_equal(trace.heads[0], trace.heads[1])
@@ -140,12 +167,37 @@ def test_multi_head_matches_composition_oracle():
         out, trace = A.multi_head(Tensor(q), Tensor(k), Tensor(v), p)
         pieces = []
         for i in range(2):
-            o_i, w_i = np_sdpa(q @ p.wq[i].data, k @ p.wk[i].data, v @ p.wv[i].data)
+            cols = slice(2 * i, 2 * i + 2)
+            o_i, w_i = np_sdpa(q @ p.wq.data[:, cols], k @ p.wk.data[:, cols],
+                               v @ p.wv.data[:, cols])
             pieces.append(o_i)
             worst = max(worst, np.abs(trace.heads[i] - w_i).max())
         want = np.concatenate(pieces, axis=1) @ p.wo.data
         worst = max(worst, np.abs(out.data - want).max())
     assert worst < 1e-10
+
+
+def test_init_mha_draws_head_blocks_in_order():
+    # all wq heads, then all wk, then all wv, then wo: the per-head draw order
+    p = A.init_mha(np.random.default_rng(12), 8, 4)
+    rng = np.random.default_rng(12)
+    lim = 1.0 / math.sqrt(8)
+    for fused in (p.wq, p.wk, p.wv):
+        blocks = [rng.uniform(-lim, lim, size=(8, 2)) for _ in range(4)]
+        npt.assert_array_equal(fused.data, np.hstack(blocks))
+    npt.assert_array_equal(p.wo.data, rng.uniform(-lim, lim, size=(8, 8)))
+    assert p.heads == 4
+
+
+def test_multi_head_tape_entries_independent_of_heads():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((3, 8)))
+    for h in (1, 2, 4):
+        p = A.init_mha(rng, 8, h)
+        with T.Tape() as tape:
+            A.multi_head(x, x, x, p)
+        # three projections, one sdpa, the output projection
+        assert len(tape) == 5
 
 
 def test_guided_unit_single_guide_position():
@@ -222,14 +274,14 @@ def test_unit_grad_check():
     assert T.grad_check(wrt_x, x) < 1e-4
 
     def wrt_wq(t):
-        old = p.mha.wq[0]
-        p.mha.wq[0] = t
+        old = p.mha.wq
+        p.mha.wq = t
         try:
             return A.guided_attention_unit(x, guide, p)[0]
         finally:
-            p.mha.wq[0] = old
+            p.mha.wq = old
 
-    assert T.grad_check(wrt_wq, p.mha.wq[0]) < 1e-4
+    assert T.grad_check(wrt_wq, p.mha.wq) < 1e-4
 
     def wrt_ffn(t):
         old = p.ffn.lin1.weight

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+import vcrnet.cli as cli
 from vcrnet.config import ConfigError, TrainConfig
+from vcrnet.data import synth_generate
+from vcrnet.training import CHECKPOINT_NAME, CONFIG_NAME, train
 
 
 def test_defaults_validate():
@@ -28,7 +31,6 @@ def test_defaults_validate():
     ("heads", 3),
     ("dropout", 1.0),
     ("dropout", -0.5),
-    ("profile", "f16"),
     ("encoder", "transformer"),
     ("ga_order", "sideways"),
     ("layer_order", "ga_only"),
@@ -57,6 +59,51 @@ def test_json_round_trip():
 def test_from_mapping_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown"):
         TrainConfig.from_mapping({"lr": 0.01, "momentum": 0.9})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr", "abc"),
+    ("lr", True),
+    ("epochs", "3"),
+    ("epochs", 3.0),
+    ("epochs", True),
+    ("ga", "yes"),
+    ("ga", 1),
+    ("encoder", 3),
+])
+def test_from_mapping_rejects_mistyped_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig.from_mapping({field: value})
+
+
+def test_from_mapping_accepts_int_for_float():
+    cfg = TrainConfig.from_mapping({"lr": 1, "dropout": 0})
+    assert cfg.lr == 1.0 and isinstance(cfg.lr, float)
+    assert cfg.dropout == 0.0 and isinstance(cfg.dropout, float)
+
+
+@pytest.mark.parametrize("blob", ["{not json", "[1, 2]"])
+def test_from_json_rejects_malformed_blobs(blob):
+    with pytest.raises(ConfigError):
+        TrainConfig.from_json(blob)
+
+
+def test_eval_reports_mistyped_config_value(tmp_path, capsys):
+    insts = synth_generate(3, 4)
+    config = TrainConfig(d_model=8, d_token=8, layers=1, dropout=0.0, epochs=1)
+    run = tmp_path / "run"
+    train(config, insts, [], run)
+    data = tmp_path / "data.jsonl"
+    data.write_text("")
+    stored = json.loads((run / CONFIG_NAME).read_text())
+    stored["lr"] = "abc"
+    (run / CONFIG_NAME).write_text(json.dumps(stored))
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(run / CHECKPOINT_NAME), "--data", str(data)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert len(errors) == 1 and "lr must be float" in errors[0] and CONFIG_NAME in errors[0]
+    assert not any("Traceback" in line for line in err)
 
 
 def test_with_overrides_skips_none():

@@ -8,13 +8,6 @@ from vcrnet import tensor as T
 from vcrnet.tensor import Tensor, Tape, ShapeError
 
 
-@pytest.fixture(autouse=True)
-def _float64_default():
-    T.set_default_dtype(np.float64)
-    yield
-    T.set_default_dtype(np.float64)
-
-
 def test_matmul_matches_triple_loop():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -322,15 +315,6 @@ def test_mean_and_sum_axes():
     npt.assert_allclose(Tensor(x).mean().data, x.mean())
     npt.assert_allclose(Tensor(x).sum(axis=0).data, x.sum(axis=0))
     npt.assert_allclose(Tensor(x).mean(axis=1).data, x.mean(axis=1))
-
-
-def test_default_dtype_switch():
-    T.set_default_dtype(np.float32)
-    assert Tensor(np.zeros(2)).data.dtype == np.float32
-    T.set_default_dtype(np.float64)
-    assert Tensor(np.zeros(2)).data.dtype == np.float64
-    with pytest.raises(ValueError):
-        T.set_default_dtype(np.int32)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
