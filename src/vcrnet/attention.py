@@ -209,16 +209,15 @@ def guided_attention_unit(
     guide: Tensor,
     p: AttnUnitParams,
     mask: Optional[np.ndarray] = None,
-    residual: bool = True,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
     label: str = "ga",
 ) -> tuple[Tensor, AttentionTrace]:
-    """One unit: attend x over the guide, then feed-forward, LayerNorm after each."""
+    """One unit: attend x over the guide, then feed-forward; each sublayer
+    adds its input back before its LayerNorm."""
     att, trace = multi_head(x, guide, guide, p.mha, mask, label)
-    y = layer_norm(x + att if residual else att, p.ln1)
-    ff = feed_forward(y, p.ffn, training=training, rng=rng)
-    out = layer_norm(y + ff if residual else ff, p.ln2)
+    y = layer_norm(x + att, p.ln1)
+    out = layer_norm(y + feed_forward(y, p.ffn, training=training, rng=rng), p.ln2)
     return out, trace
 
 
@@ -226,11 +225,8 @@ def self_attention_unit(
     x: Tensor,
     p: AttnUnitParams,
     mask: Optional[np.ndarray] = None,
-    residual: bool = True,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
     label: str = "sa",
 ) -> tuple[Tensor, AttentionTrace]:
-    return guided_attention_unit(
-        x, x, p, mask=mask, residual=residual, training=training, rng=rng, label=label
-    )
+    return guided_attention_unit(x, x, p, mask=mask, training=training, rng=rng, label=label)

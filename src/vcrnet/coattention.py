@@ -3,9 +3,9 @@
 The fused query and response are concatenated along the sequence axis into
 a joint sequence X. Two stacks then run in lockstep: one refines the query
 against X, the other refines the response against X, each layer being a
-self-attention unit followed by a guided unit (order configurable). An
-alternative encoder replaces both stacks with a single BiLSTM over X, used
-as an ablation baseline.
+self-attention unit followed by a unit guided by X. X stays fixed at the
+initial join through every layer. An alternative encoder replaces both
+stacks with a single BiLSTM over X, used as an ablation baseline.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from vcrnet.attention import AttnUnitParams, guided_attention_unit, self_attenti
 from vcrnet.grounding import GroundedSeq
 from vcrnet.layers import BiLstmParams, bilstm
 from vcrnet.tensor import Tensor, ShapeError, concat
-
-LAYER_ORDERS = ("sa_ga", "ga_sa")
 
 PROV_QUERY = "q"
 PROV_RESPONSE = "r"
@@ -101,54 +99,32 @@ def coattend(
     fused_q: GroundedSeq,
     fused_r: GroundedSeq,
     p: CoAttnParams,
-    layer_order: str = "sa_ga",
-    refresh_joint: bool = False,
-    residual: bool = True,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple:
-    """Run both co-attention stacks; returns (Z_q, Z_r, traces).
-
-    With refresh_joint the guide X is rebuilt from the current layer outputs
-    between layers; otherwise it stays fixed at the initial join.
-    """
-    if layer_order not in LAYER_ORDERS:
-        raise ValueError(f"layer_order must be one of {LAYER_ORDERS}, got {layer_order!r}")
+    """Run both co-attention stacks against the fixed joint X; returns (Z_q, Z_r, traces)."""
     depth = len(p.mod_q.layers)
     if depth != len(p.mod_r.layers) or depth < 1:
         raise ShapeError("both co-attention stacks need the same depth >= 1")
-    kwargs = dict(residual=residual, training=training, rng=rng)
     traces = []
     x_tokens = joint.texts
 
-    def one_module(y, own_mask, own_tokens, layer, side, idx, x_pos, x_mask):
-        def sa(v):
-            out, tr = self_attention_unit(v, layer.sa, mask=own_mask,
-                                          label=f"coattn.{side}.sa.{idx}", **kwargs)
-            tr.query_tokens = own_tokens
-            tr.key_tokens = own_tokens
-            traces.append(tr)
-            return out
-
-        def ga(v):
-            out, tr = guided_attention_unit(v, x_pos, layer.ga, mask=x_mask,
-                                            label=f"coattn.{side}.ga.{idx}", **kwargs)
-            tr.query_tokens = own_tokens
-            tr.key_tokens = x_tokens
-            traces.append(tr)
-            return out
-
-        return ga(sa(y)) if layer_order == "sa_ga" else sa(ga(y))
+    def one_module(y, seq, layer, side, idx):
+        y, sa = self_attention_unit(y, layer.sa, mask=seq.mask, training=training,
+                                    rng=rng, label=f"coattn.{side}.sa.{idx}")
+        sa.query_tokens = sa.key_tokens = seq.texts
+        y, ga = guided_attention_unit(y, joint.positions, layer.ga, mask=joint.mask,
+                                      training=training, rng=rng,
+                                      label=f"coattn.{side}.ga.{idx}")
+        ga.query_tokens = seq.texts
+        ga.key_tokens = x_tokens
+        traces.extend([sa, ga])
+        return y
 
     y_q, y_r = fused_q.positions, fused_r.positions
-    x_pos, x_mask = joint.positions, joint.mask
     for idx in range(depth):
-        y_q = one_module(y_q, fused_q.mask, fused_q.texts,
-                         p.mod_q.layers[idx], "q", idx, x_pos, x_mask)
-        y_r = one_module(y_r, fused_r.mask, fused_r.texts,
-                         p.mod_r.layers[idx], "r", idx, x_pos, x_mask)
-        if refresh_joint and idx + 1 < depth:
-            x_pos = concat([y_q, y_r], axis=0)
+        y_q = one_module(y_q, fused_q, p.mod_q.layers[idx], "q", idx)
+        y_r = one_module(y_r, fused_r, p.mod_r.layers[idx], "r", idx)
     return y_q, y_r, traces
 
 

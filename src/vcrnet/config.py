@@ -27,7 +27,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 8
     seed: int = 7
-    residual: bool = True
     ga: bool = True
     encoder: str = "coattention"
     layers: int = 2
@@ -36,11 +35,6 @@ class TrainConfig:
     d_token: int = 16
     dropout: float = 0.1
     patience: int = 20
-    ga_order: str = "qr_first"
-    layer_order: str = "sa_ga"
-    refresh_joint: bool = False
-    share_reduction_mlp: bool = False
-    q_self_attention: bool = False
 
     def validate(self) -> "TrainConfig":
         if self.lr < 0:
@@ -57,15 +51,6 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.encoder not in ENCODERS:
             raise ConfigError(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
-        from vcrnet.grounding import GA_ORDERS
-        from vcrnet.coattention import LAYER_ORDERS
-
-        if self.ga_order not in GA_ORDERS:
-            raise ConfigError(f"ga_order must be one of {GA_ORDERS}, got {self.ga_order!r}")
-        if self.layer_order not in LAYER_ORDERS:
-            raise ConfigError(
-                f"layer_order must be one of {LAYER_ORDERS}, got {self.layer_order!r}"
-            )
         return self
 
     # -- serialization -----------------------------------------------------

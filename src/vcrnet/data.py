@@ -103,7 +103,7 @@ class Vocab:
     """Dense token-to-id map; id 0 is padding, id 1 the unknown token."""
 
     def __init__(self, tokens: Sequence[str]):
-        if not tokens or tokens[0] != PAD_TOKEN or tokens[1] != UNK_TOKEN:
+        if list(tokens[:2]) != [PAD_TOKEN, UNK_TOKEN]:
             raise DataError("vocab must start with the padding and unknown tokens")
         self._tokens = list(tokens)
         self._ids = {tok: i for i, tok in enumerate(self._tokens)}
@@ -148,7 +148,14 @@ class Vocab:
 
     @classmethod
     def from_json(cls, blob: str) -> "Vocab":
-        return cls(json.loads(blob)["tokens"])
+        try:
+            mapping = json.loads(blob)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"vocab is not valid JSON: {exc}") from exc
+        tokens = mapping.get("tokens") if isinstance(mapping, dict) else None
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError('vocab must be a JSON object whose "tokens" is a list of strings')
+        return cls(tokens)
 
 
 # -- annotation files ------------------------------------------------------
@@ -216,10 +223,12 @@ def load_instances(annotation_path, feature_path) -> list:
                     rationales=[_seq_from_dict(r) for r in record["rationales"]],
                     gold_answer=int(record["gold_answer"]),
                     gold_rationale=int(record["gold_rationale"]),
-                )
+                ).validate()
             except KeyError as err:
                 raise DataError(f"{annotation_path} line {lineno}: missing field {err}")
-            instances.append(inst.validate())
+            except (ValueError, TypeError) as err:
+                raise DataError(f"{annotation_path} line {lineno}: {err}") from err
+            instances.append(inst)
     return instances
 
 

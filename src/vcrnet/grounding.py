@@ -4,8 +4,8 @@
 object its tag points at (zeros when untagged); `ground` runs the joint
 sequence through a BiLSTM whose bidirectional output width equals the model
 width. `guided_fuse` then refines the response: one guided-attention unit
-reads the grounded query, a second reads the object features. The query
-passes through unchanged unless a self-attention unit is configured for it.
+reads the grounded query, then a second reads the object features. The
+query passes through unchanged.
 """
 
 from __future__ import annotations
@@ -15,16 +15,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from vcrnet.attention import (
-    AttnUnitParams,
-    guided_attention_unit,
-    self_attention_unit,
-)
+from vcrnet.attention import AttnUnitParams, guided_attention_unit
 from vcrnet.data import DataError, PAD_TOKEN, TaggedToken
 from vcrnet.layers import BiLstmParams, bilstm
 from vcrnet.tensor import Tensor, ShapeError, concat
-
-GA_ORDERS = ("qr_first", "obj_first")
 
 
 @dataclass
@@ -52,13 +46,10 @@ class GroundedSeq:
 class GaFuseParams:
     ga_query: AttnUnitParams
     ga_object: AttnUnitParams
-    q_self: Optional[AttnUnitParams] = None
 
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield from self.ga_query.named(f"{prefix}.ga_query")
         yield from self.ga_object.named(f"{prefix}.ga_object")
-        if self.q_self is not None:
-            yield from self.q_self.named(f"{prefix}.q_self")
 
 
 def align_tags(tokens: list, token_emb: Tensor, objects: Tensor) -> Tensor:
@@ -117,53 +108,27 @@ def guided_fuse(
     objects: Tensor,
     object_labels: list,
     p: GaFuseParams,
-    ga_order: str = "qr_first",
-    residual: bool = True,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple:
-    """Refine the response through query-guided and object-guided attention.
+    """Refine the response under query guidance, then under object guidance.
 
-    Returns (fused query sequence, fused response sequence, traces). The
-    query side is a pass-through unless a self-attention unit is present.
+    Returns (grounded_q unchanged, fused response sequence, traces).
     """
-    if ga_order not in GA_ORDERS:
-        raise ValueError(f"ga_order must be one of {GA_ORDERS}, got {ga_order!r}")
     if objects.data.shape[0] != len(object_labels):
         raise ShapeError(
             f"{objects.data.shape[0]} object rows but {len(object_labels)} labels"
         )
-    traces = []
-    kwargs = dict(residual=residual, training=training, rng=rng)
-
-    def run_ga(x, guide, guide_mask, unit, label, key_tokens):
-        out, trace = guided_attention_unit(x, guide, unit, mask=guide_mask,
-                                           label=label, **kwargs)
-        trace.query_tokens = grounded_r.texts
-        trace.key_tokens = key_tokens
-        traces.append(trace)
-        return out
-
-    steps = {
-        "q": lambda x: run_ga(x, grounded_q.positions, grounded_q.mask,
-                              p.ga_query, "ga.r_from_q", grounded_q.texts),
-        "o": lambda x: run_ga(x, objects, np.ones(len(object_labels), dtype=bool),
-                              p.ga_object, "ga.r_from_obj", list(object_labels)),
-    }
-    order = ("q", "o") if ga_order == "qr_first" else ("o", "q")
-    r_pos = grounded_r.positions
-    for step in order:
-        r_pos = steps[step](r_pos)
-
-    q_pos = grounded_q.positions
-    if p.q_self is not None:
-        q_pos, trace = self_attention_unit(
-            q_pos, p.q_self, mask=grounded_q.mask, label="sa.q", **kwargs
-        )
-        trace.query_tokens = grounded_q.texts
-        trace.key_tokens = grounded_q.texts
-        traces.append(trace)
-
-    fused_q = GroundedSeq(q_pos, grounded_q.tokens, grounded_q.mask)
+    r_pos, q_trace = guided_attention_unit(
+        grounded_r.positions, grounded_q.positions, p.ga_query, mask=grounded_q.mask,
+        training=training, rng=rng, label="ga.r_from_q",
+    )
+    q_trace.query_tokens = grounded_r.texts
+    q_trace.key_tokens = grounded_q.texts
+    r_pos, obj_trace = guided_attention_unit(
+        r_pos, objects, p.ga_object, training=training, rng=rng, label="ga.r_from_obj",
+    )
+    obj_trace.query_tokens = grounded_r.texts
+    obj_trace.key_tokens = list(object_labels)
     fused_r = GroundedSeq(r_pos, grounded_r.tokens, grounded_r.mask)
-    return fused_q, fused_r, traces
+    return grounded_q, fused_r, [q_trace, obj_trace]

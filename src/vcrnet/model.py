@@ -153,11 +153,7 @@ class VcrModel:
 
         ga_fuse = None
         if config.ga:
-            ga_fuse = GaFuseParams(
-                ga_query=unit(),
-                ga_object=unit(),
-                q_self=unit() if config.q_self_attention else None,
-            )
+            ga_fuse = GaFuseParams(ga_query=unit(), ga_object=unit())
 
         coattn = None
         encoder_lstm = None
@@ -174,7 +170,7 @@ class VcrModel:
         else:
             encoder_lstm = L.init_bilstm(rng, d, d // 2)
 
-        reduction = init_reduction(rng, d, d, share_mlp=config.share_reduction_mlp)
+        reduction = init_reduction(rng, d, d)
         return cls(
             config, vocab, embedding, obj_proj, ground_lstm,
             ga_fuse, coattn, encoder_lstm, reduction,
@@ -206,12 +202,11 @@ class VcrModel:
 
     def load_state_dict(self, arrays: dict) -> None:
         mine = dict(self.named_parameters())
-        extra = set(arrays) - set(mine)
-        if extra:
-            raise CheckpointError(f"unexpected parameters in state: {sorted(extra)}")
+        for what, names in (("unexpected", set(arrays) - set(mine)),
+                            ("missing", set(mine) - set(arrays))):
+            if names:
+                raise CheckpointError(f"state has {_name_summary(what, names)}")
         for name, t in mine.items():
-            if name not in arrays:
-                raise CheckpointError(f"state is missing parameter {name!r}")
             arr = arrays[name]
             if arr.shape != t.data.shape:
                 raise CheckpointError(
@@ -234,7 +229,11 @@ class VcrModel:
 
     @classmethod
     def load(cls, ckpt_path, config: TrainConfig, vocab: Vocab) -> "VcrModel":
-        return cls.from_state(config, vocab, read_checkpoint(ckpt_path))
+        arrays = read_checkpoint(ckpt_path)
+        try:
+            return cls.from_state(config, vocab, arrays)
+        except CheckpointError as exc:
+            raise CheckpointError(f"{ckpt_path}: {exc}") from exc
 
     # -- forward -----------------------------------------------------------
 
@@ -302,7 +301,6 @@ class VcrModel:
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> list:
-        cfg = self.config
         out = []
         for grounded_r in state.grounded_rs:
             if self.ga_fuse is not None:
@@ -312,8 +310,6 @@ class VcrModel:
                     state.proj_obj,
                     state.labels,
                     self.ga_fuse,
-                    ga_order=cfg.ga_order,
-                    residual=cfg.residual,
                     training=training,
                     rng=rng,
                 )
@@ -328,21 +324,12 @@ class VcrModel:
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> list:
-        cfg = self.config
         out = []
         for f in fused:
             joint = join(f.fq, f.fr)
             if self.coattn is not None:
                 z_q, z_r, traces = coattend(
-                    joint,
-                    f.fq,
-                    f.fr,
-                    self.coattn,
-                    layer_order=cfg.layer_order,
-                    refresh_joint=cfg.refresh_joint,
-                    residual=cfg.residual,
-                    training=training,
-                    rng=rng,
+                    joint, f.fq, f.fr, self.coattn, training=training, rng=rng
                 )
             else:
                 z_q, z_r, traces = lstm_encode(joint, self.encoder_lstm)
@@ -370,6 +357,13 @@ class VcrModel:
 
     def predict(self, inst: VcrInstance, kind: str) -> PredictionRecord:
         return self.forward_task(inst, kind).record()
+
+
+def _name_summary(what: str, names: set, shown: int = 3) -> str:
+    """'<count> <what> parameters: a, b, c, ...' with at most `shown` names."""
+    listed = sorted(names)
+    more = ", ..." if len(listed) > shown else ""
+    return f"{len(listed)} {what} parameters: {', '.join(listed[:shown])}{more}"
 
 
 def _pool_trace(label: str, alpha: Tensor, seq: GroundedSeq) -> AttentionTrace:

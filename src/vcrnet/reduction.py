@@ -30,7 +30,7 @@ from vcrnet.tensor import Tensor, ShapeError, softmax
 
 @dataclass
 class ReductionParams:
-    """Score MLPs for the two paths (possibly one shared object), fusion, head."""
+    """Score MLPs for the two paths, fusion, head."""
 
     mlp_q: MlpParams
     mlp_r: MlpParams
@@ -41,20 +41,17 @@ class ReductionParams:
 
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield from self.mlp_q.named(f"{prefix}.mlp_q")
-        if self.mlp_r is not self.mlp_q:
-            yield from self.mlp_r.named(f"{prefix}.mlp_r")
+        yield from self.mlp_r.named(f"{prefix}.mlp_r")
         yield f"{prefix}.w1", self.w1
         yield f"{prefix}.w2", self.w2
         yield from self.ln.named(f"{prefix}.ln")
         yield from self.clf.named(f"{prefix}.clf")
 
 
-def init_reduction(
-    rng: np.random.Generator, d_model: int, d_c: int, share_mlp: bool = False
-) -> ReductionParams:
+def init_reduction(rng: np.random.Generator, d_model: int, d_c: int) -> ReductionParams:
     widths = [d_model, max(d_model // 2, 1), 1]
     mlp_q = init_mlp(rng, widths)
-    mlp_r = mlp_q if share_mlp else init_mlp(rng, widths)
+    mlp_r = init_mlp(rng, widths)
     lim = 1.0 / np.sqrt(d_model)
     # the classifier starts at zero: a fresh model scores all candidates
     # identically, pinning the untrained loss at ln 4 and keeping the

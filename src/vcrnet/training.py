@@ -256,6 +256,9 @@ def load_run(ckpt_path) -> tuple:
         config = TrainConfig.from_json(config_path.read_text(encoding="utf-8"))
     except ConfigError as exc:
         raise ConfigError(f"{config_path}: {exc}") from exc
-    vocab = Vocab.from_json(vocab_path.read_text(encoding="utf-8"))
+    try:
+        vocab = Vocab.from_json(vocab_path.read_text(encoding="utf-8"))
+    except DataError as exc:
+        raise DataError(f"{vocab_path}: {exc}") from exc
     model = VcrModel.load(ckpt_path, config, vocab)
     return model, config, vocab

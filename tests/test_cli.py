@@ -148,3 +148,42 @@ def test_usage_errors_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--data", "d", "--out", "o", "--epochs", "three"])
     assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-run")
+    data = _synth(root)
+    out = root / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), *_FAST]) == 0
+    return data, out / "model.canckpt"
+
+
+def _set_gold(r):
+    r["gold_answer"] = "x"
+
+
+def _list_question(r):
+    r["question"] = ["what", "is"]
+
+
+def _string_tag(r):
+    r["question"]["tags"][0] = "x"
+
+
+@pytest.mark.parametrize("corrupt", [_set_gold, _list_question, _string_tag],
+                         ids=["gold-not-int", "question-list", "tag-string"])
+def test_eval_reports_malformed_annotation_line(trained_run, capsys, corrupt):
+    data, ckpt = trained_run
+    records = [json.loads(line) for line in (data / cli.TRAIN_FILE).read_text().splitlines()]
+    corrupt(records[1])
+    bad = data / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert len(errors) == 1 and f"{bad} line 2:" in errors[0]
+    assert not any("Traceback" in line for line in err)

@@ -126,32 +126,6 @@ def test_query_module_blind_to_response_order_in_guide():
     npt.assert_allclose(shuffled_q.data, base_q.data, atol=1e-10)
 
 
-def test_refresh_joint_changes_deep_outputs():
-    rng = np.random.default_rng(6)
-    q = _seq(rng, ["a", "b"])
-    r = _seq(rng, ["c", "d"])
-    p = _params(rng, depth=2)
-    joint = C.join(q, r)
-    fixed_q, _, _ = C.coattend(joint, q, r, p, refresh_joint=False)
-    fresh_q, _, _ = C.coattend(joint, q, r, p, refresh_joint=True)
-    assert fixed_q.data.shape == fresh_q.data.shape
-    assert not np.allclose(fixed_q.data, fresh_q.data)
-
-
-def test_layer_order_flag():
-    rng = np.random.default_rng(7)
-    q = _seq(rng, ["a"])
-    r = _seq(rng, ["b", "c"])
-    p = _params(rng, depth=1)
-    joint = C.join(q, r)
-    sa_first, _, _ = C.coattend(joint, q, r, p, layer_order="sa_ga")
-    ga_first, _, traces = C.coattend(joint, q, r, p, layer_order="ga_sa")
-    assert not np.allclose(sa_first.data, ga_first.data)
-    assert traces[0].unit == "coattn.q.ga.0"
-    with pytest.raises(ValueError):
-        C.coattend(joint, q, r, p, layer_order="gaga")
-
-
 def test_depth_mismatch_rejected():
     rng = np.random.default_rng(8)
     q = _seq(rng, ["a"])

@@ -5,7 +5,7 @@ import pytest
 import vcrnet.cli as cli
 from vcrnet.config import ConfigError, TrainConfig
 from vcrnet.data import synth_generate
-from vcrnet.training import CHECKPOINT_NAME, CONFIG_NAME, train
+from vcrnet.training import CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, train
 
 
 def test_defaults_validate():
@@ -15,7 +15,6 @@ def test_defaults_validate():
     assert cfg.batch_size == 8
     assert cfg.lr == 1e-3
     assert cfg.seed == 7
-    assert cfg.residual is True
     assert cfg.ga is True
     assert cfg.encoder == "coattention"
 
@@ -32,8 +31,6 @@ def test_defaults_validate():
     ("dropout", 1.0),
     ("dropout", -0.5),
     ("encoder", "transformer"),
-    ("ga_order", "sideways"),
-    ("layer_order", "ga_only"),
     ("patience", 0),
 ])
 def test_bad_values_rejected(field, value):
@@ -88,22 +85,43 @@ def test_from_json_rejects_malformed_blobs(blob):
         TrainConfig.from_json(blob)
 
 
-def test_eval_reports_mistyped_config_value(tmp_path, capsys):
+def _set_config_key(key, value):
+    def corrupt(path):
+        stored = json.loads(path.read_text())
+        stored[key] = value
+        path.write_text(json.dumps(stored))
+
+    return corrupt
+
+
+def _assert_eval_fails_on_sidecar(tmp_path, capsys, sidecar, corrupt, expected):
     insts = synth_generate(3, 4)
     config = TrainConfig(d_model=8, d_token=8, layers=1, dropout=0.0, epochs=1)
     run = tmp_path / "run"
     train(config, insts, [], run)
     data = tmp_path / "data.jsonl"
     data.write_text("")
-    stored = json.loads((run / CONFIG_NAME).read_text())
-    stored["lr"] = "abc"
-    (run / CONFIG_NAME).write_text(json.dumps(stored))
+    corrupt(run / sidecar)
     capsys.readouterr()
     assert cli.main(["eval", "--ckpt", str(run / CHECKPOINT_NAME), "--data", str(data)]) == 1
     err = capsys.readouterr().err.splitlines()
     errors = [line for line in err if line.startswith("error:")]
-    assert len(errors) == 1 and "lr must be float" in errors[0] and CONFIG_NAME in errors[0]
+    assert len(errors) == 1 and expected in errors[0] and sidecar in errors[0]
     assert not any("Traceback" in line for line in err)
+
+
+def test_eval_reports_mistyped_config_value(tmp_path, capsys):
+    _assert_eval_fails_on_sidecar(tmp_path, capsys, CONFIG_NAME,
+                                  _set_config_key("lr", "abc"), "lr must be float")
+
+
+@pytest.mark.parametrize("sidecar,corrupt,expected", [
+    # run directories written while the six removed architecture keys existed
+    (CONFIG_NAME, _set_config_key("ga_order", "qr_first"), "unknown config keys"),
+    (VOCAB_NAME, lambda path: path.write_text('{"bad": '), "not valid JSON"),
+], ids=["removed-key", "vocab-truncated"])
+def test_eval_reports_corrupt_run_sidecar(tmp_path, capsys, sidecar, corrupt, expected):
+    _assert_eval_fails_on_sidecar(tmp_path, capsys, sidecar, corrupt, expected)
 
 
 def test_with_overrides_skips_none():

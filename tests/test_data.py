@@ -197,6 +197,15 @@ def test_vocab_rejects_bad_layout():
         Vocab(["a", "b"])
     with pytest.raises(DataError):
         Vocab([D.PAD_TOKEN, D.UNK_TOKEN, "x", "x"])
+    with pytest.raises(DataError):
+        Vocab([D.PAD_TOKEN])
+
+
+@pytest.mark.parametrize("blob", ['{"bad": ', "[1]", '{"tokens": 3}', '{"words": []}',
+                                  '{"tokens": ["<pad>", "<unk>", 7]}'])
+def test_vocab_from_json_rejects_malformed_blobs(blob):
+    with pytest.raises(DataError):
+        Vocab.from_json(blob)
 
 
 def _record(iid, task, pred, gold):

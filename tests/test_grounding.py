@@ -97,11 +97,10 @@ def test_pad_grounded():
         G.pad_grounded(seq, 1)
 
 
-def _fuse_params(rng, d, h=2, d_ff=8, q_self=False):
+def _fuse_params(rng, d, h=2, d_ff=8):
     return G.GaFuseParams(
         ga_query=A.init_attn_unit(rng, d, h, d_ff),
         ga_object=A.init_attn_unit(rng, d, h, d_ff),
-        q_self=A.init_attn_unit(rng, d, h, d_ff) if q_self else None,
     )
 
 
@@ -136,25 +135,13 @@ def test_guided_fuse_single_object_gets_all_weight():
     assert obj_trace.key_tokens == ["person"]
 
 
-def test_guided_fuse_order_flag_swaps_units():
-    rng = np.random.default_rng(7)
-    p = _fuse_params(rng, 4)
-    gq = _grounded(rng, ["q"], 4)
-    gr = _grounded(rng, ["r", "s"], 4)
-    objects = Tensor(rng.standard_normal((2, 4)))
-    _, _, traces = G.guided_fuse(gq, gr, objects, ["a", "b"], p, ga_order="obj_first")
-    assert [t.unit for t in traces] == ["ga.r_from_obj", "ga.r_from_q"]
-    with pytest.raises(ValueError):
-        G.guided_fuse(gq, gr, objects, ["a", "b"], p, ga_order="backwards")
-
-
 def test_guided_fuse_zeroed_units_reduce_to_layer_norm_cascade():
     rng = np.random.default_rng(8)
     p = G.GaFuseParams(ga_query=zero_unit(4, 8), ga_object=zero_unit(4, 8))
     gq = _grounded(rng, ["q1", "q2"], 4)
     gr = _grounded(rng, ["r1", "r2", "r3"], 4)
     _, fr, _ = G.guided_fuse(gq, gr, Tensor(rng.standard_normal((2, 4))),
-                             ["a", "b"], p, residual=True)
+                             ["a", "b"], p)
     want = np_layer_norm(np_layer_norm(np_layer_norm(np_layer_norm(gr.positions.data))))
     npt.assert_allclose(fr.positions.data, want, atol=1e-12)
 
@@ -189,17 +176,6 @@ def test_guided_fuse_padding_content_cannot_leak():
     _, a, _ = G.guided_fuse(gq_padded, padded_with(np.zeros((2, 4))), objects, labels, p)
     _, b, _ = G.guided_fuse(gq_noisy, padded_with(np.zeros((2, 4))), objects, labels, p)
     npt.assert_allclose(b.positions.data[:2], a.positions.data[:2], atol=1e-10)
-
-
-def test_guided_fuse_optional_query_self_attention():
-    rng = np.random.default_rng(10)
-    p = _fuse_params(rng, 4, q_self=True)
-    gq = _grounded(rng, ["q1", "q2"], 4)
-    gr = _grounded(rng, ["r1"], 4)
-    fq, _, traces = G.guided_fuse(gq, gr, Tensor(rng.standard_normal((2, 4))),
-                                  ["a", "b"], p)
-    assert fq.positions is not gq.positions
-    assert [t.unit for t in traces][-1] == "sa.q"
 
 
 def test_grounding_end_to_end_grad_check():

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vcrnet.checkpoint import CheckpointError
+from vcrnet.checkpoint import CheckpointError, write_checkpoint
 from vcrnet.config import TrainConfig
 from vcrnet.data import (
     TASK_Q2A,
@@ -173,6 +173,22 @@ def test_load_rejects_mismatched_state():
         VcrModel.from_state(model.config, model.vocab, missing)
 
 
+def test_load_error_names_file_and_bounds_name_list(tmp_path):
+    inst = probe_instance()
+    model = _model(inst)
+    state = model.state_dict()
+    state.update({f"stale.{i:02d}.weight": np.zeros(2) for i in range(40)})
+    path = tmp_path / "model.canckpt"
+    write_checkpoint(path, state)
+    with pytest.raises(CheckpointError) as err:
+        VcrModel.load(path, model.config, model.vocab)
+    msg = str(err.value)
+    assert msg.startswith(f"{path}: ")
+    assert "40 unexpected parameters" in msg
+    assert "stale.00.weight, stale.01.weight, stale.02.weight, ..." in msg
+    assert "stale.03.weight" not in msg
+
+
 def test_trace_labels_cover_the_pipeline():
     inst = probe_instance()
     fwd = _model(inst).forward_task(inst, TASK_Q2A)
@@ -203,15 +219,6 @@ def test_no_guided_fusion_skips_its_traces():
     labels = [t.unit for t in model.forward_task(inst, TASK_Q2A).candidates[0].traces]
     assert labels[0].startswith("coattn.")
     assert not any(l.startswith("ga.") for l in labels)
-
-
-def test_question_self_attention_is_opt_in():
-    inst = probe_instance()
-    plain = _model(inst)
-    with_sa = _model(inst, q_self_attention=True)
-    labels = [t.unit for t in with_sa.forward_task(inst, TASK_Q2A).candidates[0].traces]
-    assert "sa.q" in labels
-    assert with_sa.num_parameters() > plain.num_parameters()
 
 
 def test_ablations_shrink_the_model():

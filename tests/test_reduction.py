@@ -143,16 +143,3 @@ def test_reduction_grad_checks():
 
     p.clf.weight.data = rng.standard_normal((4, 1))
     assert T.grad_check(wrt_w1, p.w1) < 1e-6
-
-
-def test_shared_score_mlp_is_registered_once():
-    rng = np.random.default_rng(7)
-    shared = R.init_reduction(rng, 4, 4, share_mlp=True)
-    separate = R.init_reduction(rng, 4, 4, share_mlp=False)
-    shared_names = [n for n, _ in shared.named("head")]
-    separate_names = [n for n, _ in separate.named("head")]
-    assert shared.mlp_q is shared.mlp_r
-    assert len(set(shared_names)) == len(shared_names)
-    assert len(separate_names) == len(shared_names) + 4
-    assert any("mlp_r" in n for n in separate_names)
-    assert not any("mlp_r" in n for n in shared_names)
