@@ -70,14 +70,24 @@ class AttnUnitParams:
 class AttentionTrace:
     """Recorded attention weights of one unit, for interpretability export.
 
-    heads holds one m x n weight matrix per head (plain arrays, detached
-    from the tape); token labels are attached by the caller that knows them.
+    heads holds one m x n weight matrix per head, as a (heads, m, n) array
+    detached from the tape; token labels are attached by the caller that
+    knows them. A batched unit records (B, heads, m, n) weights, and each
+    token list is then either shared by all B rows or one list per row;
+    `row(b)` gives the trace of row b alone.
     """
 
     unit: str
-    heads: list
+    heads: np.ndarray
     query_tokens: list = field(default_factory=list)
     key_tokens: list = field(default_factory=list)
+
+    def row(self, b: int) -> "AttentionTrace":
+        def pick(tokens):
+            return tokens[b] if tokens and isinstance(tokens[0], list) else tokens
+
+        return AttentionTrace(self.unit, self.heads[b], pick(self.query_tokens),
+                              pick(self.key_tokens))
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,15 +101,16 @@ class AttentionTrace:
 def mask_bias(mask: Optional[np.ndarray], n: int) -> Optional[Tensor]:
     """Additive pre-softmax bias for a key mask: 0 where real, -1e9 where padded.
 
-    An absent or all-true mask yields None, which callers treat as adding
-    nothing.
+    The mask is (n,), or (B, n) with one row per batch entry; every row
+    needs at least one real key. An absent or all-true mask yields None,
+    which callers treat as adding nothing.
     """
     if mask is None:
         return None
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n,):
-        raise ShapeError(f"mask length {mask.shape} does not match {n} key positions")
-    if not mask.any():
+    if mask.ndim not in (1, 2) or mask.shape[-1] != n:
+        raise ShapeError(f"mask shape {mask.shape} does not match {n} key positions")
+    if not mask.any(axis=-1).all():
         raise ValueError("attention over a fully masked sequence has no valid key")
     if mask.all():
         return None
@@ -113,44 +124,60 @@ def sdpa(
 
     q, k, v are split into `heads` equal column blocks and head i attends
     with block i of each, so the output is (m, heads·d_v) with the heads
-    side by side and the weights are (heads, m, n).
+    side by side and the weights are (heads, m, n). A (B, m, d) batch of q
+    attends over (B, n, d) keys and values row by row, or over (n, d) keys
+    and values shared by every row; the output is then (B, m, heads·d_v),
+    the weights (B, heads, m, n), and the mask (n,) or (B, n).
 
     One fused tape entry; gradients flow through the output only, and the
     returned weights are a value-only view for inspection. This op runs
     inside every unit, hence the hand-written backward.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
-        raise ShapeError("sdpa expects 2-d q, k, v")
-    if qd.shape[1] != kd.shape[1]:
+    if (qd.ndim not in (2, 3) or kd.ndim not in (2, qd.ndim) or vd.ndim != kd.ndim
+            or kd.shape[:-2] != qd.shape[:kd.ndim - 2]):
+        raise ShapeError(
+            f"sdpa expects 2-d q, k, v or a batch of q over batched or shared k, v; "
+            f"got {qd.shape}, {kd.shape}, {vd.shape}"
+        )
+    if qd.shape[-1] != kd.shape[-1]:
         raise ShapeError(f"query width {qd.shape} does not match key width {kd.shape}")
-    if kd.shape[0] != vd.shape[0]:
+    if kd.shape[:-1] != vd.shape[:-1]:
         raise ShapeError(f"key count {kd.shape} does not match value count {vd.shape}")
-    if heads < 1 or qd.shape[1] % heads or vd.shape[1] % heads:
-        raise ShapeError(f"{heads} heads do not split widths {qd.shape[1]} and {vd.shape[1]}")
+    if heads < 1 or qd.shape[-1] % heads or vd.shape[-1] % heads:
+        raise ShapeError(f"{heads} heads do not split widths {qd.shape[-1]} and {vd.shape[-1]}")
+    if np.ndim(mask) == 2 and np.shape(mask)[:1] != qd.shape[:-2]:
+        raise ShapeError(f"a {np.shape(mask)} mask needs a batch of {np.shape(mask)[0]} queries")
 
-    def split(a):  # (rows, heads·d) -> (heads, rows, d)
-        return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+    def split(a):  # (..., rows, heads·d) -> (..., heads, rows, d)
+        return a.reshape(a.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
 
-    def merge(a):  # (heads, rows, d) -> (rows, heads·d)
-        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+    def merge(a):  # (..., heads, rows, d) -> (..., rows, heads·d)
+        return a.swapaxes(-3, -2).reshape(a.shape[:-3] + (a.shape[-2], -1))
+
+    def shared(grad, like):  # shared k, v sum their gradient over the batch
+        return grad.sum(axis=0) if grad.ndim > like.ndim else grad
 
     qh, kh, vh = split(qd), split(kd), split(vd)
-    scale = 1.0 / math.sqrt(qh.shape[2])
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
-    bias = mask_bias(mask, kd.shape[0])
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    # the softmax works in place: a batch's scores are its largest arrays
+    w = qh @ kh.swapaxes(-1, -2)
+    w *= scale
+    bias = mask_bias(mask, kd.shape[-2])
     if bias is not None:
-        scores = scores + bias.data
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    w = e / e.sum(axis=-1, keepdims=True)
+        # a (B, n) bias lines up with the (B, heads, m, n) scores
+        w += bias.data if bias.data.ndim == 1 else bias.data[:, None, None, :]
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
 
     def rule(g):
         gh = split(g)
-        g_w = gh @ vh.transpose(0, 2, 1)
+        g_w = gh @ vh.swapaxes(-1, -2)
         g_s = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
-        return (merge(g_s @ kh) * scale, merge(g_s.transpose(0, 2, 1) @ qh) * scale,
-                merge(w.transpose(0, 2, 1) @ gh))
+        return (merge(g_s @ kh) * scale,
+                shared(merge(g_s.swapaxes(-1, -2) @ qh) * scale, kd),
+                shared(merge(w.swapaxes(-1, -2) @ gh), vd))
 
     return record_op(merge(w @ vh), (q, k, v), rule), Tensor._wrap(w, False)
 
@@ -190,7 +217,7 @@ def multi_head(
 ) -> tuple[Tensor, AttentionTrace]:
     """Project, attend with every head at once, project out."""
     out, w = sdpa(q_in @ p.wq, k_in @ p.wk, v_in @ p.wv, mask, p.heads)
-    return out @ p.wo, AttentionTrace(unit=label, heads=list(w.data))
+    return out @ p.wo, AttentionTrace(unit=label, heads=w.data)
 
 
 def init_attn_unit(

@@ -14,12 +14,14 @@ Layout, all integers little-endian:
         payload   row-major little-endian floats
 
 Entries round-trip bitwise and keep their order, so identical inputs give
-identical files.
+identical files. Files are written atomically (`write_atomic`).
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 from typing import Dict
 
 import numpy as np
@@ -54,8 +56,24 @@ def write_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<BB", tag, arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(np.ascontiguousarray(payload).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
+
+
+def write_atomic(path, payload: bytes) -> None:
+    """Write `payload` to a temp file beside `path`, then rename it over `path`.
+
+    A write that fails part way leaves any previous file at `path` as it was
+    and removes the temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path) -> Dict[str, np.ndarray]:

@@ -6,6 +6,9 @@ against X, the other refines the response against X, each layer being a
 self-attention unit followed by a unit guided by X. X stays fixed at the
 initial join through every layer. An alternative encoder replaces both
 stacks with a single BiLSTM over X, used as an ablation baseline.
+
+Everything here also runs on a batch: the four candidates of a task as
+(4, m, d) sequences with a (4, m) mask, the query tiled once per candidate.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ PROV_RESPONSE = "r"
 
 @dataclass
 class JointSeq:
+    """Query then response along the sequence axis; batched like its parts,
+    with one provenance label per position shared by every batch row."""
+
     positions: Tensor
     tokens: list
     mask: np.ndarray
@@ -37,23 +43,27 @@ class JointSeq:
 
     @property
     def texts(self) -> list:
-        return [t.text for t in self.tokens]
+        if self.positions.data.ndim == 2:
+            return [t.text for t in self.tokens]
+        return [[t.text for t in row] for row in self.tokens]
 
 
 def join(q: GroundedSeq, r: GroundedSeq) -> JointSeq:
     """Concatenate query then response along the sequence axis."""
-    d_q = q.positions.data.shape[1]
-    d_r = r.positions.data.shape[1]
-    if d_q != d_r:
-        raise ShapeError(f"cannot join feature widths {d_q} and {d_r}")
-    m_q = q.positions.data.shape[0]
-    m_r = r.positions.data.shape[0]
+    qs, rs = q.positions.data.shape, r.positions.data.shape
+    if qs[-1] != rs[-1]:
+        raise ShapeError(f"cannot join feature widths {qs[-1]} and {rs[-1]}")
+    if qs[:-2] != rs[:-2]:
+        raise ShapeError(f"cannot join batch shapes {qs} and {rs}")
+    m_q, m_r = qs[-2], rs[-2]
     if m_r < 1:
         raise ShapeError("response sequence must be non-empty")
+    batched = len(rs) == 3
     return JointSeq(
-        positions=concat([q.positions, r.positions], axis=0),
-        tokens=list(q.tokens) + list(r.tokens),
-        mask=np.concatenate([q.mask, r.mask]),
+        positions=concat([q.positions, r.positions], axis=-2),
+        tokens=([list(a) + list(b) for a, b in zip(q.tokens, r.tokens)] if batched
+                else list(q.tokens) + list(r.tokens)),
+        mask=np.concatenate([q.mask, r.mask], axis=-1),
         provenance=np.array([PROV_QUERY] * m_q + [PROV_RESPONSE] * m_r),
     )
 
@@ -61,8 +71,8 @@ def join(q: GroundedSeq, r: GroundedSeq) -> JointSeq:
 def split_joint(joint: JointSeq) -> tuple[Tensor, Tensor]:
     """Inverse of join: recover the query and response halves by provenance."""
     m_q = joint.m_query
-    m = joint.positions.data.shape[0]
-    return joint.positions.slice(0, 0, m_q), joint.positions.slice(0, m_q, m)
+    m = joint.positions.data.shape[-2]
+    return joint.positions.slice(-2, 0, m_q), joint.positions.slice(-2, m_q, m)
 
 
 @dataclass
@@ -129,8 +139,21 @@ def coattend(
 
 
 def lstm_encode(joint: JointSeq, p: BiLstmParams) -> tuple:
-    """Ablation encoder: one BiLSTM over X, split back by provenance."""
-    out = bilstm(joint.positions, p)
-    m_q = joint.m_query
-    m = out.data.shape[0]
-    return out.slice(0, 0, m_q), out.slice(0, m_q, m), []
+    """Ablation encoder: one BiLSTM over X, split back by provenance.
+
+    The recurrence covers each sequence's real positions only, which must
+    come first (query, then response, then padding); padded output rows are
+    exactly zero.
+    """
+    x = joint.positions
+    mask = joint.mask
+    lengths = mask.sum(axis=-1)
+    if not np.array_equal(mask, np.arange(mask.shape[-1]) < np.expand_dims(lengths, -1)):
+        raise ShapeError("lstm_encode needs every padded position after the real ones")
+    if x.data.ndim == 2:
+        m = x.data.shape[0]
+        out = bilstm(x.reshape(m, 1, -1), p, lengths.reshape(1)).reshape(m, -1)
+    else:
+        out = bilstm(x.transpose((1, 0, 2)), p, lengths).transpose((1, 0, 2))
+    m_q, m = joint.m_query, out.data.shape[-2]
+    return out.slice(-2, 0, m_q), out.slice(-2, m_q, m), []

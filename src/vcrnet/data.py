@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from vcrnet.checkpoint import read_checkpoint, write_checkpoint
+from vcrnet.checkpoint import read_checkpoint, write_atomic, write_checkpoint
 
 TASK_Q2A = "Q2A"
 TASK_QA2R = "QA2R"
@@ -62,6 +62,8 @@ class VcrInstance:
                 f"{self.instance_id}: expected 4 answers and 4 rationales, "
                 f"got {len(self.answers)} and {len(self.rationales)}"
             )
+        if not np.isfinite(self.objects).all():
+            raise DataError(f"{self.instance_id}: object features contain NaN or Inf")
         if not 0 <= self.gold_answer < 4 or not 0 <= self.gold_rationale < 4:
             raise DataError(f"{self.instance_id}: gold index out of range")
         for seq in [self.question, *self.answers, *self.rationales]:
@@ -165,11 +167,19 @@ def _seq_to_dict(seq: Sequence[TaggedToken]) -> dict:
     return {"tokens": [t.text for t in seq], "tags": [t.tag for t in seq]}
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass and 1.0 == 1, but neither is an index in the file
+    if type(value) is not int:
+        raise DataError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def _seq_from_dict(d: dict) -> list:
     tokens, tags = d["tokens"], d["tags"]
     if len(tokens) != len(tags):
         raise DataError("token and tag arrays differ in length")
-    return [TaggedToken(text, tag) for text, tag in zip(tokens, tags)]
+    return [TaggedToken(text, None if tag is None else _json_int(tag, "tag"))
+            for text, tag in zip(tokens, tags)]
 
 
 def serialize_instance(inst: VcrInstance) -> str:
@@ -186,9 +196,8 @@ def serialize_instance(inst: VcrInstance) -> str:
 
 
 def save_annotations(path, instances: Sequence[VcrInstance]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(serialize_instance(inst) + "\n")
+    text = "".join(serialize_instance(inst) + "\n" for inst in instances)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def save_features(path, instances: Sequence[VcrInstance]) -> None:
@@ -221,8 +230,8 @@ def load_instances(annotation_path, feature_path) -> list:
                     question=_seq_from_dict(record["question"]),
                     answers=[_seq_from_dict(a) for a in record["answers"]],
                     rationales=[_seq_from_dict(r) for r in record["rationales"]],
-                    gold_answer=int(record["gold_answer"]),
-                    gold_rationale=int(record["gold_rationale"]),
+                    gold_answer=_json_int(record["gold_answer"], "gold_answer"),
+                    gold_rationale=_json_int(record["gold_rationale"], "gold_rationale"),
                 ).validate()
             except KeyError as err:
                 raise DataError(f"{annotation_path} line {lineno}: missing field {err}")

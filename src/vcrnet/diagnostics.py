@@ -167,6 +167,32 @@ def layer_checks(h: float = 1e-5) -> list:
     logits = Tensor(rng.standard_normal(4))
     check("task_loss/logits", lambda t: task_loss(t, 2), logits)
 
+    # batched forms: a leading batch axis whose rows differ in length
+    q = Tensor(rng.standard_normal((2, 3, 4)))
+    k = Tensor(rng.standard_normal((2, 5, 4)))
+    v = Tensor(rng.standard_normal((2, 5, 4)))
+    bmask = np.array([[True, True, True, True, True], [True, False, True, True, False]])
+    check("sdpa/batch/q", lambda t: sdpa(t, k, v, bmask, 2)[0], q)
+    check("sdpa/batch/k", lambda t: sdpa(q, t, v, bmask, 2)[0], k)
+    check("sdpa/batch/v", lambda t: sdpa(q, k, t, bmask, 2)[0], v)
+    # keys and values shared by every row of the batch
+    k, v = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((5, 4)))
+    check("sdpa/shared/k", lambda t: sdpa(q, t, v, mask, 2)[0], k)
+    check("sdpa/shared/v", lambda t: sdpa(q, k, t, mask, 2)[0], v)
+
+    # time-major BiLSTM batch of lengths 4, 2, 3
+    lengths = np.array([4, 2, 3])
+    x = Tensor(rng.standard_normal((4, 3, 5)))
+    check("bilstm/batch/x", lambda t: L.bilstm(t, bi, lengths), x)
+    for name, tensor in bi.named("bilstm/batch"):
+        direction = bi.fwd if ".fwd." in name else bi.bwd
+        attr = name.rsplit(".", 1)[1]
+        check(name, _installed(direction, attr, lambda: L.bilstm(x, bi, lengths)), tensor)
+
+    Z = Tensor(rng.standard_normal((3, 5, 8)))
+    zmask = np.arange(5) < np.array([[5], [2], [4]])
+    check("reduce/batch/Z", lambda t: reduce(t, zmask, red.mlp_q)[0], Z)
+
     return results
 
 

@@ -2,10 +2,12 @@
 
 `align_tags` concatenates each token's embedding with the feature of the
 object its tag points at (zeros when untagged); `ground` runs the joint
-sequence through a BiLSTM whose bidirectional output width equals the model
-width. `guided_fuse` then refines the response: one guided-attention unit
-reads the grounded query, then a second reads the object features. The
-query passes through unchanged.
+sequences through a BiLSTM whose bidirectional output width equals the
+model width. The query and the four candidate responses of a task go
+through one length-aware recurrence together, so padding never enters it.
+`guided_fuse` then refines the batch of responses: one guided-attention
+unit reads the grounded query, shared by every candidate, then a second
+reads the object features. The query passes through unchanged.
 """
 
 from __future__ import annotations
@@ -18,28 +20,57 @@ import numpy as np
 from vcrnet.attention import AttnUnitParams, guided_attention_unit
 from vcrnet.data import DataError, PAD_TOKEN, TaggedToken
 from vcrnet.layers import BiLstmParams, bilstm
-from vcrnet.tensor import Tensor, ShapeError, concat
+from vcrnet.tensor import Tensor, ShapeError, concat, tile
 
 
 @dataclass
 class GroundedSeq:
-    """A fused image-text sequence: positions, source tokens, padding mask."""
+    """A fused image-text sequence: positions, source tokens, padding mask.
+
+    One sequence has (m, d) positions, a list of m tokens and an (m,) mask.
+    A batch of B sequences padded to one width m has (B, m, d) positions,
+    one token list per sequence and a (B, m) mask.
+    """
 
     positions: Tensor
     tokens: list
     mask: np.ndarray
 
     def __post_init__(self):
-        m = self.positions.data.shape[0]
-        if len(self.tokens) != m or self.mask.shape != (m,):
+        shape = self.positions.data.shape
+        rows = [self.tokens] if len(shape) == 2 else self.tokens
+        if (len(shape) not in (2, 3) or self.mask.shape != shape[:-1]
+                or len(rows) != int(np.prod(shape[:-2]))
+                or any(len(row) != shape[-2] for row in rows)):
             raise ShapeError(
-                f"grounded sequence inconsistent: {m} positions, "
+                f"grounded sequence inconsistent: positions {shape}, "
                 f"{len(self.tokens)} tokens, mask {self.mask.shape}"
             )
 
     @property
     def texts(self) -> list:
-        return [t.text for t in self.tokens]
+        """Token texts, nested per sequence like `tokens`."""
+        if self.positions.data.ndim == 2:
+            return [t.text for t in self.tokens]
+        return [[t.text for t in row] for row in self.tokens]
+
+    def tiled(self, count: int) -> "GroundedSeq":
+        """A batch of `count` copies of one sequence (one tile op)."""
+        return GroundedSeq(tile(self.positions, count), [list(self.tokens)] * count,
+                           np.tile(self.mask, (count, 1)))
+
+    def rows(self, start: int, stop: int, length: int) -> "GroundedSeq":
+        """Sequences start..stop-1 of a batch, cut to their first `length` positions."""
+        pos = self.positions.slice(0, start, stop)
+        if length != pos.data.shape[1]:
+            pos = pos.slice(1, 0, length)
+        return GroundedSeq(pos, [row[:length] for row in self.tokens[start:stop]],
+                           self.mask[start:stop, :length])
+
+    def row(self, b: int, length: int) -> "GroundedSeq":
+        """Sequence b of a batch on its own, cut to its first `length` positions."""
+        one = self.rows(b, b + 1, length)
+        return GroundedSeq(one.positions.reshape(length, -1), one.tokens[0], one.mask[0])
 
 
 @dataclass
@@ -78,27 +109,22 @@ def align_tags(tokens: list, token_emb: Tensor, objects: Tensor) -> Tensor:
 
 
 def ground(aligned: Tensor, tokens: list, p: BiLstmParams) -> GroundedSeq:
-    """BiLSTM over the aligned sequence; every position counts as real."""
-    positions = bilstm(aligned, p)
-    return GroundedSeq(
-        positions=positions,
-        tokens=list(tokens),
-        mask=np.ones(len(tokens), dtype=bool),
-    )
+    """BiLSTM over aligned sequences.
 
-
-def pad_grounded(seq: GroundedSeq, length: int) -> GroundedSeq:
-    """Extend to `length` with zero rows masked out; no-op when already there."""
-    m, d = seq.positions.data.shape
-    if length < m:
-        raise ShapeError(f"cannot pad length-{m} sequence down to {length}")
-    if length == m:
-        return seq
-    extra = length - m
+    A 2-d `aligned` is one sequence whose every position counts as real. A
+    time-major (T, B, d) `aligned` holds B sequences, sequence b being the
+    first len(tokens[b]) steps of column b; the result is a batch-major
+    GroundedSeq padded to T, with padded rows exactly zero and masked out.
+    """
+    if aligned.data.ndim == 2:
+        return GroundedSeq(bilstm(aligned, p), list(tokens), np.ones(len(tokens), dtype=bool))
+    steps = aligned.data.shape[0]
+    lengths = np.array([len(row) for row in tokens])
+    pad = TaggedToken(PAD_TOKEN)
     return GroundedSeq(
-        positions=concat([seq.positions, Tensor(np.zeros((extra, d)))], axis=0),
-        tokens=list(seq.tokens) + [TaggedToken(PAD_TOKEN)] * extra,
-        mask=np.concatenate([seq.mask, np.zeros(extra, dtype=bool)]),
+        positions=bilstm(aligned, p, lengths).transpose((1, 0, 2)),
+        tokens=[list(row) + [pad] * (steps - len(row)) for row in tokens],
+        mask=np.arange(steps) < lengths[:, None],
     )
 
 
@@ -113,7 +139,9 @@ def guided_fuse(
 ) -> tuple:
     """Refine the response under query guidance, then under object guidance.
 
-    Returns (grounded_q unchanged, fused response sequence, traces).
+    `grounded_r` may be a batch of candidate responses; the query and the
+    objects are then shared by every candidate. Returns (grounded_q
+    unchanged, fused response sequence(s), traces).
     """
     if objects.data.shape[0] != len(object_labels):
         raise ShapeError(

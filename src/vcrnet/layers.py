@@ -231,79 +231,112 @@ def _expit(z: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -z))
 
 
-def _run_direction(seq: Tensor, p: LstmDirectionParams, reverse: bool) -> Tensor:
-    """One direction's full recurrence as a single fused op.
+def _run_direction(seq: Tensor, p: LstmDirectionParams, lengths: np.ndarray,
+                   reverse: bool) -> Tensor:
+    """One direction's full recurrence over a time-major batch as a single fused op.
 
+    `seq` is a (T, B, d_in) batch, or one (T, d_in) sequence, and sequence
+    b is real for its first `lengths[b]` steps. Past its end a sequence's state is frozen and its output rows are
+    exactly 0; in reverse it starts from a zero state at its last real step.
     The whole unroll is one tape entry with a hand-rolled
     backward-through-time rule; the recurrence sits inside every sequence
     the model touches, so it cannot afford per-step op dispatch.
     """
-    x = seq.data
+    shape = seq.data.shape
+    m = shape[0]
+    x = seq.data.reshape(m, -1, shape[-1])  # a (T, d) sequence is a batch of one
     w_x, w_h, b = p.w_x.data, p.w_h.data, p.b.data
-    m = x.shape[0]
+    batch = x.shape[1]
     d_h = w_h.shape[0]
     positions = list(range(m - 1, -1, -1) if reverse else range(m))
+    # live[pos] marks the sequences that are real at that time step
+    live = (np.arange(m)[:, None] < lengths)[:, :, None]
 
     proj = x @ w_x + b
-    gates = np.empty((m, 4 * d_h), dtype=x.dtype)
-    c_prevs = np.empty((m, d_h), dtype=x.dtype)
-    h_prevs = np.empty((m, d_h), dtype=x.dtype)
-    tcs = np.empty((m, d_h), dtype=x.dtype)
-    out = np.empty((m, d_h), dtype=x.dtype)
+    gates = np.empty((m, batch, 4 * d_h), dtype=x.dtype)
+    c_prevs = np.empty((m, batch, d_h), dtype=x.dtype)
+    h_prevs = np.empty((m, batch, d_h), dtype=x.dtype)
+    tcs = np.empty((m, batch, d_h), dtype=x.dtype)
+    out = np.empty((m, batch, d_h), dtype=x.dtype)
 
-    h = np.zeros(d_h, dtype=x.dtype)
-    c = np.zeros(d_h, dtype=x.dtype)
+    h = np.zeros((batch, d_h), dtype=x.dtype)
+    c = np.zeros((batch, d_h), dtype=x.dtype)
     for j, pos in enumerate(positions):
         z = proj[pos] + h @ w_h
-        i = _expit(z[:d_h])
-        f = _expit(z[d_h:2 * d_h])
-        g = np.tanh(z[2 * d_h:3 * d_h])
-        o = _expit(z[3 * d_h:])
+        i = _expit(z[:, :d_h])
+        f = _expit(z[:, d_h:2 * d_h])
+        g = np.tanh(z[:, 2 * d_h:3 * d_h])
+        o = _expit(z[:, 3 * d_h:])
         h_prevs[j] = h
         c_prevs[j] = c
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates[j, :d_h] = i
-        gates[j, d_h:2 * d_h] = f
-        gates[j, 2 * d_h:3 * d_h] = g
-        gates[j, 3 * d_h:] = o
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        h_new = o * tc
+        gates[j, :, :d_h] = i
+        gates[j, :, d_h:2 * d_h] = f
+        gates[j, :, 2 * d_h:3 * d_h] = g
+        gates[j, :, 3 * d_h:] = o
         tcs[j] = tc
-        out[pos] = h
+        out[pos] = np.where(live[pos], h_new, 0.0)
+        h = np.where(live[pos], h_new, h)
+        c = np.where(live[pos], c_new, c)
 
     def rule(g_out):
-        d_proj = np.zeros((m, 4 * d_h), dtype=x.dtype)
+        g_out = g_out.reshape(m, batch, d_h)
+        d_proj = np.zeros((m, batch, 4 * d_h), dtype=x.dtype)
         d_wh = np.zeros_like(w_h)
-        dh_next = np.zeros(d_h, dtype=x.dtype)
-        dc_next = np.zeros(d_h, dtype=x.dtype)
+        dh_next = np.zeros((batch, d_h), dtype=x.dtype)
+        dc_next = np.zeros((batch, d_h), dtype=x.dtype)
         for j in range(m - 1, -1, -1):
             pos = positions[j]
-            i = gates[j, :d_h]
-            f = gates[j, d_h:2 * d_h]
-            g = gates[j, 2 * d_h:3 * d_h]
-            o = gates[j, 3 * d_h:]
+            i = gates[j, :, :d_h]
+            f = gates[j, :, d_h:2 * d_h]
+            g = gates[j, :, 2 * d_h:3 * d_h]
+            o = gates[j, :, 3 * d_h:]
             tc = tcs[j]
-            dh = g_out[pos] + dh_next
+            # a frozen step passes its state's gradient straight through
+            dh = np.where(live[pos], g_out[pos], 0.0) + dh_next
             dc = dh * o * (1.0 - tc * tc) + dc_next
-            dz = np.concatenate([
+            dz = np.where(live[pos], np.concatenate([
                 dc * g * i * (1.0 - i),
                 dc * c_prevs[j] * f * (1.0 - f),
                 dc * i * (1.0 - g * g),
                 dh * tc * o * (1.0 - o),
-            ])
+            ], axis=1), 0.0)
             d_proj[pos] = dz
-            d_wh += np.outer(h_prevs[j], dz)
-            dh_next = dz @ w_h.T
-            dc_next = dc * f
-        return d_proj @ w_x.T, x.T @ d_proj, d_wh, d_proj.sum(axis=0)
+            d_wh += h_prevs[j].T @ dz
+            dh_next = np.where(live[pos], dz @ w_h.T, dh)
+            dc_next = np.where(live[pos], dc * f, dc_next)
+        flat = d_proj.reshape(-1, 4 * d_h)
+        return ((flat @ w_x.T).reshape(shape), x.reshape(-1, shape[-1]).T @ flat, d_wh,
+                flat.sum(axis=0))
 
-    return record_op(out, (seq, p.w_x, p.w_h, p.b), rule)
+    return record_op(out.reshape(shape[:-1] + (d_h,)), (seq, p.w_x, p.w_h, p.b), rule)
 
 
-def bilstm(seq: Tensor, p: BiLstmParams) -> Tensor:
-    """Forward and backward passes over the sequence, concatenated per position."""
-    if seq.data.ndim != 2 or seq.data.shape[0] < 1:
-        raise ShapeError(f"bilstm needs a non-empty m x d sequence, got shape {seq.data.shape}")
-    fwd = _run_direction(seq, p.fwd, reverse=False)
-    bwd = _run_direction(seq, p.bwd, reverse=True)
-    return concat([fwd, bwd], axis=1)
+def bilstm(seq: Tensor, p: BiLstmParams, lengths: Optional[np.ndarray] = None) -> Tensor:
+    """Forward and backward passes over the sequence, concatenated per position.
+
+    `seq` is one (T, d) sequence, or a time-major (T, B, d) batch whose
+    sequence b is real for its first `lengths[b]` steps (default: all T).
+    Padded output rows are exactly 0 and get no input from padded rows.
+    """
+    x = seq.data
+    if x.ndim not in (2, 3) or x.shape[0] < 1:
+        raise ShapeError(
+            f"bilstm needs a non-empty T x d sequence or T x B x d batch, got shape {x.shape}"
+        )
+    steps = x.shape[0]
+    if x.ndim == 2:
+        if lengths is not None:
+            raise ShapeError("bilstm lengths apply to a T x B x d batch only")
+        lengths = np.array([steps])
+    elif lengths is None:
+        lengths = np.full(x.shape[1], steps)
+    else:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (x.shape[1],) or lengths.min() < 1 or lengths.max() > steps:
+            raise ShapeError(f"bilstm lengths {lengths} do not fit shape {x.shape}")
+    fwd = _run_direction(seq, p.fwd, lengths, reverse=False)
+    bwd = _run_direction(seq, p.bwd, lengths, reverse=True)
+    return concat([fwd, bwd], axis=-1)

@@ -1,10 +1,13 @@
 """End-to-end scorer for four-way grounded question answering.
 
-Pipeline per candidate: embed and tag-align the token sequences, run them
-through a shared grounding BiLSTM, refine the response under query and
-object guidance, encode both refined sequences against their joint
-concatenation, pool each to a single vector, fuse, and emit one scalar
-logit. The four logits feed a softmax over candidates.
+Pipeline per task, with the four candidate responses as one batch: embed
+and tag-align the query and the responses, and run them through the shared
+grounding BiLSTM as one length-aware five-sequence recurrence. Pad the
+responses to the longest as a (4, w, d) batch with a (4, w) mask, and refine
+them under query and object guidance. Encode the query (tiled once per
+candidate) and the responses against their joint concatenation, pool each
+to a single vector, fuse, and emit one scalar logit per candidate. The four
+logits feed a softmax over candidates.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from vcrnet.coattention import (
 )
 from vcrnet.config import TrainConfig
 from vcrnet.data import (
+    PAD_TOKEN,
     DataError,
     PredictionRecord,
     TaggedToken,
@@ -36,7 +40,7 @@ from vcrnet.data import (
     Vocab,
     make_task,
 )
-from vcrnet.grounding import GaFuseParams, GroundedSeq, align_tags, ground, guided_fuse, pad_grounded
+from vcrnet.grounding import GaFuseParams, GroundedSeq, align_tags, ground, guided_fuse
 from vcrnet.reduction import ReductionParams, candidate_logit, fuse, init_reduction, reduce
 from vcrnet.tensor import Tensor
 
@@ -45,7 +49,7 @@ CANDIDATES = 4
 
 @dataclass
 class CandidateForward:
-    """Everything recorded while scoring one candidate response."""
+    """What was recorded while scoring one candidate response (values only)."""
 
     traces: list
     alpha_q: Tensor
@@ -54,18 +58,29 @@ class CandidateForward:
 
 @dataclass
 class EncodeState:
-    """Stage one: grounded sequences, before any cross-sequence attention."""
+    """Stage one: grounded sequences, before any cross-sequence attention.
+
+    grounded_r holds the candidate responses as one batch padded to the
+    longest of them.
+    """
 
     objects_t: Tensor
     proj_obj: Tensor
     labels: list
     grounded_q: GroundedSeq
-    grounded_rs: list
+    grounded_r: GroundedSeq
+
+    @property
+    def grounded_rs(self) -> list:
+        """Each candidate's row of grounded_r on its own (detached values)."""
+        r = self.grounded_r
+        return [GroundedSeq(Tensor(r.positions.data[c]), r.tokens[c], r.mask[c])
+                for c in range(len(r.tokens))]
 
 
 @dataclass
 class FusedState:
-    """Stage two, per candidate: guided-attention refined sequences."""
+    """Stage two: the query and the guided-attention refined responses."""
 
     fq: GroundedSeq
     fr: GroundedSeq
@@ -74,7 +89,7 @@ class FusedState:
 
 @dataclass
 class EncodedState:
-    """Stage three, per candidate: sequences encoded against the joint."""
+    """Stage three: the tiled query and the responses, encoded against the joint."""
 
     fq: GroundedSeq
     fr: GroundedSeq
@@ -237,11 +252,14 @@ class VcrModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _encode(self, tokens: Sequence[TaggedToken], objects: Tensor) -> GroundedSeq:
-        ids = self.vocab.encode(tokens)
-        emb = T.embedding_lookup(self.embedding, ids)
-        aligned = align_tags(list(tokens), emb, objects)
-        return ground(aligned, list(tokens), self.ground_lstm)
+    def _encode(self, seqs: list, objects: Tensor) -> GroundedSeq:
+        """Ground token sequences together as one time-major BiLSTM batch."""
+        steps = max(len(seq) for seq in seqs)
+        pad = TaggedToken(PAD_TOKEN)
+        flat = [seq[t] if t < len(seq) else pad for t in range(steps) for seq in seqs]
+        emb = T.embedding_lookup(self.embedding, self.vocab.encode(flat))
+        aligned = align_tags(flat, emb, objects).reshape(steps, len(seqs), -1)
+        return ground(aligned, seqs, self.ground_lstm)
 
     def forward_task(
         self,
@@ -281,18 +299,14 @@ class VcrModel:
                 f"got {len(ex.responses)}"
             )
         objects_t = Tensor(objects)
+        grounded = self._encode([ex.query, *ex.responses], objects_t)
         width = max(len(resp) for resp in ex.responses)
         return EncodeState(
             objects_t=objects_t,
             proj_obj=L.linear(objects_t, self.obj_proj),
             labels=list(object_labels),
-            grounded_q=self._encode(ex.query, objects_t),
-            # responses are padded after the grounding BiLSTM so the zero
-            # rows never enter the recurrence
-            grounded_rs=[
-                pad_grounded(self._encode(resp, objects_t), width)
-                for resp in ex.responses
-            ],
+            grounded_q=grounded.row(0, len(ex.query)),
+            grounded_r=grounded.rows(1, CANDIDATES + 1, width),
         )
 
     def _stage_fuse(
@@ -300,60 +314,47 @@ class VcrModel:
         state: EncodeState,
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
-    ) -> list:
-        out = []
-        for grounded_r in state.grounded_rs:
-            if self.ga_fuse is not None:
-                fq, fr, traces = guided_fuse(
-                    state.grounded_q,
-                    grounded_r,
-                    state.proj_obj,
-                    state.labels,
-                    self.ga_fuse,
-                    training=training,
-                    rng=rng,
-                )
-            else:
-                fq, fr, traces = state.grounded_q, grounded_r, []
-            out.append(FusedState(fq=fq, fr=fr, traces=traces))
-        return out
+    ) -> FusedState:
+        if self.ga_fuse is None:
+            return FusedState(fq=state.grounded_q, fr=state.grounded_r, traces=[])
+        fq, fr, traces = guided_fuse(
+            state.grounded_q,
+            state.grounded_r,
+            state.proj_obj,
+            state.labels,
+            self.ga_fuse,
+            training=training,
+            rng=rng,
+        )
+        return FusedState(fq=fq, fr=fr, traces=traces)
 
     def _stage_joint(
         self,
-        fused: list,
+        fused: FusedState,
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
-    ) -> list:
-        out = []
-        for f in fused:
-            joint = join(f.fq, f.fr)
-            if self.coattn is not None:
-                z_q, z_r, traces = coattend(
-                    joint, f.fq, f.fr, self.coattn, training=training, rng=rng
-                )
-            else:
-                z_q, z_r, traces = lstm_encode(joint, self.encoder_lstm)
-            out.append(
-                EncodedState(
-                    fq=f.fq, fr=f.fr, z_q=z_q, z_r=z_r, traces=f.traces + traces
-                )
+    ) -> EncodedState:
+        fq = fused.fq.tiled(CANDIDATES)
+        joint = join(fq, fused.fr)
+        if self.coattn is not None:
+            z_q, z_r, traces = coattend(
+                joint, fq, fused.fr, self.coattn, training=training, rng=rng
             )
-        return out
+        else:
+            z_q, z_r, traces = lstm_encode(joint, self.encoder_lstm)
+        return EncodedState(fq=fq, fr=fused.fr, z_q=z_q, z_r=z_r, traces=fused.traces + traces)
 
-    def _stage_head(self, ex: TaskExample, encoded: list) -> TaskForward:
-        logit_rows = []
-        cands = []
-        for e in encoded:
-            pooled_q, alpha_q = reduce(e.z_q, e.fq.mask, self.reduction.mlp_q)
-            pooled_r, alpha_r = reduce(e.z_r, e.fr.mask, self.reduction.mlp_r)
-            traces = list(e.traces)
-            traces.append(_pool_trace("reduce.q", alpha_q, e.fq))
-            traces.append(_pool_trace("reduce.r", alpha_r, e.fr))
-            fused = fuse(pooled_q, pooled_r, self.reduction)
-            logit_rows.append(candidate_logit(fused, self.reduction))
-            cands.append(CandidateForward(traces=traces, alpha_q=alpha_q, alpha_r=alpha_r))
-        logits = T.concat(logit_rows, axis=0).reshape(CANDIDATES)
-        return TaskForward(example=ex, logits=logits, candidates=cands)
+    def _stage_head(self, ex: TaskExample, encoded: EncodedState) -> TaskForward:
+        pooled_q, alpha_q = reduce(encoded.z_q, encoded.fq.mask, self.reduction.mlp_q)
+        pooled_r, alpha_r = reduce(encoded.z_r, encoded.fr.mask, self.reduction.mlp_r)
+        fused = fuse(pooled_q, pooled_r, self.reduction)
+        logits = candidate_logit(fused, self.reduction).reshape(CANDIDATES)
+        traces = encoded.traces + [
+            _pool_trace("reduce.q", alpha_q, encoded.fq),
+            _pool_trace("reduce.r", alpha_r, encoded.fr),
+        ]
+        return TaskForward(example=ex, logits=logits,
+                           candidates=_per_candidate(traces, alpha_q, alpha_r))
 
     def predict(self, inst: VcrInstance, kind: str) -> PredictionRecord:
         return self.forward_task(inst, kind).record()
@@ -367,10 +368,23 @@ def _name_summary(what: str, names: set, shown: int = 3) -> str:
 
 
 def _pool_trace(label: str, alpha: Tensor, seq: GroundedSeq) -> AttentionTrace:
-    """Expose pooling weights in the same shape contract as attention traces."""
+    """Expose batched pooling weights in the same shape contract as attention traces."""
+    batch, m = alpha.data.shape
     return AttentionTrace(
         unit=label,
-        heads=[alpha.data.reshape(1, -1)],
+        heads=alpha.data.reshape(batch, 1, 1, m),
         query_tokens=["<pool>"],
         key_tokens=seq.texts,
     )
+
+
+def _per_candidate(traces: list, alpha_q: Tensor, alpha_r: Tensor) -> list:
+    """Split the batched records into one CandidateForward per candidate."""
+    return [
+        CandidateForward(
+            traces=[t.row(c) for t in traces],
+            alpha_q=Tensor(alpha_q.data[c]),
+            alpha_r=Tensor(alpha_r.data[c]),
+        )
+        for c in range(alpha_r.data.shape[0])
+    ]

@@ -4,7 +4,8 @@ Reduction pools a sequence into one vector: a small MLP scores every
 position, a masked softmax turns the scores into weights, and the weighted
 rows are summed. The query and response pools are fused by two linear
 projections, added, LayerNorm-ed, and a final linear layer emits the
-per-candidate logit.
+per-candidate logit. Each step also runs on a batch of candidates, one
+pooled row and one logit per candidate.
 """
 
 from __future__ import annotations
@@ -70,35 +71,43 @@ def init_reduction(rng: np.random.Generator, d_model: int, d_c: int) -> Reductio
 
 
 def reduce(Z: Tensor, mask: Optional[np.ndarray], p_mlp: MlpParams) -> tuple[Tensor, Tensor]:
-    """Pool rows of Z by learned softmax weights; returns (1 x d vector, weights).
+    """Pool rows of Z by learned softmax weights; returns (pooled, weights).
 
+    One (m, d) sequence gives a (1, d) vector and (m,) weights; a (B, m, d)
+    batch with a (B, m) mask gives (B, d) vectors and (B, m) weights.
     Masked positions get exactly zero weight; a fully masked sequence is an
     error. With a zero MLP the weights are uniform over unmasked rows.
     """
-    m = Z.data.shape[0]
+    shape = Z.data.shape
+    m = shape[-2]
     if m < 1:
         raise ShapeError("cannot reduce an empty sequence")
+    if mask is not None and np.shape(mask) != shape[:-1]:
+        raise ShapeError(f"mask shape {np.shape(mask)} does not match sequence shape {shape}")
     scores = mlp(Z, p_mlp)
-    if scores.data.shape != (m, 1):
+    if scores.data.shape != shape[:-1] + (1,):
         raise ShapeError(f"score MLP must map to one column, got {scores.data.shape}")
-    row = scores.reshape(1, m)
+    row = scores.reshape(shape[:-2] + (1, m))
     bias = mask_bias(mask, m)
     if bias is not None:
-        row = row + bias
+        row = row + Tensor(bias.data.reshape(row.data.shape))
     alpha_row = softmax(row, axis=-1)
     pooled = alpha_row @ Z
-    return pooled, alpha_row.reshape(m)
+    if len(shape) == 2:
+        return pooled, alpha_row.reshape(m)
+    return pooled.reshape(shape[0], shape[-1]), alpha_row.reshape(shape[0], m)
 
 
 def fuse(z_q: Tensor, z_r: Tensor, p: ReductionParams) -> Tensor:
-    """LayerNorm of the summed projections of the two pooled vectors (1 x d_c)."""
-    if z_q.data.shape != z_r.data.shape or z_q.data.ndim != 2 or z_q.data.shape[0] != 1:
+    """LayerNorm of the summed projections of pooled vectors, row by row (n x d_c)."""
+    d = p.w1.data.shape[0]
+    if z_q.data.shape != z_r.data.shape or z_q.data.ndim != 2 or z_q.data.shape[1] != d:
         raise ShapeError(
-            f"fuse expects two 1 x d rows, got {z_q.data.shape} and {z_r.data.shape}"
+            f"fuse expects two n x {d} row stacks, got {z_q.data.shape} and {z_r.data.shape}"
         )
     return layer_norm(z_q @ p.w1 + z_r @ p.w2, p.ln)
 
 
 def candidate_logit(fused: Tensor, p: ReductionParams) -> Tensor:
-    """Final linear head: one scalar logit per candidate, shape (1, 1)."""
+    """Final linear head: one scalar logit per fused row, shape (n, 1)."""
     return linear(fused, p.clf)

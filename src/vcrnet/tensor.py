@@ -8,7 +8,9 @@ in reverse execution order, which is a valid reverse-topological order
 because an operation's inputs always exist before the operation runs.
 
 Broadcasting is deliberately restricted: elementwise ops require identical
-shapes, except that `add` also accepts a trailing-axis bias vector. This
+shapes, except that `add` also accepts a trailing-axis bias vector, and
+`matmul` applies one 2-d right operand to every leading index of the left.
+A batch is a leading axis; `tile` makes one from a shared tensor. This
 keeps every backward rule auditable.
 """
 
@@ -31,6 +33,7 @@ __all__ = [
     "log",
     "softmax",
     "concat",
+    "tile",
     "dropout",
     "embedding_lookup",
     "grad_check",
@@ -128,10 +131,17 @@ class Tensor:
         old = self.data.shape
         return _result(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
 
-    def transpose(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ShapeError(f"transpose expects a 2-d tensor, got shape {self.data.shape}")
-        return _result(self.data.T, (self,), lambda g: (g.T,))
+    def transpose(self, axes: Optional[Sequence[int]] = None) -> "Tensor":
+        """Swap the axes of a 2-d tensor, or permute any tensor's axes by `axes`."""
+        if axes is None:
+            if self.data.ndim != 2:
+                raise ShapeError(f"transpose expects a 2-d tensor, got shape {self.data.shape}")
+            return _result(self.data.T, (self,), lambda g: (g.T,))
+        axes = tuple(axes)
+        if sorted(axes) != list(range(self.data.ndim)):
+            raise ShapeError(f"transpose axes {axes} do not permute shape {self.data.shape}")
+        inverse = tuple(np.argsort(axes))
+        return _result(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 
     @property
     def T(self) -> "Tensor":
@@ -334,10 +344,22 @@ def _mul_const(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., m, k) @ (k, n), or a batch (B, m, k) @ (B, k, n) pair by pair."""
     ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+    paired = bd.ndim == ad.ndim == 3 and bd.shape[0] == ad.shape[0]
+    if ad.ndim < 2 or not (bd.ndim == 2 or paired) or ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
-    return _result(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    if ad.ndim == 2 or paired:
+        def rule(g):
+            return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+    else:
+        k, n = bd.shape
+
+        # b is shared by every leading index of a, so its gradient sums them
+        def rule(g):
+            return g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, n)
+
+    return _result(ad @ bd, (a, b), rule)
 
 
 def _reduce(a: Tensor, axis: Optional[int], scale: bool) -> Tensor:
@@ -429,6 +451,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, offsets, axis=axis))
 
     return _result(np.concatenate(arrays, axis=axis), tuple(tensors), rule)
+
+
+def tile(x: Tensor, count: int) -> Tensor:
+    """`count` copies of x stacked on a new leading axis; the gradient sums them."""
+    if count < 1:
+        raise ShapeError(f"tile count must be positive, got {count}")
+    xd = x.data
+    return _result(np.broadcast_to(xd, (count,) + xd.shape), (x,), lambda g: (g.sum(axis=0),))
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from vcrnet import tensor as T
+from vcrnet.checkpoint import write_atomic
 from vcrnet.config import ConfigError, TrainConfig
 from vcrnet.data import (
     TASK_Q2A,
@@ -173,8 +174,8 @@ def train(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / CONFIG_NAME).write_text(config.to_json() + "\n", encoding="utf-8")
-    (out_dir / VOCAB_NAME).write_text(vocab.to_json() + "\n", encoding="utf-8")
+    write_atomic(out_dir / CONFIG_NAME, (config.to_json() + "\n").encode("utf-8"))
+    write_atomic(out_dir / VOCAB_NAME, (vocab.to_json() + "\n").encode("utf-8"))
     log_path = out_dir / LOG_NAME
     log_path.write_text("", encoding="utf-8")
 

@@ -3,8 +3,14 @@
 import numpy as np
 
 from vcrnet import attention as A
-from vcrnet.layers import FeedForwardParams, LinearParams, init_layer_norm
-from vcrnet.tensor import Tensor
+from vcrnet import tensor as T
+from vcrnet.coattention import coattend, join, lstm_encode
+from vcrnet.data import PAD_TOKEN, TaggedToken
+from vcrnet.grounding import GroundedSeq, align_tags, ground, guided_fuse
+from vcrnet.layers import FeedForwardParams, LinearParams, init_layer_norm, linear
+from vcrnet.model import CandidateForward
+from vcrnet.reduction import candidate_logit, fuse, reduce
+from vcrnet.tensor import ShapeError, Tensor
 
 
 def np_layer_norm(x, eps=1e-5):
@@ -31,3 +37,54 @@ def zero_unit(d, d_ff, h=2):
         ln1=init_layer_norm(d),
         ln2=init_layer_norm(d),
     )
+
+
+def pad_grounded(seq, length):
+    """Extend a 2-d GroundedSeq to `length` with zero rows masked out."""
+    m, d = seq.positions.data.shape
+    if length < m:
+        raise ShapeError(f"cannot pad length-{m} sequence down to {length}")
+    if length == m:
+        return seq
+    extra = length - m
+    return GroundedSeq(
+        positions=T.concat([seq.positions, Tensor(np.zeros((extra, d)))], axis=0),
+        tokens=list(seq.tokens) + [TaggedToken(PAD_TOKEN)] * extra,
+        mask=np.concatenate([seq.mask, np.zeros(extra, dtype=bool)]),
+    )
+
+
+def loop_forward(model, ex, objects, labels):
+    """Score each candidate on its own with 2-d ops: the oracle for the batched
+    VcrModel forward (eval mode). Returns (logits, per-candidate records)."""
+    objects_t = Tensor(objects)
+    proj_obj = linear(objects_t, model.obj_proj)
+
+    def encode(tokens):
+        emb = T.embedding_lookup(model.embedding, model.vocab.encode(tokens))
+        return ground(align_tags(tokens, emb, objects_t), tokens, model.ground_lstm)
+
+    def pool_trace(label, alpha, seq):
+        return A.AttentionTrace(label, alpha.data.reshape(1, 1, -1), ["<pool>"], seq.texts)
+
+    gq = encode(ex.query)
+    width = max(len(resp) for resp in ex.responses)
+    red = model.reduction
+    logits, cands = [], []
+    for resp in ex.responses:
+        gr = pad_grounded(encode(resp), width)
+        traces = []
+        if model.ga_fuse is not None:
+            gq, gr, traces = guided_fuse(gq, gr, proj_obj, labels, model.ga_fuse)
+        joint = join(gq, gr)
+        if model.coattn is not None:
+            z_q, z_r, more = coattend(joint, gq, gr, model.coattn)
+        else:
+            z_q, z_r, more = lstm_encode(joint, model.encoder_lstm)
+        pooled_q, alpha_q = reduce(z_q, gq.mask, red.mlp_q)
+        pooled_r, alpha_r = reduce(z_r, gr.mask, red.mlp_r)
+        logits.append(candidate_logit(fuse(pooled_q, pooled_r, red), red))
+        traces = traces + more + [pool_trace("reduce.q", alpha_q, gq),
+                                  pool_trace("reduce.r", alpha_r, gr)]
+        cands.append(CandidateForward(traces, alpha_q, alpha_r))
+    return T.concat(logits, axis=0).reshape(len(logits)), cands

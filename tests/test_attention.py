@@ -320,3 +320,70 @@ def test_trace_json_shape():
     assert len(d["heads"]) == 2
     assert np.asarray(d["heads"][0]).shape == (2, 2)
     assert d["query_tokens"] == ["a", "b"]
+
+
+def test_sdpa_batch_matches_row_by_row_calls():
+    for seed in range(50):
+        rng = np.random.default_rng(24_000 + seed)
+        batch, m, n, heads = 3, int(rng.integers(1, 5)), int(rng.integers(1, 6)), 2
+        q = rng.standard_normal((batch, m, 4))
+        k = rng.standard_normal((batch, n, 4))
+        v = rng.standard_normal((batch, n, 6))
+        mask = rng.random((batch, n)) < 0.7
+        mask[:, 0] = True
+        shared_k, shared_v = k[0], v[0]
+        out, w = A.sdpa(Tensor(q), Tensor(k), Tensor(v), mask, heads)
+        out_s, w_s = A.sdpa(Tensor(q), Tensor(shared_k), Tensor(shared_v), mask[0], heads)
+        assert out.data.shape == (batch, m, 6) and w.data.shape == (batch, heads, m, n)
+        for b in range(batch):
+            row_out, row_w = A.sdpa(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), mask[b], heads)
+            npt.assert_allclose(out.data[b], row_out.data, rtol=0, atol=1e-12)
+            npt.assert_allclose(w.data[b], row_w.data, rtol=0, atol=1e-12)
+            row_out, row_w = A.sdpa(Tensor(q[b]), Tensor(shared_k), Tensor(shared_v),
+                                    mask[0], heads)
+            npt.assert_allclose(out_s.data[b], row_out.data, rtol=0, atol=1e-12)
+            npt.assert_allclose(w_s.data[b], row_w.data, rtol=0, atol=1e-12)
+
+
+def test_sdpa_batch_shape_and_mask_errors():
+    q = Tensor(np.zeros((2, 3, 4)))
+    kv = Tensor(np.zeros((2, 5, 4)))
+    with pytest.raises(ValueError):  # the second row has no real key
+        A.sdpa(q, kv, kv, np.array([[True] * 5, [False] * 5]))
+    with pytest.raises(ShapeError):
+        A.sdpa(q, kv, kv, np.ones((2, 4), dtype=bool))
+    with pytest.raises(ShapeError):
+        A.sdpa(q, Tensor(np.zeros((3, 5, 4))), Tensor(np.zeros((3, 5, 4))))
+    with pytest.raises(ShapeError):  # 2-d queries take 2-d keys only
+        A.sdpa(Tensor(np.zeros((3, 4))), kv, kv)
+    with pytest.raises(ShapeError):
+        A.sdpa(q, kv, Tensor(np.zeros((5, 4))))
+    for mask in (np.ones((3, 5), dtype=bool), np.ones((1, 5), dtype=bool)):
+        with pytest.raises(ShapeError):  # one mask row per query batch row
+            A.sdpa(q, kv, kv, mask)
+    with pytest.raises(ShapeError):
+        flat = Tensor(np.zeros((5, 4)))
+        A.sdpa(Tensor(np.zeros((3, 4))), flat, flat, np.ones((2, 5), dtype=bool))
+
+
+def test_guided_unit_batch_matches_row_by_row_units():
+    rng = np.random.default_rng(25)
+    p = A.init_attn_unit(rng, 8, 2, 16)
+    x = rng.standard_normal((3, 4, 8))
+    guide = rng.standard_normal((3, 5, 8))
+    mask = np.arange(5) < np.array([[5], [2], [4]])
+    out, trace = A.guided_attention_unit(Tensor(x), Tensor(guide), p, mask=mask)
+    for b in range(3):
+        row_out, row_trace = A.guided_attention_unit(Tensor(x[b]), Tensor(guide[b]), p,
+                                                     mask=mask[b])
+        npt.assert_allclose(out.data[b], row_out.data, rtol=0, atol=1e-12)
+        one = trace.row(b)
+        npt.assert_allclose(one.heads, row_trace.heads, rtol=0, atol=1e-12)
+
+
+def test_trace_row_picks_per_row_or_shared_tokens():
+    trace = A.AttentionTrace("u", np.zeros((2, 1, 1, 3)),
+                             query_tokens=[["a"], ["b"]], key_tokens=["x", "y", "z"])
+    assert trace.row(1).query_tokens == ["b"]
+    assert trace.row(1).key_tokens == ["x", "y", "z"]
+    assert trace.row(0).heads.shape == (1, 1, 3)

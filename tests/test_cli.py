@@ -171,8 +171,25 @@ def _string_tag(r):
     r["question"]["tags"][0] = "x"
 
 
-@pytest.mark.parametrize("corrupt", [_set_gold, _list_question, _string_tag],
-                         ids=["gold-not-int", "question-list", "tag-string"])
+def _gold(value):
+    def corrupt(r):
+        r["gold_answer"] = value
+    return corrupt
+
+
+def _tag(value):
+    def corrupt(r):
+        r["question"]["tags"][0] = value
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_set_gold, _list_question, _string_tag, _gold(1.9), _gold(True), _gold(1.0),
+     _tag(True), _tag(1.0)],
+    ids=["gold-not-int", "question-list", "tag-string", "gold-float", "gold-bool",
+         "gold-integral-float", "tag-bool", "tag-integral-float"],
+)
 def test_eval_reports_malformed_annotation_line(trained_run, capsys, corrupt):
     data, ckpt = trained_run
     records = [json.loads(line) for line in (data / cli.TRAIN_FILE).read_text().splitlines()]
@@ -186,4 +203,23 @@ def test_eval_reports_malformed_annotation_line(trained_run, capsys, corrupt):
     err = captured.err.splitlines()
     errors = [line for line in err if line.startswith("error:")]
     assert len(errors) == 1 and f"{bad} line 2:" in errors[0]
+    assert not any("Traceback" in line for line in err)
+
+
+def test_train_rejects_non_finite_feature_row(tmp_path, capsys):
+    from vcrnet.checkpoint import read_checkpoint, write_checkpoint
+
+    data = _synth(tmp_path)
+    first = json.loads((data / cli.TRAIN_FILE).read_text().splitlines()[0])["instance_id"]
+    feats = read_checkpoint(data / cli.FEATURES_FILE)
+    feats[f"objects/{first}"][1, 2] = float("nan")
+    write_checkpoint(data / cli.FEATURES_FILE, feats)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *_FAST]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert len(errors) == 1
+    assert f"{data / cli.TRAIN_FILE} line 1: {first}: " in errors[0] and "NaN" in errors[0]
     assert not any("Traceback" in line for line in err)

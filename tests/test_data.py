@@ -171,6 +171,15 @@ def test_loader_rejects_feature_row_mismatch(tmp_path):
     assert "labels" in str(err.value) or "objects" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_validate_rejects_non_finite_features(value):
+    inst = synth_generate(seed=31, n=1)[0]
+    inst.objects[2, 0] = value
+    with pytest.raises(DataError) as err:
+        inst.validate()
+    assert str(err.value).startswith("synth-31-00000: ")
+
+
 def test_vocab_layout_and_lookup():
     instances = synth_generate(seed=3, n=10)
     vocab = Vocab.build(instances)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import np_layer_norm, zero_unit
+from helpers import np_layer_norm, pad_grounded, zero_unit
 
 from vcrnet import attention as A
 from vcrnet import grounding as G
@@ -88,13 +88,13 @@ def test_pad_grounded():
     rng = np.random.default_rng(4)
     seq = G.GroundedSeq(Tensor(rng.standard_normal((2, 4))), toks("a", "b"),
                         np.ones(2, dtype=bool))
-    padded = G.pad_grounded(seq, 5)
+    padded = pad_grounded(seq, 5)
     assert padded.positions.data.shape == (5, 4)
     npt.assert_array_equal(padded.positions.data[2:], np.zeros((3, 4)))
     npt.assert_array_equal(padded.mask, [True, True, False, False, False])
-    assert G.pad_grounded(seq, 2) is seq
+    assert pad_grounded(seq, 2) is seq
     with pytest.raises(ShapeError):
-        G.pad_grounded(seq, 1)
+        pad_grounded(seq, 1)
 
 
 def _fuse_params(rng, d, h=2, d_ff=8):
@@ -172,7 +172,7 @@ def test_guided_fuse_padding_content_cannot_leak():
         toks("w1", "w2", "<pad>"),
         np.array([True, True, False]),
     )
-    gq_padded = G.pad_grounded(gq, 3)
+    gq_padded = pad_grounded(gq, 3)
     _, a, _ = G.guided_fuse(gq_padded, padded_with(np.zeros((2, 4))), objects, labels, p)
     _, b, _ = G.guided_fuse(gq_noisy, padded_with(np.zeros((2, 4))), objects, labels, p)
     npt.assert_allclose(b.positions.data[:2], a.positions.data[:2], atol=1e-10)

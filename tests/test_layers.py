@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from vcrnet import checkpoint
 from vcrnet import layers as L
 from vcrnet import tensor as T
 from vcrnet.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
@@ -221,6 +222,49 @@ def test_bilstm_grad_check_sequence_and_weights():
     assert T.grad_check(wrt_wh, p.fwd.w_h) < 1e-6
 
 
+def _ragged_batch(rng, lengths, d_in=3):
+    """A time-major (T, B, d_in) batch with random values in the padded rows too."""
+    return rng.standard_normal((max(lengths), len(lengths), d_in))
+
+
+def test_bilstm_batch_matches_each_sequence_alone():
+    for seed in range(20):
+        rng = np.random.default_rng(400 + seed)
+        p = L.init_bilstm(rng, 3, 2)
+        lengths = rng.integers(1, 6, size=4)
+        x = _ragged_batch(rng, lengths)
+        got = L.bilstm(Tensor(x), p, lengths).data
+        for b, n in enumerate(lengths):
+            alone = L.bilstm(Tensor(x[:n, b]), p).data
+            npt.assert_allclose(got[:n, b], alone, rtol=0, atol=1e-12)
+
+
+def test_bilstm_batch_padding_is_zero_and_gets_no_gradient():
+    rng = np.random.default_rng(14)
+    p = L.init_bilstm(rng, 3, 2)
+    lengths = np.array([2, 5, 1])
+    x = Tensor(_ragged_batch(rng, lengths), requires_grad=True)
+    with T.Tape() as tape:
+        out = L.bilstm(x, p, lengths)
+        tape.seed(out, rng.standard_normal(out.data.shape))
+    padded = np.arange(5)[:, None] >= lengths
+    assert padded.sum() == 7
+    npt.assert_array_equal(out.data[padded], 0.0)
+    npt.assert_array_equal(x.grad[padded], 0.0)
+    assert (x.grad[~padded] != 0.0).all()
+    assert T.grad_check(lambda t: L.bilstm(t, p, lengths), x) < 1e-6
+
+
+def test_bilstm_batch_rejects_bad_lengths():
+    p = L.init_bilstm(np.random.default_rng(1), 3, 2)
+    x = Tensor(np.zeros((3, 2, 3)))
+    for lengths in ([3], [0, 2], [4, 1], [[1, 2]]):
+        with pytest.raises(ShapeError):
+            L.bilstm(x, p, np.array(lengths))
+    with pytest.raises(ShapeError):
+        L.bilstm(Tensor(np.zeros((3, 3))), p, np.array([2]))
+
+
 def test_init_bounds_and_forget_bias():
     rng = np.random.default_rng(2)
     lin = L.init_linear(rng, 16, 4)
@@ -292,3 +336,38 @@ def test_checkpoint_rejects_truncation(tmp_path):
 def test_checkpoint_rejects_integer_arrays(tmp_path):
     with pytest.raises(CheckpointError):
         write_checkpoint(tmp_path / "x.canckpt", {"ids": np.arange(3)})
+
+
+class _HalfWrite:
+    """A file whose write stores half the payload, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, payload):
+        self.fh.write(payload[: len(payload) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fail", ["write", "rename"])
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch, fail):
+    path = tmp_path / "model.canckpt"
+    write_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)})
+    before = path.read_bytes()
+    if fail == "write":
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda *a, **kw: _HalfWrite(open(*a, **kw)), raising=False)
+    else:
+        def no_rename(src, dst):
+            raise OSError(5, "Input/output error")
+        monkeypatch.setattr(checkpoint.os, "replace", no_rename)
+    with pytest.raises(OSError):
+        write_checkpoint(path, {"w": np.zeros((50, 50))})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.canckpt"]

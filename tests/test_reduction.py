@@ -143,3 +143,27 @@ def test_reduction_grad_checks():
 
     p.clf.weight.data = rng.standard_normal((4, 1))
     assert T.grad_check(wrt_w1, p.w1) < 1e-6
+
+
+def test_batched_reduce_and_fuse_match_row_by_row():
+    rng = np.random.default_rng(7)
+    p = R.init_reduction(rng, 4, 4)
+    p.ln.beta.data = rng.standard_normal(4)
+    Z = rng.standard_normal((3, 5, 4))
+    mask = np.arange(5) < np.array([[5], [1], [3]])
+    pooled, alpha = R.reduce(Tensor(Z), mask, p.mlp_q)
+    assert pooled.data.shape == (3, 4) and alpha.data.shape == (3, 5)
+    npt.assert_array_equal(alpha.data[~mask], 0.0)
+    for b in range(3):
+        row_pooled, row_alpha = R.reduce(Tensor(Z[b]), mask[b], p.mlp_q)
+        npt.assert_allclose(pooled.data[b], row_pooled.data[0], rtol=0, atol=1e-12)
+        npt.assert_allclose(alpha.data[b], row_alpha.data, rtol=0, atol=1e-12)
+    zr = rng.standard_normal((3, 4))
+    fused = R.fuse(pooled, Tensor(zr), p)
+    for b in range(3):
+        row = R.fuse(Tensor(pooled.data[b:b + 1]), Tensor(zr[b:b + 1]), p)
+        npt.assert_allclose(fused.data[b], row.data[0], rtol=0, atol=1e-12)
+    assert R.candidate_logit(fused, p).data.shape == (3, 1)
+    for bad in (mask[0], mask[:2]):
+        with pytest.raises(ShapeError):
+            R.reduce(Tensor(Z), bad, p.mlp_q)

@@ -325,3 +325,56 @@ def test_finite_check_mode_flags_nan():
             T.log(Tensor([-1.0]))
     finally:
         T.set_finite_checks(False)
+
+
+def test_batched_matmul_forms_match_per_row_products():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 2, 4))
+    shared = rng.standard_normal((4, 5))
+    paired = rng.standard_normal((3, 4, 5))
+    got_shared = (Tensor(a) @ Tensor(shared)).data
+    got_paired = (Tensor(a) @ Tensor(paired)).data
+    for b in range(3):
+        npt.assert_allclose(got_shared[b], a[b] @ shared, rtol=0, atol=1e-12)
+        npt.assert_allclose(got_paired[b], a[b] @ paired[b], rtol=0, atol=1e-12)
+    for bad in ((2, 4, 5), (4,), (3, 5, 4)):
+        with pytest.raises(ShapeError):
+            Tensor(a) @ Tensor(np.zeros(bad))
+
+
+def test_grad_check_batched_matmul():
+    rng = np.random.default_rng(13)
+    a = Tensor(rng.standard_normal((3, 2, 4)))
+    shared = Tensor(rng.standard_normal((4, 5)))
+    paired = Tensor(rng.standard_normal((3, 4, 5)))
+    assert T.grad_check(lambda t: t @ shared, a) < 1e-7
+    assert T.grad_check(lambda t: a @ t, shared) < 1e-7
+    assert T.grad_check(lambda t: t @ paired, a) < 1e-7
+    assert T.grad_check(lambda t: a @ t, paired) < 1e-7
+
+
+def test_tile_stacks_copies_and_sums_their_gradients():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        y = T.tile(x, 4)
+        seed = rng.standard_normal((4, 2, 3))
+        tape.seed(y, seed)
+    assert y.data.shape == (4, 2, 3)
+    for b in range(4):
+        npt.assert_array_equal(y.data[b], x.data)
+    npt.assert_allclose(x.grad, seed.sum(axis=0), rtol=0, atol=1e-12)
+    assert T.grad_check(lambda t: T.tile(t, 3), x) < 1e-7
+    with pytest.raises(ShapeError):
+        T.tile(x, 0)
+
+
+def test_transpose_permutes_axes():
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.standard_normal((2, 3, 4)))
+    npt.assert_array_equal(x.transpose((1, 0, 2)).data, x.data.transpose(1, 0, 2))
+    assert T.grad_check(lambda t: t.transpose((2, 0, 1)), x) < 1e-7
+    with pytest.raises(ShapeError):
+        x.transpose((0, 0, 1))
+    with pytest.raises(ShapeError):
+        x.transpose()
