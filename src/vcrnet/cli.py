@@ -15,7 +15,7 @@ import logging
 import sys
 from pathlib import Path
 
-from vcrnet.checkpoint import CheckpointError
+from vcrnet.checkpoint import CheckpointError, write_atomic
 from vcrnet.config import ConfigError, TrainConfig
 from vcrnet.data import (
     TASK_Q2A,
@@ -162,13 +162,11 @@ def cmd_inspect(args) -> int:
     written = []
     for task in (TASK_Q2A, TASK_QA2R):
         fwd = model.forward_task(inst, task)
-        for trace in fwd.candidates[fwd.pred].traces:
-            path = out / f"{task}.{trace.unit}.json"
-            path.write_text(json.dumps(trace.to_json_dict(), sort_keys=True))
+        exports = [(trace.unit, trace.row(fwd.pred)) for trace in fwd.traces]
+        for name, obj in exports + [("prediction", fwd.record())]:
+            path = out / f"{task}.{name}.json"
+            write_atomic(path, json.dumps(obj.to_json_dict(), sort_keys=True).encode("utf-8"))
             written.append(str(path))
-        rec_path = out / f"{task}.prediction.json"
-        rec_path.write_text(json.dumps(fwd.record().to_json_dict(), sort_keys=True))
-        written.append(str(rec_path))
     _emit({"instance": inst.instance_id, "files": written})
     return 0
 

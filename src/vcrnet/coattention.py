@@ -23,23 +23,16 @@ from vcrnet.grounding import GroundedSeq
 from vcrnet.layers import BiLstmParams, bilstm
 from vcrnet.tensor import Tensor, ShapeError, concat
 
-PROV_QUERY = "q"
-PROV_RESPONSE = "r"
-
 
 @dataclass
 class JointSeq:
-    """Query then response along the sequence axis; batched like its parts,
-    with one provenance label per position shared by every batch row."""
+    """Query then response along the sequence axis; batched like its parts.
+    The first m_query positions of every batch row are the query's."""
 
     positions: Tensor
     tokens: list
     mask: np.ndarray
-    provenance: np.ndarray
-
-    @property
-    def m_query(self) -> int:
-        return int((self.provenance == PROV_QUERY).sum())
+    m_query: int
 
     @property
     def texts(self) -> list:
@@ -64,15 +57,8 @@ def join(q: GroundedSeq, r: GroundedSeq) -> JointSeq:
         tokens=([list(a) + list(b) for a, b in zip(q.tokens, r.tokens)] if batched
                 else list(q.tokens) + list(r.tokens)),
         mask=np.concatenate([q.mask, r.mask], axis=-1),
-        provenance=np.array([PROV_QUERY] * m_q + [PROV_RESPONSE] * m_r),
+        m_query=m_q,
     )
-
-
-def split_joint(joint: JointSeq) -> tuple[Tensor, Tensor]:
-    """Inverse of join: recover the query and response halves by provenance."""
-    m_q = joint.m_query
-    m = joint.positions.data.shape[-2]
-    return joint.positions.slice(-2, 0, m_q), joint.positions.slice(-2, m_q, m)
 
 
 @dataclass
@@ -139,7 +125,7 @@ def coattend(
 
 
 def lstm_encode(joint: JointSeq, p: BiLstmParams) -> tuple:
-    """Ablation encoder: one BiLSTM over X, split back by provenance.
+    """Ablation encoder: one BiLSTM over X, split back at the query's end.
 
     The recurrence covers each sequence's real positions only, which must
     come first (query, then response, then padding); padded output rows are

@@ -48,15 +48,6 @@ CANDIDATES = 4
 
 
 @dataclass
-class CandidateForward:
-    """What was recorded while scoring one candidate response (values only)."""
-
-    traces: list
-    alpha_q: Tensor
-    alpha_r: Tensor
-
-
-@dataclass
 class EncodeState:
     """Stage one: grounded sequences, before any cross-sequence attention.
 
@@ -100,9 +91,15 @@ class EncodedState:
 
 @dataclass
 class TaskForward:
+    """The (4,) candidate logits and every attention trace of one task.
+
+    traces are batched, in pipeline order: each holds (4, heads, m, n)
+    weights, and `trace.row(c)` is candidate c's slice.
+    """
+
     example: TaskExample
     logits: Tensor
-    candidates: list
+    traces: list
 
     @property
     def pred(self) -> int:
@@ -298,6 +295,12 @@ class VcrModel:
                 f"{ex.instance_id}: expected {CANDIDATES} candidate responses, "
                 f"got {len(ex.responses)}"
             )
+        d_o = self.obj_proj.weight.data.shape[0]
+        if objects.shape[1] != d_o:
+            raise DataError(
+                f"{ex.instance_id}: object features are {objects.shape[1]} wide, "
+                f"the model expects {d_o}"
+            )
         objects_t = Tensor(objects)
         grounded = self._encode([ex.query, *ex.responses], objects_t)
         width = max(len(resp) for resp in ex.responses)
@@ -353,8 +356,7 @@ class VcrModel:
             _pool_trace("reduce.q", alpha_q, encoded.fq),
             _pool_trace("reduce.r", alpha_r, encoded.fr),
         ]
-        return TaskForward(example=ex, logits=logits,
-                           candidates=_per_candidate(traces, alpha_q, alpha_r))
+        return TaskForward(example=ex, logits=logits, traces=traces)
 
     def predict(self, inst: VcrInstance, kind: str) -> PredictionRecord:
         return self.forward_task(inst, kind).record()
@@ -376,15 +378,3 @@ def _pool_trace(label: str, alpha: Tensor, seq: GroundedSeq) -> AttentionTrace:
         query_tokens=["<pool>"],
         key_tokens=seq.texts,
     )
-
-
-def _per_candidate(traces: list, alpha_q: Tensor, alpha_r: Tensor) -> list:
-    """Split the batched records into one CandidateForward per candidate."""
-    return [
-        CandidateForward(
-            traces=[t.row(c) for t in traces],
-            alpha_q=Tensor(alpha_q.data[c]),
-            alpha_r=Tensor(alpha_r.data[c]),
-        )
-        for c in range(alpha_r.data.shape[0])
-    ]

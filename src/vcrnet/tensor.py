@@ -25,7 +25,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeError",
-    "set_finite_checks",
     "record_op",
     "relu",
     "tanh",
@@ -42,15 +41,6 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
-
-
-_CHECK_FINITE = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Enable assertions that every op result is free of NaN/Inf."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
 
 
 class Tensor:
@@ -226,8 +216,17 @@ class Tape:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _record(self, inputs: tuple, output: "Tensor", rule: Callable) -> None:
-        self._entries.append((inputs, output, rule))
+    def first_non_finite(self) -> Optional[tuple[int, str]]:
+        """(index, op kind) of the first entry whose output holds NaN or Inf.
+
+        The op kind is the name of the function that built the entry's
+        backward rule, e.g. `concat` or `Tensor.reshape`; None if every
+        output is finite.
+        """
+        for i, (_, out, rule) in enumerate(self._entries):
+            if not np.isfinite(out.data).all():
+                return i, rule.__qualname__.split(".<locals>", 1)[0]
+        return None
 
     def backward(self, loss: "Tensor") -> None:
         """Accumulate d(loss)/d(leaf) onto every requires_grad leaf.
@@ -275,8 +274,6 @@ class Tape:
 
 def _result(data: np.ndarray, inputs: tuple, rule: Callable) -> Tensor:
     # flat and allocation-light: this sits under every tensor op
-    if _CHECK_FINITE and not np.isfinite(data).all():
-        raise FloatingPointError("non-finite value produced by tensor op")
     requires = False
     for t in inputs:
         if t.requires_grad:

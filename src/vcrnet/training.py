@@ -150,6 +150,16 @@ def _object_width(instances: Sequence[VcrInstance]) -> int:
     return widths.pop()
 
 
+def _divergence(epoch: int, inst: VcrInstance, tape: Tape) -> str:
+    """Name the epoch, the instance and the first op whose output went non-finite."""
+    msg = f"non-finite loss at epoch {epoch}, instance {inst.instance_id}"
+    found = tape.first_non_finite()
+    if found is not None:
+        index, kind = found
+        msg += f": first non-finite output from op {kind} (tape entry {index} of {len(tape)})"
+    return msg
+
+
 def train(
     config: TrainConfig,
     train_insts: Sequence[VcrInstance],
@@ -201,9 +211,7 @@ def train(
                     )
                     value = float(loss.data)
                     if not math.isfinite(value):
-                        raise TrainingDiverged(
-                            f"non-finite loss at epoch {epoch}", reports
-                        )
+                        raise TrainingDiverged(_divergence(epoch, inst, tape), reports)
                     tape.backward(loss)
                 per_task_losses.append(value / 2.0)
             opt.scale_grads(1.0 / len(batch))

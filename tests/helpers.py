@@ -8,7 +8,6 @@ from vcrnet.coattention import coattend, join, lstm_encode
 from vcrnet.data import PAD_TOKEN, TaggedToken
 from vcrnet.grounding import GroundedSeq, align_tags, ground, guided_fuse
 from vcrnet.layers import FeedForwardParams, LinearParams, init_layer_norm, linear
-from vcrnet.model import CandidateForward
 from vcrnet.reduction import candidate_logit, fuse, reduce
 from vcrnet.tensor import ShapeError, Tensor
 
@@ -56,7 +55,7 @@ def pad_grounded(seq, length):
 
 def loop_forward(model, ex, objects, labels):
     """Score each candidate on its own with 2-d ops: the oracle for the batched
-    VcrModel forward (eval mode). Returns (logits, per-candidate records)."""
+    VcrModel forward (eval mode). Returns (logits, one trace list per candidate)."""
     objects_t = Tensor(objects)
     proj_obj = linear(objects_t, model.obj_proj)
 
@@ -70,7 +69,7 @@ def loop_forward(model, ex, objects, labels):
     gq = encode(ex.query)
     width = max(len(resp) for resp in ex.responses)
     red = model.reduction
-    logits, cands = [], []
+    logits, cand_traces = [], []
     for resp in ex.responses:
         gr = pad_grounded(encode(resp), width)
         traces = []
@@ -84,7 +83,6 @@ def loop_forward(model, ex, objects, labels):
         pooled_q, alpha_q = reduce(z_q, gq.mask, red.mlp_q)
         pooled_r, alpha_r = reduce(z_r, gr.mask, red.mlp_r)
         logits.append(candidate_logit(fuse(pooled_q, pooled_r, red), red))
-        traces = traces + more + [pool_trace("reduce.q", alpha_q, gq),
-                                  pool_trace("reduce.r", alpha_r, gr)]
-        cands.append(CandidateForward(traces, alpha_q, alpha_r))
-    return T.concat(logits, axis=0).reshape(len(logits)), cands
+        cand_traces.append(traces + more + [pool_trace("reduce.q", alpha_q, gq),
+                                            pool_trace("reduce.r", alpha_r, gr)])
+    return T.concat(logits, axis=0).reshape(len(logits)), cand_traces

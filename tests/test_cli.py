@@ -4,7 +4,16 @@ import pytest
 
 import vcrnet.cli as cli
 from vcrnet.cli import main
+from vcrnet.data import (
+    TASK_Q2A,
+    TASK_QA2R,
+    load_instances,
+    save_annotations,
+    save_features,
+    synth_generate,
+)
 from vcrnet.diagnostics import CheckResult
+from vcrnet.training import load_run
 
 
 def _lines(capsys):
@@ -117,6 +126,27 @@ def test_inspect_exports_traces(tmp_path, capsys):
     assert pred["task"] == "QA2R" and len(pred["logits"]) == 4
 
 
+def test_inspect_files_are_the_predicted_candidates_slice(trained_run, tmp_path, capsys):
+    data, ckpt = trained_run
+    inst = load_instances(data / cli.TRAIN_FILE, data / cli.FEATURES_FILE)[0]
+    traces = tmp_path / "traces"
+    assert main(["inspect", "--ckpt", str(ckpt), "--data", str(data),
+                 "--instance-id", inst.instance_id, "--out", str(traces)]) == 0
+    model, _, _ = load_run(ckpt)
+    expected = set()
+    for task in (TASK_Q2A, TASK_QA2R):
+        fwd = model.forward_task(inst, task)
+        for trace in fwd.traces:
+            path = traces / f"{task}.{trace.unit}.json"
+            assert json.loads(path.read_text()) == trace.row(fwd.pred).to_json_dict()
+            expected.add(path.name)
+        path = traces / f"{task}.prediction.json"
+        assert json.loads(path.read_text()) == fwd.record().to_json_dict()
+        expected.add(path.name)
+    assert {p.name for p in traces.iterdir()} == expected
+    assert set(_lines(capsys)[-1]["files"]) == {str(traces / n) for n in expected}
+
+
 def test_inspect_unknown_instance(tmp_path, capsys):
     data = _synth(tmp_path)
     out = tmp_path / "run"
@@ -222,4 +252,21 @@ def test_train_rejects_non_finite_feature_row(tmp_path, capsys):
     errors = [line for line in err if line.startswith("error:")]
     assert len(errors) == 1
     assert f"{data / cli.TRAIN_FILE} line 1: {first}: " in errors[0] and "NaN" in errors[0]
+    assert not any("Traceback" in line for line in err)
+
+
+def test_eval_reports_object_width_mismatch(trained_run, tmp_path, capsys):
+    _, ckpt = trained_run  # trained on 8-wide object features
+    narrow = synth_generate(3, 10, d_o=4)
+    annotations = tmp_path / cli.TRAIN_FILE
+    save_annotations(annotations, narrow)
+    save_features(tmp_path / cli.FEATURES_FILE, narrow)
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(annotations)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert errors == [f"error: {narrow[0].instance_id}: object features are 4 wide, "
+                      f"the model expects 8"]
     assert not any("Traceback" in line for line in err)

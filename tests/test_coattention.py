@@ -38,7 +38,6 @@ def test_join_concatenates_query_first():
     q = _seq(rng, ["a", "b"])
     r = _seq(rng, ["c", "d", "e"])
     joint = C.join(q, r)
-    assert list(joint.provenance) == ["q", "q", "r", "r", "r"]
     assert joint.m_query == 2
     npt.assert_array_equal(joint.positions.data[:2], q.positions.data)
     npt.assert_array_equal(joint.positions.data[2:], r.positions.data)
@@ -52,15 +51,6 @@ def test_join_rejects_width_mismatch_and_empty_response():
     empty = GroundedSeq(Tensor(np.zeros((0, 4)).reshape(0, 4)), [], np.zeros(0, dtype=bool))
     with pytest.raises(ShapeError):
         C.join(_seq(rng, ["a"]), empty)
-
-
-def test_split_joint_recovers_halves_bitwise():
-    rng = np.random.default_rng(2)
-    q = _seq(rng, ["a", "b"])
-    r = _seq(rng, ["c"])
-    zq, zr = C.split_joint(C.join(q, r))
-    npt.assert_array_equal(zq.data, q.positions.data)
-    npt.assert_array_equal(zr.data, r.positions.data)
 
 
 def test_coattend_output_shapes():

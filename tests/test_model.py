@@ -194,7 +194,7 @@ def test_load_error_names_file_and_bounds_name_list(tmp_path):
 def test_trace_labels_cover_the_pipeline():
     inst = probe_instance()
     fwd = _model(inst).forward_task(inst, TASK_Q2A)
-    labels = [t.unit for t in fwd.candidates[0].traces]
+    labels = [t.unit for t in fwd.traces]
     assert labels == [
         "ga.r_from_q", "ga.r_from_obj",
         "coattn.q.sa.0", "coattn.q.ga.0",
@@ -202,7 +202,7 @@ def test_trace_labels_cover_the_pipeline():
         "reduce.q", "reduce.r",
     ]
     deep = _model(inst, layers=2).forward_task(inst, TASK_Q2A)
-    deep_labels = [t.unit for t in deep.candidates[0].traces]
+    deep_labels = [t.unit for t in deep.traces]
     assert "coattn.q.sa.1" in deep_labels and "coattn.r.ga.1" in deep_labels
 
 
@@ -210,7 +210,7 @@ def test_lstm_encoder_skips_coattention_traces():
     inst = probe_instance()
     model = _model(inst, encoder="lstm")
     assert model.coattn is None and model.encoder_lstm is not None
-    labels = [t.unit for t in model.forward_task(inst, TASK_Q2A).candidates[0].traces]
+    labels = [t.unit for t in model.forward_task(inst, TASK_Q2A).traces]
     assert labels == ["ga.r_from_q", "ga.r_from_obj", "reduce.q", "reduce.r"]
 
 
@@ -218,7 +218,7 @@ def test_no_guided_fusion_skips_its_traces():
     inst = probe_instance()
     model = _model(inst, ga=False)
     assert model.ga_fuse is None
-    labels = [t.unit for t in model.forward_task(inst, TASK_Q2A).candidates[0].traces]
+    labels = [t.unit for t in model.forward_task(inst, TASK_Q2A).traces]
     assert labels[0].startswith("coattn.")
     assert not any(l.startswith("ga.") for l in labels)
 
@@ -234,8 +234,9 @@ def test_padded_candidate_rows_get_zero_weight():
     inst = _ragged_inst()
     fwd = _model(inst, seed=7).forward_task(inst, TASK_Q2A)
     # answers are 2, 4, 1, 3 tokens; everything pads to 4
+    pool = next(t for t in fwd.traces if t.unit == "reduce.r")
     for idx, length in enumerate([2, 4, 1, 3]):
-        alpha = fwd.candidates[idx].alpha_r.data
+        alpha = pool.heads[idx, 0, 0]
         assert alpha.shape == (4,)
         npt.assert_array_equal(alpha[length:], np.zeros(4 - length))
         assert abs(alpha.sum() - 1.0) < 1e-6
@@ -277,14 +278,15 @@ def test_batched_forward_matches_candidate_loop(arch, task):
     _randomize_head(model)
     ex = model.forward_task(inst, task).example
     batched = model.forward_example(ex, inst.objects, inst.object_labels)
-    loop_logits, loop_cands = loop_forward(model, ex, inst.objects, inst.object_labels)
+    loop_logits, loop_traces = loop_forward(model, ex, inst.objects, inst.object_labels)
     npt.assert_allclose(batched.logits.data, loop_logits.data, rtol=0, atol=1e-12)
 
-    for got, want in zip(batched.candidates, loop_cands):
-        npt.assert_allclose(got.alpha_q.data, want.alpha_q.data, rtol=0, atol=1e-12)
-        npt.assert_allclose(got.alpha_r.data, want.alpha_r.data, rtol=0, atol=1e-12)
-        assert [t.unit for t in got.traces] == [t.unit for t in want.traces]
-        for g, w in zip(got.traces, want.traces):
+    assert len(loop_traces) == CANDIDATES
+    for c, want in enumerate(loop_traces):
+        # the pooling weights are the reduce.q / reduce.r traces
+        got = [t.row(c) for t in batched.traces]
+        assert [t.unit for t in got] == [t.unit for t in want]
+        for g, w in zip(got, want):
             assert (g.query_tokens, g.key_tokens) == (w.query_tokens, w.key_tokens)
             npt.assert_allclose(np.asarray(g.heads), np.asarray(w.heads), rtol=0, atol=1e-12)
 

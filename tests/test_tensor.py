@@ -318,13 +318,14 @@ def test_mean_and_sum_axes():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_finite_check_mode_flags_nan():
-    T.set_finite_checks(True)
-    try:
-        with pytest.raises(FloatingPointError):
-            T.log(Tensor([-1.0]))
-    finally:
-        T.set_finite_checks(False)
+def test_first_non_finite_names_the_op():
+    x = Tensor([1.0, -1.0], requires_grad=True)
+    with Tape() as tape:
+        T.log(x * 2.0).sum()
+    assert tape.first_non_finite() == (1, "log")
+    with Tape() as clean:
+        (x * 2.0).sum()
+    assert clean.first_non_finite() is None
 
 
 def test_batched_matmul_forms_match_per_row_products():

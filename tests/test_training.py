@@ -158,6 +158,11 @@ def test_non_finite_loss_raises_diverged(tmp_path):
         with pytest.raises(TrainingDiverged) as exc:
             train(_quick_config(), tr, va, tmp_path)
     assert exc.value.reports == []
+    msg = str(exc.value)
+    assert msg.startswith("non-finite loss at epoch 0, instance ")
+    assert msg.split("instance ", 1)[1].split(":", 1)[0] in {i.instance_id for i in tr}
+    # the features first meet the tape where align_tags joins them to the embeddings
+    assert "first non-finite output from op concat (tape entry 1 of " in msg
 
 
 def test_empty_training_set_rejected(tmp_path):
