@@ -70,11 +70,10 @@ class AttnUnitParams:
 class AttentionTrace:
     """Recorded attention weights of one unit, for interpretability export.
 
-    heads holds one m x n weight matrix per head, as a (heads, m, n) array
-    detached from the tape; token labels are attached by the caller that
-    knows them. A batched unit records (B, heads, m, n) weights, and each
-    token list is then either shared by all B rows or one list per row;
-    `row(b)` gives the trace of row b alone.
+    A unit records (B, heads, m, n) weights, one m x n matrix per batch row
+    and head, detached from the tape; token labels are attached by the
+    caller that knows them, each token list either shared by all B rows or
+    one list per row. `row(b)` gives the (heads, m, n) trace of row b alone.
     """
 
     unit: str
@@ -101,15 +100,15 @@ class AttentionTrace:
 def mask_bias(mask: Optional[np.ndarray], n: int) -> Optional[Tensor]:
     """Additive pre-softmax bias for a key mask: 0 where real, -1e9 where padded.
 
-    The mask is (n,), or (B, n) with one row per batch entry; every row
-    needs at least one real key. An absent or all-true mask yields None,
-    which callers treat as adding nothing.
+    The mask is (B, n), one row per batch entry, and every row needs at
+    least one real key. An absent or all-true mask yields None, which
+    callers treat as adding nothing.
     """
     if mask is None:
         return None
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim not in (1, 2) or mask.shape[-1] != n:
-        raise ShapeError(f"mask shape {mask.shape} does not match {n} key positions")
+    if mask.ndim != 2 or mask.shape[-1] != n:
+        raise ShapeError(f"mask shape {mask.shape} does not match a batch of {n} key positions")
     if not mask.any(axis=-1).all():
         raise ValueError("attention over a fully masked sequence has no valid key")
     if mask.all():
@@ -120,24 +119,22 @@ def mask_bias(mask: Optional[np.ndarray], n: int) -> Optional[Tensor]:
 def sdpa(
     q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None, heads: int = 1
 ) -> tuple[Tensor, Tensor]:
-    """softmax(q kᵀ / sqrt(d_k)) v per head; returns (output, weights).
+    """softmax(q kᵀ / sqrt(d_k)) v per batch row and head; returns (output, weights).
 
-    q, k, v are split into `heads` equal column blocks and head i attends
-    with block i of each, so the output is (m, heads·d_v) with the heads
-    side by side and the weights are (heads, m, n). A (B, m, d) batch of q
-    attends over (B, n, d) keys and values row by row, or over (n, d) keys
-    and values shared by every row; the output is then (B, m, heads·d_v),
-    the weights (B, heads, m, n), and the mask (n,) or (B, n).
+    A (B, m, d) batch of queries attends row by row over (B, n, d) keys and
+    values, with an optional (B, n) key mask. q, k, v are split into
+    `heads` equal column blocks and head i attends with block i of each, so
+    the output is (B, m, heads·d_v) with the heads side by side and the
+    weights are (B, heads, m, n).
 
     One fused tape entry; gradients flow through the output only, and the
     returned weights are a value-only view for inspection. This op runs
     inside every unit, hence the hand-written backward.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if (qd.ndim not in (2, 3) or kd.ndim not in (2, qd.ndim) or vd.ndim != kd.ndim
-            or kd.shape[:-2] != qd.shape[:kd.ndim - 2]):
+    if not qd.ndim == kd.ndim == vd.ndim == 3 or not qd.shape[0] == kd.shape[0] == vd.shape[0]:
         raise ShapeError(
-            f"sdpa expects 2-d q, k, v or a batch of q over batched or shared k, v; "
+            f"sdpa expects a (B, m, d) query batch over (B, n, d) keys and values; "
             f"got {qd.shape}, {kd.shape}, {vd.shape}"
         )
     if qd.shape[-1] != kd.shape[-1]:
@@ -146,17 +143,14 @@ def sdpa(
         raise ShapeError(f"key count {kd.shape} does not match value count {vd.shape}")
     if heads < 1 or qd.shape[-1] % heads or vd.shape[-1] % heads:
         raise ShapeError(f"{heads} heads do not split widths {qd.shape[-1]} and {vd.shape[-1]}")
-    if np.ndim(mask) == 2 and np.shape(mask)[:1] != qd.shape[:-2]:
+    if mask is not None and np.shape(mask)[:1] != qd.shape[:1]:
         raise ShapeError(f"a {np.shape(mask)} mask needs a batch of {np.shape(mask)[0]} queries")
 
-    def split(a):  # (..., rows, heads·d) -> (..., heads, rows, d)
+    def split(a):  # (B, rows, heads·d) -> (B, heads, rows, d)
         return a.reshape(a.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
 
-    def merge(a):  # (..., heads, rows, d) -> (..., rows, heads·d)
+    def merge(a):  # (B, heads, rows, d) -> (B, rows, heads·d)
         return a.swapaxes(-3, -2).reshape(a.shape[:-3] + (a.shape[-2], -1))
-
-    def shared(grad, like):  # shared k, v sum their gradient over the batch
-        return grad.sum(axis=0) if grad.ndim > like.ndim else grad
 
     qh, kh, vh = split(qd), split(kd), split(vd)
     scale = 1.0 / math.sqrt(qh.shape[-1])
@@ -165,8 +159,7 @@ def sdpa(
     w *= scale
     bias = mask_bias(mask, kd.shape[-2])
     if bias is not None:
-        # a (B, n) bias lines up with the (B, heads, m, n) scores
-        w += bias.data if bias.data.ndim == 1 else bias.data[:, None, None, :]
+        w += bias.data[:, None, None, :]
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
@@ -176,8 +169,8 @@ def sdpa(
         g_w = gh @ vh.swapaxes(-1, -2)
         g_s = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
         return (merge(g_s @ kh) * scale,
-                shared(merge(g_s.swapaxes(-1, -2) @ qh) * scale, kd),
-                shared(merge(w.swapaxes(-1, -2) @ gh), vd))
+                merge(g_s.swapaxes(-1, -2) @ qh) * scale,
+                merge(w.swapaxes(-1, -2) @ gh))
 
     return record_op(merge(w @ vh), (q, k, v), rule), Tensor._wrap(w, False)
 

@@ -57,6 +57,16 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
+def _out_dir(path: str) -> Path:
+    """Create the --out directory; a file in its place is a usage error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(f"--out is not a directory: {out}") from exc
+    return out
+
+
 def _load_annotations(annotation_path: Path) -> list:
     features = _require(annotation_path.parent / FEATURES_FILE, "feature file")
     return load_instances(annotation_path, features)
@@ -65,8 +75,7 @@ def _load_annotations(annotation_path: Path) -> list:
 def cmd_synth(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     n_val = args.n // 4
     insts = synth_generate(args.seed, args.n + n_val)
     save_annotations(out / TRAIN_FILE, insts[:args.n])
@@ -98,14 +107,13 @@ def cmd_train(args) -> int:
     val_path = data_dir / VAL_FILE
     val_insts = _load_annotations(val_path) if val_path.exists() else []
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
 
     def progress(report):
         log.info(
-            "epoch %d  loss %.4f  train %.3f/%.3f  val %.3f/%.3f",
+            "epoch %d  loss %.4f  train %.3f/%.3f  val %.3f/%.3f  %.1f instances/s",
             report.epoch, report.mean_loss, report.train_q2a,
-            report.train_qa2r, report.val_q2a, report.val_qa2r,
+            report.train_qa2r, report.val_q2a, report.val_qa2r, report.instances_per_s,
         )
         _emit(report.to_json_dict())
 
@@ -157,8 +165,7 @@ def cmd_inspect(args) -> int:
     inst = by_id[args.instance_id]
 
     model, _, _ = load_run(ckpt)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     written = []
     for task in (TASK_Q2A, TASK_QA2R):
         fwd = model.forward_task(inst, task)

@@ -7,8 +7,9 @@ self-attention unit followed by a unit guided by X. X stays fixed at the
 initial join through every layer. An alternative encoder replaces both
 stacks with a single BiLSTM over X, used as an ablation baseline.
 
-Everything here also runs on a batch: the four candidates of a task as
-(4, m, d) sequences with a (4, m) mask, the query tiled once per candidate.
+Everything here runs on a batch: the candidates of a chunk of tasks as
+(B, m, d) sequences with a (B, m) mask, each paired row by row with its own
+task's query, repeated once per candidate.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from vcrnet.tensor import Tensor, ShapeError, concat
 
 @dataclass
 class JointSeq:
-    """Query then response along the sequence axis; batched like its parts.
-    The first m_query positions of every batch row are the query's."""
+    """Query then response along the sequence axis of a (B, m_query + m_r, d)
+    batch; the first m_query positions of every row are the query's."""
 
     positions: Tensor
     tokens: list
@@ -36,28 +37,23 @@ class JointSeq:
 
     @property
     def texts(self) -> list:
-        if self.positions.data.ndim == 2:
-            return [t.text for t in self.tokens]
         return [[t.text for t in row] for row in self.tokens]
 
 
 def join(q: GroundedSeq, r: GroundedSeq) -> JointSeq:
-    """Concatenate query then response along the sequence axis."""
+    """Concatenate query then response along the sequence axis, row by row."""
     qs, rs = q.positions.data.shape, r.positions.data.shape
     if qs[-1] != rs[-1]:
         raise ShapeError(f"cannot join feature widths {qs[-1]} and {rs[-1]}")
-    if qs[:-2] != rs[:-2]:
+    if qs[0] != rs[0]:
         raise ShapeError(f"cannot join batch shapes {qs} and {rs}")
-    m_q, m_r = qs[-2], rs[-2]
-    if m_r < 1:
+    if rs[1] < 1:
         raise ShapeError("response sequence must be non-empty")
-    batched = len(rs) == 3
     return JointSeq(
-        positions=concat([q.positions, r.positions], axis=-2),
-        tokens=([list(a) + list(b) for a, b in zip(q.tokens, r.tokens)] if batched
-                else list(q.tokens) + list(r.tokens)),
-        mask=np.concatenate([q.mask, r.mask], axis=-1),
-        m_query=m_q,
+        positions=concat([q.positions, r.positions], axis=1),
+        tokens=[list(a) + list(b) for a, b in zip(q.tokens, r.tokens)],
+        mask=np.concatenate([q.mask, r.mask], axis=1),
+        m_query=qs[1],
     )
 
 
@@ -127,19 +123,11 @@ def coattend(
 def lstm_encode(joint: JointSeq, p: BiLstmParams) -> tuple:
     """Ablation encoder: one BiLSTM over X, split back at the query's end.
 
-    The recurrence covers each sequence's real positions only, which must
-    come first (query, then response, then padding); padded output rows are
+    The recurrence is masked to the real positions of each row, wherever
+    its padding sits (after the query or after the response), so it reads
+    the query and the response packed together; padded output rows are
     exactly zero.
     """
-    x = joint.positions
-    mask = joint.mask
-    lengths = mask.sum(axis=-1)
-    if not np.array_equal(mask, np.arange(mask.shape[-1]) < np.expand_dims(lengths, -1)):
-        raise ShapeError("lstm_encode needs every padded position after the real ones")
-    if x.data.ndim == 2:
-        m = x.data.shape[0]
-        out = bilstm(x.reshape(m, 1, -1), p, lengths.reshape(1)).reshape(m, -1)
-    else:
-        out = bilstm(x.transpose((1, 0, 2)), p, lengths).transpose((1, 0, 2))
-    m_q, m = joint.m_query, out.data.shape[-2]
-    return out.slice(-2, 0, m_q), out.slice(-2, m_q, m), []
+    out = bilstm(joint.positions.transpose((1, 0, 2)), p, joint.mask.T).transpose((1, 0, 2))
+    m_q, m = joint.m_query, out.data.shape[1]
+    return out.slice(1, 0, m_q), out.slice(1, m_q, m), []

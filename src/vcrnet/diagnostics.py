@@ -21,11 +21,11 @@ import numpy as np
 from vcrnet import layers as L
 from vcrnet.attention import guided_attention_unit, init_attn_unit, sdpa
 from vcrnet.config import TrainConfig
-from vcrnet.data import TASK_Q2A, TaggedToken, VcrInstance, Vocab, make_task
+from vcrnet.data import TASK_Q2A, TaggedToken, VcrInstance, Vocab
 from vcrnet.grounding import align_tags
-from vcrnet.model import VcrModel
+from vcrnet.model import CANDIDATES, TaskInput, VcrModel
 from vcrnet.reduction import candidate_logit, fuse, init_reduction, reduce
-from vcrnet.tensor import Tensor, Tape, grad_check
+from vcrnet.tensor import Tensor, Tape, grad_check, repeat
 from vcrnet.training import task_loss
 
 
@@ -103,9 +103,10 @@ def layer_checks(h: float = 1e-5) -> list:
     x = Tensor(rng.standard_normal((5, 8)))
     check("mlp/x", lambda t: L.mlp(t, mlp_p), x)
 
-    # bidirectional LSTM, including the fused backward-through-time rule
+    # bidirectional LSTM, including the fused backward-through-time rule,
+    # on a time-major batch of one
     bi = L.init_bilstm(rng, 5, 3)
-    x = Tensor(rng.standard_normal((4, 5)))
+    x = Tensor(rng.standard_normal((4, 1, 5)))
     check("bilstm/x", lambda t: L.bilstm(t, bi), x)
     for name, tensor in bi.named("bilstm"):
         direction = bi.fwd if ".fwd." in name else bi.bwd
@@ -113,10 +114,10 @@ def layer_checks(h: float = 1e-5) -> list:
         check(name, _installed(direction, attr, lambda: L.bilstm(x, bi)), tensor)
 
     # scaled dot-product attention with a partially masked key axis
-    q = Tensor(rng.standard_normal((3, 4)))
-    k = Tensor(rng.standard_normal((5, 4)))
-    v = Tensor(rng.standard_normal((5, 4)))
-    mask = np.array([True, True, False, True, False])
+    q = Tensor(rng.standard_normal((1, 3, 4)))
+    k = Tensor(rng.standard_normal((1, 5, 4)))
+    v = Tensor(rng.standard_normal((1, 5, 4)))
+    mask = np.array([[True, True, False, True, False]])
     check("sdpa/q", lambda t: sdpa(t, k, v, mask)[0], q)
     check("sdpa/k", lambda t: sdpa(q, t, v, mask)[0], k)
     check("sdpa/v", lambda t: sdpa(q, k, t, mask)[0], v)
@@ -127,9 +128,9 @@ def layer_checks(h: float = 1e-5) -> list:
 
     # one full guided attention unit, every parameter
     unit = init_attn_unit(rng, 8, 2, 32, 0.0)
-    x = Tensor(rng.standard_normal((3, 8)))
-    guide = Tensor(rng.standard_normal((4, 8)))
-    gmask = np.array([True, False, True, True])
+    x = Tensor(rng.standard_normal((1, 3, 8)))
+    guide = Tensor(rng.standard_normal((1, 4, 8)))
+    gmask = np.array([[True, False, True, True]])
 
     def unit_out():
         return guided_attention_unit(x, guide, unit, mask=gmask)[0]
@@ -151,8 +152,8 @@ def layer_checks(h: float = 1e-5) -> list:
     red = init_reduction(rng, 8, 8)
     red.clf.weight.data = rng.uniform(-0.5, 0.5, red.clf.weight.data.shape)
     red.clf.bias.data = rng.uniform(-0.5, 0.5, red.clf.bias.data.shape)
-    Z = Tensor(rng.standard_normal((5, 8)))
-    zmask = np.array([True, True, True, False, True])
+    Z = Tensor(rng.standard_normal((1, 5, 8)))
+    zmask = np.array([[True, True, True, False, True]])
     check("reduce/Z", lambda t: reduce(t, zmask, red.mlp_q)[0], Z)
     z_q = Tensor(rng.standard_normal((1, 8)))
     z_r = Tensor(rng.standard_normal((1, 8)))
@@ -175,23 +176,31 @@ def layer_checks(h: float = 1e-5) -> list:
     check("sdpa/batch/q", lambda t: sdpa(t, k, v, bmask, 2)[0], q)
     check("sdpa/batch/k", lambda t: sdpa(q, t, v, bmask, 2)[0], k)
     check("sdpa/batch/v", lambda t: sdpa(q, k, t, bmask, 2)[0], v)
-    # keys and values shared by every row of the batch
-    k, v = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal((5, 4)))
-    check("sdpa/shared/k", lambda t: sdpa(q, t, v, mask, 2)[0], k)
-    check("sdpa/shared/v", lambda t: sdpa(q, k, t, mask, 2)[0], v)
+    # the rows of two candidates side by side against one task's keys and
+    # values, as guided fusion runs them
+    k = Tensor(rng.standard_normal((1, 5, 4)))
+    v = Tensor(rng.standard_normal((1, 5, 4)))
+    grouped = q.reshape(1, 6, 4)
+    check("sdpa/shared/k", lambda t: sdpa(grouped, t, v, mask, 2)[0], k)
+    check("sdpa/shared/v", lambda t: sdpa(grouped, k, t, mask, 2)[0], v)
 
     # time-major BiLSTM batch of lengths 4, 2, 3
     lengths = np.array([4, 2, 3])
     x = Tensor(rng.standard_normal((4, 3, 5)))
-    check("bilstm/batch/x", lambda t: L.bilstm(t, bi, lengths), x)
+    steps = np.arange(4)[:, None] < lengths
+    check("bilstm/batch/x", lambda t: L.bilstm(t, bi, steps), x)
     for name, tensor in bi.named("bilstm/batch"):
         direction = bi.fwd if ".fwd." in name else bi.bwd
         attr = name.rsplit(".", 1)[1]
-        check(name, _installed(direction, attr, lambda: L.bilstm(x, bi, lengths)), tensor)
+        check(name, _installed(direction, attr, lambda: L.bilstm(x, bi, steps)), tensor)
 
     Z = Tensor(rng.standard_normal((3, 5, 8)))
     zmask = np.arange(5) < np.array([[5], [2], [4]])
     check("reduce/batch/Z", lambda t: reduce(t, zmask, red.mlp_q)[0], Z)
+
+    # each row copied once per candidate, as the joint stage copies queries
+    x = Tensor(rng.standard_normal((2, 3)))
+    check("repeat/x", lambda t: repeat(t, 4), x)
 
     return results
 
@@ -228,10 +237,13 @@ def probe_instance() -> VcrInstance:
     ).validate()
 
 
-def probe_model(inst: Optional[VcrInstance] = None) -> VcrModel:
-    """Small full model with a randomized head so every gradient is live."""
+def probe_model(inst: Optional[VcrInstance] = None, **overrides) -> VcrModel:
+    """Small full model with a randomized head so every gradient is live.
+
+    `overrides` are TrainConfig fields, e.g. `ga=False` for an ablation.
+    """
     inst = inst or probe_instance()
-    config = TrainConfig(d_model=8, d_token=8, heads=2, layers=1, dropout=0.0)
+    config = TrainConfig(d_model=8, d_token=8, heads=2, layers=1, dropout=0.0, **overrides)
     model = VcrModel.build(
         config, Vocab.build([inst]), inst.objects.shape[1], np.random.default_rng(3)
     )
@@ -260,19 +272,21 @@ def _stage_name(param_name: str) -> str:
     raise ValueError(f"no stage known for parameter {param_name!r}")
 
 
-def end_to_end_checks(h: float = 1e-5) -> list:
+def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list:
     """Sweep every model parameter coordinate against the training loss.
 
-    Returns one result per forward stage; the union covers every coordinate
-    of every parameter exactly once.
+    Runs on the Q2A task of the probe instance, by default with the probe
+    model. Returns one result per forward stage; the union covers every
+    coordinate of every parameter exactly once.
     """
     inst = probe_instance()
-    model = probe_model(inst)
-    ex = make_task(inst, TASK_Q2A)
-    objects, labels = inst.objects, inst.object_labels
+    if model is None:
+        model = probe_model(inst)
+    task = TaskInput.of(inst, TASK_Q2A)
+    ex = task.example
 
     with Tape() as tape:
-        loss = task_loss(model.forward_example(ex, objects, labels).logits, ex.gold)
+        loss = task_loss(model.forward_example(*task).logits, ex.gold)
         tape.backward(loss)
     analytic = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
@@ -281,13 +295,13 @@ def end_to_end_checks(h: float = 1e-5) -> list:
     model.zero_grad()
 
     def head_loss(encoded) -> float:
-        return float(task_loss(model._stage_head(ex, encoded).logits, ex.gold).data)
+        logits = model._stage_head([ex], encoded).logits.reshape(CANDIDATES)
+        return float(task_loss(logits, ex.gold).data)
 
     def loss_full() -> float:
-        f = model.forward_example(ex, objects, labels)
-        return float(task_loss(f.logits, ex.gold).data)
+        return float(task_loss(model.forward_example(*task).logits, ex.gold).data)
 
-    s1 = model._stage_encode(ex, objects, labels)
+    s1 = model._stage_encode([task])
     fused = model._stage_fuse(s1)
     encoded = model._stage_joint(fused)
 

@@ -3,11 +3,13 @@
 `align_tags` concatenates each token's embedding with the feature of the
 object its tag points at (zeros when untagged); `ground` runs the joint
 sequences through a BiLSTM whose bidirectional output width equals the
-model width. The query and the four candidate responses of a task go
-through one length-aware recurrence together, so padding never enters it.
+model width. The queries and candidate responses of a chunk of tasks go
+through one masked recurrence together, so padding never enters it.
 `guided_fuse` then refines the batch of responses: one guided-attention
-unit reads the grounded query, shared by every candidate, then a second
-reads the object features. The query passes through unchanged.
+unit reads each task's grounded query, then a second reads that task's
+object features. A task's candidates sit side by side in one row of those
+units, so a candidate attends over its own task's query and objects only.
+The query passes through unchanged.
 """
 
 from __future__ import annotations
@@ -20,17 +22,14 @@ import numpy as np
 from vcrnet.attention import AttnUnitParams, guided_attention_unit
 from vcrnet.data import DataError, PAD_TOKEN, TaggedToken
 from vcrnet.layers import BiLstmParams, bilstm
-from vcrnet.tensor import Tensor, ShapeError, concat, tile
+from vcrnet.tensor import Tensor, ShapeError, concat
 
 
 @dataclass
 class GroundedSeq:
-    """A fused image-text sequence: positions, source tokens, padding mask.
-
-    One sequence has (m, d) positions, a list of m tokens and an (m,) mask.
-    A batch of B sequences padded to one width m has (B, m, d) positions,
-    one token list per sequence and a (B, m) mask.
-    """
+    """A batch of B fused image-text sequences padded to one width m:
+    (B, m, d) positions, one token list of length m per sequence, and a
+    (B, m) padding mask."""
 
     positions: Tensor
     tokens: list
@@ -38,39 +37,25 @@ class GroundedSeq:
 
     def __post_init__(self):
         shape = self.positions.data.shape
-        rows = [self.tokens] if len(shape) == 2 else self.tokens
-        if (len(shape) not in (2, 3) or self.mask.shape != shape[:-1]
-                or len(rows) != int(np.prod(shape[:-2]))
-                or any(len(row) != shape[-2] for row in rows)):
+        if (len(shape) != 3 or self.mask.shape != shape[:-1] or len(self.tokens) != shape[0]
+                or any(len(row) != shape[1] for row in self.tokens)):
             raise ShapeError(
                 f"grounded sequence inconsistent: positions {shape}, "
-                f"{len(self.tokens)} tokens, mask {self.mask.shape}"
+                f"{len(self.tokens)} token rows, mask {self.mask.shape}"
             )
 
     @property
     def texts(self) -> list:
-        """Token texts, nested per sequence like `tokens`."""
-        if self.positions.data.ndim == 2:
-            return [t.text for t in self.tokens]
+        """Token texts, one list per sequence."""
         return [[t.text for t in row] for row in self.tokens]
 
-    def tiled(self, count: int) -> "GroundedSeq":
-        """A batch of `count` copies of one sequence (one tile op)."""
-        return GroundedSeq(tile(self.positions, count), [list(self.tokens)] * count,
-                           np.tile(self.mask, (count, 1)))
-
     def rows(self, start: int, stop: int, length: int) -> "GroundedSeq":
-        """Sequences start..stop-1 of a batch, cut to their first `length` positions."""
+        """Sequences start..stop-1 of the batch, cut to their first `length` positions."""
         pos = self.positions.slice(0, start, stop)
         if length != pos.data.shape[1]:
             pos = pos.slice(1, 0, length)
         return GroundedSeq(pos, [row[:length] for row in self.tokens[start:stop]],
                            self.mask[start:stop, :length])
-
-    def row(self, b: int, length: int) -> "GroundedSeq":
-        """Sequence b of a batch on its own, cut to its first `length` positions."""
-        one = self.rows(b, b + 1, length)
-        return GroundedSeq(one.positions.reshape(length, -1), one.tokens[0], one.mask[0])
 
 
 @dataclass
@@ -109,54 +94,69 @@ def align_tags(tokens: list, token_emb: Tensor, objects: Tensor) -> Tensor:
 
 
 def ground(aligned: Tensor, tokens: list, p: BiLstmParams) -> GroundedSeq:
-    """BiLSTM over aligned sequences.
+    """BiLSTM over a time-major (T, B, d) batch of aligned sequences.
 
-    A 2-d `aligned` is one sequence whose every position counts as real. A
-    time-major (T, B, d) `aligned` holds B sequences, sequence b being the
-    first len(tokens[b]) steps of column b; the result is a batch-major
-    GroundedSeq padded to T, with padded rows exactly zero and masked out.
+    Sequence b is the first len(tokens[b]) steps of column b; the result is
+    a batch-major GroundedSeq padded to T, with padded rows exactly zero and
+    masked out.
     """
-    if aligned.data.ndim == 2:
-        return GroundedSeq(bilstm(aligned, p), list(tokens), np.ones(len(tokens), dtype=bool))
     steps = aligned.data.shape[0]
     lengths = np.array([len(row) for row in tokens])
+    mask = np.arange(steps)[:, None] < lengths
     pad = TaggedToken(PAD_TOKEN)
     return GroundedSeq(
-        positions=bilstm(aligned, p, lengths).transpose((1, 0, 2)),
+        positions=bilstm(aligned, p, mask).transpose((1, 0, 2)),
         tokens=[list(row) + [pad] * (steps - len(row)) for row in tokens],
-        mask=np.arange(steps) < lengths[:, None],
+        mask=mask.T,
     )
+
+
+def _per_candidate(heads: np.ndarray, count: int) -> np.ndarray:
+    """(n, heads, count·w, k) weights of side-by-side candidates -> (n·count, heads, w, k)."""
+    n, h, rows, k = heads.shape
+    split = heads.reshape(n, h, count, rows // count, k).transpose(0, 2, 1, 3, 4)
+    return split.reshape(n * count, h, rows // count, k)
 
 
 def guided_fuse(
     grounded_q: GroundedSeq,
     grounded_r: GroundedSeq,
-    objects: Tensor,
-    object_labels: list,
+    objects: GroundedSeq,
     p: GaFuseParams,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple:
-    """Refine the response under query guidance, then under object guidance.
+    """Refine the responses under query guidance, then under object guidance.
 
-    `grounded_r` may be a batch of candidate responses; the query and the
-    objects are then shared by every candidate. Returns (grounded_q
-    unchanged, fused response sequence(s), traces).
+    `grounded_q` holds n task queries and `objects` the n tasks' projected
+    object features (labels as tokens); `grounded_r` holds each task's
+    candidate responses in turn, the same count per task. Each task's
+    candidates are reshaped (no copy) into one row of the units, so they
+    attend over their own task's query and objects only; the traces are
+    split back to one row per candidate. Returns (grounded_q unchanged,
+    fused responses, traces).
     """
-    if objects.data.shape[0] != len(object_labels):
+    n = grounded_q.mask.shape[0]
+    rows, w = grounded_r.mask.shape
+    if rows % n or objects.mask.shape[0] != n:
         raise ShapeError(
-            f"{objects.data.shape[0]} object rows but {len(object_labels)} labels"
+            f"{rows} responses, {n} queries and {objects.mask.shape[0]} object sets "
+            f"do not split into tasks"
         )
+    count = rows // n
+    d = grounded_r.positions.data.shape[-1]
+    r_pos = grounded_r.positions.reshape(n, count * w, d)
     r_pos, q_trace = guided_attention_unit(
-        grounded_r.positions, grounded_q.positions, p.ga_query, mask=grounded_q.mask,
+        r_pos, grounded_q.positions, p.ga_query, mask=grounded_q.mask,
         training=training, rng=rng, label="ga.r_from_q",
     )
-    q_trace.query_tokens = grounded_r.texts
-    q_trace.key_tokens = grounded_q.texts
     r_pos, obj_trace = guided_attention_unit(
-        r_pos, objects, p.ga_object, training=training, rng=rng, label="ga.r_from_obj",
+        r_pos, objects.positions, p.ga_object, mask=objects.mask,
+        training=training, rng=rng, label="ga.r_from_obj",
     )
-    obj_trace.query_tokens = grounded_r.texts
-    obj_trace.key_tokens = list(object_labels)
-    fused_r = GroundedSeq(r_pos, grounded_r.tokens, grounded_r.mask)
+    for trace, guide in ((q_trace, grounded_q), (obj_trace, objects)):
+        trace.heads = _per_candidate(trace.heads, count)
+        trace.query_tokens = grounded_r.texts
+        trace.key_tokens = [keys for keys in guide.texts for _ in range(count)]
+    fused_r = GroundedSeq(r_pos.reshape(rows, w, d), grounded_r.tokens, grounded_r.mask)
     return grounded_q, fused_r, [q_trace, obj_trace]

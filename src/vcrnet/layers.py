@@ -231,26 +231,26 @@ def _expit(z: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -z))
 
 
-def _run_direction(seq: Tensor, p: LstmDirectionParams, lengths: np.ndarray,
+def _run_direction(seq: Tensor, p: LstmDirectionParams, mask: np.ndarray,
                    reverse: bool) -> Tensor:
     """One direction's full recurrence over a time-major batch as a single fused op.
 
-    `seq` is a (T, B, d_in) batch, or one (T, d_in) sequence, and sequence
-    b is real for its first `lengths[b]` steps. Past its end a sequence's state is frozen and its output rows are
-    exactly 0; in reverse it starts from a zero state at its last real step.
+    `seq` is a (T, B, d_in) batch and `mask` (T, B) marks the steps each
+    sequence is live at. On any other step a sequence's state is frozen and
+    its output row is exactly 0, so each sequence runs as if packed to its
+    live steps; in reverse it starts from a zero state at its last live step.
     The whole unroll is one tape entry with a hand-rolled
     backward-through-time rule; the recurrence sits inside every sequence
     the model touches, so it cannot afford per-step op dispatch.
     """
-    shape = seq.data.shape
-    m = shape[0]
-    x = seq.data.reshape(m, -1, shape[-1])  # a (T, d) sequence is a batch of one
+    x = seq.data
+    shape = x.shape
+    m, batch = shape[0], shape[1]
     w_x, w_h, b = p.w_x.data, p.w_h.data, p.b.data
-    batch = x.shape[1]
     d_h = w_h.shape[0]
     positions = list(range(m - 1, -1, -1) if reverse else range(m))
     # live[pos] marks the sequences that are real at that time step
-    live = (np.arange(m)[:, None] < lengths)[:, :, None]
+    live = mask[:, :, None]
 
     proj = x @ w_x + b
     gates = np.empty((m, batch, 4 * d_h), dtype=x.dtype)
@@ -282,7 +282,6 @@ def _run_direction(seq: Tensor, p: LstmDirectionParams, lengths: np.ndarray,
         c = np.where(live[pos], c_new, c)
 
     def rule(g_out):
-        g_out = g_out.reshape(m, batch, d_h)
         d_proj = np.zeros((m, batch, 4 * d_h), dtype=x.dtype)
         d_wh = np.zeros_like(w_h)
         dh_next = np.zeros((batch, d_h), dtype=x.dtype)
@@ -311,32 +310,27 @@ def _run_direction(seq: Tensor, p: LstmDirectionParams, lengths: np.ndarray,
         return ((flat @ w_x.T).reshape(shape), x.reshape(-1, shape[-1]).T @ flat, d_wh,
                 flat.sum(axis=0))
 
-    return record_op(out.reshape(shape[:-1] + (d_h,)), (seq, p.w_x, p.w_h, p.b), rule)
+    return record_op(out, (seq, p.w_x, p.w_h, p.b), rule)
 
 
-def bilstm(seq: Tensor, p: BiLstmParams, lengths: Optional[np.ndarray] = None) -> Tensor:
-    """Forward and backward passes over the sequence, concatenated per position.
+def bilstm(seq: Tensor, p: BiLstmParams, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Forward and backward passes over a time-major batch, concatenated per position.
 
-    `seq` is one (T, d) sequence, or a time-major (T, B, d) batch whose
-    sequence b is real for its first `lengths[b]` steps (default: all T).
-    Padded output rows are exactly 0 and get no input from padded rows.
+    `seq` is a (T, B, d) batch and `mask` a (T, B) boolean array marking
+    the live steps of each sequence (default: all), each sequence needing
+    at least one. Live steps may sit anywhere: a sequence skips its other
+    steps, so it reads as its live steps packed together. Output rows of
+    the other steps are exactly 0 and pass no gradient to their input rows.
     """
     x = seq.data
-    if x.ndim not in (2, 3) or x.shape[0] < 1:
+    if x.ndim != 3 or x.shape[0] < 1:
+        raise ShapeError(f"bilstm needs a non-empty T x B x d batch, got shape {x.shape}")
+    mask = np.ones(x.shape[:2], dtype=bool) if mask is None else np.asarray(mask)
+    if mask.dtype != bool or mask.shape != x.shape[:2] or not mask.any(axis=0).all():
         raise ShapeError(
-            f"bilstm needs a non-empty T x d sequence or T x B x d batch, got shape {x.shape}"
+            f"bilstm mask must be a boolean {x.shape[:2]} array with a live step "
+            f"in every sequence, got {mask.dtype} {mask.shape}"
         )
-    steps = x.shape[0]
-    if x.ndim == 2:
-        if lengths is not None:
-            raise ShapeError("bilstm lengths apply to a T x B x d batch only")
-        lengths = np.array([steps])
-    elif lengths is None:
-        lengths = np.full(x.shape[1], steps)
-    else:
-        lengths = np.asarray(lengths)
-        if lengths.shape != (x.shape[1],) or lengths.min() < 1 or lengths.max() > steps:
-            raise ShapeError(f"bilstm lengths {lengths} do not fit shape {x.shape}")
-    fwd = _run_direction(seq, p.fwd, lengths, reverse=False)
-    bwd = _run_direction(seq, p.bwd, lengths, reverse=True)
+    fwd = _run_direction(seq, p.fwd, mask, reverse=False)
+    bwd = _run_direction(seq, p.bwd, mask, reverse=True)
     return concat([fwd, bwd], axis=-1)

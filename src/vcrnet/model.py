@@ -1,19 +1,28 @@
 """End-to-end scorer for four-way grounded question answering.
 
-Pipeline per task, with the four candidate responses as one batch: embed
-and tag-align the query and the responses, and run them through the shared
-grounding BiLSTM as one length-aware five-sequence recurrence. Pad the
-responses to the longest as a (4, w, d) batch with a (4, w) mask, and refine
-them under query and object guidance. Encode the query (tiled once per
-candidate) and the responses against their joint concatenation, pool each
-to a single vector, fuse, and emit one scalar logit per candidate. The four
-logits feed a softmax over candidates.
+The forward pass scores a chunk of n tasks at once, which may mix Q2A and
+QA2R tasks of different instances. Embed and tag-align the n queries and
+the 4n candidate responses, and run all 5n through the shared grounding
+BiLSTM as one masked recurrence. The queries come out as an (n, m_q, d)
+batch with an (n, m_q) mask, the responses as a (4n, w, d) batch with a
+(4n, w) mask (task-major, candidate-minor), each padded to the longest in
+the chunk, and each task's objects as one row of an (n, k, d) batch with an
+(n, k) mask. Refine the responses under their own task's query and object
+guidance. Encode the queries (repeated once per candidate) and the
+responses against their joint concatenation, pool each to a single vector,
+fuse, and emit one scalar logit per candidate: (n, 4) logits, whose rows
+feed a softmax over candidates.
+
+Chunks are cut in task order so that 4·n·(m_q + w) stays within
+CHUNK_POSITIONS padded positions, one task at the least: larger chunks
+amortize Python dispatch over more tasks, and the bound keeps the memory of
+one taped forward and backward small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,33 +54,67 @@ from vcrnet.reduction import ReductionParams, candidate_logit, fuse, init_reduct
 from vcrnet.tensor import Tensor
 
 CANDIDATES = 4
+CHUNK_POSITIONS = 192
+
+
+class TaskInput(NamedTuple):
+    """One task to score: the example and its image's objects."""
+
+    example: TaskExample
+    objects: np.ndarray
+    labels: Sequence[str]
+
+    @classmethod
+    def of(cls, inst: VcrInstance, kind: str) -> "TaskInput":
+        return cls(make_task(inst, kind), inst.objects, inst.object_labels)
+
+
+def chunked(tasks: Sequence[TaskInput]) -> Iterator[list]:
+    """Consecutive runs of tasks whose padded chunk fits CHUNK_POSITIONS.
+
+    A run grows while 4·n·(longest query + longest response) stays within
+    the bound; a task too long to share a chunk gets one of its own.
+    """
+    chunk: list = []
+    m_q = w = 0
+    for task in tasks:
+        ex = task.example
+        q_len, r_len = len(ex.query), max(len(resp) for resp in ex.responses)
+        grown = CANDIDATES * (len(chunk) + 1) * (max(m_q, q_len) + max(w, r_len))
+        if chunk and grown > CHUNK_POSITIONS:
+            yield chunk
+            chunk, m_q, w = [], 0, 0
+        chunk.append(task)
+        m_q, w = max(m_q, q_len), max(w, r_len)
+    if chunk:
+        yield chunk
 
 
 @dataclass
 class EncodeState:
     """Stage one: grounded sequences, before any cross-sequence attention.
 
-    grounded_r holds the candidate responses as one batch padded to the
-    longest of them.
+    grounded_q holds the chunk's queries and grounded_r the candidate
+    responses (task-major), each padded to the longest of them; objects
+    holds each task's projected object features, labels as its tokens.
     """
 
-    objects_t: Tensor
-    proj_obj: Tensor
-    labels: list
+    objects: GroundedSeq
     grounded_q: GroundedSeq
     grounded_r: GroundedSeq
 
     @property
     def grounded_rs(self) -> list:
-        """Each candidate's row of grounded_r on its own (detached values)."""
+        """Each candidate row of grounded_r on its own, as a batch of one (values only)."""
         r = self.grounded_r
-        return [GroundedSeq(Tensor(r.positions.data[c]), r.tokens[c], r.mask[c])
+        return [GroundedSeq(Tensor(r.positions.data[c:c + 1]), r.tokens[c:c + 1],
+                            r.mask[c:c + 1])
                 for c in range(len(r.tokens))]
 
 
 @dataclass
 class FusedState:
-    """Stage two: the query and the guided-attention refined responses."""
+    """Stage two: the queries and the guided-attention refined responses."""
 
     fq: GroundedSeq
     fr: GroundedSeq
@@ -80,13 +123,40 @@ class FusedState:
 
 @dataclass
 class EncodedState:
-    """Stage three: the tiled query and the responses, encoded against the joint."""
+    """Stage three: the repeated queries and the responses, encoded against the joint."""
 
     fq: GroundedSeq
     fr: GroundedSeq
     z_q: Tensor
     z_r: Tensor
     traces: list
+
+
+def _record(ex: TaskExample, logits: np.ndarray) -> PredictionRecord:
+    return PredictionRecord(
+        instance_id=ex.instance_id,
+        task=ex.task,
+        logits=[float(v) for v in logits],
+        # ties resolve to the lowest index (argmax returns the first maximum)
+        pred=int(np.argmax(logits)),
+        gold=ex.gold,
+    )
+
+
+@dataclass
+class ChunkForward:
+    """The (n, 4) candidate logits of a chunk of n tasks and every attention trace.
+
+    traces are batched, in pipeline order: each holds (4n, heads, m, k)
+    weights, one row per candidate, task-major.
+    """
+
+    examples: list
+    logits: Tensor
+    traces: list
+
+    def records(self) -> list:
+        return [_record(ex, row) for ex, row in zip(self.examples, self.logits.data)]
 
 
 @dataclass
@@ -103,17 +173,10 @@ class TaskForward:
 
     @property
     def pred(self) -> int:
-        # ties resolve to the lowest index (argmax returns the first maximum)
         return int(np.argmax(self.logits.data))
 
     def record(self) -> PredictionRecord:
-        return PredictionRecord(
-            instance_id=self.example.instance_id,
-            task=self.example.task,
-            logits=[float(v) for v in self.logits.data],
-            pred=self.pred,
-            gold=self.example.gold,
-        )
+        return _record(self.example, self.logits.data)
 
 
 class VcrModel:
@@ -265,10 +328,8 @@ class VcrModel:
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> TaskForward:
-        ex = make_task(inst, kind)
-        return self.forward_example(
-            ex, inst.objects, inst.object_labels, training=training, rng=rng
-        )
+        task = TaskInput.of(inst, kind)
+        return self.forward_example(*task, training=training, rng=rng)
 
     def forward_example(
         self,
@@ -278,38 +339,60 @@ class VcrModel:
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> TaskForward:
-        state = self._stage_encode(ex, objects, object_labels)
+        """One task scored as a chunk of one."""
+        chunk = self.forward_chunk([TaskInput(ex, objects, object_labels)], training, rng)
+        return TaskForward(ex, chunk.logits.reshape(CANDIDATES), chunk.traces)
+
+    def forward_chunk(
+        self,
+        tasks: Sequence[TaskInput],
+        training: bool = False,
+        rng: Optional[np.random.Generator] = None,
+    ) -> ChunkForward:
+        state = self._stage_encode(tasks)
         fused = self._stage_fuse(state, training, rng)
         encoded = self._stage_joint(fused, training, rng)
-        return self._stage_head(ex, encoded)
+        return self._stage_head([task.example for task in tasks], encoded)
 
     # The forward pass is split into stages so diagnostics can rerun only
     # the part of the pipeline a given parameter can influence. Composed in
-    # order they are exactly forward_example.
+    # order they are exactly forward_chunk.
 
-    def _stage_encode(
-        self, ex: TaskExample, objects: np.ndarray, object_labels: Sequence[str]
-    ) -> EncodeState:
-        if len(ex.responses) != CANDIDATES:
-            raise DataError(
-                f"{ex.instance_id}: expected {CANDIDATES} candidate responses, "
-                f"got {len(ex.responses)}"
-            )
+    def _stage_encode(self, tasks: Sequence[TaskInput]) -> EncodeState:
+        n = len(tasks)
         d_o = self.obj_proj.weight.data.shape[0]
-        if objects.shape[1] != d_o:
-            raise DataError(
-                f"{ex.instance_id}: object features are {objects.shape[1]} wide, "
-                f"the model expects {d_o}"
-            )
-        objects_t = Tensor(objects)
-        grounded = self._encode([ex.query, *ex.responses], objects_t)
-        width = max(len(resp) for resp in ex.responses)
+        k = max(task.objects.shape[0] for task in tasks)
+        objects = np.zeros((n, k, d_o))
+        object_mask = np.zeros((n, k), dtype=bool)
+        pad = TaggedToken(PAD_TOKEN)
+        labels = []
+        queries, responses = [], []
+        for i, (ex, objs, names) in enumerate(tasks):
+            k_i = objs.shape[0]
+            if len(ex.responses) != CANDIDATES:
+                raise DataError(
+                    f"{ex.instance_id}: expected {CANDIDATES} candidate responses, "
+                    f"got {len(ex.responses)}"
+                )
+            if objs.shape[1] != d_o:
+                raise DataError(
+                    f"{ex.instance_id}: object features are {objs.shape[1]} wide, "
+                    f"the model expects {d_o}"
+                )
+            if len(names) != k_i:
+                raise DataError(f"{ex.instance_id}: {len(names)} labels for {k_i} objects")
+            objects[i, :k_i] = objs
+            object_mask[i, :k_i] = True
+            labels.append([TaggedToken(name) for name in names] + [pad] * (k - k_i))
+            # a tag indexes its own task's k rows of the flattened (n·k, d_o) objects
+            queries.append(_offset_tags(ex, ex.query, i * k, k_i))
+            responses.extend(_offset_tags(ex, resp, i * k, k_i) for resp in ex.responses)
+        grounded = self._encode(queries + responses, Tensor(objects.reshape(n * k, d_o)))
         return EncodeState(
-            objects_t=objects_t,
-            proj_obj=L.linear(objects_t, self.obj_proj),
-            labels=list(object_labels),
-            grounded_q=grounded.row(0, len(ex.query)),
-            grounded_r=grounded.rows(1, CANDIDATES + 1, width),
+            objects=GroundedSeq(L.linear(Tensor(objects), self.obj_proj), labels, object_mask),
+            grounded_q=grounded.rows(0, n, max(len(seq) for seq in queries)),
+            grounded_r=grounded.rows(n, len(grounded.tokens),
+                                     max(len(seq) for seq in responses)),
         )
 
     def _stage_fuse(
@@ -323,8 +406,7 @@ class VcrModel:
         fq, fr, traces = guided_fuse(
             state.grounded_q,
             state.grounded_r,
-            state.proj_obj,
-            state.labels,
+            state.objects,
             self.ga_fuse,
             training=training,
             rng=rng,
@@ -337,7 +419,11 @@ class VcrModel:
         training: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> EncodedState:
-        fq = fused.fq.tiled(CANDIDATES)
+        q = fused.fq
+        # each candidate row pairs with its own task's copy of the query
+        fq = GroundedSeq(T.repeat(q.positions, CANDIDATES),
+                         [row for row in q.tokens for _ in range(CANDIDATES)],
+                         np.repeat(q.mask, CANDIDATES, axis=0))
         joint = join(fq, fused.fr)
         if self.coattn is not None:
             z_q, z_r, traces = coattend(
@@ -347,19 +433,35 @@ class VcrModel:
             z_q, z_r, traces = lstm_encode(joint, self.encoder_lstm)
         return EncodedState(fq=fq, fr=fused.fr, z_q=z_q, z_r=z_r, traces=fused.traces + traces)
 
-    def _stage_head(self, ex: TaskExample, encoded: EncodedState) -> TaskForward:
+    def _stage_head(self, examples: list, encoded: EncodedState) -> ChunkForward:
         pooled_q, alpha_q = reduce(encoded.z_q, encoded.fq.mask, self.reduction.mlp_q)
         pooled_r, alpha_r = reduce(encoded.z_r, encoded.fr.mask, self.reduction.mlp_r)
         fused = fuse(pooled_q, pooled_r, self.reduction)
-        logits = candidate_logit(fused, self.reduction).reshape(CANDIDATES)
+        logits = candidate_logit(fused, self.reduction).reshape(len(examples), CANDIDATES)
         traces = encoded.traces + [
             _pool_trace("reduce.q", alpha_q, encoded.fq),
             _pool_trace("reduce.r", alpha_r, encoded.fr),
         ]
-        return TaskForward(example=ex, logits=logits, traces=traces)
+        return ChunkForward(examples=list(examples), logits=logits, traces=traces)
 
     def predict(self, inst: VcrInstance, kind: str) -> PredictionRecord:
-        return self.forward_task(inst, kind).record()
+        return self.forward_chunk([TaskInput.of(inst, kind)]).records()[0]
+
+
+def _offset_tags(ex: TaskExample, seq: list, base: int, k: int) -> list:
+    """`seq` with each tag moved up by `base`; a tag must name one of the k objects."""
+    out = []
+    for tok in seq:
+        if tok.tag is not None:
+            if not 0 <= tok.tag < k:
+                raise DataError(
+                    f"{ex.instance_id}: token {tok.text!r} tags object {tok.tag} "
+                    f"but only {k} objects exist"
+                )
+            if base:
+                tok = TaggedToken(tok.text, tok.tag + base)
+        out.append(tok)
+    return out
 
 
 def _name_summary(what: str, names: set, shown: int = 3) -> str:

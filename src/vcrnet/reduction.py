@@ -4,8 +4,8 @@ Reduction pools a sequence into one vector: a small MLP scores every
 position, a masked softmax turns the scores into weights, and the weighted
 rows are summed. The query and response pools are fused by two linear
 projections, added, LayerNorm-ed, and a final linear layer emits the
-per-candidate logit. Each step also runs on a batch of candidates, one
-pooled row and one logit per candidate.
+per-candidate logit. Each step runs on a batch of candidates, one pooled
+row and one logit per candidate.
 """
 
 from __future__ import annotations
@@ -71,31 +71,27 @@ def init_reduction(rng: np.random.Generator, d_model: int, d_c: int) -> Reductio
 
 
 def reduce(Z: Tensor, mask: Optional[np.ndarray], p_mlp: MlpParams) -> tuple[Tensor, Tensor]:
-    """Pool rows of Z by learned softmax weights; returns (pooled, weights).
+    """Pool each sequence of a (B, m, d) batch by learned softmax weights.
 
-    One (m, d) sequence gives a (1, d) vector and (m,) weights; a (B, m, d)
-    batch with a (B, m) mask gives (B, d) vectors and (B, m) weights.
-    Masked positions get exactly zero weight; a fully masked sequence is an
-    error. With a zero MLP the weights are uniform over unmasked rows.
+    Returns (B, d) pooled vectors and (B, m) weights; `mask` is (B, m) or
+    None. Masked positions get exactly zero weight; a fully masked sequence
+    is an error. With a zero MLP the weights are uniform over unmasked rows.
     """
     shape = Z.data.shape
-    m = shape[-2]
-    if m < 1:
-        raise ShapeError("cannot reduce an empty sequence")
+    if len(shape) != 3 or shape[1] < 1:
+        raise ShapeError(f"reduce needs a (B, m, d) batch of non-empty sequences, got {shape}")
+    batch, m, d = shape
     if mask is not None and np.shape(mask) != shape[:-1]:
         raise ShapeError(f"mask shape {np.shape(mask)} does not match sequence shape {shape}")
     scores = mlp(Z, p_mlp)
     if scores.data.shape != shape[:-1] + (1,):
         raise ShapeError(f"score MLP must map to one column, got {scores.data.shape}")
-    row = scores.reshape(shape[:-2] + (1, m))
+    row = scores.reshape(batch, 1, m)
     bias = mask_bias(mask, m)
     if bias is not None:
-        row = row + Tensor(bias.data.reshape(row.data.shape))
+        row = row + Tensor(bias.data.reshape(batch, 1, m))
     alpha_row = softmax(row, axis=-1)
-    pooled = alpha_row @ Z
-    if len(shape) == 2:
-        return pooled, alpha_row.reshape(m)
-    return pooled.reshape(shape[0], shape[-1]), alpha_row.reshape(shape[0], m)
+    return (alpha_row @ Z).reshape(batch, d), alpha_row.reshape(batch, m)
 
 
 def fuse(z_q: Tensor, z_r: Tensor, p: ReductionParams) -> Tensor:

@@ -10,8 +10,13 @@ because an operation's inputs always exist before the operation runs.
 Broadcasting is deliberately restricted: elementwise ops require identical
 shapes, except that `add` also accepts a trailing-axis bias vector, and
 `matmul` applies one 2-d right operand to every leading index of the left.
-A batch is a leading axis; `tile` makes one from a shared tensor. This
-keeps every backward rule auditable.
+A batch is a leading axis; `repeat` copies each of its rows so that one
+row can meet several partners row by row. This keeps every backward rule
+auditable.
+
+A backward pass writes `.grad` on leaves only, i.e. tensors that no entry
+of the tape produced (parameters and inputs); intermediate gradients are
+freed as soon as the entry that consumed them has run.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ __all__ = [
     "log",
     "softmax",
     "concat",
-    "tile",
+    "repeat",
     "dropout",
     "embedding_lookup",
     "grad_check",
@@ -80,9 +85,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data, False)
 
     # -- operator sugar; python numbers act as non-differentiable constants --
 
@@ -183,11 +185,6 @@ def _tape_stack() -> list:
     return stack
 
 
-def _active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
 class Tape:
     """Ordered record of operations for one forward pass, confined to a thread.
 
@@ -241,34 +238,40 @@ class Tape:
     def seed(self, output: "Tensor", seed_grad: np.ndarray) -> None:
         """Propagate an arbitrary output gradient; used by grad_check.
 
-        Propagation runs over per-call scratch storage and only the final
-        per-tensor totals are added into `.grad`, so repeated calls on one
-        tape accumulate linearly instead of compounding.
+        Each entry's output gradient is dropped once its rule has run, so a
+        backward pass holds only the gradients still waiting for a consumer.
+        Only leaves (tensors no entry produced) get their totals added into
+        `.grad`, so repeated calls on one tape accumulate linearly instead of
+        compounding.
         """
         if seed_grad.shape != output.data.shape:
             raise ShapeError(
                 f"seed gradient shape {seed_grad.shape} != output shape {output.data.shape}"
             )
-        local: dict[int, np.ndarray] = {id(output): seed_grad}
-        touched: list[Tensor] = [output]
+        produced = {id(out) for _, out, _ in self._entries}
+        pending: dict[int, np.ndarray] = {id(output): seed_grad}
+        leaves: dict[int, Tensor] = {}
+        if id(output) not in produced:
+            leaves[id(output)] = output
         for inputs, out, rule in reversed(self._entries):
-            g = local.get(id(out))
+            g = pending.pop(id(out), None)
             if g is None:
                 continue
             for tensor, gi in zip(inputs, rule(g)):
                 if gi is None or not tensor.requires_grad:
                     continue
                 key = id(tensor)
-                cur = local.get(key)
+                cur = pending.get(key)
                 if cur is None:
-                    local[key] = gi
-                    touched.append(tensor)
+                    pending[key] = gi
+                    if key not in produced:
+                        leaves[key] = tensor
                 else:
-                    local[key] = cur + gi
-        for tensor in touched:
+                    pending[key] = cur + gi
+        for key, tensor in leaves.items():
             if not tensor.requires_grad:
                 continue
-            total = local[id(tensor)]
+            total = pending[key]
             tensor.grad = total.copy() if tensor.grad is None else tensor.grad + total
 
 
@@ -450,12 +453,21 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _result(np.concatenate(arrays, axis=axis), tuple(tensors), rule)
 
 
-def tile(x: Tensor, count: int) -> Tensor:
-    """`count` copies of x stacked on a new leading axis; the gradient sums them."""
+def repeat(x: Tensor, count: int) -> Tensor:
+    """Each row (leading-axis entry) of x copied `count` times in place, so
+    row i becomes rows i·count .. i·count + count - 1; the gradient sums the
+    copies back."""
     if count < 1:
-        raise ShapeError(f"tile count must be positive, got {count}")
+        raise ShapeError(f"repeat count must be positive, got {count}")
     xd = x.data
-    return _result(np.broadcast_to(xd, (count,) + xd.shape), (x,), lambda g: (g.sum(axis=0),))
+    if xd.ndim < 1:
+        raise ShapeError("repeat needs a tensor with a leading axis")
+    shape = xd.shape
+
+    def rule(g):
+        return (g.reshape((shape[0], count) + shape[1:]).sum(axis=1),)
+
+    return _result(np.repeat(xd, count, axis=0), (x,), rule)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:

@@ -1,10 +1,12 @@
 """Optimizer, loss, and the training and evaluation loops.
 
 Each instance contributes a joint loss: cross-entropy for answer selection
-plus cross-entropy for rationale selection. Gradients are averaged over a
-batch before every update. One checkpoint and one report line are written
-per epoch; reported losses are per-task means, so an untrained model starts
-at ln 4.
+plus cross-entropy for rationale selection. A mini-batch's tasks are scored
+in chunks (see `model.chunked`), one taped forward and backward per chunk,
+and its loss is the sum of its task losses over the number of instances,
+so the gradients are averaged over instances before every update. One
+checkpoint and one report line are written per epoch; reported losses are
+per-task means, so an untrained model starts at ln 4.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from vcrnet.data import (
     Vocab,
     metrics_report,
 )
-from vcrnet.model import VcrModel
+from vcrnet.model import TaskInput, VcrModel, chunked
 from vcrnet.tensor import Tape, Tensor
 
 CHECKPOINT_NAME = "model.canckpt"
@@ -47,13 +49,23 @@ class TrainingDiverged(RuntimeError):
         self.reports = reports
 
 
-def task_loss(logits: Tensor, gold: int) -> Tensor:
-    """Four-way cross-entropy: the negative log softmax probability of gold."""
-    n = logits.data.shape[0]
-    if not 0 <= gold < n:
-        raise DataError(f"gold index {gold} out of range for {n} candidates")
-    probs = T.softmax(logits, axis=0)
-    return T.neg(T.log(probs.slice(0, gold, gold + 1))).sum()
+def task_loss(logits: Tensor, gold) -> Tensor:
+    """Four-way cross-entropy, the negative log softmax probability of gold.
+
+    (4,) logits with one gold index give a scalar; (n, 4) logits with n
+    gold indices give the (n,) losses of n tasks.
+    """
+    golds = np.asarray(gold)
+    shape = logits.data.shape
+    if golds.shape != shape[:-1] or golds.dtype.kind not in "iu":
+        raise DataError(f"gold indices {golds.tolist()} do not fit logits of shape {shape}")
+    n = shape[-1]
+    if ((golds < 0) | (golds >= n)).any():
+        raise DataError(f"gold index {golds.tolist()} out of range for {n} candidates")
+    pick = np.zeros(shape)
+    np.put_along_axis(pick, golds[..., None], 1.0, axis=-1)
+    probs = T.softmax(logits, axis=-1)
+    return T.neg(T.log((probs * Tensor(pick)).sum(axis=-1)))
 
 
 class Adam:
@@ -83,11 +95,6 @@ class Adam:
         for _, p in self.params:
             p.grad = None
 
-    def scale_grads(self, factor: float) -> None:
-        for _, p in self.params:
-            if p.grad is not None:
-                p.grad = p.grad * factor
-
     def step(self) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
@@ -108,14 +115,16 @@ class EpochReport:
     val_q2a: float
     val_qa2r: float
     wall_time: float
+    instances_per_s: float
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     def core(self) -> dict:
-        """All fields except wall time, which cannot reproduce across runs."""
+        """All fields except the timings, which cannot reproduce across runs."""
         d = dataclasses.asdict(self)
         d.pop("wall_time")
+        d.pop("instances_per_s")
         return d
 
 
@@ -132,10 +141,10 @@ class TrainResult:
 
 
 def predict_all(model: VcrModel, instances: Sequence[VcrInstance]) -> tuple:
-    """Greedy predictions for both tasks over a dataset (no gradient taping)."""
-    q2a = [model.predict(inst, TASK_Q2A) for inst in instances]
-    qa2r = [model.predict(inst, TASK_QA2R) for inst in instances]
-    return q2a, qa2r
+    """Greedy predictions for both tasks over a dataset (untaped chunks)."""
+    tasks = [TaskInput.of(inst, kind) for kind in (TASK_Q2A, TASK_QA2R) for inst in instances]
+    records = [rec for chunk in chunked(tasks) for rec in model.forward_chunk(chunk).records()]
+    return records[:len(instances)], records[len(instances):]
 
 
 def evaluate(model: VcrModel, instances: Sequence[VcrInstance]) -> dict:
@@ -150,9 +159,9 @@ def _object_width(instances: Sequence[VcrInstance]) -> int:
     return widths.pop()
 
 
-def _divergence(epoch: int, inst: VcrInstance, tape: Tape) -> str:
+def _divergence(epoch: int, instance_id: str, tape: Tape) -> str:
     """Name the epoch, the instance and the first op whose output went non-finite."""
-    msg = f"non-finite loss at epoch {epoch}, instance {inst.instance_id}"
+    msg = f"non-finite loss at epoch {epoch}, instance {instance_id}"
     found = tape.first_non_finite()
     if found is not None:
         index, kind = found
@@ -197,36 +206,35 @@ def train(
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(len(train_insts))
-        per_task_losses = []
+        loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+            batch = [train_insts[idx] for idx in order[start:start + config.batch_size]]
+            tasks = [TaskInput.of(inst, kind) for inst in batch for kind in (TASK_Q2A, TASK_QA2R)]
             opt.zero_grad()
-            for idx in batch:
-                inst = train_insts[idx]
+            for chunk in chunked(tasks):
                 with Tape() as tape:
-                    f_a = model.forward_task(inst, TASK_Q2A, training=True, rng=rng)
-                    f_r = model.forward_task(inst, TASK_QA2R, training=True, rng=rng)
-                    loss = task_loss(f_a.logits, f_a.example.gold) + task_loss(
-                        f_r.logits, f_r.example.gold
-                    )
-                    value = float(loss.data)
-                    if not math.isfinite(value):
-                        raise TrainingDiverged(_divergence(epoch, inst, tape), reports)
-                    tape.backward(loss)
-                per_task_losses.append(value / 2.0)
-            opt.scale_grads(1.0 / len(batch))
+                    fwd = model.forward_chunk(chunk, training=True, rng=rng)
+                    losses = task_loss(fwd.logits, [ex.gold for ex in fwd.examples])
+                    bad = np.flatnonzero(~np.isfinite(losses.data))
+                    if bad.size:
+                        instance_id = fwd.examples[bad[0]].instance_id
+                        raise TrainingDiverged(_divergence(epoch, instance_id, tape), reports)
+                    loss_sum += float(losses.data.sum())
+                    tape.backward(losses.sum() * (1.0 / len(batch)))
             opt.step()
 
         train_metrics = evaluate(model, train_insts)
         val_metrics = evaluate(model, val_insts) if val_insts else train_metrics
+        wall_time = time.perf_counter() - t0
         report = EpochReport(
             epoch=epoch,
-            mean_loss=float(np.mean(per_task_losses)),
+            mean_loss=loss_sum / (2 * len(train_insts)),
             train_q2a=train_metrics["q2a"],
             train_qa2r=train_metrics["qa2r"],
             val_q2a=val_metrics["q2a"],
             val_qa2r=val_metrics["qa2r"],
-            wall_time=time.perf_counter() - t0,
+            wall_time=wall_time,
+            instances_per_s=len(train_insts) / wall_time,
         )
         reports.append(report)
         with open(log_path, "a", encoding="utf-8") as fh:

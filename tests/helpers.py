@@ -38,33 +38,53 @@ def zero_unit(d, d_ff, h=2):
     )
 
 
+def all_gradients(tape, output, seed_grad):
+    """Reference backward over a tape: every tensor's total gradient, kept to
+    the end and summed in the same order as `Tape.seed`. Returns {id: array}."""
+    totals = {id(output): seed_grad}
+    for inputs, out, rule in reversed(tape._entries):
+        g = totals.get(id(out))
+        if g is None:
+            continue
+        for tensor, gi in zip(inputs, rule(g)):
+            if gi is None or not tensor.requires_grad:
+                continue
+            cur = totals.get(id(tensor))
+            totals[id(tensor)] = gi if cur is None else cur + gi
+    return totals
+
+
 def pad_grounded(seq, length):
-    """Extend a 2-d GroundedSeq to `length` with zero rows masked out."""
-    m, d = seq.positions.data.shape
+    """Extend a batch of sequences to width `length` with zero rows masked out."""
+    batch, m, d = seq.positions.data.shape
     if length < m:
-        raise ShapeError(f"cannot pad length-{m} sequence down to {length}")
+        raise ShapeError(f"cannot pad length-{m} sequences down to {length}")
     if length == m:
         return seq
     extra = length - m
     return GroundedSeq(
-        positions=T.concat([seq.positions, Tensor(np.zeros((extra, d)))], axis=0),
-        tokens=list(seq.tokens) + [TaggedToken(PAD_TOKEN)] * extra,
-        mask=np.concatenate([seq.mask, np.zeros(extra, dtype=bool)]),
+        positions=T.concat([seq.positions, Tensor(np.zeros((batch, extra, d)))], axis=1),
+        tokens=[list(row) + [TaggedToken(PAD_TOKEN)] * extra for row in seq.tokens],
+        mask=np.concatenate([seq.mask, np.zeros((batch, extra), dtype=bool)], axis=1),
     )
 
 
 def loop_forward(model, ex, objects, labels):
-    """Score each candidate on its own with 2-d ops: the oracle for the batched
-    VcrModel forward (eval mode). Returns (logits, one trace list per candidate)."""
+    """Score each candidate on its own as a batch of one: the oracle for the
+    batched VcrModel forward (eval mode). Returns (logits, one trace list per
+    candidate, each trace one candidate's (heads, m, n) slice)."""
     objects_t = Tensor(objects)
-    proj_obj = linear(objects_t, model.obj_proj)
+    guide = GroundedSeq(linear(Tensor(objects[None]), model.obj_proj),
+                        [[TaggedToken(label) for label in labels]],
+                        np.ones((1, len(labels)), dtype=bool))
 
     def encode(tokens):
         emb = T.embedding_lookup(model.embedding, model.vocab.encode(tokens))
-        return ground(align_tags(tokens, emb, objects_t), tokens, model.ground_lstm)
+        aligned = align_tags(tokens, emb, objects_t).reshape(len(tokens), 1, -1)
+        return ground(aligned, [tokens], model.ground_lstm)
 
     def pool_trace(label, alpha, seq):
-        return A.AttentionTrace(label, alpha.data.reshape(1, 1, -1), ["<pool>"], seq.texts)
+        return A.AttentionTrace(label, alpha.data.reshape(1, 1, -1), ["<pool>"], seq.texts[0])
 
     gq = encode(ex.query)
     width = max(len(resp) for resp in ex.responses)
@@ -74,7 +94,7 @@ def loop_forward(model, ex, objects, labels):
         gr = pad_grounded(encode(resp), width)
         traces = []
         if model.ga_fuse is not None:
-            gq, gr, traces = guided_fuse(gq, gr, proj_obj, labels, model.ga_fuse)
+            gq, gr, traces = guided_fuse(gq, gr, guide, model.ga_fuse)
         joint = join(gq, gr)
         if model.coattn is not None:
             z_q, z_r, more = coattend(joint, gq, gr, model.coattn)
@@ -83,6 +103,7 @@ def loop_forward(model, ex, objects, labels):
         pooled_q, alpha_q = reduce(z_q, gq.mask, red.mlp_q)
         pooled_r, alpha_r = reduce(z_r, gr.mask, red.mlp_r)
         logits.append(candidate_logit(fuse(pooled_q, pooled_r, red), red))
-        cand_traces.append(traces + more + [pool_trace("reduce.q", alpha_q, gq),
-                                            pool_trace("reduce.r", alpha_r, gr)])
+        cand_traces.append([t.row(0) for t in traces + more]
+                           + [pool_trace("reduce.q", alpha_q, gq),
+                              pool_trace("reduce.r", alpha_r, gr)])
     return T.concat(logits, axis=0).reshape(len(logits)), cand_traces

@@ -83,6 +83,10 @@ def _rand_mask(rng, n):
     return mask
 
 
+def _batch_of_one(mask):
+    return None if mask is None else mask[None]
+
+
 def test_a2_attention_oracles():
     worst = 0.0
 
@@ -92,10 +96,11 @@ def test_a2_attention_oracles():
         d += 2
         q, k, v = (rng.standard_normal(s) for s in ((m, d), (n, d), (n, d)))
         mask = _rand_mask(rng, n)
-        got_out, got_w = sdpa(Tensor(q), Tensor(k), Tensor(v), mask)
+        got_out, got_w = sdpa(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]),
+                              _batch_of_one(mask))
         want_out, want_w = _np_sdpa(q, k, v, mask)
-        worst = max(worst, np.abs(got_out.data - want_out).max(),
-                    np.abs(got_w.data - want_w).max())
+        worst = max(worst, np.abs(got_out.data[0] - want_out).max(),
+                    np.abs(got_w.data[0] - want_w).max())
 
     for seed in range(100):
         rng = np.random.default_rng(21_000 + seed)
@@ -105,7 +110,8 @@ def test_a2_attention_oracles():
         x = rng.standard_normal((m, d_model))
         g = rng.standard_normal((n, d_model))
         mask = _rand_mask(rng, n)
-        got, _ = multi_head(Tensor(x), Tensor(g), Tensor(g), p, mask)
+        got, _ = multi_head(Tensor(x[None]), Tensor(g[None]), Tensor(g[None]), p,
+                            _batch_of_one(mask))
         d_head = d_model // h
         heads = []
         for i in range(h):
@@ -113,7 +119,7 @@ def test_a2_attention_oracles():
             heads.append(_np_sdpa(x @ p.wq.data[:, cols], g @ p.wk.data[:, cols],
                                   g @ p.wv.data[:, cols], mask)[0])
         want = np.concatenate(heads, axis=1) @ p.wo.data
-        worst = max(worst, np.abs(got.data - want).max())
+        worst = max(worst, np.abs(got.data[0] - want).max())
 
     for seed in range(100):
         rng = np.random.default_rng(22_000 + seed)
@@ -121,7 +127,7 @@ def test_a2_attention_oracles():
         Z = rng.standard_normal((m, d))
         p = init_reduction(rng, d, d)
         mask = _rand_mask(rng, m) if m > 1 else None
-        pooled, alpha = reduce(Tensor(Z), mask, p.mlp_q)
+        pooled, alpha = reduce(Tensor(Z[None]), _batch_of_one(mask), p.mlp_q)
         hidden = Z
         for lin in p.mlp_q.layers[:-1]:
             hidden = np.maximum(hidden @ lin.weight.data + lin.bias.data, 0.0)
@@ -134,7 +140,7 @@ def test_a2_attention_oracles():
         want = np.zeros(d)
         for i in range(m):
             want += want_alpha[i] * Z[i]
-        worst = max(worst, np.abs(alpha.data - want_alpha).max(),
+        worst = max(worst, np.abs(alpha.data[0] - want_alpha).max(),
                     np.abs(pooled.data[0] - want).max())
 
     for seed in range(100):

@@ -38,21 +38,26 @@ def np_sdpa(q, k, v, mask=None):
 
 def test_sdpa_single_key_copies_value():
     rng = np.random.default_rng(0)
-    q = Tensor(rng.standard_normal((3, 4)))
-    k = Tensor(rng.standard_normal((1, 4)))
-    v = Tensor(rng.standard_normal((1, 5)))
+    q = Tensor(rng.standard_normal((1, 3, 4)))
+    k = Tensor(rng.standard_normal((1, 1, 4)))
+    v = Tensor(rng.standard_normal((1, 1, 5)))
     out, w = A.sdpa(q, k, v)
-    npt.assert_allclose(w.data, np.ones((1, 3, 1)))
-    npt.assert_allclose(out.data, np.repeat(v.data, 3, axis=0))
+    npt.assert_allclose(w.data, np.ones((1, 1, 3, 1)))
+    npt.assert_allclose(out.data, np.repeat(v.data, 3, axis=1))
 
 
 def test_sdpa_identical_keys_split_evenly():
-    q = Tensor(np.array([[1.0, 2.0]]))
-    k = Tensor(np.array([[0.5, -0.3], [0.5, -0.3]]))
-    v = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    q = Tensor(np.array([[[1.0, 2.0]]]))
+    k = Tensor(np.array([[[0.5, -0.3], [0.5, -0.3]]]))
+    v = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
     out, w = A.sdpa(q, k, v)
-    npt.assert_allclose(w.data, [[[0.5, 0.5]]], atol=1e-12)
-    npt.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-12)
+    npt.assert_allclose(w.data, [[[[0.5, 0.5]]]], atol=1e-12)
+    npt.assert_allclose(out.data, [[[0.5, 0.5]]], atol=1e-12)
+
+
+def _one(a):
+    """A numpy array as a batch of one (None stays None)."""
+    return None if a is None else np.asarray(a)[None]
 
 
 def test_sdpa_matches_scalar_loop_oracle():
@@ -68,9 +73,10 @@ def test_sdpa_matches_scalar_loop_oracle():
         if n > 1 and seed % 3 == 0:
             mask = rng.random(n) < 0.7
             mask[rng.integers(n)] = True
-        out, w = A.sdpa(Tensor(q), Tensor(k), Tensor(v), mask)
+        out, w = A.sdpa(Tensor(_one(q)), Tensor(_one(k)), Tensor(_one(v)), _one(mask))
         want_out, want_w = np_sdpa(q, k, v, mask)
-        worst = max(worst, np.abs(out.data - want_out).max(), np.abs(w.data[0] - want_w).max())
+        worst = max(worst, np.abs(out.data[0] - want_out).max(),
+                    np.abs(w.data[0, 0] - want_w).max())
     # several heads: head i attends with column block i of q, k and v
     for seed in range(100):
         rng = np.random.default_rng(2100 + seed)
@@ -84,13 +90,13 @@ def test_sdpa_matches_scalar_loop_oracle():
         if n > 1 and seed % 3 == 0:
             mask = rng.random(n) < 0.7
             mask[rng.integers(n)] = True
-        out, w = A.sdpa(Tensor(q), Tensor(k), Tensor(v), mask, h)
-        assert out.data.shape == (m, h * d_v) and w.data.shape == (h, m, n)
+        out, w = A.sdpa(Tensor(_one(q)), Tensor(_one(k)), Tensor(_one(v)), _one(mask), h)
+        assert out.data.shape == (1, m, h * d_v) and w.data.shape == (1, h, m, n)
         for i in range(h):
             qk, vk = slice(i * d_k, (i + 1) * d_k), slice(i * d_v, (i + 1) * d_v)
             want_out, want_w = np_sdpa(q[:, qk], k[:, qk], v[:, vk], mask)
-            worst = max(worst, np.abs(out.data[:, vk] - want_out).max(),
-                        np.abs(w.data[i] - want_w).max())
+            worst = max(worst, np.abs(out.data[0, :, vk] - want_out).max(),
+                        np.abs(w.data[0, i] - want_w).max())
     assert worst < 1e-10
 
 
@@ -98,32 +104,33 @@ def test_sdpa_masked_weights_are_exact_zeros():
     rng = np.random.default_rng(1)
     mask = np.array([True, False, True, False])
     _, w = A.sdpa(
-        Tensor(rng.standard_normal((3, 2))),
-        Tensor(rng.standard_normal((4, 2))),
-        Tensor(rng.standard_normal((4, 2))),
-        mask,
+        Tensor(rng.standard_normal((1, 3, 2))),
+        Tensor(rng.standard_normal((1, 4, 2))),
+        Tensor(rng.standard_normal((1, 4, 2))),
+        _one(mask),
     )
-    assert (w.data[0][:, ~mask] == 0.0).all()
-    npt.assert_allclose(w.data[0].sum(axis=1), np.ones(3), atol=1e-12)
+    assert (w.data[0, 0][:, ~mask] == 0.0).all()
+    npt.assert_allclose(w.data[0, 0].sum(axis=1), np.ones(3), atol=1e-12)
 
 
 def test_sdpa_rejects_fully_masked():
-    z = Tensor(np.zeros((2, 2)))
+    z = Tensor(np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
-        A.sdpa(z, z, z, np.array([False, False]))
+        A.sdpa(z, z, z, np.array([[False, False]]))
 
 
 def test_sdpa_shape_errors():
+    def zeros(*shape):
+        return Tensor(np.zeros((1,) + shape))
+
     with pytest.raises(ShapeError):
-        A.sdpa(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
+        A.sdpa(zeros(2, 3), zeros(2, 4), zeros(2, 4))
     with pytest.raises(ShapeError):
-        A.sdpa(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))))
+        A.sdpa(zeros(2, 3), zeros(2, 3), zeros(3, 4))
     with pytest.raises(ShapeError):
-        A.sdpa(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
-               np.array([True]))
+        A.sdpa(zeros(2, 3), zeros(2, 3), zeros(2, 3), np.array([[True]]))
     with pytest.raises(ShapeError):
-        A.sdpa(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
-               heads=2)
+        A.sdpa(zeros(2, 3), zeros(2, 3), zeros(2, 3), heads=2)
 
 
 def test_multi_head_single_identity_head_reduces_to_sdpa():
@@ -135,10 +142,10 @@ def test_multi_head_single_identity_head_reduces_to_sdpa():
     )
     q = rng.standard_normal((3, d))
     k = rng.standard_normal((5, d))
-    out, trace = A.multi_head(Tensor(q), Tensor(k), Tensor(k), p)
+    out, trace = A.multi_head(Tensor(_one(q)), Tensor(_one(k)), Tensor(_one(k)), p)
     want_out, want_w = np_sdpa(q, k, k)
-    npt.assert_allclose(out.data, want_out, atol=1e-10)
-    npt.assert_allclose(trace.heads[0], want_w, atol=1e-10)
+    npt.assert_allclose(out.data[0], want_out, atol=1e-10)
+    npt.assert_allclose(trace.heads[0, 0], want_w, atol=1e-10)
 
 
 def test_multi_head_identical_heads_identical_traces():
@@ -150,9 +157,9 @@ def test_multi_head_identical_heads_identical_traces():
 
     p = A.MhaParams(wq=twice(base.wq), wk=twice(base.wk), wv=twice(base.wv),
                     wo=base.wo, heads=2)
-    x = Tensor(rng.standard_normal((3, 4)))
+    x = Tensor(rng.standard_normal((1, 3, 4)))
     _, trace = A.multi_head(x, x, x, p)
-    npt.assert_array_equal(trace.heads[0], trace.heads[1])
+    npt.assert_array_equal(trace.heads[0, 0], trace.heads[0, 1])
 
 
 def test_multi_head_matches_composition_oracle():
@@ -164,16 +171,16 @@ def test_multi_head_matches_composition_oracle():
         q = rng.standard_normal((m, 4))
         k = rng.standard_normal((n, 4))
         v = rng.standard_normal((n, 4))
-        out, trace = A.multi_head(Tensor(q), Tensor(k), Tensor(v), p)
+        out, trace = A.multi_head(Tensor(_one(q)), Tensor(_one(k)), Tensor(_one(v)), p)
         pieces = []
         for i in range(2):
             cols = slice(2 * i, 2 * i + 2)
             o_i, w_i = np_sdpa(q @ p.wq.data[:, cols], k @ p.wk.data[:, cols],
                                v @ p.wv.data[:, cols])
             pieces.append(o_i)
-            worst = max(worst, np.abs(trace.heads[i] - w_i).max())
+            worst = max(worst, np.abs(trace.heads[0, i] - w_i).max())
         want = np.concatenate(pieces, axis=1) @ p.wo.data
-        worst = max(worst, np.abs(out.data - want).max())
+        worst = max(worst, np.abs(out.data[0] - want).max())
     assert worst < 1e-10
 
 
@@ -191,7 +198,7 @@ def test_init_mha_draws_head_blocks_in_order():
 
 def test_multi_head_tape_entries_independent_of_heads():
     rng = np.random.default_rng(13)
-    x = Tensor(rng.standard_normal((3, 8)))
+    x = Tensor(rng.standard_normal((1, 3, 8)))
     for h in (1, 2, 4):
         p = A.init_mha(rng, 8, h)
         with T.Tape() as tape:
@@ -204,48 +211,49 @@ def test_guided_unit_single_guide_position():
     rng = np.random.default_rng(5)
     p = A.init_attn_unit(rng, 4, 2, 16)
     out, trace = A.guided_attention_unit(
-        Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((1, 4))), p
+        Tensor(rng.standard_normal((1, 3, 4))), Tensor(rng.standard_normal((1, 1, 4))), p
     )
-    assert out.data.shape == (3, 4)
-    for head in trace.heads:
+    assert out.data.shape == (1, 3, 4)
+    for head in trace.heads[0]:
         npt.assert_allclose(head, np.ones((3, 1)))
 
 
 def test_guided_unit_output_shape_tracks_x_not_guide():
     rng = np.random.default_rng(6)
     p = A.init_attn_unit(rng, 4, 2, 16)
-    x = Tensor(rng.standard_normal((3, 4)))
+    x = Tensor(rng.standard_normal((1, 3, 4)))
     for n in (1, 2, 7):
-        out, _ = A.guided_attention_unit(x, Tensor(rng.standard_normal((n, 4))), p)
-        assert out.data.shape == (3, 4)
+        out, _ = A.guided_attention_unit(x, Tensor(rng.standard_normal((1, n, 4))), p)
+        assert out.data.shape == (1, 3, 4)
 
 
 def test_guided_unit_blind_to_guide_order():
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
         p = A.init_attn_unit(rng, 4, 2, 16)
-        x = Tensor(rng.standard_normal((2, 4)))
+        x = Tensor(rng.standard_normal((1, 2, 4)))
         guide = rng.standard_normal((5, 4))
         mask = rng.random(5) < 0.8
         mask[0] = True
         perm = rng.permutation(5)
-        base, _ = A.guided_attention_unit(x, Tensor(guide), p, mask)
-        shuffled, _ = A.guided_attention_unit(x, Tensor(guide[perm]), p, mask[perm])
+        base, _ = A.guided_attention_unit(x, Tensor(_one(guide)), p, _one(mask))
+        shuffled, _ = A.guided_attention_unit(x, Tensor(_one(guide[perm])), p,
+                                              _one(mask[perm]))
         npt.assert_allclose(shuffled.data, base.data, atol=1e-10)
 
 
 def test_self_attention_single_position_attends_itself():
     rng = np.random.default_rng(7)
     p = A.init_attn_unit(rng, 4, 2, 16)
-    _, trace = A.self_attention_unit(Tensor(rng.standard_normal((1, 4))), p)
-    for head in trace.heads:
+    _, trace = A.self_attention_unit(Tensor(rng.standard_normal((1, 1, 4))), p)
+    for head in trace.heads[0]:
         npt.assert_allclose(head, np.ones((1, 1)))
 
 
 def test_self_attention_is_guided_with_self_guide():
     rng = np.random.default_rng(8)
     p = A.init_attn_unit(rng, 4, 2, 16)
-    x = Tensor(rng.standard_normal((3, 4)))
+    x = Tensor(rng.standard_normal((1, 3, 4)))
     a, _ = A.self_attention_unit(x, p)
     b, _ = A.guided_attention_unit(x, x, p)
     npt.assert_array_equal(a.data, b.data)
@@ -255,9 +263,9 @@ def test_trace_rows_are_distributions():
     for seed in range(100):
         rng = np.random.default_rng(6000 + seed)
         p = A.init_attn_unit(rng, 4, 2, 8)
-        x = Tensor(rng.standard_normal((int(rng.integers(1, 6)), 4)))
+        x = Tensor(rng.standard_normal((1, int(rng.integers(1, 6)), 4)))
         _, trace = A.self_attention_unit(x, p)
-        for head in trace.heads:
+        for head in trace.heads[0]:
             npt.assert_allclose(head.sum(axis=1), np.ones(head.shape[0]), atol=1e-6)
             assert (head >= 0.0).all() and (head <= 1.0).all()
 
@@ -265,8 +273,8 @@ def test_trace_rows_are_distributions():
 def test_unit_grad_check():
     rng = np.random.default_rng(9)
     p = A.init_attn_unit(rng, 4, 2, 8)
-    guide = Tensor(rng.standard_normal((3, 4)))
-    x = Tensor(rng.standard_normal((2, 4)))
+    guide = Tensor(rng.standard_normal((1, 3, 4)))
+    x = Tensor(rng.standard_normal((1, 2, 4)))
 
     def wrt_x(t):
         return A.guided_attention_unit(t, guide, p)[0]
@@ -297,14 +305,14 @@ def test_unit_grad_check():
 def test_unit_ignores_masked_guide_content():
     rng = np.random.default_rng(10)
     p = A.init_attn_unit(rng, 4, 2, 8)
-    x = Tensor(rng.standard_normal((2, 4)))
-    guide = rng.standard_normal((4, 4))
-    mask = np.array([True, True, False, False])
+    x = Tensor(rng.standard_normal((1, 2, 4)))
+    guide = rng.standard_normal((1, 4, 4))
+    mask = np.array([[True, True, False, False]])
     base, trace = A.guided_attention_unit(x, Tensor(guide), p, mask)
-    for head in trace.heads:
+    for head in trace.heads[0]:
         assert (head[:, 2:] == 0.0).all()
     corrupted = guide.copy()
-    corrupted[2:] = 1e3
+    corrupted[0, 2:] = 1e3
     out, _ = A.guided_attention_unit(x, Tensor(corrupted), p, mask)
     npt.assert_allclose(out.data, base.data, atol=1e-10)
 
@@ -312,10 +320,10 @@ def test_unit_ignores_masked_guide_content():
 def test_trace_json_shape():
     rng = np.random.default_rng(11)
     p = A.init_attn_unit(rng, 4, 2, 8)
-    _, trace = A.self_attention_unit(Tensor(rng.standard_normal((2, 4))), p, label="sa.0")
+    _, trace = A.self_attention_unit(Tensor(rng.standard_normal((1, 2, 4))), p, label="sa.0")
     trace.query_tokens = ["a", "b"]
     trace.key_tokens = ["a", "b"]
-    d = trace.to_json_dict()
+    d = trace.row(0).to_json_dict()
     assert d["unit"] == "sa.0"
     assert len(d["heads"]) == 2
     assert np.asarray(d["heads"][0]).shape == (2, 2)
@@ -331,18 +339,22 @@ def test_sdpa_batch_matches_row_by_row_calls():
         v = rng.standard_normal((batch, n, 6))
         mask = rng.random((batch, n)) < 0.7
         mask[:, 0] = True
-        shared_k, shared_v = k[0], v[0]
         out, w = A.sdpa(Tensor(q), Tensor(k), Tensor(v), mask, heads)
-        out_s, w_s = A.sdpa(Tensor(q), Tensor(shared_k), Tensor(shared_v), mask[0], heads)
+        # the rows of all batch entries side by side, against row 0's keys
+        out_s, w_s = A.sdpa(Tensor(q.reshape(1, batch * m, 4)), Tensor(k[:1]), Tensor(v[:1]),
+                            mask[:1], heads)
         assert out.data.shape == (batch, m, 6) and w.data.shape == (batch, heads, m, n)
         for b in range(batch):
-            row_out, row_w = A.sdpa(Tensor(q[b]), Tensor(k[b]), Tensor(v[b]), mask[b], heads)
-            npt.assert_allclose(out.data[b], row_out.data, rtol=0, atol=1e-12)
-            npt.assert_allclose(w.data[b], row_w.data, rtol=0, atol=1e-12)
-            row_out, row_w = A.sdpa(Tensor(q[b]), Tensor(shared_k), Tensor(shared_v),
-                                    mask[0], heads)
-            npt.assert_allclose(out_s.data[b], row_out.data, rtol=0, atol=1e-12)
-            npt.assert_allclose(w_s.data[b], row_w.data, rtol=0, atol=1e-12)
+            row = slice(b, b + 1)
+            row_out, row_w = A.sdpa(Tensor(q[row]), Tensor(k[row]), Tensor(v[row]), mask[row],
+                                    heads)
+            npt.assert_allclose(out.data[b], row_out.data[0], rtol=0, atol=1e-12)
+            npt.assert_allclose(w.data[b], row_w.data[0], rtol=0, atol=1e-12)
+            row_out, row_w = A.sdpa(Tensor(q[row]), Tensor(k[:1]), Tensor(v[:1]), mask[:1],
+                                    heads)
+            side = slice(b * m, (b + 1) * m)
+            npt.assert_allclose(out_s.data[0, side], row_out.data[0], rtol=0, atol=1e-12)
+            npt.assert_allclose(w_s.data[0, :, side], row_w.data[0], rtol=0, atol=1e-12)
 
 
 def test_sdpa_batch_shape_and_mask_errors():
@@ -354,16 +366,17 @@ def test_sdpa_batch_shape_and_mask_errors():
         A.sdpa(q, kv, kv, np.ones((2, 4), dtype=bool))
     with pytest.raises(ShapeError):
         A.sdpa(q, Tensor(np.zeros((3, 5, 4))), Tensor(np.zeros((3, 5, 4))))
-    with pytest.raises(ShapeError):  # 2-d queries take 2-d keys only
+    flat = Tensor(np.zeros((5, 4)))
+    with pytest.raises(ShapeError):  # unbatched queries, keys or values
         A.sdpa(Tensor(np.zeros((3, 4))), kv, kv)
     with pytest.raises(ShapeError):
-        A.sdpa(q, kv, Tensor(np.zeros((5, 4))))
-    for mask in (np.ones((3, 5), dtype=bool), np.ones((1, 5), dtype=bool)):
+        A.sdpa(q, flat, flat)
+    with pytest.raises(ShapeError):
+        A.sdpa(q, kv, flat)
+    for mask in (np.ones((3, 5), dtype=bool), np.ones((1, 5), dtype=bool),
+                 np.ones(5, dtype=bool)):
         with pytest.raises(ShapeError):  # one mask row per query batch row
             A.sdpa(q, kv, kv, mask)
-    with pytest.raises(ShapeError):
-        flat = Tensor(np.zeros((5, 4)))
-        A.sdpa(Tensor(np.zeros((3, 4))), flat, flat, np.ones((2, 5), dtype=bool))
 
 
 def test_guided_unit_batch_matches_row_by_row_units():
@@ -374,11 +387,12 @@ def test_guided_unit_batch_matches_row_by_row_units():
     mask = np.arange(5) < np.array([[5], [2], [4]])
     out, trace = A.guided_attention_unit(Tensor(x), Tensor(guide), p, mask=mask)
     for b in range(3):
-        row_out, row_trace = A.guided_attention_unit(Tensor(x[b]), Tensor(guide[b]), p,
-                                                     mask=mask[b])
-        npt.assert_allclose(out.data[b], row_out.data, rtol=0, atol=1e-12)
+        row = slice(b, b + 1)
+        row_out, row_trace = A.guided_attention_unit(Tensor(x[row]), Tensor(guide[row]), p,
+                                                     mask=mask[row])
+        npt.assert_allclose(out.data[b], row_out.data[0], rtol=0, atol=1e-12)
         one = trace.row(b)
-        npt.assert_allclose(one.heads, row_trace.heads, rtol=0, atol=1e-12)
+        npt.assert_allclose(one.heads, row_trace.heads[0], rtol=0, atol=1e-12)
 
 
 def test_trace_row_picks_per_row_or_shared_tokens():

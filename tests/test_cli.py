@@ -63,6 +63,7 @@ def test_train_emits_reports_and_final_metrics(tmp_path, capsys):
     assert (out / "model.canckpt").exists()
     for report in lines[:-1]:
         assert "mean_loss" in report and "wall_time" in report
+        assert report["instances_per_s"] > 0
 
 
 def test_train_flags_override_config_file(tmp_path, capsys):
@@ -270,3 +271,24 @@ def test_eval_reports_object_width_mismatch(trained_run, tmp_path, capsys):
     assert errors == [f"error: {narrow[0].instance_id}: object features are 4 wide, "
                       f"the model expects 8"]
     assert not any("Traceback" in line for line in err)
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "inspect"])
+def test_out_pointing_at_a_file_is_a_usage_error(trained_run, tmp_path, capsys, command):
+    data, ckpt = trained_run
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    inst_id = json.loads((data / cli.TRAIN_FILE).read_text().splitlines()[0])["instance_id"]
+    argv = {
+        "synth": ["synth", "--n", "2"],
+        "train": ["train", "--data", str(data), *_FAST],
+        "inspect": ["inspect", "--ckpt", str(ckpt), "--data", str(data),
+                    "--instance-id", inst_id],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err == [f"error: --out is not a directory: {taken}"]
+    assert taken.read_text() == "keep me\n"

@@ -14,11 +14,12 @@ from vcrnet.tensor import Tensor, ShapeError
 
 
 def _seq(rng, texts, d=4, mask=None):
+    """One sequence of random positions, as a batch of one."""
     m = len(texts)
     return GroundedSeq(
-        Tensor(rng.standard_normal((m, d))),
-        [TaggedToken(t) for t in texts],
-        np.ones(m, dtype=bool) if mask is None else np.asarray(mask, dtype=bool),
+        Tensor(rng.standard_normal((1, m, d))),
+        [[TaggedToken(t) for t in texts]],
+        np.ones((1, m), dtype=bool) if mask is None else np.asarray([mask], dtype=bool),
     )
 
 
@@ -39,18 +40,23 @@ def test_join_concatenates_query_first():
     r = _seq(rng, ["c", "d", "e"])
     joint = C.join(q, r)
     assert joint.m_query == 2
-    npt.assert_array_equal(joint.positions.data[:2], q.positions.data)
-    npt.assert_array_equal(joint.positions.data[2:], r.positions.data)
-    assert joint.texts == ["a", "b", "c", "d", "e"]
+    npt.assert_array_equal(joint.positions.data[:, :2], q.positions.data)
+    npt.assert_array_equal(joint.positions.data[:, 2:], r.positions.data)
+    assert joint.texts == [["a", "b", "c", "d", "e"]]
+    assert joint.mask.shape == (1, 5)
 
 
 def test_join_rejects_width_mismatch_and_empty_response():
     rng = np.random.default_rng(1)
     with pytest.raises(ShapeError):
         C.join(_seq(rng, ["a"], d=4), _seq(rng, ["b"], d=6))
-    empty = GroundedSeq(Tensor(np.zeros((0, 4)).reshape(0, 4)), [], np.zeros(0, dtype=bool))
+    empty = GroundedSeq(Tensor(np.zeros((1, 0, 4))), [[]], np.zeros((1, 0), dtype=bool))
     with pytest.raises(ShapeError):
         C.join(_seq(rng, ["a"]), empty)
+    two = GroundedSeq(Tensor(np.zeros((2, 1, 4))), [[TaggedToken("b")]] * 2,
+                      np.ones((2, 1), dtype=bool))
+    with pytest.raises(ShapeError):  # one query row per response row
+        C.join(_seq(rng, ["a"]), two)
 
 
 def test_coattend_output_shapes():
@@ -59,8 +65,8 @@ def test_coattend_output_shapes():
     r = _seq(rng, ["d", "e"])
     p = _params(rng, depth=2)
     zq, zr, traces = C.coattend(C.join(q, r), q, r, p)
-    assert zq.data.shape == (3, 4)
-    assert zr.data.shape == (2, 4)
+    assert zq.data.shape == (1, 3, 4)
+    assert zr.data.shape == (1, 2, 4)
     # 2 layers x 2 modules x (SA + GA)
     assert len(traces) == 8
     assert traces[0].unit == "coattn.q.sa.0"
@@ -97,9 +103,9 @@ def test_coattend_masks_padding_in_guide():
         _, _, traces = C.coattend(C.join(q, r), q, r, p)
         for tr in traces:
             if "ga" in tr.unit:
-                for head in tr.heads:
+                for head in tr.heads[0]:
                     assert (head[:, 4] == 0.0).all()
-            for head in tr.heads:
+            for head in tr.heads[0]:
                 npt.assert_allclose(head.sum(axis=1), np.ones(head.shape[0]), atol=1e-6)
 
 
@@ -110,8 +116,8 @@ def test_query_module_blind_to_response_order_in_guide():
     p = _params(rng, depth=1)
     base_q, _, _ = C.coattend(C.join(q, r), q, r, p)
     perm = np.array([2, 0, 1])
-    r_shuffled = GroundedSeq(Tensor(r.positions.data[perm]),
-                             [r.tokens[i] for i in perm], r.mask[perm])
+    r_shuffled = GroundedSeq(Tensor(r.positions.data[:, perm]),
+                             [[r.tokens[0][i] for i in perm]], r.mask[:, perm])
     shuffled_q, _, _ = C.coattend(C.join(q, r_shuffled), q, r_shuffled, p)
     npt.assert_allclose(shuffled_q.data, base_q.data, atol=1e-10)
 
@@ -133,10 +139,26 @@ def test_lstm_encoder_splits_by_provenance():
     joint = C.join(q, r)
     p = init_bilstm(rng, 4, 2)
     zq, zr, traces = C.lstm_encode(joint, p)
-    full = bilstm(joint.positions, p).data
-    npt.assert_array_equal(zq.data, full[:2])
-    npt.assert_array_equal(zr.data, full[2:])
+    full = bilstm(joint.positions.transpose((1, 0, 2)), p).data.transpose(1, 0, 2)
+    npt.assert_array_equal(zq.data, full[:, :2])
+    npt.assert_array_equal(zr.data, full[:, 2:])
     assert traces == []
+
+
+def test_lstm_encoder_reads_real_positions_packed():
+    # query padding sits between the query and the response; the encoder
+    # must read only the real positions, as if they were contiguous
+    rng = np.random.default_rng(12)
+    p = init_bilstm(rng, 4, 2)
+    q = _seq(rng, ["a", "b", "<pad>"], mask=[True, True, False])
+    r = _seq(rng, ["c", "d", "<pad>"], mask=[True, True, False])
+    zq, zr, _ = C.lstm_encode(C.join(q, r), p)
+    packed = np.concatenate([q.positions.data[:, :2], r.positions.data[:, :2]], axis=1)
+    want = bilstm(Tensor(packed.transpose(1, 0, 2)), p).data.transpose(1, 0, 2)
+    npt.assert_allclose(zq.data[:, :2], want[:, :2], rtol=0, atol=1e-12)
+    npt.assert_allclose(zr.data[:, :2], want[:, 2:], rtol=0, atol=1e-12)
+    npt.assert_array_equal(zq.data[:, 2], 0.0)
+    npt.assert_array_equal(zr.data[:, 2], 0.0)
 
 
 def test_coattention_grad_check_minimal_instance():
@@ -145,8 +167,8 @@ def test_coattention_grad_check_minimal_instance():
     p = _params(rng, depth=1)
 
     def f(t):
-        q = GroundedSeq(t, [TaggedToken("a"), TaggedToken("b")], np.ones(2, dtype=bool))
+        q = GroundedSeq(t, [[TaggedToken("a"), TaggedToken("b")]], np.ones((1, 2), dtype=bool))
         zq, zr, _ = C.coattend(C.join(q, r), q, r, p)
-        return T.concat([zq, zr], axis=0)
+        return T.concat([zq, zr], axis=1)
 
-    assert T.grad_check(f, Tensor(rng.standard_normal((2, 4)))) < 1e-4
+    assert T.grad_check(f, Tensor(rng.standard_normal((1, 2, 4)))) < 1e-4

@@ -5,6 +5,7 @@ from vcrnet.data import TASK_Q2A
 from vcrnet.diagnostics import (
     CheckResult,
     _stage_name,
+    end_to_end_checks,
     layer_checks,
     probe_instance,
     probe_model,
@@ -54,3 +55,17 @@ def test_check_result_serializes():
     blob = r.to_json_dict()
     assert blob == {"name": "x/y", "max_rel_err": 1.5e-9, "coords": 12,
                     "seconds": 0.123}
+
+
+@pytest.mark.parametrize("overrides", [{"ga": False}, {"encoder": "lstm"}],
+                         ids=["no-ga", "lstm"])
+def test_end_to_end_sweep_of_ablation_probe_models(overrides):
+    # the A1 end-to-end sweep covers the default model; the two ablations
+    # take other paths (no guided fusion, the masked BiLSTM encoder)
+    model = probe_model(**overrides)
+    results = end_to_end_checks(model=model)
+    assert [r.name for r in results] == [f"end_to_end/{s}"
+                                         for s in ("encode", "fuse", "joint", "head")]
+    assert sum(r.coords for r in results) == model.num_parameters()
+    worst = max(r.max_rel_err for r in results)
+    assert worst <= 1e-4, f"worst relative error {worst:.2e}"

@@ -133,22 +133,29 @@ def _zero_bilstm(d_in, d_h):
     return L.BiLstmParams(fwd=direction(), bwd=direction())
 
 
+def _alone(x, p):
+    """bilstm over one (T, d) sequence, run as a time-major batch of one."""
+    return L.bilstm(Tensor(np.asarray(x)[:, None]), p).data[:, 0]
+
+
 def test_bilstm_zero_weights_zero_states():
     p = _zero_bilstm(3, 2)
-    out = L.bilstm(Tensor(np.random.default_rng(0).standard_normal((4, 3))), p)
-    npt.assert_allclose(out.data, np.zeros((4, 4)))
+    out = _alone(np.random.default_rng(0).standard_normal((4, 3)), p)
+    npt.assert_allclose(out, np.zeros((4, 4)))
 
 
 def test_bilstm_single_step_sequence():
     p = L.init_bilstm(np.random.default_rng(1), 3, 2)
-    out = L.bilstm(Tensor(np.ones((1, 3))), p)
-    assert out.data.shape == (1, 4)
+    out = L.bilstm(Tensor(np.ones((1, 1, 3))), p)
+    assert out.data.shape == (1, 1, 4)
 
 
 def test_bilstm_rejects_empty_sequence():
     p = L.init_bilstm(np.random.default_rng(1), 3, 2)
     with pytest.raises(ShapeError):
-        L.bilstm(Tensor(np.zeros((0, 3))), p)
+        L.bilstm(Tensor(np.zeros((0, 1, 3))), p)
+    with pytest.raises(ShapeError):  # an unbatched sequence
+        L.bilstm(Tensor(np.zeros((2, 3))), p)
 
 
 def _np_lstm_direction(x, p, reverse):
@@ -183,7 +190,7 @@ def test_bilstm_matches_unrolled_cell_oracle():
         rng = np.random.default_rng(300 + seed)
         p = L.init_bilstm(rng, 3, 2)
         x = rng.standard_normal((3, 3))
-        got = L.bilstm(Tensor(x), p).data
+        got = _alone(x, p)
         want = np.concatenate(
             [_np_lstm_direction(x, p.fwd, False), _np_lstm_direction(x, p.bwd, True)],
             axis=1,
@@ -195,10 +202,10 @@ def test_bilstm_causality():
     rng = np.random.default_rng(6)
     p = L.init_bilstm(rng, 3, 2)
     x = rng.standard_normal((5, 3))
-    base = L.bilstm(Tensor(x), p).data
+    base = _alone(x, p)
     bumped = x.copy()
     bumped[3] += 1.0
-    out = L.bilstm(Tensor(bumped), p).data
+    out = _alone(bumped, p)
     # forward half before t=3 and backward half after t=3 cannot see the bump
     npt.assert_array_equal(out[:3, :2], base[:3, :2])
     npt.assert_array_equal(out[4:, 2:], base[4:, 2:])
@@ -208,7 +215,7 @@ def test_bilstm_causality():
 def test_bilstm_grad_check_sequence_and_weights():
     rng = np.random.default_rng(13)
     p = L.init_bilstm(rng, 3, 2)
-    x = Tensor(rng.standard_normal((2, 3)))
+    x = Tensor(rng.standard_normal((2, 1, 3)))
     assert T.grad_check(lambda t: L.bilstm(t, p), x) < 1e-6
 
     def wrt_wh(t):
@@ -223,8 +230,11 @@ def test_bilstm_grad_check_sequence_and_weights():
 
 
 def _ragged_batch(rng, lengths, d_in=3):
-    """A time-major (T, B, d_in) batch with random values in the padded rows too."""
-    return rng.standard_normal((max(lengths), len(lengths), d_in))
+    """A time-major (T, B, d_in) batch with random values in the padded rows
+    too, and its (T, B) step mask."""
+    steps = max(lengths)
+    return (rng.standard_normal((steps, len(lengths), d_in)),
+            np.arange(steps)[:, None] < np.asarray(lengths))
 
 
 def test_bilstm_batch_matches_each_sequence_alone():
@@ -232,37 +242,62 @@ def test_bilstm_batch_matches_each_sequence_alone():
         rng = np.random.default_rng(400 + seed)
         p = L.init_bilstm(rng, 3, 2)
         lengths = rng.integers(1, 6, size=4)
-        x = _ragged_batch(rng, lengths)
-        got = L.bilstm(Tensor(x), p, lengths).data
+        x, mask = _ragged_batch(rng, lengths)
+        got = L.bilstm(Tensor(x), p, mask).data
         for b, n in enumerate(lengths):
-            alone = L.bilstm(Tensor(x[:n, b]), p).data
-            npt.assert_allclose(got[:n, b], alone, rtol=0, atol=1e-12)
+            npt.assert_allclose(got[:n, b], _alone(x[:n, b], p), rtol=0, atol=1e-12)
 
 
 def test_bilstm_batch_padding_is_zero_and_gets_no_gradient():
     rng = np.random.default_rng(14)
     p = L.init_bilstm(rng, 3, 2)
-    lengths = np.array([2, 5, 1])
-    x = Tensor(_ragged_batch(rng, lengths), requires_grad=True)
+    values, mask = _ragged_batch(rng, [2, 5, 1])
+    x = Tensor(values, requires_grad=True)
     with T.Tape() as tape:
-        out = L.bilstm(x, p, lengths)
+        out = L.bilstm(x, p, mask)
         tape.seed(out, rng.standard_normal(out.data.shape))
-    padded = np.arange(5)[:, None] >= lengths
+    padded = ~mask
     assert padded.sum() == 7
     npt.assert_array_equal(out.data[padded], 0.0)
     npt.assert_array_equal(x.grad[padded], 0.0)
     assert (x.grad[~padded] != 0.0).all()
-    assert T.grad_check(lambda t: L.bilstm(t, p, lengths), x) < 1e-6
+    assert T.grad_check(lambda t: L.bilstm(t, p, mask), x) < 1e-6
+
+
+def test_bilstm_mask_gap_matches_packed_real_steps():
+    # live steps with gaps between them, as in a padded query followed by a
+    # padded response
+    rng = np.random.default_rng(15)
+    p = L.init_bilstm(rng, 3, 2)
+    mask = np.array([[1, 1, 0], [0, 1, 1], [0, 1, 0], [1, 0, 1], [1, 1, 1]], dtype=bool)
+    x = Tensor(rng.standard_normal((5, 3, 3)), requires_grad=True)
+    seed = rng.standard_normal((5, 3, 4))
+    with T.Tape() as tape:
+        out = L.bilstm(x, p, mask)
+        tape.seed(out, seed)
+    for b in range(3):
+        live = np.flatnonzero(mask[:, b])
+        packed = Tensor(x.data[live, b][:, None], requires_grad=True)
+        with T.Tape() as tape:
+            alone = L.bilstm(packed, p)
+            tape.seed(alone, seed[live, b][:, None])
+        npt.assert_allclose(out.data[live, b], alone.data[:, 0], rtol=0, atol=1e-12)
+        npt.assert_allclose(x.grad[live, b], packed.grad[:, 0], rtol=0, atol=1e-12)
+        npt.assert_array_equal(out.data[~mask[:, b], b], 0.0)
+        npt.assert_array_equal(x.grad[~mask[:, b], b], 0.0)
+    assert T.grad_check(lambda t: L.bilstm(t, p, mask), x) < 1e-6
 
 
 def test_bilstm_batch_rejects_bad_lengths():
+    # the step mask must be a (T, B) boolean array with a live step per sequence
     p = L.init_bilstm(np.random.default_rng(1), 3, 2)
     x = Tensor(np.zeros((3, 2, 3)))
-    for lengths in ([3], [0, 2], [4, 1], [[1, 2]]):
+    for mask in (np.ones((3, 1), dtype=bool), np.ones((2, 2), dtype=bool),
+                 np.array([[True, False]] * 3), np.ones(2, dtype=bool), np.ones((3, 2))):
         with pytest.raises(ShapeError):
-            L.bilstm(x, p, np.array(lengths))
+            L.bilstm(x, p, mask)
     with pytest.raises(ShapeError):
-        L.bilstm(Tensor(np.zeros((3, 3))), p, np.array([2]))
+        L.bilstm(Tensor(np.zeros((3, 3))), p, np.ones((3, 1), dtype=bool))
 
 
 def test_init_bounds_and_forget_bias():

@@ -14,9 +14,10 @@ from vcrnet.data import (
     TaskExample,
     VcrInstance,
     Vocab,
+    synth_generate,
 )
 from vcrnet.diagnostics import probe_instance
-from vcrnet.model import CANDIDATES, TaskForward, VcrModel
+from vcrnet.model import CANDIDATES, CHUNK_POSITIONS, TaskForward, TaskInput, VcrModel, chunked
 from vcrnet.tensor import Tape, Tensor
 from vcrnet.training import task_loss
 
@@ -266,7 +267,7 @@ _ARCHITECTURES = {"default": {}, "no-ga": {"ga": False}, "lstm": {"encoder": "ls
 def _grads(model, logits, gold):
     model.zero_grad()
     with Tape() as tape:
-        tape.backward(task_loss(logits(), gold))
+        tape.backward(task_loss(logits(), gold).sum())
     return {name: t.grad for name, t in model.named_parameters()}
 
 
@@ -315,3 +316,61 @@ def test_lengthening_one_candidate_leaves_the_others(ga, encoder):
     moved = model.forward_example(ex_long, inst.objects, inst.object_labels).logits.data
     npt.assert_allclose(moved[:3], base[:3], rtol=0, atol=1e-12)
     assert moved[3] != base[3]
+
+
+@pytest.mark.parametrize("arch", sorted(_ARCHITECTURES))
+def test_chunk_matches_loop_of_one_task_forwards(arch):
+    # Q2A and QA2R tasks of three instances, with different query lengths
+    # and with 4 and 6 objects, scored as one chunk
+    insts = synth_generate(21, 2) + synth_generate(22, 1, k_objects=6)
+    tasks = [TaskInput.of(inst, kind) for inst in insts for kind in (TASK_Q2A, TASK_QA2R)]
+    assert len({len(t.example.query) for t in tasks}) > 2
+    assert {t.objects.shape[0] for t in tasks} == {4, 6}
+    model = VcrModel.build(_config(**_ARCHITECTURES[arch]), Vocab.build(insts),
+                           insts[0].objects.shape[1], np.random.default_rng(13))
+    _randomize_head(model)
+    golds = [t.example.gold for t in tasks]
+
+    chunk = model.forward_chunk(tasks)
+    assert chunk.logits.data.shape == (len(tasks), CANDIDATES)
+    assert [ex.instance_id for ex in chunk.examples] == [t.example.instance_id for t in tasks]
+    loop = np.stack([model.forward_example(*t).logits.data for t in tasks])
+    npt.assert_allclose(chunk.logits.data, loop, rtol=0, atol=1e-12)
+    assert [r.logits for r in chunk.records()] == chunk.logits.data.tolist()
+    for trace in chunk.traces:
+        assert trace.heads.shape[0] == CANDIDATES * len(tasks)
+
+    def loop_loss():
+        losses = [task_loss(model.forward_example(*t).logits, t.example.gold) for t in tasks]
+        total = losses[0]
+        for loss in losses[1:]:
+            total = total + loss
+        return total
+
+    with_chunk = _grads(model, lambda: model.forward_chunk(tasks).logits, golds)
+    model.zero_grad()
+    with Tape() as tape:
+        tape.backward(loop_loss())
+    with_loop = {name: t.grad for name, t in model.named_parameters()}
+    for name, grad in with_chunk.items():
+        if grad is None:  # obj_proj feeds only the guided fusion
+            assert arch == "no-ga" and name.startswith("obj_proj") and with_loop[name] is None
+            continue
+        npt.assert_allclose(grad, with_loop[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_chunks_respect_the_position_bound():
+    insts = synth_generate(5, 12)
+    tasks = [TaskInput.of(inst, kind) for inst in insts for kind in (TASK_Q2A, TASK_QA2R)]
+    chunks = list(chunked(tasks))
+    assert [t for chunk in chunks for t in chunk] == tasks
+    assert max(len(chunk) for chunk in chunks) > 1
+    for chunk in chunks:
+        m_q = max(len(t.example.query) for t in chunk)
+        w = max(len(r) for t in chunk for r in t.example.responses)
+        assert CANDIDATES * len(chunk) * (m_q + w) <= CHUNK_POSITIONS
+    # a task too long for the bound still gets a chunk of its own
+    inst = _ragged_inst()
+    long_q = TaskExample(inst.instance_id, TASK_Q2A, inst.question * 20, inst.answers, 0)
+    long = TaskInput(long_q, inst.objects, inst.object_labels)
+    assert [len(c) for c in chunked([long, long, tasks[0]])] == [1, 1, 1]

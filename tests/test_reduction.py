@@ -19,33 +19,33 @@ def _zero_mlp(d):
 
 def test_reduce_zero_mlp_pools_uniformly():
     rng = np.random.default_rng(0)
-    Z = rng.standard_normal((5, 4))
+    Z = rng.standard_normal((1, 5, 4))
     pooled, alpha = R.reduce(Tensor(Z), None, _zero_mlp(4))
-    npt.assert_allclose(alpha.data, np.full(5, 0.2), atol=1e-12)
-    npt.assert_allclose(pooled.data, Z.mean(axis=0, keepdims=True), atol=1e-12)
+    npt.assert_allclose(alpha.data, np.full((1, 5), 0.2), atol=1e-12)
+    npt.assert_allclose(pooled.data, Z.mean(axis=1), atol=1e-12)
 
 
 def test_reduce_zero_mlp_with_mask_means_unmasked_rows():
     rng = np.random.default_rng(1)
-    Z = rng.standard_normal((4, 4))
-    mask = np.array([True, False, True, False])
+    Z = rng.standard_normal((1, 4, 4))
+    mask = np.array([[True, False, True, False]])
     pooled, alpha = R.reduce(Tensor(Z), mask, _zero_mlp(4))
-    npt.assert_allclose(alpha.data, [0.5, 0.0, 0.5, 0.0], atol=1e-12)
-    assert alpha.data[1] == 0.0 and alpha.data[3] == 0.0
-    npt.assert_allclose(pooled.data[0], Z[[0, 2]].mean(axis=0), atol=1e-12)
+    npt.assert_allclose(alpha.data[0], [0.5, 0.0, 0.5, 0.0], atol=1e-12)
+    assert alpha.data[0, 1] == 0.0 and alpha.data[0, 3] == 0.0
+    npt.assert_allclose(pooled.data[0], Z[0, [0, 2]].mean(axis=0), atol=1e-12)
 
 
 def test_reduce_single_row():
     rng = np.random.default_rng(2)
-    Z = rng.standard_normal((1, 6))
+    Z = rng.standard_normal((1, 1, 6))
     pooled, alpha = R.reduce(Tensor(Z), None, _zero_mlp(6))
-    npt.assert_allclose(alpha.data, [1.0])
-    npt.assert_allclose(pooled.data, Z)
+    npt.assert_allclose(alpha.data, [[1.0]])
+    npt.assert_allclose(pooled.data, Z[0])
 
 
 def test_reduce_rejects_fully_masked():
     with pytest.raises(ValueError):
-        R.reduce(Tensor(np.zeros((2, 4))), np.array([False, False]), _zero_mlp(4))
+        R.reduce(Tensor(np.zeros((1, 2, 4))), np.array([[False, False]]), _zero_mlp(4))
 
 
 def _np_mlp_scores(Z, p_mlp):
@@ -67,7 +67,7 @@ def test_reduce_matches_scalar_loop_oracle():
         if m > 1 and seed % 2 == 0:
             mask = rng.random(m) < 0.7
             mask[int(rng.integers(m))] = True
-        pooled, alpha = R.reduce(Tensor(Z), mask, p_mlp)
+        pooled, alpha = R.reduce(Tensor(Z[None]), None if mask is None else mask[None], p_mlp)
         scores = _np_mlp_scores(Z, p_mlp)
         if mask is not None:
             scores[~mask] = -1e9
@@ -76,7 +76,7 @@ def test_reduce_matches_scalar_loop_oracle():
         want = np.zeros(d)
         for i in range(m):
             want += want_alpha[i] * Z[i]
-        worst = max(worst, np.abs(alpha.data - want_alpha).max(),
+        worst = max(worst, np.abs(alpha.data[0] - want_alpha).max(),
                     np.abs(pooled.data[0] - want).max())
     assert worst < 1e-10
 
@@ -124,9 +124,9 @@ def test_fresh_classifier_scores_zero():
 def test_reduction_grad_checks():
     rng = np.random.default_rng(6)
     p_mlp = init_mlp(rng, [4, 2, 1])
-    mask = np.array([True, True, False, True])
+    mask = np.array([[True, True, False, True]])
     assert T.grad_check(
-        lambda t: R.reduce(t, mask, p_mlp)[0], Tensor(rng.standard_normal((4, 4)))
+        lambda t: R.reduce(t, mask, p_mlp)[0], Tensor(rng.standard_normal((1, 4, 4)))
     ) < 1e-6
 
     p = R.init_reduction(rng, 4, 4)
@@ -155,9 +155,9 @@ def test_batched_reduce_and_fuse_match_row_by_row():
     assert pooled.data.shape == (3, 4) and alpha.data.shape == (3, 5)
     npt.assert_array_equal(alpha.data[~mask], 0.0)
     for b in range(3):
-        row_pooled, row_alpha = R.reduce(Tensor(Z[b]), mask[b], p.mlp_q)
+        row_pooled, row_alpha = R.reduce(Tensor(Z[b:b + 1]), mask[b:b + 1], p.mlp_q)
         npt.assert_allclose(pooled.data[b], row_pooled.data[0], rtol=0, atol=1e-12)
-        npt.assert_allclose(alpha.data[b], row_alpha.data, rtol=0, atol=1e-12)
+        npt.assert_allclose(alpha.data[b], row_alpha.data[0], rtol=0, atol=1e-12)
     zr = rng.standard_normal((3, 4))
     fused = R.fuse(pooled, Tensor(zr), p)
     for b in range(3):
@@ -167,3 +167,5 @@ def test_batched_reduce_and_fuse_match_row_by_row():
     for bad in (mask[0], mask[:2]):
         with pytest.raises(ShapeError):
             R.reduce(Tensor(Z), bad, p.mlp_q)
+    with pytest.raises(ShapeError):  # an unbatched sequence
+        R.reduce(Tensor(Z[0]), mask[0], p.mlp_q)

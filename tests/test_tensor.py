@@ -4,8 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import all_gradients
+
 from vcrnet import tensor as T
+from vcrnet.data import TASK_Q2A, TASK_QA2R
+from vcrnet.diagnostics import probe_instance, probe_model
+from vcrnet.model import TaskInput
 from vcrnet.tensor import Tensor, Tape, ShapeError
+from vcrnet.training import task_loss
 
 
 def test_matmul_matches_triple_loop():
@@ -354,20 +360,47 @@ def test_grad_check_batched_matmul():
     assert T.grad_check(lambda t: a @ t, paired) < 1e-7
 
 
-def test_tile_stacks_copies_and_sums_their_gradients():
+def test_repeat_copies_rows_and_sums_their_gradients():
     rng = np.random.default_rng(14)
     x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     with Tape() as tape:
-        y = T.tile(x, 4)
-        seed = rng.standard_normal((4, 2, 3))
+        y = T.repeat(x, 4)
+        seed = rng.standard_normal((8, 3))
         tape.seed(y, seed)
-    assert y.data.shape == (4, 2, 3)
-    for b in range(4):
-        npt.assert_array_equal(y.data[b], x.data)
-    npt.assert_allclose(x.grad, seed.sum(axis=0), rtol=0, atol=1e-12)
-    assert T.grad_check(lambda t: T.tile(t, 3), x) < 1e-7
+    assert y.data.shape == (8, 3)
+    for b in range(8):
+        npt.assert_array_equal(y.data[b], x.data[b // 4])
+    npt.assert_allclose(x.grad, seed.reshape(2, 4, 3).sum(axis=1), rtol=0, atol=1e-12)
+    assert T.grad_check(lambda t: T.repeat(t, 3), x) < 1e-7
+    assert T.grad_check(lambda t: T.repeat(t, 2), Tensor(rng.standard_normal((3, 2, 2)))) < 1e-7
     with pytest.raises(ShapeError):
-        T.tile(x, 0)
+        T.repeat(x, 0)
+    with pytest.raises(ShapeError):
+        T.repeat(Tensor(np.array(1.0)), 2)
+
+
+def test_seed_writes_leaves_only_and_matches_full_accumulation():
+    # a chunk forward of the probe model: the leaves are its parameters
+    inst = probe_instance()
+    model = probe_model(inst)
+    tasks = [TaskInput.of(inst, kind) for kind in (TASK_Q2A, TASK_QA2R)]
+    with Tape() as tape:
+        logits = model.forward_chunk(tasks).logits
+        loss = task_loss(logits, [t.example.gold for t in tasks]).sum()
+    want = all_gradients(tape, loss, np.ones_like(loss.data))
+    tape.backward(loss)
+    for _, out, _ in tape._entries:
+        assert out.grad is None
+    for name, p in model.named_parameters():
+        if id(p) in want:
+            assert np.array_equal(p.grad, want[id(p)]), name
+        else:
+            assert p.grad is None, name
+    # a second pass adds the same totals again
+    first = {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
+    tape.backward(loss)
+    for name, grad in first.items():
+        npt.assert_array_equal(dict(model.named_parameters())[name].grad, grad + grad)
 
 
 def test_transpose_permutes_axes():

@@ -104,9 +104,13 @@ def test_train_writes_sidecars_and_log(tmp_path):
     assert len(lines) == len(result.reports)
     entry = json.loads(lines[0])
     for key in ("epoch", "mean_loss", "train_q2a", "train_qa2r",
-                "val_q2a", "val_qa2r", "wall_time"):
+                "val_q2a", "val_qa2r", "wall_time", "instances_per_s"):
         assert key in entry
     assert result.final_report is result.reports[-1]
+    report = result.final_report
+    assert report.instances_per_s == pytest.approx(len(tr) / report.wall_time)
+    # the timings cannot reproduce across runs, so the core leaves them out
+    assert set(report.core()) == set(entry) - {"wall_time", "instances_per_s"}
 
 
 def test_loss_decreases_over_epochs(tmp_path):
