@@ -1,9 +1,9 @@
 """Scaled dot-product attention, multi-head attention, and attention units.
 
-Two unit flavors share one implementation: a self-attention unit reads
-queries, keys, and values from the same sequence; a guided unit takes its
-queries from one sequence and keys/values from another, so the guide
-decides what the first sequence attends to.
+One unit, `guided_attention_unit`, takes its queries from one sequence
+and keys/values from another, so the guide decides what the first sequence
+attends to; a self-attention unit is the same call with the sequence as its
+own guide.
 
 Masking is additive: padded key positions get a -1e9 score before softmax,
 which underflows to an exactly-zero weight. No positional encodings here;
@@ -13,7 +13,7 @@ order information comes from the recurrent grounding stage upstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -71,29 +71,25 @@ class AttentionTrace:
     """Recorded attention weights of one unit, for interpretability export.
 
     A unit records (B, heads, m, n) weights, one m x n matrix per batch row
-    and head, detached from the tape; token labels are attached by the
-    caller that knows them, each token list either shared by all B rows or
-    one list per row. `row(b)` gives the (heads, m, n) trace of row b alone.
+    and head, detached from the tape. A trace holds weights only: the
+    tokens that label its two axes are attached at export, by the caller
+    that knows the inputs. `row(b)` gives the (heads, m, n) trace of row b
+    alone.
     """
 
     unit: str
     heads: np.ndarray
-    query_tokens: list = field(default_factory=list)
-    key_tokens: list = field(default_factory=list)
 
     def row(self, b: int) -> "AttentionTrace":
-        def pick(tokens):
-            return tokens[b] if tokens and isinstance(tokens[0], list) else tokens
+        return AttentionTrace(self.unit, self.heads[b])
 
-        return AttentionTrace(self.unit, self.heads[b], pick(self.query_tokens),
-                              pick(self.key_tokens))
-
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, query_tokens: list, key_tokens: list) -> dict:
+        """The export of a one-row trace, its axes labelled by the given tokens."""
         return {
             "unit": self.unit,
             "heads": [h.tolist() for h in self.heads],
-            "query_tokens": list(self.query_tokens),
-            "key_tokens": list(self.key_tokens),
+            "query_tokens": list(query_tokens),
+            "key_tokens": list(key_tokens),
         }
 
 
@@ -240,13 +236,3 @@ def guided_attention_unit(
     out = layer_norm(y + feed_forward(y, p.ffn, training=training, rng=rng), p.ln2)
     return out, trace
 
-
-def self_attention_unit(
-    x: Tensor,
-    p: AttnUnitParams,
-    mask: Optional[np.ndarray] = None,
-    training: bool = False,
-    rng: Optional[np.random.Generator] = None,
-    label: str = "sa",
-) -> tuple[Tensor, AttentionTrace]:
-    return guided_attention_unit(x, x, p, mask=mask, training=training, rng=rng, label=label)

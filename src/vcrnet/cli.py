@@ -27,6 +27,7 @@ from vcrnet.data import (
     synth_generate,
 )
 from vcrnet.diagnostics import run_all
+from vcrnet.model import TaskInput, trace_labels
 from vcrnet.training import (
     CHECKPOINT_NAME,
     TrainingDiverged,
@@ -120,8 +121,8 @@ def cmd_train(args) -> int:
     result = train(config, train_insts, val_insts, out, progress=progress)
     _emit({
         "metric": "accuracy",
-        "train": evaluate(result.model, train_insts),
-        "val": evaluate(result.model, val_insts) if val_insts else None,
+        "train": result.train_metrics,
+        "val": result.val_metrics,
         "checkpoint": str(out / CHECKPOINT_NAME),
     })
     return 0
@@ -168,11 +169,16 @@ def cmd_inspect(args) -> int:
     out = _out_dir(args.out)
     written = []
     for task in (TASK_Q2A, TASK_QA2R):
-        fwd = model.forward_task(inst, task)
-        exports = [(trace.unit, trace.row(fwd.pred)) for trace in fwd.traces]
-        for name, obj in exports + [("prediction", fwd.record())]:
+        fwd = model.forward_chunk([TaskInput.of(inst, task)])
+        record = fwd.records()[0]
+        blobs = {}
+        for trace in fwd.traces:
+            labels = trace_labels(trace, record.pred, fwd.examples[0], inst.object_labels)
+            blobs[trace.unit] = trace.row(record.pred).to_json_dict(*labels)
+        blobs["prediction"] = record.to_json_dict()
+        for name, blob in blobs.items():
             path = out / f"{task}.{name}.json"
-            write_atomic(path, json.dumps(obj.to_json_dict(), sort_keys=True).encode("utf-8"))
+            write_atomic(path, json.dumps(blob, sort_keys=True).encode("utf-8"))
             written.append(str(path))
     _emit({"instance": inst.instance_id, "files": written})
     return 0

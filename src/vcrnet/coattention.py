@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from vcrnet.attention import AttnUnitParams, guided_attention_unit, self_attention_unit
+from vcrnet.attention import AttnUnitParams, guided_attention_unit
 from vcrnet.grounding import GroundedSeq
 from vcrnet.layers import BiLstmParams, bilstm
 from vcrnet.tensor import Tensor, ShapeError, concat
@@ -28,16 +28,12 @@ from vcrnet.tensor import Tensor, ShapeError, concat
 @dataclass
 class JointSeq:
     """Query then response along the sequence axis of a (B, m_query + m_r, d)
-    batch; the first m_query positions of every row are the query's."""
+    batch with its (B, m_query + m_r) mask; the first m_query positions of
+    every row are the query's."""
 
     positions: Tensor
-    tokens: list
     mask: np.ndarray
     m_query: int
-
-    @property
-    def texts(self) -> list:
-        return [[t.text for t in row] for row in self.tokens]
 
 
 def join(q: GroundedSeq, r: GroundedSeq) -> JointSeq:
@@ -51,7 +47,6 @@ def join(q: GroundedSeq, r: GroundedSeq) -> JointSeq:
         raise ShapeError("response sequence must be non-empty")
     return JointSeq(
         positions=concat([q.positions, r.positions], axis=1),
-        tokens=[list(a) + list(b) for a, b in zip(q.tokens, r.tokens)],
         mask=np.concatenate([q.mask, r.mask], axis=1),
         m_query=qs[1],
     )
@@ -99,17 +94,13 @@ def coattend(
     if depth != len(p.mod_r.layers) or depth < 1:
         raise ShapeError("both co-attention stacks need the same depth >= 1")
     traces = []
-    x_tokens = joint.texts
 
     def one_module(y, seq, layer, side, idx):
-        y, sa = self_attention_unit(y, layer.sa, mask=seq.mask, training=training,
-                                    rng=rng, label=f"coattn.{side}.sa.{idx}")
-        sa.query_tokens = sa.key_tokens = seq.texts
+        y, sa = guided_attention_unit(y, y, layer.sa, mask=seq.mask, training=training,
+                                      rng=rng, label=f"coattn.{side}.sa.{idx}")
         y, ga = guided_attention_unit(y, joint.positions, layer.ga, mask=joint.mask,
                                       training=training, rng=rng,
                                       label=f"coattn.{side}.ga.{idx}")
-        ga.query_tokens = seq.texts
-        ga.key_tokens = x_tokens
         traces.extend([sa, ga])
         return y
 

@@ -174,8 +174,17 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_strings(value, what: str) -> list:
+    # a JSON string is iterable too, and would load as one-character tokens
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DataError(f"{what} must be a JSON list of strings, got {json.dumps(value)}")
+    return value
+
+
 def _seq_from_dict(d: dict) -> list:
-    tokens, tags = d["tokens"], d["tags"]
+    tokens, tags = _json_strings(d["tokens"], "tokens"), d["tags"]
+    if not isinstance(tags, list):
+        raise DataError(f"tags must be a JSON list, got {json.dumps(tags)}")
     if len(tokens) != len(tags):
         raise DataError("token and tag arrays differ in length")
     return [TaggedToken(text, None if tag is None else _json_int(tag, "tag"))
@@ -226,7 +235,7 @@ def load_instances(annotation_path, feature_path) -> list:
                 inst = VcrInstance(
                     instance_id=instance_id,
                     objects=features[key],
-                    object_labels=list(record["object_labels"]),
+                    object_labels=_json_strings(record["object_labels"], "object_labels"),
                     question=_seq_from_dict(record["question"]),
                     answers=[_seq_from_dict(a) for a in record["answers"]],
                     rationales=[_seq_from_dict(r) for r in record["rationales"]],

@@ -285,8 +285,11 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
     task = TaskInput.of(inst, TASK_Q2A)
     ex = task.example
 
+    def loss_of(chunk) -> Tensor:
+        return task_loss(chunk.logits.reshape(CANDIDATES), ex.gold)
+
     with Tape() as tape:
-        loss = task_loss(model.forward_example(*task).logits, ex.gold)
+        loss = loss_of(model.forward_chunk([task]))
         tape.backward(loss)
     analytic = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
@@ -295,11 +298,10 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
     model.zero_grad()
 
     def head_loss(encoded) -> float:
-        logits = model._stage_head([ex], encoded).logits.reshape(CANDIDATES)
-        return float(task_loss(logits, ex.gold).data)
+        return float(loss_of(model._stage_head([ex], encoded)).data)
 
     def loss_full() -> float:
-        return float(task_loss(model.forward_example(*task).logits, ex.gold).data)
+        return float(loss_of(model.forward_chunk([task])).data)
 
     s1 = model._stage_encode([task])
     fused = model._stage_fuse(s1)

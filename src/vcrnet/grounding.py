@@ -9,7 +9,8 @@ through one masked recurrence together, so padding never enters it.
 unit reads each task's grounded query, then a second reads that task's
 object features. A task's candidates sit side by side in one row of those
 units, so a candidate attends over its own task's query and objects only.
-The query passes through unchanged.
+Sequences here are numbers and masks only; the tokens that label them are
+attached at export (see `model.trace_labels`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from vcrnet.attention import AttnUnitParams, guided_attention_unit
-from vcrnet.data import DataError, PAD_TOKEN, TaggedToken
+from vcrnet.data import DataError
 from vcrnet.layers import BiLstmParams, bilstm
 from vcrnet.tensor import Tensor, ShapeError, concat
 
@@ -28,34 +29,24 @@ from vcrnet.tensor import Tensor, ShapeError, concat
 @dataclass
 class GroundedSeq:
     """A batch of B fused image-text sequences padded to one width m:
-    (B, m, d) positions, one token list of length m per sequence, and a
-    (B, m) padding mask."""
+    (B, m, d) positions and a (B, m) padding mask."""
 
     positions: Tensor
-    tokens: list
     mask: np.ndarray
 
     def __post_init__(self):
         shape = self.positions.data.shape
-        if (len(shape) != 3 or self.mask.shape != shape[:-1] or len(self.tokens) != shape[0]
-                or any(len(row) != shape[1] for row in self.tokens)):
+        if len(shape) != 3 or self.mask.shape != shape[:-1]:
             raise ShapeError(
-                f"grounded sequence inconsistent: positions {shape}, "
-                f"{len(self.tokens)} token rows, mask {self.mask.shape}"
+                f"grounded sequence inconsistent: positions {shape}, mask {self.mask.shape}"
             )
-
-    @property
-    def texts(self) -> list:
-        """Token texts, one list per sequence."""
-        return [[t.text for t in row] for row in self.tokens]
 
     def rows(self, start: int, stop: int, length: int) -> "GroundedSeq":
         """Sequences start..stop-1 of the batch, cut to their first `length` positions."""
         pos = self.positions.slice(0, start, stop)
         if length != pos.data.shape[1]:
             pos = pos.slice(1, 0, length)
-        return GroundedSeq(pos, [row[:length] for row in self.tokens[start:stop]],
-                           self.mask[start:stop, :length])
+        return GroundedSeq(pos, self.mask[start:stop, :length])
 
 
 @dataclass
@@ -93,22 +84,15 @@ def align_tags(tokens: list, token_emb: Tensor, objects: Tensor) -> Tensor:
     return concat([token_emb, object_half], axis=1)
 
 
-def ground(aligned: Tensor, tokens: list, p: BiLstmParams) -> GroundedSeq:
+def ground(aligned: Tensor, lengths, p: BiLstmParams) -> GroundedSeq:
     """BiLSTM over a time-major (T, B, d) batch of aligned sequences.
 
-    Sequence b is the first len(tokens[b]) steps of column b; the result is
-    a batch-major GroundedSeq padded to T, with padded rows exactly zero and
+    Sequence b is the first lengths[b] steps of column b; the result is a
+    batch-major GroundedSeq padded to T, with padded rows exactly zero and
     masked out.
     """
-    steps = aligned.data.shape[0]
-    lengths = np.array([len(row) for row in tokens])
-    mask = np.arange(steps)[:, None] < lengths
-    pad = TaggedToken(PAD_TOKEN)
-    return GroundedSeq(
-        positions=bilstm(aligned, p, mask).transpose((1, 0, 2)),
-        tokens=[list(row) + [pad] * (steps - len(row)) for row in tokens],
-        mask=mask.T,
-    )
+    mask = np.arange(aligned.data.shape[0])[:, None] < np.asarray(lengths)
+    return GroundedSeq(bilstm(aligned, p, mask).transpose((1, 0, 2)), mask.T)
 
 
 def _per_candidate(heads: np.ndarray, count: int) -> np.ndarray:
@@ -129,12 +113,12 @@ def guided_fuse(
     """Refine the responses under query guidance, then under object guidance.
 
     `grounded_q` holds n task queries and `objects` the n tasks' projected
-    object features (labels as tokens); `grounded_r` holds each task's
-    candidate responses in turn, the same count per task. Each task's
-    candidates are reshaped (no copy) into one row of the units, so they
-    attend over their own task's query and objects only; the traces are
-    split back to one row per candidate. Returns (grounded_q unchanged,
-    fused responses, traces).
+    object features; `grounded_r` holds each task's candidate responses in
+    turn, the same count per task. Each task's candidates are reshaped (no
+    copy) into one row of the units, so they attend over their own task's
+    query and objects only; the traces are split back to one row per
+    candidate, (n·count, heads, w, m_q) and (n·count, heads, w, k). Returns
+    (fused responses, traces); the query is not changed here.
     """
     n = grounded_q.mask.shape[0]
     rows, w = grounded_r.mask.shape
@@ -154,9 +138,6 @@ def guided_fuse(
         r_pos, objects.positions, p.ga_object, mask=objects.mask,
         training=training, rng=rng, label="ga.r_from_obj",
     )
-    for trace, guide in ((q_trace, grounded_q), (obj_trace, objects)):
+    for trace in (q_trace, obj_trace):
         trace.heads = _per_candidate(trace.heads, count)
-        trace.query_tokens = grounded_r.texts
-        trace.key_tokens = [keys for keys in guide.texts for _ in range(count)]
-    fused_r = GroundedSeq(r_pos.reshape(rows, w, d), grounded_r.tokens, grounded_r.mask)
-    return grounded_q, fused_r, [q_trace, obj_trace]
+    return GroundedSeq(r_pos.reshape(rows, w, d), grounded_r.mask), [q_trace, obj_trace]

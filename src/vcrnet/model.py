@@ -13,6 +13,10 @@ responses against their joint concatenation, pool each to a single vector,
 fuse, and emit one scalar logit per candidate: (n, 4) logits, whose rows
 feed a softmax over candidates.
 
+The forward is numeric only: every attention unit and pooling step records
+a trace of weights, and no sequence carries its tokens. `trace_labels`
+names the two axes of a trace once, when `inspect` exports it.
+
 Chunks are cut in task order so that 4·n·(m_q + w) stays within
 CHUNK_POSITIONS padded positions, one task at the least: larger chunks
 amortize Python dispatch over more tasks, and the bound keeps the memory of
@@ -51,7 +55,7 @@ from vcrnet.data import (
 )
 from vcrnet.grounding import GaFuseParams, GroundedSeq, align_tags, ground, guided_fuse
 from vcrnet.reduction import ReductionParams, candidate_logit, fuse, init_reduction, reduce
-from vcrnet.tensor import Tensor
+from vcrnet.tensor import ShapeError, Tensor
 
 CANDIDATES = 4
 CHUNK_POSITIONS = 192
@@ -62,11 +66,10 @@ class TaskInput(NamedTuple):
 
     example: TaskExample
     objects: np.ndarray
-    labels: Sequence[str]
 
     @classmethod
     def of(cls, inst: VcrInstance, kind: str) -> "TaskInput":
-        return cls(make_task(inst, kind), inst.objects, inst.object_labels)
+        return cls(make_task(inst, kind), inst.objects)
 
 
 def chunked(tasks: Sequence[TaskInput]) -> Iterator[list]:
@@ -96,7 +99,7 @@ class EncodeState:
 
     grounded_q holds the chunk's queries and grounded_r the candidate
     responses (task-major), each padded to the longest of them; objects
-    holds each task's projected object features, labels as its tokens.
+    holds each task's projected object features.
     """
 
     objects: GroundedSeq
@@ -107,9 +110,8 @@ class EncodeState:
     def grounded_rs(self) -> list:
         """Each candidate row of grounded_r on its own, as a batch of one (values only)."""
         r = self.grounded_r
-        return [GroundedSeq(Tensor(r.positions.data[c:c + 1]), r.tokens[c:c + 1],
-                            r.mask[c:c + 1])
-                for c in range(len(r.tokens))]
+        return [GroundedSeq(Tensor(r.positions.data[c:c + 1]), r.mask[c:c + 1])
+                for c in range(r.mask.shape[0])]
 
 
 @dataclass
@@ -148,7 +150,8 @@ class ChunkForward:
     """The (n, 4) candidate logits of a chunk of n tasks and every attention trace.
 
     traces are batched, in pipeline order: each holds (4n, heads, m, k)
-    weights, one row per candidate, task-major.
+    weights, one row per candidate, task-major, and no tokens (see
+    `trace_labels`).
     """
 
     examples: list
@@ -157,26 +160,6 @@ class ChunkForward:
 
     def records(self) -> list:
         return [_record(ex, row) for ex, row in zip(self.examples, self.logits.data)]
-
-
-@dataclass
-class TaskForward:
-    """The (4,) candidate logits and every attention trace of one task.
-
-    traces are batched, in pipeline order: each holds (4, heads, m, n)
-    weights, and `trace.row(c)` is candidate c's slice.
-    """
-
-    example: TaskExample
-    logits: Tensor
-    traces: list
-
-    @property
-    def pred(self) -> int:
-        return int(np.argmax(self.logits.data))
-
-    def record(self) -> PredictionRecord:
-        return _record(self.example, self.logits.data)
 
 
 class VcrModel:
@@ -319,29 +302,7 @@ class VcrModel:
         flat = [seq[t] if t < len(seq) else pad for t in range(steps) for seq in seqs]
         emb = T.embedding_lookup(self.embedding, self.vocab.encode(flat))
         aligned = align_tags(flat, emb, objects).reshape(steps, len(seqs), -1)
-        return ground(aligned, seqs, self.ground_lstm)
-
-    def forward_task(
-        self,
-        inst: VcrInstance,
-        kind: str,
-        training: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> TaskForward:
-        task = TaskInput.of(inst, kind)
-        return self.forward_example(*task, training=training, rng=rng)
-
-    def forward_example(
-        self,
-        ex: TaskExample,
-        objects: np.ndarray,
-        object_labels: Sequence[str],
-        training: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> TaskForward:
-        """One task scored as a chunk of one."""
-        chunk = self.forward_chunk([TaskInput(ex, objects, object_labels)], training, rng)
-        return TaskForward(ex, chunk.logits.reshape(CANDIDATES), chunk.traces)
+        return ground(aligned, [len(seq) for seq in seqs], self.ground_lstm)
 
     def forward_chunk(
         self,
@@ -364,10 +325,8 @@ class VcrModel:
         k = max(task.objects.shape[0] for task in tasks)
         objects = np.zeros((n, k, d_o))
         object_mask = np.zeros((n, k), dtype=bool)
-        pad = TaggedToken(PAD_TOKEN)
-        labels = []
         queries, responses = [], []
-        for i, (ex, objs, names) in enumerate(tasks):
+        for i, (ex, objs) in enumerate(tasks):
             k_i = objs.shape[0]
             if len(ex.responses) != CANDIDATES:
                 raise DataError(
@@ -379,20 +338,16 @@ class VcrModel:
                     f"{ex.instance_id}: object features are {objs.shape[1]} wide, "
                     f"the model expects {d_o}"
                 )
-            if len(names) != k_i:
-                raise DataError(f"{ex.instance_id}: {len(names)} labels for {k_i} objects")
             objects[i, :k_i] = objs
             object_mask[i, :k_i] = True
-            labels.append([TaggedToken(name) for name in names] + [pad] * (k - k_i))
             # a tag indexes its own task's k rows of the flattened (n·k, d_o) objects
             queries.append(_offset_tags(ex, ex.query, i * k, k_i))
             responses.extend(_offset_tags(ex, resp, i * k, k_i) for resp in ex.responses)
         grounded = self._encode(queries + responses, Tensor(objects.reshape(n * k, d_o)))
         return EncodeState(
-            objects=GroundedSeq(L.linear(Tensor(objects), self.obj_proj), labels, object_mask),
+            objects=GroundedSeq(L.linear(Tensor(objects), self.obj_proj), object_mask),
             grounded_q=grounded.rows(0, n, max(len(seq) for seq in queries)),
-            grounded_r=grounded.rows(n, len(grounded.tokens),
-                                     max(len(seq) for seq in responses)),
+            grounded_r=grounded.rows(n, n + len(responses), max(len(seq) for seq in responses)),
         )
 
     def _stage_fuse(
@@ -403,7 +358,7 @@ class VcrModel:
     ) -> FusedState:
         if self.ga_fuse is None:
             return FusedState(fq=state.grounded_q, fr=state.grounded_r, traces=[])
-        fq, fr, traces = guided_fuse(
+        fr, traces = guided_fuse(
             state.grounded_q,
             state.grounded_r,
             state.objects,
@@ -411,7 +366,7 @@ class VcrModel:
             training=training,
             rng=rng,
         )
-        return FusedState(fq=fq, fr=fr, traces=traces)
+        return FusedState(fq=state.grounded_q, fr=fr, traces=traces)
 
     def _stage_joint(
         self,
@@ -421,9 +376,7 @@ class VcrModel:
     ) -> EncodedState:
         q = fused.fq
         # each candidate row pairs with its own task's copy of the query
-        fq = GroundedSeq(T.repeat(q.positions, CANDIDATES),
-                         [row for row in q.tokens for _ in range(CANDIDATES)],
-                         np.repeat(q.mask, CANDIDATES, axis=0))
+        fq = GroundedSeq(T.repeat(q.positions, CANDIDATES), np.repeat(q.mask, CANDIDATES, axis=0))
         joint = join(fq, fused.fr)
         if self.coattn is not None:
             z_q, z_r, traces = coattend(
@@ -439,8 +392,8 @@ class VcrModel:
         fused = fuse(pooled_q, pooled_r, self.reduction)
         logits = candidate_logit(fused, self.reduction).reshape(len(examples), CANDIDATES)
         traces = encoded.traces + [
-            _pool_trace("reduce.q", alpha_q, encoded.fq),
-            _pool_trace("reduce.r", alpha_r, encoded.fr),
+            _pool_trace("reduce.q", alpha_q),
+            _pool_trace("reduce.r", alpha_r),
         ]
         return ChunkForward(examples=list(examples), logits=logits, traces=traces)
 
@@ -471,12 +424,40 @@ def _name_summary(what: str, names: set, shown: int = 3) -> str:
     return f"{len(listed)} {what} parameters: {', '.join(listed[:shown])}{more}"
 
 
-def _pool_trace(label: str, alpha: Tensor, seq: GroundedSeq) -> AttentionTrace:
+def _pool_trace(label: str, alpha: Tensor) -> AttentionTrace:
     """Expose batched pooling weights in the same shape contract as attention traces."""
     batch, m = alpha.data.shape
-    return AttentionTrace(
-        unit=label,
-        heads=alpha.data.reshape(batch, 1, 1, m),
-        query_tokens=["<pool>"],
-        key_tokens=seq.texts,
-    )
+    return AttentionTrace(unit=label, heads=alpha.data.reshape(batch, 1, 1, m))
+
+
+def trace_labels(
+    trace: AttentionTrace, c: int, ex: TaskExample, object_labels: Sequence[str]
+) -> tuple:
+    """(query_tokens, key_tokens): the tokens along the two axes of candidate
+    c's slice of a trace from a one-task forward of `ex`.
+
+    An axis is the query; candidate c's response, padded with <pad> to the
+    task's widest response; the object labels; the joint (query then
+    response); or the single <pool> row of a pooling step. The unit name
+    says which: `ga.r_from_{q,obj}`, `coattn.{q,r}.sa.*` (a side over
+    itself), `coattn.{q,r}.ga.*` (a side over the joint), `reduce.{q,r}`.
+    """
+    query = [tok.text for tok in ex.query]
+    response = [tok.text for tok in ex.responses[c]]
+    response += [PAD_TOKEN] * (max(len(resp) for resp in ex.responses) - len(response))
+    axes = {"q": query, "r": response, "obj": list(object_labels),
+            "joint": query + response, "pool": ["<pool>"]}
+    stage, side, *rest = trace.unit.split(".")
+    if stage == "ga":
+        query_axis, key_axis = side.split("_from_")
+    elif stage == "coattn":
+        query_axis, key_axis = side, side if rest[0] == "sa" else "joint"
+    else:
+        query_axis, key_axis = "pool", side
+    labels = axes[query_axis], axes[key_axis]
+    if trace.heads.shape[-2:] != tuple(map(len, labels)):
+        raise ShapeError(
+            f"{trace.unit}: weights {trace.heads.shape} do not match "
+            f"{len(labels[0])} x {len(labels[1])} labels"
+        )
+    return labels

@@ -83,9 +83,6 @@ class Tensor:
         rg = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{rg})"
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- operator sugar; python numbers act as non-differentiable constants --
 
     def __add__(self, other):

@@ -91,10 +91,6 @@ class Adam:
         self._m = {name: np.zeros_like(p.data) for name, p in self.params}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params}
 
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
-
     def step(self) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
@@ -130,10 +126,16 @@ class EpochReport:
 
 @dataclass
 class TrainResult:
+    """The fitted model and its reports; train_metrics and val_metrics are the
+    full `metrics_report` of the final weights, scored in the last epoch
+    (val_metrics is None without a validation set)."""
+
     model: VcrModel
     vocab: Vocab
     reports: list
     out_dir: Path
+    train_metrics: dict
+    val_metrics: Optional[dict]
 
     @property
     def final_report(self) -> EpochReport:
@@ -210,7 +212,7 @@ def train(
         for start in range(0, len(order), config.batch_size):
             batch = [train_insts[idx] for idx in order[start:start + config.batch_size]]
             tasks = [TaskInput.of(inst, kind) for inst in batch for kind in (TASK_Q2A, TASK_QA2R)]
-            opt.zero_grad()
+            model.zero_grad()
             for chunk in chunked(tasks):
                 with Tape() as tape:
                     fwd = model.forward_chunk(chunk, training=True, rng=rng)
@@ -251,7 +253,9 @@ def train(
         elif epoch - best_epoch >= config.patience:
             break
 
-    return TrainResult(model=model, vocab=vocab, reports=reports, out_dir=out_dir)
+    return TrainResult(model=model, vocab=vocab, reports=reports, out_dir=out_dir,
+                       train_metrics=train_metrics,
+                       val_metrics=val_metrics if val_insts else None)
 
 
 def load_run(ckpt_path) -> tuple:

@@ -5,7 +5,6 @@ import numpy as np
 from vcrnet import attention as A
 from vcrnet import tensor as T
 from vcrnet.coattention import coattend, join, lstm_encode
-from vcrnet.data import PAD_TOKEN, TaggedToken
 from vcrnet.grounding import GroundedSeq, align_tags, ground, guided_fuse
 from vcrnet.layers import FeedForwardParams, LinearParams, init_layer_norm, linear
 from vcrnet.reduction import candidate_logit, fuse, reduce
@@ -64,27 +63,25 @@ def pad_grounded(seq, length):
     extra = length - m
     return GroundedSeq(
         positions=T.concat([seq.positions, Tensor(np.zeros((batch, extra, d)))], axis=1),
-        tokens=[list(row) + [TaggedToken(PAD_TOKEN)] * extra for row in seq.tokens],
         mask=np.concatenate([seq.mask, np.zeros((batch, extra), dtype=bool)], axis=1),
     )
 
 
-def loop_forward(model, ex, objects, labels):
+def loop_forward(model, ex, objects):
     """Score each candidate on its own as a batch of one: the oracle for the
     batched VcrModel forward (eval mode). Returns (logits, one trace list per
     candidate, each trace one candidate's (heads, m, n) slice)."""
     objects_t = Tensor(objects)
     guide = GroundedSeq(linear(Tensor(objects[None]), model.obj_proj),
-                        [[TaggedToken(label) for label in labels]],
-                        np.ones((1, len(labels)), dtype=bool))
+                        np.ones((1, len(objects)), dtype=bool))
 
     def encode(tokens):
         emb = T.embedding_lookup(model.embedding, model.vocab.encode(tokens))
         aligned = align_tags(tokens, emb, objects_t).reshape(len(tokens), 1, -1)
-        return ground(aligned, [tokens], model.ground_lstm)
+        return ground(aligned, [len(tokens)], model.ground_lstm)
 
-    def pool_trace(label, alpha, seq):
-        return A.AttentionTrace(label, alpha.data.reshape(1, 1, -1), ["<pool>"], seq.texts[0])
+    def pool_trace(label, alpha):
+        return A.AttentionTrace(label, alpha.data.reshape(1, 1, -1))
 
     gq = encode(ex.query)
     width = max(len(resp) for resp in ex.responses)
@@ -94,7 +91,7 @@ def loop_forward(model, ex, objects, labels):
         gr = pad_grounded(encode(resp), width)
         traces = []
         if model.ga_fuse is not None:
-            gq, gr, traces = guided_fuse(gq, gr, guide, model.ga_fuse)
+            gr, traces = guided_fuse(gq, gr, guide, model.ga_fuse)
         joint = join(gq, gr)
         if model.coattn is not None:
             z_q, z_r, more = coattend(joint, gq, gr, model.coattn)
@@ -104,6 +101,6 @@ def loop_forward(model, ex, objects, labels):
         pooled_r, alpha_r = reduce(z_r, gr.mask, red.mlp_r)
         logits.append(candidate_logit(fuse(pooled_q, pooled_r, red), red))
         cand_traces.append([t.row(0) for t in traces + more]
-                           + [pool_trace("reduce.q", alpha_q, gq),
-                              pool_trace("reduce.r", alpha_r, gr)])
+                           + [pool_trace("reduce.q", alpha_q),
+                              pool_trace("reduce.r", alpha_r)])
     return T.concat(logits, axis=0).reshape(len(logits)), cand_traces

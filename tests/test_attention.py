@@ -245,18 +245,10 @@ def test_guided_unit_blind_to_guide_order():
 def test_self_attention_single_position_attends_itself():
     rng = np.random.default_rng(7)
     p = A.init_attn_unit(rng, 4, 2, 16)
-    _, trace = A.self_attention_unit(Tensor(rng.standard_normal((1, 1, 4))), p)
+    x = Tensor(rng.standard_normal((1, 1, 4)))
+    _, trace = A.guided_attention_unit(x, x, p)
     for head in trace.heads[0]:
         npt.assert_allclose(head, np.ones((1, 1)))
-
-
-def test_self_attention_is_guided_with_self_guide():
-    rng = np.random.default_rng(8)
-    p = A.init_attn_unit(rng, 4, 2, 16)
-    x = Tensor(rng.standard_normal((1, 3, 4)))
-    a, _ = A.self_attention_unit(x, p)
-    b, _ = A.guided_attention_unit(x, x, p)
-    npt.assert_array_equal(a.data, b.data)
 
 
 def test_trace_rows_are_distributions():
@@ -264,7 +256,7 @@ def test_trace_rows_are_distributions():
         rng = np.random.default_rng(6000 + seed)
         p = A.init_attn_unit(rng, 4, 2, 8)
         x = Tensor(rng.standard_normal((1, int(rng.integers(1, 6)), 4)))
-        _, trace = A.self_attention_unit(x, p)
+        _, trace = A.guided_attention_unit(x, x, p)
         for head in trace.heads[0]:
             npt.assert_allclose(head.sum(axis=1), np.ones(head.shape[0]), atol=1e-6)
             assert (head >= 0.0).all() and (head <= 1.0).all()
@@ -320,14 +312,14 @@ def test_unit_ignores_masked_guide_content():
 def test_trace_json_shape():
     rng = np.random.default_rng(11)
     p = A.init_attn_unit(rng, 4, 2, 8)
-    _, trace = A.self_attention_unit(Tensor(rng.standard_normal((1, 2, 4))), p, label="sa.0")
-    trace.query_tokens = ["a", "b"]
-    trace.key_tokens = ["a", "b"]
-    d = trace.row(0).to_json_dict()
+    x = Tensor(rng.standard_normal((1, 2, 4)))
+    _, trace = A.guided_attention_unit(x, x, p, label="sa.0")
+    d = trace.row(0).to_json_dict(["a", "b"], ["c", "d"])
+    assert set(d) == {"unit", "heads", "query_tokens", "key_tokens"}
     assert d["unit"] == "sa.0"
     assert len(d["heads"]) == 2
     assert np.asarray(d["heads"][0]).shape == (2, 2)
-    assert d["query_tokens"] == ["a", "b"]
+    assert (d["query_tokens"], d["key_tokens"]) == (["a", "b"], ["c", "d"])
 
 
 def test_sdpa_batch_matches_row_by_row_calls():
@@ -395,9 +387,10 @@ def test_guided_unit_batch_matches_row_by_row_units():
         npt.assert_allclose(one.heads, row_trace.heads[0], rtol=0, atol=1e-12)
 
 
-def test_trace_row_picks_per_row_or_shared_tokens():
-    trace = A.AttentionTrace("u", np.zeros((2, 1, 1, 3)),
-                             query_tokens=[["a"], ["b"]], key_tokens=["x", "y", "z"])
-    assert trace.row(1).query_tokens == ["b"]
-    assert trace.row(1).key_tokens == ["x", "y", "z"]
+def test_trace_row_slices_heads():
+    heads = np.arange(6.0).reshape(2, 1, 1, 3)
+    trace = A.AttentionTrace("u", heads)
+    one = trace.row(1)
+    assert one.unit == "u"
+    npt.assert_array_equal(one.heads, heads[1])
     assert trace.row(0).heads.shape == (1, 1, 3)

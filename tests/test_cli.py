@@ -13,6 +13,7 @@ from vcrnet.data import (
     synth_generate,
 )
 from vcrnet.diagnostics import CheckResult
+from vcrnet.model import TaskInput, trace_labels
 from vcrnet.training import load_run
 
 
@@ -136,13 +137,15 @@ def test_inspect_files_are_the_predicted_candidates_slice(trained_run, tmp_path,
     model, _, _ = load_run(ckpt)
     expected = set()
     for task in (TASK_Q2A, TASK_QA2R):
-        fwd = model.forward_task(inst, task)
+        fwd = model.forward_chunk([TaskInput.of(inst, task)])
+        record = fwd.records()[0]
         for trace in fwd.traces:
             path = traces / f"{task}.{trace.unit}.json"
-            assert json.loads(path.read_text()) == trace.row(fwd.pred).to_json_dict()
+            labels = trace_labels(trace, record.pred, fwd.examples[0], inst.object_labels)
+            assert json.loads(path.read_text()) == trace.row(record.pred).to_json_dict(*labels)
             expected.add(path.name)
         path = traces / f"{task}.prediction.json"
-        assert json.loads(path.read_text()) == fwd.record().to_json_dict()
+        assert json.loads(path.read_text()) == record.to_json_dict()
         expected.add(path.name)
     assert {p.name for p in traces.iterdir()} == expected
     assert set(_lines(capsys)[-1]["files"]) == {str(traces / n) for n in expected}
@@ -214,12 +217,33 @@ def _tag(value):
     return corrupt
 
 
+def _int_token(r):
+    r["question"]["tokens"][0] = 5
+
+
+def _string_tokens(r):
+    # as long as the tags, so only the type is wrong
+    r["question"]["tokens"] = "x" * len(r["question"]["tags"])
+
+
+def _string_tags(r):
+    r["question"]["tags"] = "x" * len(r["question"]["tokens"])
+
+
+def _labels(value):
+    def corrupt(r):
+        r["object_labels"] = value
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_set_gold, _list_question, _string_tag, _gold(1.9), _gold(True), _gold(1.0),
-     _tag(True), _tag(1.0)],
+     _tag(True), _tag(1.0), _int_token, _string_tokens, _string_tags,
+     _labels("abcd"), _labels([1, 2, 3, 4])],
     ids=["gold-not-int", "question-list", "tag-string", "gold-float", "gold-bool",
-         "gold-integral-float", "tag-bool", "tag-integral-float"],
+         "gold-integral-float", "tag-bool", "tag-integral-float", "token-int",
+         "tokens-string", "tags-string", "labels-string", "labels-int"],
 )
 def test_eval_reports_malformed_annotation_line(trained_run, capsys, corrupt):
     data, ckpt = trained_run
@@ -235,6 +259,46 @@ def test_eval_reports_malformed_annotation_line(trained_run, capsys, corrupt):
     errors = [line for line in err if line.startswith("error:")]
     assert len(errors) == 1 and f"{bad} line 2:" in errors[0]
     assert not any("Traceback" in line for line in err)
+
+
+def test_train_reports_a_non_string_token(tmp_path, capsys):
+    data = _synth(tmp_path)
+    path = data / cli.TRAIN_FILE
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    _int_token(records[2])
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *_FAST]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert len(errors) == 1 and f"{path} line 3: tokens must be a JSON list of strings" in errors[0]
+    assert not any("Traceback" in line for line in err)
+
+
+def test_train_scores_the_final_model_once(tmp_path, capsys, monkeypatch):
+    import vcrnet.training as training
+
+    data = _synth(tmp_path)
+    calls = []
+
+    def counted(model, instances):
+        calls.append(len(instances))
+        return predict_all(model, instances)
+
+    predict_all = training.predict_all
+    monkeypatch.setattr(training, "predict_all", counted)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 *_FAST, "--epochs", "1"]) == 0
+    lines = _lines(capsys)
+    # the epoch scores the training and validation sets once each, and the
+    # final line reports those same scores
+    assert calls == [4, 1]
+    assert lines[-1]["train"]["n"] == 4 and lines[-1]["val"]["n"] == 1
+    assert lines[-1]["train"]["q2a"] == lines[0]["train_q2a"]
+    assert lines[-1]["val"]["q2a"] == lines[0]["val_q2a"]
 
 
 def test_train_rejects_non_finite_feature_row(tmp_path, capsys):

@@ -7,18 +7,16 @@ from helpers import np_layer_norm, zero_unit
 from vcrnet import attention as A
 from vcrnet import coattention as C
 from vcrnet import tensor as T
-from vcrnet.data import TaggedToken
 from vcrnet.grounding import GroundedSeq
 from vcrnet.layers import bilstm, init_bilstm
 from vcrnet.tensor import Tensor, ShapeError
 
 
 def _seq(rng, texts, d=4, mask=None):
-    """One sequence of random positions, as a batch of one."""
+    """One sequence of random positions, one per text, as a batch of one."""
     m = len(texts)
     return GroundedSeq(
         Tensor(rng.standard_normal((1, m, d))),
-        [[TaggedToken(t) for t in texts]],
         np.ones((1, m), dtype=bool) if mask is None else np.asarray([mask], dtype=bool),
     )
 
@@ -42,19 +40,17 @@ def test_join_concatenates_query_first():
     assert joint.m_query == 2
     npt.assert_array_equal(joint.positions.data[:, :2], q.positions.data)
     npt.assert_array_equal(joint.positions.data[:, 2:], r.positions.data)
-    assert joint.texts == [["a", "b", "c", "d", "e"]]
-    assert joint.mask.shape == (1, 5)
+    npt.assert_array_equal(joint.mask, np.ones((1, 5), dtype=bool))
 
 
 def test_join_rejects_width_mismatch_and_empty_response():
     rng = np.random.default_rng(1)
     with pytest.raises(ShapeError):
         C.join(_seq(rng, ["a"], d=4), _seq(rng, ["b"], d=6))
-    empty = GroundedSeq(Tensor(np.zeros((1, 0, 4))), [[]], np.zeros((1, 0), dtype=bool))
+    empty = GroundedSeq(Tensor(np.zeros((1, 0, 4))), np.zeros((1, 0), dtype=bool))
     with pytest.raises(ShapeError):
         C.join(_seq(rng, ["a"]), empty)
-    two = GroundedSeq(Tensor(np.zeros((2, 1, 4))), [[TaggedToken("b")]] * 2,
-                      np.ones((2, 1), dtype=bool))
+    two = GroundedSeq(Tensor(np.zeros((2, 1, 4))), np.ones((2, 1), dtype=bool))
     with pytest.raises(ShapeError):  # one query row per response row
         C.join(_seq(rng, ["a"]), two)
 
@@ -116,8 +112,7 @@ def test_query_module_blind_to_response_order_in_guide():
     p = _params(rng, depth=1)
     base_q, _, _ = C.coattend(C.join(q, r), q, r, p)
     perm = np.array([2, 0, 1])
-    r_shuffled = GroundedSeq(Tensor(r.positions.data[:, perm]),
-                             [[r.tokens[0][i] for i in perm]], r.mask[:, perm])
+    r_shuffled = GroundedSeq(Tensor(r.positions.data[:, perm]), r.mask[:, perm])
     shuffled_q, _, _ = C.coattend(C.join(q, r_shuffled), q, r_shuffled, p)
     npt.assert_allclose(shuffled_q.data, base_q.data, atol=1e-10)
 
@@ -167,7 +162,7 @@ def test_coattention_grad_check_minimal_instance():
     p = _params(rng, depth=1)
 
     def f(t):
-        q = GroundedSeq(t, [[TaggedToken("a"), TaggedToken("b")]], np.ones((1, 2), dtype=bool))
+        q = GroundedSeq(t, np.ones((1, 2), dtype=bool))
         zq, zr, _ = C.coattend(C.join(q, r), q, r, p)
         return T.concat([zq, zr], axis=1)
 

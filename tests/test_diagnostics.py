@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vcrnet.data import TASK_Q2A
+from vcrnet.model import TaskInput
 from vcrnet.diagnostics import (
     CheckResult,
     _stage_name,
@@ -36,7 +37,7 @@ def test_probe_model_head_is_live():
     model = probe_model()
     assert np.abs(model.reduction.clf.weight.data).max() > 0
     inst = probe_instance()
-    logits = model.forward_task(inst, TASK_Q2A).logits.data
+    logits = model.forward_chunk([TaskInput.of(inst, TASK_Q2A)]).logits.data
     assert np.abs(logits).max() > 0
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import loop_forward
 
+from vcrnet.attention import AttentionTrace
 from vcrnet.checkpoint import CheckpointError, write_checkpoint
 from vcrnet.config import TrainConfig
 from vcrnet.data import (
@@ -17,8 +18,16 @@ from vcrnet.data import (
     synth_generate,
 )
 from vcrnet.diagnostics import probe_instance
-from vcrnet.model import CANDIDATES, CHUNK_POSITIONS, TaskForward, TaskInput, VcrModel, chunked
-from vcrnet.tensor import Tape, Tensor
+from vcrnet.model import (
+    CANDIDATES,
+    CHUNK_POSITIONS,
+    ChunkForward,
+    TaskInput,
+    VcrModel,
+    chunked,
+    trace_labels,
+)
+from vcrnet.tensor import ShapeError, Tape, Tensor
 from vcrnet.training import task_loss
 
 
@@ -32,6 +41,16 @@ def _model(inst, seed=0, **kw):
     cfg = _config(**kw)
     return VcrModel.build(cfg, Vocab.build([inst]), inst.objects.shape[1],
                           np.random.default_rng(seed))
+
+
+def _forward(model, inst, kind):
+    """One task of `inst` scored as a chunk of one."""
+    return model.forward_chunk([TaskInput.of(inst, kind)])
+
+
+def _logits(model, ex, objects):
+    """The (4,) candidate logits of one task example."""
+    return model.forward_chunk([TaskInput(ex, objects)]).logits.data[0]
 
 
 def _ragged_inst():
@@ -64,9 +83,9 @@ def _ragged_inst():
 
 def test_fresh_model_scores_all_candidates_zero():
     inst = probe_instance()
-    fwd = _model(inst).forward_task(inst, TASK_Q2A)
-    npt.assert_array_equal(fwd.logits.data, np.zeros(CANDIDATES))
-    assert fwd.pred == 0
+    fwd = _forward(_model(inst), inst, TASK_Q2A)
+    npt.assert_array_equal(fwd.logits.data, np.zeros((1, CANDIDATES)))
+    assert fwd.records()[0].pred == 0
 
 
 def test_uniform_loss_is_log_of_candidate_count():
@@ -92,10 +111,8 @@ def test_loss_rejects_out_of_range_gold():
 def test_argmax_tie_goes_to_lowest_index():
     inst = probe_instance()
     ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question, inst.answers, 0)
-    fwd = TaskForward(ex, Tensor(np.array([0.5, 0.9, 0.9, 0.1])), [])
-    assert fwd.pred == 1
-    fwd = TaskForward(ex, Tensor(np.full(4, 0.25)), [])
-    assert fwd.pred == 0
+    fwd = ChunkForward([ex, ex], Tensor(np.array([[0.5, 0.9, 0.9, 0.1], [0.25] * 4])), [])
+    assert [rec.pred for rec in fwd.records()] == [1, 0]
 
 
 def test_duplicate_candidates_score_identically():
@@ -105,7 +122,7 @@ def test_duplicate_candidates_score_identically():
     ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question,
                      [inst.answers[1], inst.answers[0], inst.answers[1], inst.answers[2]],
                      0)
-    logits = model.forward_example(ex, inst.objects, inst.object_labels).logits.data
+    logits = _logits(model, ex, inst.objects)
     assert logits[0] == logits[2]
     assert logits[0] != logits[1]
 
@@ -114,11 +131,11 @@ def test_candidate_order_permutes_logits_bitwise():
     inst = _ragged_inst()
     model = _model(inst, seed=5)
     _randomize_head(model)
-    base = model.forward_task(inst, TASK_Q2A).logits.data
+    base = _forward(model, inst, TASK_Q2A).logits.data[0]
     perm = [2, 0, 3, 1]
     ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question,
                      [inst.answers[i] for i in perm], 0)
-    shuffled = model.forward_example(ex, inst.objects, inst.object_labels).logits.data
+    shuffled = _logits(model, ex, inst.objects)
     npt.assert_array_equal(shuffled, base[perm])
 
 
@@ -127,7 +144,7 @@ def test_wrong_candidate_count_rejected():
     model = _model(inst)
     ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question, inst.answers[:3], 0)
     with pytest.raises(DataError):
-        model.forward_example(ex, inst.objects, inst.object_labels)
+        _logits(model, ex, inst.objects)
 
 
 def _randomize_head(model):
@@ -143,7 +160,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     inst = _ragged_inst()
     model = _model(inst, seed=6)
     _randomize_head(model)
-    before = model.forward_task(inst, TASK_QA2R).logits.data
+    before = _forward(model, inst, TASK_QA2R).logits.data
     path = tmp_path / "model.canckpt"
     model.save(path)
 
@@ -152,7 +169,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
                                             again.named_parameters()):
         assert name_a == name_b
         npt.assert_array_equal(t_a.data, t_b.data)
-    npt.assert_array_equal(again.forward_task(inst, TASK_QA2R).logits.data, before)
+    npt.assert_array_equal(_forward(again, inst, TASK_QA2R).logits.data, before)
 
 
 def test_load_rejects_mismatched_state():
@@ -194,7 +211,7 @@ def test_load_error_names_file_and_bounds_name_list(tmp_path):
 
 def test_trace_labels_cover_the_pipeline():
     inst = probe_instance()
-    fwd = _model(inst).forward_task(inst, TASK_Q2A)
+    fwd = _forward(_model(inst), inst, TASK_Q2A)
     labels = [t.unit for t in fwd.traces]
     assert labels == [
         "ga.r_from_q", "ga.r_from_obj",
@@ -202,7 +219,7 @@ def test_trace_labels_cover_the_pipeline():
         "coattn.r.sa.0", "coattn.r.ga.0",
         "reduce.q", "reduce.r",
     ]
-    deep = _model(inst, layers=2).forward_task(inst, TASK_Q2A)
+    deep = _forward(_model(inst, layers=2), inst, TASK_Q2A)
     deep_labels = [t.unit for t in deep.traces]
     assert "coattn.q.sa.1" in deep_labels and "coattn.r.ga.1" in deep_labels
 
@@ -211,7 +228,7 @@ def test_lstm_encoder_skips_coattention_traces():
     inst = probe_instance()
     model = _model(inst, encoder="lstm")
     assert model.coattn is None and model.encoder_lstm is not None
-    labels = [t.unit for t in model.forward_task(inst, TASK_Q2A).traces]
+    labels = [t.unit for t in _forward(model, inst, TASK_Q2A).traces]
     assert labels == ["ga.r_from_q", "ga.r_from_obj", "reduce.q", "reduce.r"]
 
 
@@ -219,7 +236,7 @@ def test_no_guided_fusion_skips_its_traces():
     inst = probe_instance()
     model = _model(inst, ga=False)
     assert model.ga_fuse is None
-    labels = [t.unit for t in model.forward_task(inst, TASK_Q2A).traces]
+    labels = [t.unit for t in _forward(model, inst, TASK_Q2A).traces]
     assert labels[0].startswith("coattn.")
     assert not any(l.startswith("ga.") for l in labels)
 
@@ -233,7 +250,7 @@ def test_ablations_shrink_the_model():
 
 def test_padded_candidate_rows_get_zero_weight():
     inst = _ragged_inst()
-    fwd = _model(inst, seed=7).forward_task(inst, TASK_Q2A)
+    fwd = _forward(_model(inst, seed=7), inst, TASK_Q2A)
     # answers are 2, 4, 1, 3 tokens; everything pads to 4
     pool = next(t for t in fwd.traces if t.unit == "reduce.r")
     for idx, length in enumerate([2, 4, 1, 3]):
@@ -277,10 +294,10 @@ def test_batched_forward_matches_candidate_loop(arch, task):
     inst = _ragged_inst()
     model = _model(inst, seed=11, **_ARCHITECTURES[arch])
     _randomize_head(model)
-    ex = model.forward_task(inst, task).example
-    batched = model.forward_example(ex, inst.objects, inst.object_labels)
-    loop_logits, loop_traces = loop_forward(model, ex, inst.objects, inst.object_labels)
-    npt.assert_allclose(batched.logits.data, loop_logits.data, rtol=0, atol=1e-12)
+    batched = _forward(model, inst, task)
+    ex = batched.examples[0]
+    loop_logits, loop_traces = loop_forward(model, ex, inst.objects)
+    npt.assert_allclose(batched.logits.data[0], loop_logits.data, rtol=0, atol=1e-12)
 
     assert len(loop_traces) == CANDIDATES
     for c, want in enumerate(loop_traces):
@@ -288,13 +305,10 @@ def test_batched_forward_matches_candidate_loop(arch, task):
         got = [t.row(c) for t in batched.traces]
         assert [t.unit for t in got] == [t.unit for t in want]
         for g, w in zip(got, want):
-            assert (g.query_tokens, g.key_tokens) == (w.query_tokens, w.key_tokens)
             npt.assert_allclose(np.asarray(g.heads), np.asarray(w.heads), rtol=0, atol=1e-12)
 
-    with_batch = _grads(model, lambda: model.forward_example(
-        ex, inst.objects, inst.object_labels).logits, ex.gold)
-    with_loop = _grads(model, lambda: loop_forward(
-        model, ex, inst.objects, inst.object_labels)[0], ex.gold)
+    with_batch = _grads(model, lambda: _forward(model, inst, task).logits, [ex.gold])
+    with_loop = _grads(model, lambda: loop_forward(model, ex, inst.objects)[0], ex.gold)
     for name, grad in with_batch.items():
         if grad is None:  # obj_proj feeds only the guided fusion
             assert arch == "no-ga" and name.startswith("obj_proj") and with_loop[name] is None
@@ -312,8 +326,8 @@ def test_lengthening_one_candidate_leaves_the_others(ga, encoder):
     longer = [tok for _ in range(3) for tok in inst.answers[3]]
     ex_long = TaskExample(inst.instance_id, TASK_Q2A, inst.question,
                           inst.answers[:3] + [longer], 0)
-    base = model.forward_example(ex, inst.objects, inst.object_labels).logits.data
-    moved = model.forward_example(ex_long, inst.objects, inst.object_labels).logits.data
+    base = _logits(model, ex, inst.objects)
+    moved = _logits(model, ex_long, inst.objects)
     npt.assert_allclose(moved[:3], base[:3], rtol=0, atol=1e-12)
     assert moved[3] != base[3]
 
@@ -334,14 +348,14 @@ def test_chunk_matches_loop_of_one_task_forwards(arch):
     chunk = model.forward_chunk(tasks)
     assert chunk.logits.data.shape == (len(tasks), CANDIDATES)
     assert [ex.instance_id for ex in chunk.examples] == [t.example.instance_id for t in tasks]
-    loop = np.stack([model.forward_example(*t).logits.data for t in tasks])
+    loop = np.stack([model.forward_chunk([t]).logits.data[0] for t in tasks])
     npt.assert_allclose(chunk.logits.data, loop, rtol=0, atol=1e-12)
     assert [r.logits for r in chunk.records()] == chunk.logits.data.tolist()
     for trace in chunk.traces:
         assert trace.heads.shape[0] == CANDIDATES * len(tasks)
 
     def loop_loss():
-        losses = [task_loss(model.forward_example(*t).logits, t.example.gold) for t in tasks]
+        losses = [task_loss(model.forward_chunk([t]).logits, [t.example.gold]) for t in tasks]
         total = losses[0]
         for loss in losses[1:]:
             total = total + loss
@@ -372,5 +386,76 @@ def test_chunks_respect_the_position_bound():
     # a task too long for the bound still gets a chunk of its own
     inst = _ragged_inst()
     long_q = TaskExample(inst.instance_id, TASK_Q2A, inst.question * 20, inst.answers, 0)
-    long = TaskInput(long_q, inst.objects, inst.object_labels)
+    long = TaskInput(long_q, inst.objects)
     assert [len(c) for c in chunked([long, long, tasks[0]])] == [1, 1, 1]
+
+
+_PAD = "<pad>"
+# the ragged instance's token texts, each response padded to its task's widest
+_EXPORT_SIDES = {
+    TASK_Q2A: {
+        "q": ["what", "is", "near"],
+        "r": [["a", "cat", _PAD, _PAD],
+              ["the", "dog", "sits", "here"],
+              ["nothing", _PAD, _PAD, _PAD],
+              ["both", "cat", "dog", _PAD]],
+    },
+    TASK_QA2R: {
+        "q": ["what", "is", "near", "the", "dog", "sits", "here"],
+        "r": [["because", "fur", _PAD],
+              ["seen", _PAD, _PAD],
+              ["it", "is", "close"],
+              ["shadow", "falls", _PAD]],
+    },
+}
+# unit -> (query axis, key axis); "joint" is the query then the response
+_EXPORT_ROLES = {
+    "ga.r_from_q": ("r", "q"),
+    "ga.r_from_obj": ("r", "obj"),
+    "coattn.q.sa.0": ("q", "q"),
+    "coattn.q.ga.0": ("q", "joint"),
+    "coattn.r.sa.0": ("r", "r"),
+    "coattn.r.ga.0": ("r", "joint"),
+    "reduce.q": ("pool", "q"),
+    "reduce.r": ("pool", "r"),
+}
+_EXPORT_UNITS = {
+    "default": list(_EXPORT_ROLES),
+    "no-ga": [u for u in _EXPORT_ROLES if not u.startswith("ga.")],
+    "lstm": [u for u in _EXPORT_ROLES if not u.startswith("coattn.")],
+}
+
+
+def _exported_labels(model, inst, task, c):
+    """unit -> the (query_tokens, key_tokens) that `inspect` writes for candidate c."""
+    fwd = _forward(model, inst, task)
+    out = {}
+    for trace in fwd.traces:
+        labels = trace_labels(trace, c, fwd.examples[0], inst.object_labels)
+        blob = trace.row(c).to_json_dict(*labels)
+        assert np.asarray(blob["heads"]).shape[1:] == (
+            len(blob["query_tokens"]), len(blob["key_tokens"])), trace.unit
+        out[trace.unit] = (blob["query_tokens"], blob["key_tokens"])
+    return out
+
+
+@pytest.mark.parametrize("arch", sorted(_ARCHITECTURES))
+@pytest.mark.parametrize("task", [TASK_Q2A, TASK_QA2R])
+def test_export_labels_name_every_axis(arch, task):
+    inst = _ragged_inst()
+    model = _model(inst, seed=11, **_ARCHITECTURES[arch])
+    q = _EXPORT_SIDES[task]["q"]
+    for c, r in enumerate(_EXPORT_SIDES[task]["r"]):
+        axes = {"q": q, "r": r, "obj": ["cat", "dog"], "joint": q + r, "pool": ["<pool>"]}
+        want = {unit: (axes[_EXPORT_ROLES[unit][0]], axes[_EXPORT_ROLES[unit][1]])
+                for unit in _EXPORT_UNITS[arch]}
+        assert _exported_labels(model, inst, task, c) == want, (task, c)
+
+
+def test_export_labels_reject_weights_of_another_shape():
+    inst = _ragged_inst()
+    ex = TaskInput.of(inst, TASK_Q2A).example  # answers pad to 4 tokens
+    trace_labels(AttentionTrace("reduce.r", np.zeros((4, 1, 1, 4))), 0, ex, inst.object_labels)
+    with pytest.raises(ShapeError):
+        trace_labels(AttentionTrace("reduce.r", np.zeros((4, 1, 1, 5))), 0, ex,
+                     inst.object_labels)

@@ -7,6 +7,7 @@ import pytest
 from vcrnet.config import TrainConfig
 from vcrnet.data import TASK_Q2A, TASK_QA2R, DataError, synth_generate
 from vcrnet.diagnostics import probe_instance, probe_model
+from vcrnet.model import TaskInput
 from vcrnet.tensor import Tape, Tensor
 from vcrnet.training import (
     CHECKPOINT_NAME,
@@ -68,11 +69,14 @@ def test_gradient_accumulation_is_linear():
     inst_a = probe_instance()
     model = probe_model(inst_a)
 
+    def loss_for(task):
+        ex = TaskInput.of(inst_a, task)
+        return task_loss(model.forward_chunk([ex]).logits, [ex.example.gold])
+
     def grads_for(task):
         model.zero_grad()
         with Tape() as tape:
-            f = model.forward_task(inst_a, task)
-            tape.backward(task_loss(f.logits, f.example.gold))
+            tape.backward(loss_for(task))
         return {n: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
                 for n, t in model.named_parameters()}
 
@@ -81,11 +85,7 @@ def test_gradient_accumulation_is_linear():
 
     model.zero_grad()
     with Tape() as tape:
-        f_a = model.forward_task(inst_a, TASK_Q2A)
-        f_r = model.forward_task(inst_a, TASK_QA2R)
-        loss = task_loss(f_a.logits, f_a.example.gold) + \
-            task_loss(f_r.logits, f_r.example.gold)
-        tape.backward(loss)
+        tape.backward(loss_for(TASK_Q2A) + loss_for(TASK_QA2R))
 
     worst = 0.0
     for name, t in model.named_parameters():
