@@ -111,10 +111,12 @@ def cmd_train(args) -> int:
     out = _out_dir(args.out)
 
     def progress(report):
+        val = ("none" if report.val_q2a is None
+               else f"{report.val_q2a:.3f}/{report.val_qa2r:.3f}")
         log.info(
-            "epoch %d  loss %.4f  train %.3f/%.3f  val %.3f/%.3f  %.1f instances/s",
+            "epoch %d  loss %.4f  train %.3f/%.3f  val %s  %.1f instances/s",
             report.epoch, report.mean_loss, report.train_q2a,
-            report.train_qa2r, report.val_q2a, report.val_qa2r, report.instances_per_s,
+            report.train_qa2r, val, report.instances_per_s,
         )
         _emit(report.to_json_dict())
 

@@ -184,15 +184,21 @@ def layer_checks(h: float = 1e-5) -> list:
     check("sdpa/shared/k", lambda t: sdpa(grouped, t, v, mask, 2)[0], k)
     check("sdpa/shared/v", lambda t: sdpa(grouped, k, t, mask, 2)[0], v)
 
-    # time-major BiLSTM batch of lengths 4, 2, 3
+    # time-major BiLSTM batch of lengths 4, 2, 3, then the same batch under a
+    # step mask with holes, as the lstm encoder's [padded query | padded
+    # response] sequences have
     lengths = np.array([4, 2, 3])
     x = Tensor(rng.standard_normal((4, 3, 5)))
-    steps = np.arange(4)[:, None] < lengths
-    check("bilstm/batch/x", lambda t: L.bilstm(t, bi, steps), x)
-    for name, tensor in bi.named("bilstm/batch"):
-        direction = bi.fwd if ".fwd." in name else bi.bwd
-        attr = name.rsplit(".", 1)[1]
-        check(name, _installed(direction, attr, lambda: L.bilstm(x, bi, steps)), tensor)
+    gaps = np.array([[True, True, False], [False, True, True], [True, False, False],
+                     [True, False, True]])
+    for label, steps in (("bilstm/batch", np.arange(4)[:, None] < lengths),
+                         ("bilstm/gap", gaps)):
+        # each check runs before `steps` is rebound, so the lambdas see this one
+        check(f"{label}/x", lambda t: L.bilstm(t, bi, steps), x)
+        for name, tensor in bi.named(label):
+            direction = bi.fwd if ".fwd." in name else bi.bwd
+            attr = name.rsplit(".", 1)[1]
+            check(name, _installed(direction, attr, lambda: L.bilstm(x, bi, steps)), tensor)
 
     Z = Tensor(rng.standard_normal((3, 5, 8)))
     zmask = np.arange(5) < np.array([[5], [2], [4]])

@@ -7,6 +7,11 @@ optimizer and the checkpoint writer both rely on that order being stable.
 Initialization: weight matrices uniform in [-1/sqrt(d_in), +1/sqrt(d_in)]
 with d_in the matrix's own input width, biases zero, LSTM forget-gate bias
 +1.0.
+
+`layer_norm` and `bilstm` are fused ops: one tape entry each, with a
+hand-written backward rule. `bilstm` packs each sequence's live steps to
+the front, sorts the sequences longest first and runs both directions in
+one loop over the longest sequence, so no step is masked.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import numpy as np
 from vcrnet.tensor import (
     Tensor,
     ShapeError,
-    concat,
     dropout,
     record_op,
     relu,
@@ -231,88 +235,6 @@ def _expit(z: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -z))
 
 
-def _run_direction(seq: Tensor, p: LstmDirectionParams, mask: np.ndarray,
-                   reverse: bool) -> Tensor:
-    """One direction's full recurrence over a time-major batch as a single fused op.
-
-    `seq` is a (T, B, d_in) batch and `mask` (T, B) marks the steps each
-    sequence is live at. On any other step a sequence's state is frozen and
-    its output row is exactly 0, so each sequence runs as if packed to its
-    live steps; in reverse it starts from a zero state at its last live step.
-    The whole unroll is one tape entry with a hand-rolled
-    backward-through-time rule; the recurrence sits inside every sequence
-    the model touches, so it cannot afford per-step op dispatch.
-    """
-    x = seq.data
-    shape = x.shape
-    m, batch = shape[0], shape[1]
-    w_x, w_h, b = p.w_x.data, p.w_h.data, p.b.data
-    d_h = w_h.shape[0]
-    positions = list(range(m - 1, -1, -1) if reverse else range(m))
-    # live[pos] marks the sequences that are real at that time step
-    live = mask[:, :, None]
-
-    proj = x @ w_x + b
-    gates = np.empty((m, batch, 4 * d_h), dtype=x.dtype)
-    c_prevs = np.empty((m, batch, d_h), dtype=x.dtype)
-    h_prevs = np.empty((m, batch, d_h), dtype=x.dtype)
-    tcs = np.empty((m, batch, d_h), dtype=x.dtype)
-    out = np.empty((m, batch, d_h), dtype=x.dtype)
-
-    h = np.zeros((batch, d_h), dtype=x.dtype)
-    c = np.zeros((batch, d_h), dtype=x.dtype)
-    for j, pos in enumerate(positions):
-        z = proj[pos] + h @ w_h
-        i = _expit(z[:, :d_h])
-        f = _expit(z[:, d_h:2 * d_h])
-        g = np.tanh(z[:, 2 * d_h:3 * d_h])
-        o = _expit(z[:, 3 * d_h:])
-        h_prevs[j] = h
-        c_prevs[j] = c
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        gates[j, :, :d_h] = i
-        gates[j, :, d_h:2 * d_h] = f
-        gates[j, :, 2 * d_h:3 * d_h] = g
-        gates[j, :, 3 * d_h:] = o
-        tcs[j] = tc
-        out[pos] = np.where(live[pos], h_new, 0.0)
-        h = np.where(live[pos], h_new, h)
-        c = np.where(live[pos], c_new, c)
-
-    def rule(g_out):
-        d_proj = np.zeros((m, batch, 4 * d_h), dtype=x.dtype)
-        d_wh = np.zeros_like(w_h)
-        dh_next = np.zeros((batch, d_h), dtype=x.dtype)
-        dc_next = np.zeros((batch, d_h), dtype=x.dtype)
-        for j in range(m - 1, -1, -1):
-            pos = positions[j]
-            i = gates[j, :, :d_h]
-            f = gates[j, :, d_h:2 * d_h]
-            g = gates[j, :, 2 * d_h:3 * d_h]
-            o = gates[j, :, 3 * d_h:]
-            tc = tcs[j]
-            # a frozen step passes its state's gradient straight through
-            dh = np.where(live[pos], g_out[pos], 0.0) + dh_next
-            dc = dh * o * (1.0 - tc * tc) + dc_next
-            dz = np.where(live[pos], np.concatenate([
-                dc * g * i * (1.0 - i),
-                dc * c_prevs[j] * f * (1.0 - f),
-                dc * i * (1.0 - g * g),
-                dh * tc * o * (1.0 - o),
-            ], axis=1), 0.0)
-            d_proj[pos] = dz
-            d_wh += h_prevs[j].T @ dz
-            dh_next = np.where(live[pos], dz @ w_h.T, dh)
-            dc_next = np.where(live[pos], dc * f, dc_next)
-        flat = d_proj.reshape(-1, 4 * d_h)
-        return ((flat @ w_x.T).reshape(shape), x.reshape(-1, shape[-1]).T @ flat, d_wh,
-                flat.sum(axis=0))
-
-    return record_op(out, (seq, p.w_x, p.w_h, p.b), rule)
-
-
 def bilstm(seq: Tensor, p: BiLstmParams, mask: Optional[np.ndarray] = None) -> Tensor:
     """Forward and backward passes over a time-major batch, concatenated per position.
 
@@ -321,6 +243,16 @@ def bilstm(seq: Tensor, p: BiLstmParams, mask: Optional[np.ndarray] = None) -> T
     at least one. Live steps may sit anywhere: a sequence skips its other
     steps, so it reads as its live steps packed together. Output rows of
     the other steps are exactly 0 and pass no gradient to their input rows.
+
+    Both directions run as one recurrence of max(lengths) steps. Each
+    column's live steps are gathered to packed steps 0, 1, ..., in time
+    order for the forward direction and in reverse for the backward one,
+    and the columns are sorted longest first, so the columns live at a
+    packed step are a prefix of the batch and no step is masked. The
+    directions' weights are stacked on a leading axis on every call, so
+    one batched matmul per step serves both. The whole recurrence is one
+    tape entry with a hand-written backward-through-time rule that
+    scatters its gradients back to the (T, B) layout.
     """
     x = seq.data
     if x.ndim != 3 or x.shape[0] < 1:
@@ -331,6 +263,86 @@ def bilstm(seq: Tensor, p: BiLstmParams, mask: Optional[np.ndarray] = None) -> T
             f"bilstm mask must be a boolean {x.shape[:2]} array with a live step "
             f"in every sequence, got {mask.dtype} {mask.shape}"
         )
-    fwd = _run_direction(seq, p.fwd, mask, reverse=False)
-    bwd = _run_direction(seq, p.bwd, mask, reverse=True)
-    return concat([fwd, bwd], axis=-1)
+    m, batch, d_in = x.shape
+    d_h = p.d_h
+    lengths = mask.sum(axis=0)
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    steps = int(lengths[0])
+    # active[t]: the number of (sorted) columns still live at packed step t
+    active = (np.arange(steps)[:, None] < lengths).sum(axis=1).tolist()
+    # each sorted column's live time steps first, in time order
+    times = np.argsort(~mask[:, order], axis=0, kind="stable")[:steps]
+    back = np.maximum(lengths - 1 - np.arange(steps)[:, None], 0)
+    # source time step of packed step t, column j, per direction; the
+    # entries past a column's length are never read
+    pos = np.stack([times, np.take_along_axis(times, back, axis=0)])
+    step_idx, col_idx = np.nonzero(np.arange(steps)[:, None] < lengths)
+    src_pos = pos[:, step_idx, col_idx]
+    src_col = order[col_idx]
+    dirs = np.arange(2)[:, None]
+
+    w_x = np.stack([p.fwd.w_x.data, p.bwd.w_x.data])
+    w_h = np.stack([p.fwd.w_h.data, p.bwd.w_h.data])
+    b = np.stack([p.fwd.b.data, p.bwd.b.data])[:, None, None]
+    proj = (x.reshape(-1, d_in) @ w_x).reshape(2, m, batch, 4 * d_h) + b
+    packed = proj[dirs[:, :, None], pos, order]
+
+    # gates hold i, f, g, o per step; hs / cs hold the state before each
+    # step, so index t + 1 is the state after step t
+    gates = np.empty((2, steps, batch, 4 * d_h))
+    tcs = np.empty((2, steps, batch, d_h))
+    hs = np.zeros((2, steps + 1, batch, d_h))
+    cs = np.zeros((2, steps + 1, batch, d_h))
+    for t, a in enumerate(active):
+        z = packed[:, t, :a] + hs[:, t, :a] @ w_h
+        gate = gates[:, t, :a]
+        gate[...] = _expit(z)
+        gate[..., 2 * d_h:3 * d_h] = np.tanh(z[..., 2 * d_h:3 * d_h])
+        c = gate[..., d_h:2 * d_h] * cs[:, t, :a] + gate[..., :d_h] * gate[..., 2 * d_h:3 * d_h]
+        tc = np.tanh(c)
+        cs[:, t + 1, :a] = c
+        tcs[:, t, :a] = tc
+        hs[:, t + 1, :a] = gate[..., 3 * d_h:] * tc
+
+    out = np.zeros((m, batch, 2, d_h))
+    out[src_pos, src_col, dirs] = hs[:, 1:][:, step_idx, col_idx]
+
+    def rule(g_out):
+        g_packed = np.zeros((2, steps, batch, d_h))
+        g_packed[:, step_idx, col_idx] = g_out.reshape(m, batch, 2, d_h)[src_pos, src_col, dirs]
+        d_packed = np.zeros((2, steps, batch, 4 * d_h))
+        dh_next = np.zeros((2, batch, d_h))
+        dc_next = np.zeros((2, batch, d_h))
+        w_h_t = w_h.transpose(0, 2, 1)
+        for t in range(steps - 1, -1, -1):
+            a = active[t]
+            gate = gates[:, t, :a]
+            i = gate[..., :d_h]
+            f = gate[..., d_h:2 * d_h]
+            g = gate[..., 2 * d_h:3 * d_h]
+            o = gate[..., 3 * d_h:]
+            tc = tcs[:, t, :a]
+            dh = g_packed[:, t, :a] + dh_next[:, :a]
+            dc = dh * o * (1.0 - tc * tc) + dc_next[:, :a]
+            dz = d_packed[:, t, :a]
+            dz[..., :d_h] = dc * g * i * (1.0 - i)
+            dz[..., d_h:2 * d_h] = dc * cs[:, t, :a] * f * (1.0 - f)
+            dz[..., 2 * d_h:3 * d_h] = dc * i * (1.0 - g * g)
+            dz[..., 3 * d_h:] = dh * tc * o * (1.0 - o)
+            dh_next[:, :a] = dz @ w_h_t
+            dc_next[:, :a] = dc * f
+        # entries past a column's length hold zero gradient, so whole-array
+        # products need no mask
+        d_wh = hs[:, :steps].reshape(2, -1, d_h).transpose(0, 2, 1) @ d_packed.reshape(
+            2, -1, 4 * d_h)
+        d_proj = np.zeros((2, m, batch, 4 * d_h))
+        d_proj[dirs, src_pos, src_col] = d_packed[:, step_idx, col_idx]
+        flat = d_proj.reshape(2, -1, 4 * d_h)
+        d_x = (flat @ w_x.transpose(0, 2, 1)).sum(axis=0).reshape(x.shape)
+        d_wx = x.reshape(-1, d_in).T @ flat
+        d_b = flat.sum(axis=1)
+        return (d_x, d_wx[0], d_wh[0], d_b[0], d_wx[1], d_wh[1], d_b[1])
+
+    inputs = (seq, p.fwd.w_x, p.fwd.w_h, p.fwd.b, p.bwd.w_x, p.bwd.w_h, p.bwd.b)
+    return record_op(out.reshape(m, batch, 2 * d_h), inputs, rule)

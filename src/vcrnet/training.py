@@ -108,8 +108,8 @@ class EpochReport:
     mean_loss: float
     train_q2a: float
     train_qa2r: float
-    val_q2a: float
-    val_qa2r: float
+    val_q2a: Optional[float]  # None without a validation set
+    val_qa2r: Optional[float]
     wall_time: float
     instances_per_s: float
 
@@ -181,7 +181,8 @@ def train(
     """Fit a fresh model; writes config, vocab, per-epoch checkpoint and log.
 
     Stops early when the validation answer accuracy fails to improve for
-    `patience` epochs, or as soon as the training set is fit perfectly.
+    `patience` epochs (without a validation set, patience does not apply),
+    or as soon as the training set is fit perfectly.
     Raises TrainingDiverged on a non-finite loss.
     """
     config.validate()
@@ -226,15 +227,15 @@ def train(
             opt.step()
 
         train_metrics = evaluate(model, train_insts)
-        val_metrics = evaluate(model, val_insts) if val_insts else train_metrics
+        val_metrics = evaluate(model, val_insts) if val_insts else None
         wall_time = time.perf_counter() - t0
         report = EpochReport(
             epoch=epoch,
             mean_loss=loss_sum / (2 * len(train_insts)),
             train_q2a=train_metrics["q2a"],
             train_qa2r=train_metrics["qa2r"],
-            val_q2a=val_metrics["q2a"],
-            val_qa2r=val_metrics["qa2r"],
+            val_q2a=val_metrics["q2a"] if val_metrics else None,
+            val_qa2r=val_metrics["qa2r"] if val_metrics else None,
             wall_time=wall_time,
             instances_per_s=len(train_insts) / wall_time,
         )
@@ -247,6 +248,8 @@ def train(
 
         if report.train_q2a == 1.0 and report.train_qa2r == 1.0:
             break
+        if val_metrics is None:
+            continue
         if report.val_q2a > best_val:
             best_val = report.val_q2a
             best_epoch = epoch
@@ -254,8 +257,7 @@ def train(
             break
 
     return TrainResult(model=model, vocab=vocab, reports=reports, out_dir=out_dir,
-                       train_metrics=train_metrics,
-                       val_metrics=val_metrics if val_insts else None)
+                       train_metrics=train_metrics, val_metrics=val_metrics)
 
 
 def load_run(ckpt_path) -> tuple:

@@ -8,7 +8,8 @@ from vcrnet.coattention import coattend, join, lstm_encode
 from vcrnet.grounding import GroundedSeq, align_tags, ground, guided_fuse
 from vcrnet.layers import FeedForwardParams, LinearParams, init_layer_norm, linear
 from vcrnet.reduction import candidate_logit, fuse, reduce
-from vcrnet.tensor import ShapeError, Tensor
+from vcrnet.layers import _expit as expit
+from vcrnet.tensor import ShapeError, Tensor, record_op
 
 
 def np_layer_norm(x, eps=1e-5):
@@ -104,3 +105,85 @@ def loop_forward(model, ex, objects):
                            + [pool_trace("reduce.q", alpha_q),
                               pool_trace("reduce.r", alpha_r)])
     return T.concat(logits, axis=0).reshape(len(logits)), cand_traces
+
+
+def bilstm_two_pass(seq, p, mask):
+    """Reference for `layers.bilstm`: each direction walks all T steps on its
+    own, masking every step, and the two outputs are concatenated."""
+    return T.concat([_run_direction(seq, p.fwd, mask, reverse=False),
+                     _run_direction(seq, p.bwd, mask, reverse=True)], axis=-1)
+
+
+def _run_direction(seq, p, mask, reverse):
+    """One direction's recurrence over a (T, B, d_in) batch as one tape
+    entry, walking all T steps (from T - 1 down when `reverse`). Off its
+    live steps (mask (T, B)) a sequence's state is frozen by `np.where` and
+    its output row is 0."""
+    x = seq.data
+    shape = x.shape
+    m, batch = shape[0], shape[1]
+    w_x, w_h, b = p.w_x.data, p.w_h.data, p.b.data
+    d_h = w_h.shape[0]
+    positions = list(range(m - 1, -1, -1) if reverse else range(m))
+    # live[pos] marks the sequences that are real at that time step
+    live = mask[:, :, None]
+
+    proj = x @ w_x + b
+    gates = np.empty((m, batch, 4 * d_h), dtype=x.dtype)
+    c_prevs = np.empty((m, batch, d_h), dtype=x.dtype)
+    h_prevs = np.empty((m, batch, d_h), dtype=x.dtype)
+    tcs = np.empty((m, batch, d_h), dtype=x.dtype)
+    out = np.empty((m, batch, d_h), dtype=x.dtype)
+
+    h = np.zeros((batch, d_h), dtype=x.dtype)
+    c = np.zeros((batch, d_h), dtype=x.dtype)
+    for j, pos in enumerate(positions):
+        z = proj[pos] + h @ w_h
+        i = expit(z[:, :d_h])
+        f = expit(z[:, d_h:2 * d_h])
+        g = np.tanh(z[:, 2 * d_h:3 * d_h])
+        o = expit(z[:, 3 * d_h:])
+        h_prevs[j] = h
+        c_prevs[j] = c
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        h_new = o * tc
+        gates[j, :, :d_h] = i
+        gates[j, :, d_h:2 * d_h] = f
+        gates[j, :, 2 * d_h:3 * d_h] = g
+        gates[j, :, 3 * d_h:] = o
+        tcs[j] = tc
+        out[pos] = np.where(live[pos], h_new, 0.0)
+        h = np.where(live[pos], h_new, h)
+        c = np.where(live[pos], c_new, c)
+
+    def rule(g_out):
+        d_proj = np.zeros((m, batch, 4 * d_h), dtype=x.dtype)
+        d_wh = np.zeros_like(w_h)
+        dh_next = np.zeros((batch, d_h), dtype=x.dtype)
+        dc_next = np.zeros((batch, d_h), dtype=x.dtype)
+        for j in range(m - 1, -1, -1):
+            pos = positions[j]
+            i = gates[j, :, :d_h]
+            f = gates[j, :, d_h:2 * d_h]
+            g = gates[j, :, 2 * d_h:3 * d_h]
+            o = gates[j, :, 3 * d_h:]
+            tc = tcs[j]
+            # a frozen step passes its state's gradient straight through
+            dh = np.where(live[pos], g_out[pos], 0.0) + dh_next
+            dc = dh * o * (1.0 - tc * tc) + dc_next
+            dz = np.where(live[pos], np.concatenate([
+                dc * g * i * (1.0 - i),
+                dc * c_prevs[j] * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                dh * tc * o * (1.0 - o),
+            ], axis=1), 0.0)
+            d_proj[pos] = dz
+            d_wh += h_prevs[j].T @ dz
+            dh_next = np.where(live[pos], dz @ w_h.T, dh)
+            dc_next = np.where(live[pos], dc * f, dc_next)
+        flat = d_proj.reshape(-1, 4 * d_h)
+        return ((flat @ w_x.T).reshape(shape), x.reshape(-1, shape[-1]).T @ flat, d_wh,
+                flat.sum(axis=0))
+
+    return record_op(out, (seq, p.w_x, p.w_h, p.b), rule)

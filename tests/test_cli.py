@@ -301,6 +301,28 @@ def test_train_scores_the_final_model_once(tmp_path, capsys, monkeypatch):
     assert lines[-1]["val"]["q2a"] == lines[0]["val_q2a"]
 
 
+def test_train_without_validation_set_reports_no_val_accuracy(tmp_path, capsys, caplog):
+    data = _synth(tmp_path)
+    (data / cli.VAL_FILE).unlink()
+    out = tmp_path / "run"
+    capsys.readouterr()
+    # lr 0 never fits the training set and never improves on it, so only
+    # patience on the training accuracy could stop this before the last epoch
+    with caplog.at_level("INFO", logger="vcrnet"):
+        assert main(["train", "--data", str(data), "--out", str(out), *_FAST,
+                     "--lr", "0", "--epochs", "3", "--patience", "1"]) == 0
+    lines = _lines(capsys)
+    epochs, final = lines[:-1], lines[-1]
+    assert [r["epoch"] for r in epochs] == [0, 1, 2]
+    assert epochs[0]["train_q2a"] < 1.0
+    logged = [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()]
+    for report in epochs + logged:
+        assert report["val_q2a"] is None and report["val_qa2r"] is None
+    assert final["val"] is None and final["train"]["n"] == 4
+    progress = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch")]
+    assert len(progress) == 3 and all("val none" in msg for msg in progress)
+
+
 def test_train_rejects_non_finite_feature_row(tmp_path, capsys):
     from vcrnet.checkpoint import read_checkpoint, write_checkpoint
 

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import bilstm_two_pass
 from vcrnet import checkpoint
 from vcrnet import layers as L
 from vcrnet import tensor as T
@@ -286,6 +287,71 @@ def test_bilstm_mask_gap_matches_packed_real_steps():
         npt.assert_array_equal(out.data[~mask[:, b], b], 0.0)
         npt.assert_array_equal(x.grad[~mask[:, b], b], 0.0)
     assert T.grad_check(lambda t: L.bilstm(t, p, mask), x) < 1e-6
+
+
+def _oracle_case(rng, kind):
+    """A (T, B) step mask of one kind of length pattern."""
+    if kind == "T=1":
+        return np.ones((1, int(rng.integers(1, 5))), dtype=bool)
+    if kind == "B=1":
+        steps = int(rng.integers(1, 7))
+        mask = rng.random((steps, 1)) < 0.6
+        mask[rng.integers(steps), 0] = True
+        return mask
+    if kind == "gapped":
+        # live steps anywhere, as the lstm encoder's [query | response] mask
+        steps, batch = int(rng.integers(2, 8)), int(rng.integers(2, 6))
+        mask = rng.random((steps, batch)) < 0.5
+        mask[rng.integers(steps, size=batch), np.arange(batch)] = True
+        return mask
+    if kind == "tied":
+        lengths = np.repeat(rng.integers(1, 6, size=2), 2)
+    elif kind == "unsorted":
+        lengths = np.sort(rng.choice(np.arange(1, 8), size=4, replace=False))
+    else:  # ragged
+        lengths = rng.integers(1, 7, size=int(rng.integers(2, 6)))
+    return np.arange(lengths.max())[:, None] < lengths
+
+
+_ORACLE_KINDS = ["ragged", "gapped", "tied", "unsorted", "T=1", "B=1"]
+
+
+@pytest.mark.parametrize("kind", _ORACLE_KINDS)
+def test_bilstm_matches_two_pass_oracle(kind):
+    # the one packed, length-sorted recurrence against each direction
+    # walking every step under a mask: values, input gradient and all six
+    # parameter gradients
+    for seed in range(50):
+        rng = np.random.default_rng(500 + 100 * _ORACLE_KINDS.index(kind) + seed)
+        mask = _oracle_case(rng, kind)
+        d_in, d_h = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        p = L.init_bilstm(rng, d_in, d_h)
+        for _, param in p.named("p"):
+            param.data = param.data + 0.5 * rng.standard_normal(param.data.shape)
+        values = rng.standard_normal(mask.shape + (d_in,))
+        seed_grad = rng.standard_normal(mask.shape + (2 * d_h,))
+        got = []
+        for fn in (L.bilstm, bilstm_two_pass):
+            x = Tensor(values, requires_grad=True)
+            for _, param in p.named("p"):
+                param.grad = None
+            with T.Tape() as tape:
+                out = fn(x, p, mask)
+                tape.seed(out, seed_grad)
+            got.append([out.data, x.grad] + [param.grad for _, param in p.named("p")])
+        for mine, want in zip(*got):
+            npt.assert_allclose(mine, want, rtol=0, atol=1e-12)
+        npt.assert_array_equal(got[0][0][~mask], 0.0)
+        npt.assert_array_equal(got[0][1][~mask], 0.0)
+
+
+def test_bilstm_is_one_tape_entry():
+    rng = np.random.default_rng(16)
+    p = L.init_bilstm(rng, 3, 2)
+    x = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
+    with T.Tape() as tape:
+        L.bilstm(x, p, np.arange(4)[:, None] < np.array([2, 4, 1]))
+    assert len(tape) == 1
 
 
 def test_bilstm_batch_rejects_bad_lengths():
