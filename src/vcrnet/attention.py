@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,12 +45,6 @@ class MhaParams:
     wo: Tensor
     heads: int
 
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.wq", self.wq
-        yield f"{prefix}.wk", self.wk
-        yield f"{prefix}.wv", self.wv
-        yield f"{prefix}.wo", self.wo
-
 
 @dataclass
 class AttnUnitParams:
@@ -58,12 +52,6 @@ class AttnUnitParams:
     ffn: FeedForwardParams
     ln1: LayerNormParams
     ln2: LayerNormParams
-
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.mha.named(f"{prefix}.mha")
-        yield from self.ffn.named(f"{prefix}.ffn")
-        yield from self.ln1.named(f"{prefix}.ln1")
-        yield from self.ln2.named(f"{prefix}.ln2")
 
 
 @dataclass

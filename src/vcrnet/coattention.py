@@ -15,7 +15,7 @@ task's query, repeated once per candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,28 +57,13 @@ class CoAttnLayerParams:
     sa: AttnUnitParams
     ga: AttnUnitParams
 
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.sa.named(f"{prefix}.sa")
-        yield from self.ga.named(f"{prefix}.ga")
-
-
-@dataclass
-class CoAttnModuleParams:
-    layers: list
-
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for i, layer in enumerate(self.layers):
-            yield from layer.named(f"{prefix}.{i}")
-
 
 @dataclass
 class CoAttnParams:
-    mod_q: CoAttnModuleParams
-    mod_r: CoAttnModuleParams
+    """The query stack and the response stack: one CoAttnLayerParams per layer each."""
 
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.mod_q.named(f"{prefix}.q")
-        yield from self.mod_r.named(f"{prefix}.r")
+    q: list
+    r: list
 
 
 def coattend(
@@ -90,8 +75,8 @@ def coattend(
     rng: Optional[np.random.Generator] = None,
 ) -> tuple:
     """Run both co-attention stacks against the fixed joint X; returns (Z_q, Z_r, traces)."""
-    depth = len(p.mod_q.layers)
-    if depth != len(p.mod_r.layers) or depth < 1:
+    depth = len(p.q)
+    if depth != len(p.r) or depth < 1:
         raise ShapeError("both co-attention stacks need the same depth >= 1")
     traces = []
 
@@ -106,8 +91,8 @@ def coattend(
 
     y_q, y_r = fused_q.positions, fused_r.positions
     for idx in range(depth):
-        y_q = one_module(y_q, fused_q, p.mod_q.layers[idx], "q", idx)
-        y_r = one_module(y_r, fused_r, p.mod_r.layers[idx], "r", idx)
+        y_q = one_module(y_q, fused_q, p.q[idx], "q", idx)
+        y_r = one_module(y_r, fused_r, p.r[idx], "r", idx)
     return y_q, y_r, traces
 
 

@@ -12,9 +12,10 @@ forward before any sweeping starts.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from vcrnet.attention import guided_attention_unit, init_attn_unit, sdpa
 from vcrnet.config import TrainConfig
 from vcrnet.data import TASK_Q2A, TaggedToken, VcrInstance, Vocab
 from vcrnet.grounding import align_tags
-from vcrnet.model import CANDIDATES, TaskInput, VcrModel
+from vcrnet.model import CANDIDATES, TaskInput, VcrModel, stage_of
 from vcrnet.reduction import candidate_logit, fuse, init_reduction, reduce
 from vcrnet.tensor import Tensor, Tape, grad_check, repeat
 from vcrnet.training import task_loss
@@ -74,6 +75,14 @@ def layer_checks(h: float = 1e-5) -> list:
     def check(name, fn, x):
         results.append(_timed(name, x.data.size, lambda: grad_check(fn, x, h=h)))
 
+    def check_params(label, params, out):
+        # every tensor of `params`, named `label.<path>`, each in turn
+        # installed where that path finds it
+        for name, tensor in L.named_tensors(params, label):
+            *path, attr = name[len(label) + 1:].split(".")
+            holder = functools.reduce(getattr, path, params)
+            check(name, _installed(holder, attr, out), tensor)
+
     # linear
     lin = L.init_linear(rng, 5, 3)
     x = Tensor(rng.standard_normal((4, 5)))
@@ -94,9 +103,7 @@ def layer_checks(h: float = 1e-5) -> list:
     ffn = L.init_feed_forward(rng, 8, 32, 0.0)
     x = Tensor(rng.standard_normal((3, 8)))
     check("feed_forward/x", lambda t: L.feed_forward(t, ffn), x)
-    for name, tensor in ffn.named("feed_forward"):
-        holder, attr = _locate(ffn, name.split("/")[-1].split(".")[1:])
-        check(name, _installed(holder, attr, lambda: L.feed_forward(x, ffn)), tensor)
+    check_params("feed_forward", ffn, lambda: L.feed_forward(x, ffn))
 
     # score MLP
     mlp_p = L.init_mlp(rng, [8, 4, 1])
@@ -108,10 +115,7 @@ def layer_checks(h: float = 1e-5) -> list:
     bi = L.init_bilstm(rng, 5, 3)
     x = Tensor(rng.standard_normal((4, 1, 5)))
     check("bilstm/x", lambda t: L.bilstm(t, bi), x)
-    for name, tensor in bi.named("bilstm"):
-        direction = bi.fwd if ".fwd." in name else bi.bwd
-        attr = name.rsplit(".", 1)[1]
-        check(name, _installed(direction, attr, lambda: L.bilstm(x, bi)), tensor)
+    check_params("bilstm", bi, lambda: L.bilstm(x, bi))
 
     # scaled dot-product attention with a partially masked key axis
     q = Tensor(rng.standard_normal((1, 3, 4)))
@@ -131,15 +135,9 @@ def layer_checks(h: float = 1e-5) -> list:
     x = Tensor(rng.standard_normal((1, 3, 8)))
     guide = Tensor(rng.standard_normal((1, 4, 8)))
     gmask = np.array([[True, False, True, True]])
-
-    def unit_out():
-        return guided_attention_unit(x, guide, unit, mask=gmask)[0]
-
     check("attn_unit/x", lambda t: guided_attention_unit(t, guide, unit, mask=gmask)[0], x)
     check("attn_unit/guide", lambda t: guided_attention_unit(x, t, unit, mask=gmask)[0], guide)
-    for name, tensor in unit.named("attn_unit"):
-        holder, attr = _locate(unit, name.split(".")[1:])
-        check(name, _installed(holder, attr, unit_out), tensor)
+    check_params("attn_unit", unit, lambda: guided_attention_unit(x, guide, unit, mask=gmask)[0])
 
     # tag alignment
     emb = Tensor(rng.standard_normal((3, 4)))
@@ -195,10 +193,7 @@ def layer_checks(h: float = 1e-5) -> list:
                          ("bilstm/gap", gaps)):
         # each check runs before `steps` is rebound, so the lambdas see this one
         check(f"{label}/x", lambda t: L.bilstm(t, bi, steps), x)
-        for name, tensor in bi.named(label):
-            direction = bi.fwd if ".fwd." in name else bi.bwd
-            attr = name.rsplit(".", 1)[1]
-            check(name, _installed(direction, attr, lambda: L.bilstm(x, bi, steps)), tensor)
+        check_params(label, bi, lambda: L.bilstm(x, bi, steps))
 
     Z = Tensor(rng.standard_normal((3, 5, 8)))
     zmask = np.arange(5) < np.array([[5], [2], [4]])
@@ -209,14 +204,6 @@ def layer_checks(h: float = 1e-5) -> list:
     check("repeat/x", lambda t: repeat(t, 4), x)
 
     return results
-
-
-def _locate(root, path: list):
-    """Walk a dotted parameter path, returning (holder, final key)."""
-    holder = root
-    for part in path[:-1]:
-        holder = getattr(holder, part)
-    return holder, path[-1]
 
 
 # -- end-to-end ------------------------------------------------------------
@@ -260,22 +247,6 @@ def probe_model(inst: Optional[VcrInstance] = None, **overrides) -> VcrModel:
     model.reduction.clf.weight.data = rng.uniform(-lim, lim, model.reduction.clf.weight.data.shape)
     model.reduction.clf.bias.data = rng.uniform(-lim, lim, model.reduction.clf.bias.data.shape)
     return model
-
-
-_STAGE_OF = (
-    (("embedding", "obj_proj", "ground"), "encode"),
-    (("fuse",), "fuse"),
-    (("coattn", "encoder"), "joint"),
-    (("reduce",), "head"),
-)
-
-
-def _stage_name(param_name: str) -> str:
-    top = param_name.split(".", 1)[0]
-    for tops, stage in _STAGE_OF:
-        if top in tops:
-            return stage
-    raise ValueError(f"no stage known for parameter {param_name!r}")
 
 
 def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list:
@@ -333,7 +304,7 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
     seconds = {stage: 0.0 for stage in evaluators}
 
     for name, p in model.named_parameters():
-        stage = _stage_name(name)
+        stage = stage_of(name)
         evaluator = evaluators[stage]
         t0 = time.perf_counter()
         flat = p.data.reshape(-1)

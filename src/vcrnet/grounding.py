@@ -16,7 +16,7 @@ attached at export (see `model.trace_labels`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,10 +53,6 @@ class GroundedSeq:
 class GaFuseParams:
     ga_query: AttnUnitParams
     ga_object: AttnUnitParams
-
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.ga_query.named(f"{prefix}.ga_query")
-        yield from self.ga_object.named(f"{prefix}.ga_object")
 
 
 def align_tags(tokens: list, token_emb: Tensor, objects: Tensor) -> Tensor:

@@ -1,8 +1,10 @@
 """Composite layers: linear, LayerNorm, feed-forward, score MLP, and BiLSTM.
 
-Parameter containers are plain dataclasses of Tensors. Each exposes
-`named(prefix)` yielding (dotted-name, tensor) pairs in a fixed order; the
-optimizer and the checkpoint writer both rely on that order being stable.
+Parameter containers are plain dataclasses of Tensors, and lists of them.
+`named_tensors` walks such a tree and is the one rule that names its
+tensors: a dataclass field by its name, a list item by its index, in
+declaration order. The optimizer and the checkpoint writer both rely on
+that order being stable.
 
 Initialization: weight matrices uniform in [-1/sqrt(d_in), +1/sqrt(d_in)]
 with d_in the matrix's own input width, biases zero, LSTM forget-gate bias
@@ -16,7 +18,7 @@ one loop over the longest sequence, so no step is masked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -29,7 +31,23 @@ from vcrnet.tensor import (
     relu,
 )
 
-NamedTensors = Iterator[tuple[str, Tensor]]
+
+def named_tensors(params, prefix: str) -> Iterator[tuple[str, Tensor]]:
+    """(dotted name, Tensor) for every Tensor under `params`, in a fixed order.
+
+    A Tensor is named `prefix`; a list names its items `prefix.0`,
+    `prefix.1`, ...; a dataclass names its fields `prefix.<field>` in field
+    order. Any other value (a head count, an eps, a dropout rate, None)
+    holds no tensor and yields nothing.
+    """
+    if isinstance(params, Tensor):
+        yield prefix, params
+    elif isinstance(params, list):
+        for i, item in enumerate(params):
+            yield from named_tensors(item, f"{prefix}.{i}")
+    elif is_dataclass(params):
+        for field in fields(params):
+            yield from named_tensors(getattr(params, field.name), f"{prefix}.{field.name}")
 
 
 def _uniform(rng: np.random.Generator, d_in: int, shape: tuple) -> Tensor:
@@ -49,10 +67,6 @@ class LinearParams:
     weight: Tensor
     bias: Tensor
 
-    def named(self, prefix: str) -> NamedTensors:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
-
 
 def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> LinearParams:
     return LinearParams(weight=_uniform(rng, d_in, (d_in, d_out)), bias=_zeros((d_out,)))
@@ -70,10 +84,6 @@ class LayerNormParams:
     gamma: Tensor
     beta: Tensor
     eps: float = 1e-5
-
-    def named(self, prefix: str) -> NamedTensors:
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
 
 
 def init_layer_norm(d: int, eps: float = 1e-5) -> LayerNormParams:
@@ -123,10 +133,6 @@ class FeedForwardParams:
     lin2: LinearParams
     dropout: float = 0.0
 
-    def named(self, prefix: str) -> NamedTensors:
-        yield from self.lin1.named(f"{prefix}.lin1")
-        yield from self.lin2.named(f"{prefix}.lin2")
-
 
 def init_feed_forward(
     rng: np.random.Generator, d: int, d_ff: int, p_drop: float = 0.0
@@ -152,28 +158,19 @@ def feed_forward(
 # -- score MLP -------------------------------------------------------------
 
 
-@dataclass
-class MlpParams:
-    layers: list
-
-    def named(self, prefix: str) -> NamedTensors:
-        for i, lin in enumerate(self.layers):
-            yield from lin.named(f"{prefix}.{i}")
-
-
-def init_mlp(rng: np.random.Generator, widths: list) -> MlpParams:
-    """widths = [d_in, hidden..., d_out]; ReLU between layers, final linear."""
+def init_mlp(rng: np.random.Generator, widths: list) -> list:
+    """widths = [d_in, hidden..., d_out]: one LinearParams per layer, in order."""
     if len(widths) < 2:
         raise ValueError("mlp needs at least an input and an output width")
-    layers = [init_linear(rng, widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
-    return MlpParams(layers=layers)
+    return [init_linear(rng, widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
 
 
-def mlp(x: Tensor, p: MlpParams) -> Tensor:
+def mlp(x: Tensor, layers: list) -> Tensor:
+    """ReLU between the linear layers, none after the last."""
     h = x
-    for lin in p.layers[:-1]:
+    for lin in layers[:-1]:
         h = relu(linear(h, lin))
-    return linear(h, p.layers[-1])
+    return linear(h, layers[-1])
 
 
 # -- LSTM ------------------------------------------------------------------
@@ -188,11 +185,6 @@ class LstmDirectionParams:
     w_h: Tensor
     b: Tensor
 
-    def named(self, prefix: str) -> NamedTensors:
-        yield f"{prefix}.w_x", self.w_x
-        yield f"{prefix}.w_h", self.w_h
-        yield f"{prefix}.b", self.b
-
     @property
     def d_h(self) -> int:
         return self.w_h.data.shape[0]
@@ -202,10 +194,6 @@ class LstmDirectionParams:
 class BiLstmParams:
     fwd: LstmDirectionParams
     bwd: LstmDirectionParams
-
-    def named(self, prefix: str) -> NamedTensors:
-        yield from self.fwd.named(f"{prefix}.fwd")
-        yield from self.bwd.named(f"{prefix}.bwd")
 
     @property
     def d_h(self) -> int:

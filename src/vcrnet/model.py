@@ -34,14 +34,7 @@ from vcrnet import tensor as T
 from vcrnet import layers as L
 from vcrnet.attention import AttentionTrace, AttnUnitParams, init_attn_unit
 from vcrnet.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
-from vcrnet.coattention import (
-    CoAttnLayerParams,
-    CoAttnModuleParams,
-    CoAttnParams,
-    coattend,
-    join,
-    lstm_encode,
-)
+from vcrnet.coattention import CoAttnLayerParams, CoAttnParams, coattend, join, lstm_encode
 from vcrnet.config import TrainConfig
 from vcrnet.data import (
     PAD_TOKEN,
@@ -59,6 +52,29 @@ from vcrnet.tensor import ShapeError, Tensor
 
 CANDIDATES = 4
 CHUNK_POSITIONS = 192
+
+# The model's parts in checkpoint order: (checkpoint prefix, VcrModel
+# attribute, forward stage the part feeds). An absent part (None) has no
+# parameters. The stage says which of the `_stage_*` steps a parameter's
+# change first reaches, so diagnostics rerun the forward from there.
+PARTS = (
+    ("embedding", "embedding", "encode"),
+    ("obj_proj", "obj_proj", "encode"),
+    ("ground", "ground_lstm", "encode"),
+    ("fuse", "ga_fuse", "fuse"),
+    ("coattn", "coattn", "joint"),
+    ("encoder", "encoder_lstm", "joint"),
+    ("reduce", "reduction", "head"),
+)
+
+
+def stage_of(name: str) -> str:
+    """The forward stage (encode / fuse / joint / head) parameter `name` feeds."""
+    top = name.split(".", 1)[0]
+    for prefix, _, stage in PARTS:
+        if prefix == top:
+            return stage
+    raise ValueError(f"no stage known for parameter {name!r}")
 
 
 class TaskInput(NamedTuple):
@@ -162,30 +178,22 @@ class ChunkForward:
         return [_record(ex, row) for ex, row in zip(self.examples, self.logits.data)]
 
 
+@dataclass(eq=False)
 class VcrModel:
-    """All trainable state plus the forward pass, configured by a TrainConfig."""
+    """All trainable state plus the forward pass, configured by a TrainConfig.
 
-    def __init__(
-        self,
-        config: TrainConfig,
-        vocab: Vocab,
-        embedding: Tensor,
-        obj_proj: L.LinearParams,
-        ground_lstm: L.BiLstmParams,
-        ga_fuse: Optional[GaFuseParams],
-        coattn: Optional[CoAttnParams],
-        encoder_lstm: Optional[L.BiLstmParams],
-        reduction: ReductionParams,
-    ):
-        self.config = config
-        self.vocab = vocab
-        self.embedding = embedding
-        self.obj_proj = obj_proj
-        self.ground_lstm = ground_lstm
-        self.ga_fuse = ga_fuse
-        self.coattn = coattn
-        self.encoder_lstm = encoder_lstm
-        self.reduction = reduction
+    The parameter fields are the attributes of PARTS.
+    """
+
+    config: TrainConfig
+    vocab: Vocab
+    embedding: Tensor
+    obj_proj: L.LinearParams
+    ground_lstm: L.BiLstmParams
+    ga_fuse: Optional[GaFuseParams]
+    coattn: Optional[CoAttnParams]
+    encoder_lstm: Optional[L.BiLstmParams]
+    reduction: ReductionParams
 
     # -- construction ------------------------------------------------------
 
@@ -216,15 +224,10 @@ class VcrModel:
         coattn = None
         encoder_lstm = None
         if config.encoder == "coattention":
-            def module() -> CoAttnModuleParams:
-                return CoAttnModuleParams(
-                    layers=[
-                        CoAttnLayerParams(sa=unit(), ga=unit())
-                        for _ in range(config.layers)
-                    ]
-                )
+            def stack() -> list:
+                return [CoAttnLayerParams(sa=unit(), ga=unit()) for _ in range(config.layers)]
 
-            coattn = CoAttnParams(mod_q=module(), mod_r=module())
+            coattn = CoAttnParams(q=stack(), r=stack())
         else:
             encoder_lstm = L.init_bilstm(rng, d, d // 2)
 
@@ -237,16 +240,8 @@ class VcrModel:
     # -- parameter plumbing ------------------------------------------------
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "embedding", self.embedding
-        yield from self.obj_proj.named("obj_proj")
-        yield from self.ground_lstm.named("ground")
-        if self.ga_fuse is not None:
-            yield from self.ga_fuse.named("fuse")
-        if self.coattn is not None:
-            yield from self.coattn.named("coattn")
-        if self.encoder_lstm is not None:
-            yield from self.encoder_lstm.named("encoder")
-        yield from self.reduction.named("reduce")
+        for prefix, attr, _ in PARTS:
+            yield from L.named_tensors(getattr(self, attr), prefix)
 
     def num_parameters(self) -> int:
         return sum(t.data.size for _, t in self.named_parameters())
@@ -280,8 +275,13 @@ class VcrModel:
     def from_state(cls, config: TrainConfig, vocab: Vocab, arrays: dict) -> "VcrModel":
         if "obj_proj.weight" not in arrays:
             raise CheckpointError("state has no obj_proj.weight to size objects from")
-        d_o = arrays["obj_proj.weight"].shape[0]
-        model = cls.build(config, vocab, d_o, np.random.default_rng(0))
+        shape = arrays["obj_proj.weight"].shape
+        if len(shape) != 2 or shape[0] < 1:
+            raise CheckpointError(
+                f"parameter 'obj_proj.weight' has shape {shape}, expected a matrix "
+                f"with at least one row"
+            )
+        model = cls.build(config, vocab, shape[0], np.random.default_rng(0))
         model.load_state_dict(arrays)
         return model
 

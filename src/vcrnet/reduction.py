@@ -11,7 +11,7 @@ row and one logit per candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from vcrnet.attention import mask_bias
 from vcrnet.layers import (
     LayerNormParams,
     LinearParams,
-    MlpParams,
     init_layer_norm,
     init_mlp,
     layer_norm,
@@ -31,22 +30,14 @@ from vcrnet.tensor import Tensor, ShapeError, softmax
 
 @dataclass
 class ReductionParams:
-    """Score MLPs for the two paths, fusion, head."""
+    """Score MLPs for the two paths (lists of LinearParams), fusion, head."""
 
-    mlp_q: MlpParams
-    mlp_r: MlpParams
+    mlp_q: list
+    mlp_r: list
     w1: Tensor
     w2: Tensor
     ln: LayerNormParams
     clf: LinearParams
-
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.mlp_q.named(f"{prefix}.mlp_q")
-        yield from self.mlp_r.named(f"{prefix}.mlp_r")
-        yield f"{prefix}.w1", self.w1
-        yield f"{prefix}.w2", self.w2
-        yield from self.ln.named(f"{prefix}.ln")
-        yield from self.clf.named(f"{prefix}.clf")
 
 
 def init_reduction(rng: np.random.Generator, d_model: int, d_c: int) -> ReductionParams:
@@ -70,7 +61,7 @@ def init_reduction(rng: np.random.Generator, d_model: int, d_c: int) -> Reductio
     )
 
 
-def reduce(Z: Tensor, mask: Optional[np.ndarray], p_mlp: MlpParams) -> tuple[Tensor, Tensor]:
+def reduce(Z: Tensor, mask: Optional[np.ndarray], p_mlp: list) -> tuple[Tensor, Tensor]:
     """Pool each sequence of a (B, m, d) batch by learned softmax weights.
 
     Returns (B, d) pooled vectors and (B, m) weights; `mask` is (B, m) or

@@ -182,7 +182,9 @@ def train(
 
     Stops early when the validation answer accuracy fails to improve for
     `patience` epochs (without a validation set, patience does not apply),
-    or as soon as the training set is fit perfectly.
+    or as soon as the training set is fit perfectly. It keeps the last
+    epoch's weights, not the best epoch's: the checkpoint, the returned
+    model, its metrics and the last log line all describe those weights.
     Raises TrainingDiverged on a non-finite loss.
     """
     config.validate()

@@ -1,8 +1,11 @@
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 import vcrnet.cli as cli
+from vcrnet.checkpoint import read_checkpoint, write_checkpoint
 from vcrnet.cli import main
 from vcrnet.data import (
     TASK_Q2A,
@@ -378,3 +381,25 @@ def test_out_pointing_at_a_file_is_a_usage_error(trained_run, tmp_path, capsys, 
     err = captured.err.splitlines()
     assert err == [f"error: --out is not a directory: {taken}"]
     assert taken.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("shape", [(), (0, 16)], ids=["rank-0", "no-rows"])
+def test_eval_reports_malformed_object_projection(trained_run, tmp_path, capsys, shape):
+    # the object feature width is read off obj_proj.weight before any
+    # other entry is checked, so a bad one must not reach the model build
+    data, ckpt = trained_run
+    run = tmp_path / "run"
+    shutil.copytree(ckpt.parent, run)
+    state = read_checkpoint(ckpt)
+    state["obj_proj.weight"] = np.zeros(shape)
+    bad = run / ckpt.name
+    write_checkpoint(bad, state)
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(bad), "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert len(errors) == 1
+    assert str(bad) in errors[0] and "obj_proj.weight" in errors[0] and str(shape) in errors[0]
+    assert not any("Traceback" in line for line in err)

@@ -22,14 +22,12 @@ def _seq(rng, texts, d=4, mask=None):
 
 
 def _params(rng, depth, d=4, h=2, d_ff=8):
-    def module():
-        return C.CoAttnModuleParams(layers=[
-            C.CoAttnLayerParams(sa=A.init_attn_unit(rng, d, h, d_ff),
-                                ga=A.init_attn_unit(rng, d, h, d_ff))
-            for _ in range(depth)
-        ])
+    def stack():
+        return [C.CoAttnLayerParams(sa=A.init_attn_unit(rng, d, h, d_ff),
+                                    ga=A.init_attn_unit(rng, d, h, d_ff))
+                for _ in range(depth)]
 
-    return C.CoAttnParams(mod_q=module(), mod_r=module())
+    return C.CoAttnParams(q=stack(), r=stack())
 
 
 def test_join_concatenates_query_first():
@@ -70,13 +68,11 @@ def test_coattend_output_shapes():
 
 
 def _zero_params(depth, d=4, d_ff=8):
-    def module():
-        return C.CoAttnModuleParams(layers=[
-            C.CoAttnLayerParams(sa=zero_unit(d, d_ff), ga=zero_unit(d, d_ff))
-            for _ in range(depth)
-        ])
+    def stack():
+        return [C.CoAttnLayerParams(sa=zero_unit(d, d_ff), ga=zero_unit(d, d_ff))
+                for _ in range(depth)]
 
-    return C.CoAttnParams(mod_q=module(), mod_r=module())
+    return C.CoAttnParams(q=stack(), r=stack())
 
 
 def test_coattend_zeroed_layer_is_layer_norm_cascade():
@@ -122,7 +118,7 @@ def test_depth_mismatch_rejected():
     q = _seq(rng, ["a"])
     r = _seq(rng, ["b"])
     p = _params(rng, depth=1)
-    p.mod_r.layers.append(p.mod_r.layers[0])
+    p.r.append(p.r[0])
     with pytest.raises(ShapeError):
         C.coattend(C.join(q, r), q, r, p)
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from vcrnet.data import TASK_Q2A
-from vcrnet.model import TaskInput
+from vcrnet.model import TaskInput, stage_of
 from vcrnet.diagnostics import (
     CheckResult,
-    _stage_name,
     end_to_end_checks,
     layer_checks,
     probe_instance,
@@ -42,13 +41,13 @@ def test_probe_model_head_is_live():
 
 
 def test_stage_routing_covers_every_parameter():
-    model = probe_model()
-    for name, _ in model.named_parameters():
-        assert _stage_name(name) in ("encode", "fuse", "joint", "head")
-    assert _stage_name("embedding") == "encode"
-    assert _stage_name("reduce.clf.weight") == "head"
+    for overrides in ({}, {"ga": False}, {"encoder": "lstm"}):
+        for name, _ in probe_model(**overrides).named_parameters():
+            assert stage_of(name) in ("encode", "fuse", "joint", "head")
+    assert stage_of("embedding") == "encode"
+    assert stage_of("reduce.clf.weight") == "head"
     with pytest.raises(ValueError):
-        _stage_name("bogus.weight")
+        stage_of("bogus.weight")
 
 
 def test_check_result_serializes():

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -96,7 +98,7 @@ def test_feed_forward_grad_check():
 
 
 def test_mlp_single_identity_layer_is_identity():
-    p = L.MlpParams(layers=[L.LinearParams(Tensor(np.eye(3)), Tensor(np.zeros(3)))])
+    p = [L.LinearParams(Tensor(np.eye(3)), Tensor(np.zeros(3)))]
     x = np.arange(6.0).reshape(2, 3)
     npt.assert_allclose(L.mlp(Tensor(x), p).data, x)
 
@@ -104,8 +106,8 @@ def test_mlp_single_identity_layer_is_identity():
 def test_mlp_zero_final_layer_gives_zeros():
     rng = np.random.default_rng(3)
     p = L.init_mlp(rng, [4, 8, 2])
-    p.layers[-1].weight.data = np.zeros_like(p.layers[-1].weight.data)
-    p.layers[-1].bias.data = np.zeros_like(p.layers[-1].bias.data)
+    p[-1].weight.data = np.zeros_like(p[-1].weight.data)
+    p[-1].bias.data = np.zeros_like(p[-1].bias.data)
     out = L.mlp(Tensor(rng.standard_normal((5, 4))), p)
     npt.assert_allclose(out.data, np.zeros((5, 2)))
 
@@ -326,19 +328,19 @@ def test_bilstm_matches_two_pass_oracle(kind):
         mask = _oracle_case(rng, kind)
         d_in, d_h = int(rng.integers(1, 5)), int(rng.integers(1, 4))
         p = L.init_bilstm(rng, d_in, d_h)
-        for _, param in p.named("p"):
+        for _, param in L.named_tensors(p, "p"):
             param.data = param.data + 0.5 * rng.standard_normal(param.data.shape)
         values = rng.standard_normal(mask.shape + (d_in,))
         seed_grad = rng.standard_normal(mask.shape + (2 * d_h,))
         got = []
         for fn in (L.bilstm, bilstm_two_pass):
             x = Tensor(values, requires_grad=True)
-            for _, param in p.named("p"):
+            for _, param in L.named_tensors(p, "p"):
                 param.grad = None
             with T.Tape() as tape:
                 out = fn(x, p, mask)
                 tape.seed(out, seed_grad)
-            got.append([out.data, x.grad] + [param.grad for _, param in p.named("p")])
+            got.append([out.data, x.grad] + [param.grad for _, param in L.named_tensors(p, "p")])
         for mine, want in zip(*got):
             npt.assert_allclose(mine, want, rtol=0, atol=1e-12)
         npt.assert_array_equal(got[0][0][~mask], 0.0)
@@ -381,13 +383,28 @@ def test_init_bounds_and_forget_bias():
     npt.assert_array_equal(p.fwd.b.data[8:], np.zeros(8))
 
 
-def test_named_traversal_is_stable_and_complete():
-    p = L.init_bilstm(np.random.default_rng(0), 2, 2)
-    names = [n for n, _ in p.named("ground")]
-    assert names == [
-        "ground.fwd.w_x", "ground.fwd.w_h", "ground.fwd.b",
-        "ground.bwd.w_x", "ground.bwd.w_h", "ground.bwd.b",
+@dataclass
+class _Tree:
+    # field order differs from alphabetical order on purpose
+    second: object
+    first: object
+    count: int = 3
+    rate: float = 0.5
+    absent: object = None
+
+
+def test_named_tensors_follows_fields_and_indexes_lists():
+    a, b, c, d = (Tensor(np.full(2, float(i))) for i in range(4))
+    tree = _Tree(second=[a, L.LinearParams(b, c)], first=_Tree(second=d, first=None))
+    named = list(L.named_tensors(tree, "t"))
+    assert [name for name, _ in named] == [
+        "t.second.0", "t.second.1.weight", "t.second.1.bias", "t.first.second",
     ]
+    # the very tensors, not copies: the optimizer updates them in place
+    assert all(got is want for (_, got), want in zip(named, (a, b, c, d)))
+    assert list(L.named_tensors(L.init_layer_norm(3), "ln"))[-1][0] == "ln.beta"
+    assert list(L.named_tensors(None, "x")) == []
+    assert list(L.named_tensors(Tensor(np.zeros(1)), "leaf"))[0][0] == "leaf"
 
 
 # -- checkpoint container --------------------------------------------------

@@ -156,6 +156,54 @@ def _randomize_head(model):
         model.reduction.clf.bias.data.shape)
 
 
+def _unit_layout(prefix, d, d_ff):
+    """The 12 (name, shape) entries of one attention unit, written out."""
+    return ([(f"{prefix}.mha.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo")]
+            + [(f"{prefix}.ffn.lin1.weight", (d, d_ff)), (f"{prefix}.ffn.lin1.bias", (d_ff,)),
+               (f"{prefix}.ffn.lin2.weight", (d_ff, d)), (f"{prefix}.ffn.lin2.bias", (d,))]
+            + [(f"{prefix}.{ln}.{v}", (d,)) for ln in ("ln1", "ln2") for v in ("gamma", "beta")])
+
+
+def _bilstm_layout(prefix, d_in, d_h):
+    return [entry for direction in ("fwd", "bwd") for entry in (
+        (f"{prefix}.{direction}.w_x", (d_in, 4 * d_h)),
+        (f"{prefix}.{direction}.w_h", (d_h, 4 * d_h)),
+        (f"{prefix}.{direction}.b", (4 * d_h,)),
+    )]
+
+
+def _expected_layout(ga, encoder):
+    """Checkpoint names and shapes of a d_model=8, layers=1 model over the
+    probe instance (8 vocabulary entries, 2-wide object features)."""
+    layout = [("embedding", (8, 8)), ("obj_proj.weight", (2, 8)), ("obj_proj.bias", (8,))]
+    layout += _bilstm_layout("ground", 10, 4)
+    if ga:
+        layout += _unit_layout("fuse.ga_query", 8, 32) + _unit_layout("fuse.ga_object", 8, 32)
+    if encoder == "coattention":
+        for side in ("q", "r"):
+            layout += (_unit_layout(f"coattn.{side}.0.sa", 8, 32)
+                       + _unit_layout(f"coattn.{side}.0.ga", 8, 32))
+    else:
+        layout += _bilstm_layout("encoder", 8, 4)
+    for path in ("mlp_q", "mlp_r"):
+        layout += [(f"reduce.{path}.0.weight", (8, 4)), (f"reduce.{path}.0.bias", (4,)),
+                   (f"reduce.{path}.1.weight", (4, 1)), (f"reduce.{path}.1.bias", (1,))]
+    layout += [("reduce.w1", (8, 8)), ("reduce.w2", (8, 8)), ("reduce.ln.gamma", (8,)),
+               ("reduce.ln.beta", (8,)), ("reduce.clf.weight", (8, 1)), ("reduce.clf.bias", (1,))]
+    return layout
+
+
+@pytest.mark.parametrize("arch,count", [({}, 95), ({"ga": False}, 71), ({"encoder": "lstm"}, 53)],
+                         ids=["default", "no-ga", "lstm"])
+def test_parameter_layout_is_pinned(arch, count):
+    # checkpoint names and their order are a file format: the optimizer,
+    # the writer and every saved run depend on them
+    model = _model(probe_instance(), **arch)
+    got = [(name, t.data.shape) for name, t in model.named_parameters()]
+    assert got == _expected_layout(arch.get("ga", True), arch.get("encoder", "coattention"))
+    assert len(got) == count
+
+
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
     inst = _ragged_inst()
     model = _model(inst, seed=6)

@@ -6,15 +6,15 @@ from helpers import np_layer_norm
 
 from vcrnet import reduction as R
 from vcrnet import tensor as T
-from vcrnet.layers import LinearParams, MlpParams, init_mlp
+from vcrnet.layers import LinearParams, init_mlp
 from vcrnet.tensor import Tensor, ShapeError
 
 
 def _zero_mlp(d):
-    return MlpParams(layers=[
+    return [
         LinearParams(Tensor(np.zeros((d, d // 2))), Tensor(np.zeros(d // 2))),
         LinearParams(Tensor(np.zeros((d // 2, 1))), Tensor(np.zeros(1))),
-    ])
+    ]
 
 
 def test_reduce_zero_mlp_pools_uniformly():
@@ -50,9 +50,9 @@ def test_reduce_rejects_fully_masked():
 
 def _np_mlp_scores(Z, p_mlp):
     h = Z
-    for lin in p_mlp.layers[:-1]:
+    for lin in p_mlp[:-1]:
         h = np.maximum(h @ lin.weight.data + lin.bias.data, 0.0)
-    last = p_mlp.layers[-1]
+    last = p_mlp[-1]
     return (h @ last.weight.data + last.bias.data)[:, 0]
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from vcrnet import training
+from vcrnet.checkpoint import read_checkpoint
 from vcrnet.config import TrainConfig
 from vcrnet.data import TASK_Q2A, TASK_QA2R, DataError, synth_generate
 from vcrnet.diagnostics import probe_instance, probe_model
@@ -152,6 +154,35 @@ def test_zero_lr_stops_on_patience(tmp_path):
     result = train(_quick_config(lr=0.0, epochs=50, patience=3), tr, va, tmp_path)
     # epoch 1 sets the best score; nothing ever improves on it
     assert len(result.reports) == 4
+
+
+def test_early_stopping_keeps_the_last_weights(tmp_path, monkeypatch):
+    # validation answer accuracy peaks at epoch 1; with patience 2 training
+    # stops at epoch 3, and everything it hands back describes epoch 3
+    tr, va = _data()
+    val_acc = iter([0.5, 0.75, 0.5, 0.5])
+
+    def scripted(model, instances):
+        acc = next(val_acc) if instances is va else 0.5
+        return {"q2a": acc, "qa2r": 0.5, "q2ar": 0.25, "n": len(instances)}
+
+    monkeypatch.setattr(training, "evaluate", scripted)
+    saved = []
+    result = train(_quick_config(epochs=10, patience=2), tr, va, tmp_path,
+                   progress=lambda _: saved.append(read_checkpoint(tmp_path / CHECKPOINT_NAME)))
+    assert [r.val_q2a for r in result.reports] == [0.5, 0.75, 0.5, 0.5]
+    assert result.final_report.epoch == 3
+
+    final = read_checkpoint(tmp_path / CHECKPOINT_NAME)
+    state = result.model.state_dict()
+    assert list(final) == list(state)
+    for name, arr in state.items():
+        npt.assert_array_equal(final[name], arr)
+        npt.assert_array_equal(saved[3][name], arr)
+    assert any((saved[1][name] != arr).any() for name, arr in state.items())
+    last_line = (tmp_path / LOG_NAME).read_text().splitlines()[-1]
+    assert json.loads(last_line) == result.final_report.to_json_dict()
+    assert result.val_metrics["q2a"] == 0.5
 
 
 def test_non_finite_loss_raises_diverged(tmp_path):
