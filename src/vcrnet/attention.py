@@ -81,7 +81,7 @@ class AttentionTrace:
         }
 
 
-def mask_bias(mask: Optional[np.ndarray], n: int) -> Optional[Tensor]:
+def mask_bias(mask: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
     """Additive pre-softmax bias for a key mask: 0 where real, -1e9 where padded.
 
     The mask is (B, n), one row per batch entry, and every row needs at
@@ -97,7 +97,7 @@ def mask_bias(mask: Optional[np.ndarray], n: int) -> Optional[Tensor]:
         raise ValueError("attention over a fully masked sequence has no valid key")
     if mask.all():
         return None
-    return Tensor(np.where(mask, 0.0, _MASK_SCORE))
+    return np.where(mask, 0.0, _MASK_SCORE)
 
 
 def sdpa(
@@ -143,7 +143,7 @@ def sdpa(
     w *= scale
     bias = mask_bias(mask, kd.shape[-2])
     if bias is not None:
-        w += bias.data[:, None, None, :]
+        w += bias[:, None, None, :]
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
@@ -156,7 +156,7 @@ def sdpa(
                 merge(g_s.swapaxes(-1, -2) @ qh) * scale,
                 merge(w.swapaxes(-1, -2) @ gh))
 
-    return record_op(merge(w @ vh), (q, k, v), rule), Tensor._wrap(w, False)
+    return record_op(merge(w @ vh), (q, k, v), rule), Tensor(w)
 
 
 def init_mha(rng: np.random.Generator, d_model: int, h: int) -> MhaParams:

@@ -99,7 +99,12 @@ def read_checkpoint(path) -> Dict[str, np.ndarray]:
     entries: Dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{path} has an entry name at byte {pos - name_len} that is not UTF-8: {exc}"
+            ) from exc
         tag, rank = struct.unpack("<BB", take(2))
         if tag not in _DTYPE_TAGS:
             raise CheckpointError(f"entry {name!r} has unknown dtype tag {tag}")

@@ -55,6 +55,8 @@ def _emit(obj) -> None:
 def _require(path: Path, what: str) -> Path:
     if not path.exists():
         raise UsageError(f"{what} not found: {path}")
+    if not path.is_file():
+        raise UsageError(f"{what} is not a file: {path}")
     return path
 
 
@@ -69,6 +71,7 @@ def _out_dir(path: str) -> Path:
 
 
 def _load_annotations(annotation_path: Path) -> list:
+    _require(annotation_path, "annotation file")
     features = _require(annotation_path.parent / FEATURES_FILE, "feature file")
     return load_instances(annotation_path, features)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 ENCODERS = ("coattention", "lstm")
@@ -37,8 +38,8 @@ class TrainConfig:
     patience: int = 20
 
     def validate(self) -> "TrainConfig":
-        if self.lr < 0:
-            raise ConfigError(f"lr must be non-negative, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and non-negative, got {self.lr}")
         for name in ("epochs", "batch_size", "layers", "heads", "d_model",
                      "d_token", "patience"):
             if getattr(self, name) < 1:
@@ -92,9 +93,13 @@ class TrainConfig:
     def from_file(cls, path) -> "TrainConfig":
         fields = {f.name: f for f in dataclasses.fields(cls)}
         values: dict = {}
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ConfigError(f"{path} line {lineno}: not UTF-8 text: {exc}") from exc
+                line = text.split("#", 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:

@@ -218,9 +218,12 @@ def save_features(path, instances: Sequence[VcrInstance]) -> None:
 def load_instances(annotation_path, feature_path) -> list:
     features = read_checkpoint(feature_path)
     instances = []
-    with open(annotation_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(annotation_path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as err:
+                raise DataError(f"{annotation_path} line {lineno}: not UTF-8 text: {err}") from err
             if not line:
                 continue
             try:

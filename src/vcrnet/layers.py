@@ -219,7 +219,7 @@ def init_bilstm(rng: np.random.Generator, d_in: int, d_h: int) -> BiLstmParams:
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
-    # same stable form as tensor.sigmoid
+    # exp(-logaddexp(0, -z)) is 1/(1+e^-z) without overflow on either tail
     return np.exp(-np.logaddexp(0.0, -z))
 
 

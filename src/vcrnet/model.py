@@ -265,6 +265,8 @@ class VcrModel:
                 raise CheckpointError(
                     f"parameter {name!r} has shape {arr.shape}, expected {t.data.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"parameter {name!r} holds NaN or Inf")
             t.data = np.asarray(arr, dtype=np.float64)
             t.grad = None
 

@@ -80,7 +80,7 @@ def reduce(Z: Tensor, mask: Optional[np.ndarray], p_mlp: list) -> tuple[Tensor, 
     row = scores.reshape(batch, 1, m)
     bias = mask_bias(mask, m)
     if bias is not None:
-        row = row + Tensor(bias.data.reshape(batch, 1, m))
+        row = row + Tensor(bias.reshape(batch, 1, m))
     alpha_row = softmax(row, axis=-1)
     return (alpha_row @ Z).reshape(batch, d), alpha_row.reshape(batch, m)
 

@@ -1,15 +1,22 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Everything downstream (layers, attention, the full model) is expressed in
-the operations defined here. Each op computes its result eagerly with numpy
-and, when a Tape is active and an input participates in gradients, records
-a backward rule onto that tape. Gradients are recovered by walking the tape
-in reverse execution order, which is a valid reverse-topological order
-because an operation's inputs always exist before the operation runs.
+the operations defined here, plus the fused ops its modules build with
+`record_op` (`layer_norm`, `sdpa`, `bilstm`, the loss). Each op computes its
+result eagerly with numpy and, when a Tape is active and an input
+participates in gradients, records a backward rule onto that tape.
+Gradients are recovered by walking the tape in reverse execution order,
+which is a valid reverse-topological order because an operation's inputs
+always exist before the operation runs.
 
-Broadcasting is deliberately restricted: elementwise ops require identical
-shapes, except that `add` also accepts a trailing-axis bias vector, and
-`matmul` applies one 2-d right operand to every leading index of the left.
+The op set is `add` (also `a + b`), `matmul` (`a @ b`), `relu`, `softmax`,
+`concat`, `repeat`, `dropout`, `embedding_lookup`, and the methods
+`Tensor.reshape`, `Tensor.transpose` and `Tensor.slice`. An op stays here
+only while the program runs it; one training epoch reaches every one.
+
+Broadcasting is deliberately restricted: `add` requires identical shapes
+or a trailing-axis bias vector, and `matmul` applies one 2-d right operand
+to every leading index of the left.
 A batch is a leading axis; `repeat` copies each of its rows so that one
 row can meet several partners row by row. This keeps every backward rule
 auditable.
@@ -31,10 +38,9 @@ __all__ = [
     "Tape",
     "ShapeError",
     "record_op",
+    "add",
+    "matmul",
     "relu",
-    "tanh",
-    "sigmoid",
-    "log",
     "softmax",
     "concat",
     "repeat",
@@ -63,14 +69,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 
-    @classmethod
-    def _wrap(cls, data: np.ndarray, requires_grad: bool) -> "Tensor":
-        out = cls.__new__(cls)
-        out.data = data
-        out.requires_grad = requires_grad
-        out.grad = None
-        return out
-
     @property
     def shape(self) -> tuple:
         return self.data.shape
@@ -83,31 +81,12 @@ class Tensor:
         rg = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{rg})"
 
-    # -- operator sugar; python numbers act as non-differentiable constants --
+    # -- operator forms; both operands must be tensors --
 
     def __add__(self, other):
         if isinstance(other, Tensor):
             return add(self, other)
-        return _add_const(self, float(other))
-
-    def __radd__(self, other):
-        return _add_const(self, float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return _add_const(self, -float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return _mul_const(self, float(other))
-
-    def __rmul__(self, other):
-        return _mul_const(self, float(other))
+        return NotImplemented
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -120,21 +99,13 @@ class Tensor:
         old = self.data.shape
         return _result(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
 
-    def transpose(self, axes: Optional[Sequence[int]] = None) -> "Tensor":
-        """Swap the axes of a 2-d tensor, or permute any tensor's axes by `axes`."""
-        if axes is None:
-            if self.data.ndim != 2:
-                raise ShapeError(f"transpose expects a 2-d tensor, got shape {self.data.shape}")
-            return _result(self.data.T, (self,), lambda g: (g.T,))
+    def transpose(self, axes: Sequence[int]) -> "Tensor":
+        """Permute the tensor's axes by `axes`."""
         axes = tuple(axes)
         if sorted(axes) != list(range(self.data.ndim)):
             raise ShapeError(f"transpose axes {axes} do not permute shape {self.data.shape}")
         inverse = tuple(np.argsort(axes))
         return _result(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def slice(self, axis: int, start: int, stop: int) -> "Tensor":
         """Contiguous block along one axis; gradient scatters back."""
@@ -156,12 +127,6 @@ class Tensor:
             return (full,)
 
         return _result(self.data[index], (self,), rule)
-
-    def sum(self, axis: Optional[int] = None) -> "Tensor":
-        return _reduce(self, axis, scale=False)
-
-    def mean(self, axis: Optional[int] = None) -> "Tensor":
-        return _reduce(self, axis, scale=True)
 
 
 # -- tape ------------------------------------------------------------------
@@ -233,7 +198,10 @@ class Tape:
         self.seed(loss, np.ones_like(loss.data))
 
     def seed(self, output: "Tensor", seed_grad: np.ndarray) -> None:
-        """Propagate an arbitrary output gradient; used by grad_check.
+        """Propagate an arbitrary output gradient.
+
+        `train` seeds each chunk's per-task losses with the mini-batch's
+        1/instances weight, and `grad_check` seeds a random projection.
 
         Each entry's output gradient is dropped once its rule has run, so a
         backward pass holds only the gradients still waiting for a consumer.
@@ -315,31 +283,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeError(f"add: incompatible shapes {ad.shape} and {bd.shape}")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _result(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), lambda g: (-g,))
-
-
-def _add_const(a: Tensor, c: float) -> Tensor:
-    return _result(a.data + c, (a,), lambda g: (g,))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.shape != bd.shape:
-        raise ShapeError(f"mul: incompatible shapes {ad.shape} and {bd.shape}")
-    return _result(ad * bd, (a, b), lambda g: (g * bd, g * ad))
-
-
-def _mul_const(a: Tensor, c: float) -> Tensor:
-    return _result(a.data * c, (a,), lambda g: (g * c,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., m, k) @ (k, n), or a batch (B, m, k) @ (B, k, n) pair by pair."""
     ad, bd = a.data, b.data
@@ -359,53 +302,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(ad @ bd, (a, b), rule)
 
 
-def _reduce(a: Tensor, axis: Optional[int], scale: bool) -> Tensor:
-    ad = a.data
-    if axis is None:
-        count = ad.size
-        out = ad.mean() if scale else ad.sum()
-
-        def rule(g):
-            gx = np.broadcast_to(g, ad.shape)
-            return ((gx / count) if scale else gx,)
-
-        return _result(np.asarray(out), (a,), rule)
-    nd = ad.ndim
-    if not -nd <= axis < nd:
-        raise ShapeError(f"reduce axis {axis} out of range for shape {ad.shape}")
-    axis = axis % nd
-    count = ad.shape[axis]
-    out = ad.mean(axis=axis) if scale else ad.sum(axis=axis)
-
-    def rule(g):
-        gx = np.broadcast_to(np.expand_dims(g, axis), ad.shape)
-        return ((gx / count) if scale else gx,)
-
-    return _result(out, (a,), rule)
-
-
 # -- elementwise nonlinearities --------------------------------------------
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return _result(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    return _result(y, (x,), lambda g: (g * (1.0 - y * y),))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    # exp(-logaddexp(0, -x)) is 1/(1+e^-x) without overflow on either tail
-    y = np.exp(-np.logaddexp(0.0, -x.data))
-    return _result(y, (x,), lambda g: (g * y * (1.0 - y),))
-
-
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    return _result(np.log(xd), (x,), lambda g: (g / xd,))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

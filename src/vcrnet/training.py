@@ -53,7 +53,7 @@ def task_loss(logits: Tensor, gold) -> Tensor:
     """Four-way cross-entropy, the negative log softmax probability of gold.
 
     (4,) logits with one gold index give a scalar; (n, 4) logits with n
-    gold indices give the (n,) losses of n tasks.
+    gold indices give the (n,) losses of n tasks. One fused tape entry.
     """
     golds = np.asarray(gold)
     shape = logits.data.shape
@@ -64,8 +64,19 @@ def task_loss(logits: Tensor, gold) -> Tensor:
         raise DataError(f"gold index {golds.tolist()} out of range for {n} candidates")
     pick = np.zeros(shape)
     np.put_along_axis(pick, golds[..., None], 1.0, axis=-1)
-    probs = T.softmax(logits, axis=-1)
-    return T.neg(T.log((probs * Tensor(pick)).sum(axis=-1)))
+    x = logits.data
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    picked = (probs * pick).sum(axis=-1)
+
+    # the chain rule through negation, log, the gold pick and softmax, step by
+    # step: the shorter g * (probs - pick) rounds differently, and after many
+    # Adam steps that changes the bytes of a same-seed checkpoint
+    def rule(g):
+        d_probs = (-g / picked)[..., None] * pick
+        return (probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)),)
+
+    return T.record_op(-np.log(picked), (logits,), rule)
 
 
 class Adam:
@@ -225,7 +236,7 @@ def train(
                         instance_id = fwd.examples[bad[0]].instance_id
                         raise TrainingDiverged(_divergence(epoch, instance_id, tape), reports)
                     loss_sum += float(losses.data.sum())
-                    tape.backward(losses.sum() * (1.0 / len(batch)))
+                    tape.seed(losses, np.full(losses.data.shape, 1.0 / len(batch)))
             opt.step()
 
         train_metrics = evaluate(model, train_insts)
@@ -279,11 +290,11 @@ def load_run(ckpt_path) -> tuple:
             raise FileNotFoundError(f"missing sidecar file {path}")
     try:
         config = TrainConfig.from_json(config_path.read_text(encoding="utf-8"))
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{config_path}: {exc}") from exc
     try:
         vocab = Vocab.from_json(vocab_path.read_text(encoding="utf-8"))
-    except DataError as exc:
+    except (DataError, UnicodeDecodeError) as exc:
         raise DataError(f"{vocab_path}: {exc}") from exc
     model = VcrModel.load(ckpt_path, config, vocab)
     return model, config, vocab

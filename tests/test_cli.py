@@ -395,7 +395,7 @@ def test_eval_reports_malformed_object_projection(trained_run, tmp_path, capsys,
     bad = run / ckpt.name
     write_checkpoint(bad, state)
     capsys.readouterr()
-    assert main(["eval", "--ckpt", str(bad), "--data", str(data)]) == 1
+    assert main(["eval", "--ckpt", str(bad), "--data", str(data / cli.TRAIN_FILE)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
@@ -403,3 +403,110 @@ def test_eval_reports_malformed_object_projection(trained_run, tmp_path, capsys,
     assert len(errors) == 1
     assert str(bad) in errors[0] and "obj_proj.weight" in errors[0] and str(shape) in errors[0]
     assert not any("Traceback" in line for line in err)
+
+
+def _one_error(capsys) -> str:
+    """The single `error:` line of a failed command that printed no report."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert not any("Traceback" in line for line in err)
+    errors = [line for line in err if line.startswith("error:")]
+    assert len(errors) == 1, err
+    return errors[0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_rejects_non_finite_lr(tmp_path, capsys, value):
+    data = _synth(tmp_path)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(out), *_FAST, "--lr", value]) == 2
+    assert "lr must be finite" in _one_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_non_finite_checkpoint_parameter_is_refused(trained_run, tmp_path, capsys, command):
+    data, ckpt = trained_run
+    run = tmp_path / "run"
+    shutil.copytree(ckpt.parent, run)
+    state = read_checkpoint(ckpt)
+    state["reduce.clf.bias"] = np.full_like(state["reduce.clf.bias"], np.nan)
+    bad = run / ckpt.name
+    write_checkpoint(bad, state)
+    inst_id = json.loads((data / cli.TRAIN_FILE).read_text().splitlines()[0])["instance_id"]
+    traces = tmp_path / "traces"
+    argv = {
+        "eval": ["eval", "--ckpt", str(bad), "--data", str(data / cli.TRAIN_FILE)],
+        "inspect": ["inspect", "--ckpt", str(bad), "--data", str(data),
+                    "--instance-id", inst_id, "--out", str(traces)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    error = _one_error(capsys)
+    assert str(bad) in error and "reduce.clf.bias" in error
+    assert not traces.exists()
+
+
+_NOT_UTF8 = b"\xff\xfe"
+
+
+def _annotation_byte(data, run, tmp_path):
+    path = data / "bad.jsonl"
+    lines = (data / cli.TRAIN_FILE).read_bytes().splitlines(keepends=True)
+    path.write_bytes(lines[0] + _NOT_UTF8 + lines[1])
+    return (["eval", "--ckpt", str(run / "model.canckpt"), "--data", str(path)], 1,
+            f"{path} line 2: not UTF-8")
+
+
+def _data_directory(data, run, tmp_path):
+    return ["eval", "--ckpt", str(run / "model.canckpt"), "--data", str(data)], 2, str(data)
+
+
+def _config_directory(data, run, tmp_path):
+    return (["train", "--data", str(data), "--out", str(tmp_path / "out"), "--config",
+             str(tmp_path)], 2, str(tmp_path))
+
+
+def _config_file_byte(data, run, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"epochs = 1\n# " + _NOT_UTF8 + b"\n")
+    return (["train", "--data", str(data), "--out", str(tmp_path / "out"), "--config",
+             str(path)], 2, f"{path} line 2")
+
+
+def _sidecar_byte(name):
+    def case(data, run, tmp_path):
+        path = run / name
+        path.write_bytes(_NOT_UTF8 + path.read_bytes())
+        return (["eval", "--ckpt", str(run / "model.canckpt"), "--data",
+                 str(data / cli.TRAIN_FILE)], 1, str(path))
+    return case
+
+
+def _feature_entry_name(data, run, tmp_path):
+    path = data / cli.FEATURES_FILE
+    blob = path.read_bytes()
+    at = blob.index(b"objects/")
+    path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    return (["eval", "--ckpt", str(run / "model.canckpt"), "--data",
+             str(data / cli.TRAIN_FILE)], 1, f"{path} has an entry name at byte {at}")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_annotation_byte, _data_directory, _config_directory, _config_file_byte,
+     _sidecar_byte("config.json"), _sidecar_byte("vocab.json"), _feature_entry_name],
+    ids=["annotation-byte", "data-directory", "config-directory", "config-file-byte",
+         "run-config-byte", "run-vocab-byte", "feature-entry-name"],
+)
+def test_undecodable_or_non_file_input_is_an_error_line(trained_run, tmp_path, capsys, case):
+    data, ckpt = trained_run
+    data_copy, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(data, data_copy)
+    shutil.copytree(ckpt.parent, run)
+    argv, code, named = case(data_copy, run, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    assert named in _one_error(capsys)

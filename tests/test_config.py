@@ -21,6 +21,8 @@ def test_defaults_validate():
 
 @pytest.mark.parametrize("field,value", [
     ("lr", -0.1),
+    ("lr", float("nan")),
+    ("lr", float("inf")),
     ("epochs", 0),
     ("batch_size", 0),
     ("layers", 0),
@@ -82,6 +84,13 @@ def test_from_mapping_accepts_int_for_float():
 @pytest.mark.parametrize("blob", ["{not json", "[1, 2]"])
 def test_from_json_rejects_malformed_blobs(blob):
     with pytest.raises(ConfigError):
+        TrainConfig.from_json(blob)
+
+
+@pytest.mark.parametrize("blob", ['{"lr": NaN}', '{"lr": Infinity}'])
+def test_from_json_rejects_non_finite_lr(blob):
+    # json.loads accepts these constants, so the check is the config's own
+    with pytest.raises(ConfigError, match="lr must be finite"):
         TrainConfig.from_json(blob)
 
 

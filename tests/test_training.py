@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from vcrnet import tensor as T
 from vcrnet import training
 from vcrnet.checkpoint import read_checkpoint
 from vcrnet.config import TrainConfig
@@ -241,3 +243,33 @@ def test_load_run_missing_sidecar(tmp_path):
     (tmp_path / VOCAB_NAME).unlink()
     with pytest.raises(FileNotFoundError):
         load_run(tmp_path / CHECKPOINT_NAME)
+
+
+def _op_builders():
+    """Names of the functions and Tensor methods that build a tape rule
+    themselves, i.e. call `tensor._result`; `record_op` builds rules owned
+    by its callers."""
+    fns = [(name, fn) for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__]
+    fns += [(f"Tensor.{name}", fn) for name, fn in vars(T.Tensor).items()
+            if inspect.isfunction(fn)]
+    return {name for name, fn in fns if "_result" in fn.__code__.co_names} - {"record_op"}
+
+
+def test_one_train_epoch_reaches_every_tensor_op(tmp_path, monkeypatch):
+    """The tensor library holds only ops the program runs: one default
+    training epoch, which also evaluates, builds a rule of each of them."""
+    owners = set()
+    result = T._result
+
+    def collecting(data, inputs, rule):
+        owners.add(rule.__qualname__.split(".<locals>", 1)[0])
+        return result(data, inputs, rule)
+
+    monkeypatch.setattr(T, "_result", collecting)
+    train_set, val_set = _data(n=8)
+    train(TrainConfig(epochs=1), train_set, val_set, tmp_path / "run")
+    builders = _op_builders()
+    assert {"add", "matmul", "Tensor.reshape", "Tensor.transpose", "Tensor.slice"} <= builders
+    assert builders - owners == set()
+    assert "task_loss" in owners
