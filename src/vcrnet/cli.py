@@ -92,7 +92,7 @@ def cmd_synth(args) -> int:
 def _assemble_config(args) -> TrainConfig:
     try:
         if args.config is not None:
-            cfg = TrainConfig.from_file(_require(Path(args.config), "config file"))
+            cfg = TrainConfig.read(_require(Path(args.config), "config file"))
         else:
             cfg = TrainConfig()
         overrides = {
@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="fit a model on a synth directory")
-    p.add_argument("--config", default=None, help="key = value file; flags win")
+    p.add_argument("--config", default=None,
+                   help="JSON config file, such as a run's config.json; flags win")
     p.add_argument("--data", required=True, help="directory from `synth`")
     p.add_argument("--out", required=True)
     _add_config_flags(p)

@@ -1,6 +1,7 @@
 """Flat training/model configuration with file and override plumbing.
 
-The on-disk format is one `key = value` pair per line (# starts a comment).
+The on-disk format is one JSON object keyed by field name. It is the format
+`train` writes as a run's `config.json`, so that file reproduces the run.
 Every field of TrainConfig is addressable by its field name; command-line
 flags override file values, which override the defaults here.
 """
@@ -70,6 +71,15 @@ class TrainConfig:
         return cls.from_mapping(mapping)
 
     @classmethod
+    def read(cls, path) -> "TrainConfig":
+        """Read a JSON config file; any failure is a ConfigError naming it."""
+        try:
+            with open(path, "rb") as fh:
+                return cls.from_json(fh.read().decode("utf-8"))
+        except (ConfigError, OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+    @classmethod
     def from_mapping(cls, mapping: dict) -> "TrainConfig":
         """Build and validate a config whose values have their fields' JSON types."""
         kinds = {f.name: str(f.type) for f in dataclasses.fields(cls)}
@@ -88,41 +98,3 @@ class TrainConfig:
         merged = dataclasses.asdict(self)
         merged.update({k: v for k, v in overrides.items() if v is not None})
         return type(self).from_mapping(merged)
-
-    @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        values: dict = {}
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    text = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ConfigError(f"{path} line {lineno}: not UTF-8 text: {exc}") from exc
-                line = text.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path} line {lineno}: expected key = value")
-                key, text = (part.strip() for part in line.split("=", 1))
-                if key not in fields:
-                    raise ConfigError(f"{path} line {lineno}: unknown key {key!r}")
-                values[key] = _parse_value(fields[key].type, text, path, lineno)
-        return cls.from_mapping(values)
-
-
-def _parse_value(annotation: str, text: str, path, lineno: int):
-    kind = str(annotation)
-    if kind == "bool":
-        lowered = text.lower()
-        if lowered not in ("true", "false"):
-            raise ConfigError(f"{path} line {lineno}: expected true/false, got {text!r}")
-        return lowered == "true"
-    try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-    except ValueError:
-        raise ConfigError(f"{path} line {lineno}: bad {kind} value {text!r}")
-    return text

@@ -63,6 +63,9 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad")
+    # numpy refuses a Tensor operand, so an ndarray on either side of `+` or
+    # `@` is a TypeError rather than an object-array or 0-d matmul attempt
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -89,7 +92,9 @@ class Tensor:
         return NotImplemented
 
     def __matmul__(self, other):
-        return matmul(self, other)
+        if isinstance(other, Tensor):
+            return matmul(self, other)
+        return NotImplemented
 
     # -- shape ops as methods, numpy-style --
 

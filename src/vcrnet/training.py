@@ -23,7 +23,7 @@ import numpy as np
 
 from vcrnet import tensor as T
 from vcrnet.checkpoint import write_atomic
-from vcrnet.config import ConfigError, TrainConfig
+from vcrnet.config import TrainConfig
 from vcrnet.data import (
     TASK_Q2A,
     TASK_QA2R,
@@ -288,10 +288,7 @@ def load_run(ckpt_path) -> tuple:
     for path in (config_path, vocab_path):
         if not path.is_file():
             raise FileNotFoundError(f"missing sidecar file {path}")
-    try:
-        config = TrainConfig.from_json(config_path.read_text(encoding="utf-8"))
-    except (ConfigError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{config_path}: {exc}") from exc
+    config = TrainConfig.read(config_path)
     try:
         vocab = Vocab.from_json(vocab_path.read_text(encoding="utf-8"))
     except (DataError, UnicodeDecodeError) as exc:

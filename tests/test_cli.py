@@ -72,8 +72,8 @@ def test_train_emits_reports_and_final_metrics(tmp_path, capsys):
 
 def test_train_flags_override_config_file(tmp_path, capsys):
     data = _synth(tmp_path)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("epochs = 1\nd_model = 8\nd_token = 8\nlayers = 1\ndropout = 0.0\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"epochs": 1, "d_model": 8, "d_token": 8, "layers": 1, "dropout": 0.0}')
     out = tmp_path / "run"
     assert main(["train", "--data", str(data), "--out", str(out),
                  "--config", str(cfg), "--epochs", "2"]) == 0
@@ -84,10 +84,40 @@ def test_train_flags_override_config_file(tmp_path, capsys):
 
 def test_train_rejects_bad_config_value(tmp_path, capsys):
     data = _synth(tmp_path)
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("heads = 5\nd_model = 8\n")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"heads": 5, "d_model": 8}')
+    capsys.readouterr()
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
                  "--config", str(cfg)]) == 2
+    error = _one_error(capsys)
+    assert str(cfg) in error and "heads=5" in error
+
+
+@pytest.mark.parametrize("text,named", [
+    ('{"epochs": 1,}', "line 1 column 14"),
+    ('{"heads": "2"}', "heads must be int"),
+    ('{"momentum": 0.9}', "unknown config keys"),
+    ('[1, 2]', "must be a JSON object"),
+], ids=["malformed", "mistyped", "unknown-key", "not-object"])
+def test_train_bad_config_file_is_one_error_line(tmp_path, capsys, text, named):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "r"),
+                 "--config", str(cfg)]) == 2
+    error = _one_error(capsys)
+    assert str(cfg) in error and named in error
+    assert not (tmp_path / "r").exists()
+
+
+def test_train_from_a_runs_config_reproduces_it(tmp_path, capsys):
+    data = _synth(tmp_path)
+    first, again = tmp_path / "run", tmp_path / "rerun"
+    assert main(["train", "--data", str(data), "--out", str(first), *_FAST,
+                 "--encoder", "lstm", "--ga", "false", "--seed", "5"]) == 0
+    assert main(["train", "--data", str(data), "--out", str(again),
+                 "--config", str(first / "config.json")]) == 0
+    for name in ("model.canckpt", "config.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_eval_scores_a_checkpoint(tmp_path, capsys):
@@ -470,10 +500,10 @@ def _config_directory(data, run, tmp_path):
 
 
 def _config_file_byte(data, run, tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_bytes(b"epochs = 1\n# " + _NOT_UTF8 + b"\n")
+    path = tmp_path / "run.json"
+    path.write_bytes(b'{"epochs": 1,\n' + _NOT_UTF8 + b"}\n")
     return (["train", "--data", str(data), "--out", str(tmp_path / "out"), "--config",
-             str(path)], 2, f"{path} line 2")
+             str(path)], 2, str(path))
 
 
 def _sidecar_byte(name):

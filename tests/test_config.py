@@ -142,34 +142,18 @@ def test_with_overrides_skips_none():
     assert cfg.epochs == 200
 
 
-def test_from_file_parses_types(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# comment line\n"
-        "lr = 0.01\n"
-        "epochs=3\n"
-        "ga = false\n"
-        "encoder = lstm\n"
-        "\n"
-        "dropout = 0.0\n"
-    )
-    cfg = TrainConfig.from_file(path)
-    assert cfg.lr == 0.01
-    assert cfg.epochs == 3
-    assert cfg.ga is False
-    assert cfg.encoder == "lstm"
-    assert cfg.dropout == 0.0
+def test_read_names_file_line_and_column_of_malformed_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"lr": 0.01,\n "epochs" 3}\n')
+    with pytest.raises(ConfigError) as info:
+        TrainConfig.read(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert "line 2 column 11" in str(info.value)
 
 
-def test_from_file_reports_line_numbers(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("lr = 0.01\nnot a pair\n")
-    with pytest.raises(ConfigError, match="line 2"):
-        TrainConfig.from_file(path)
-
-
-def test_from_file_bad_bool(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("ga = yes\n")
-    with pytest.raises(ConfigError):
-        TrainConfig.from_file(path)
+def test_read_names_file_and_key_of_mistyped_value(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"heads": "2"}')
+    with pytest.raises(ConfigError) as info:
+        TrainConfig.read(path)
+    assert str(info.value).startswith(f"{path}: heads must be int")

@@ -75,6 +75,17 @@ def test_add_rejects_mismatched_shapes():
         Tensor(np.zeros((2, 3))) + Tensor(np.zeros(2))
 
 
+@pytest.mark.parametrize("apply", [
+    lambda a, b: a + b,
+    lambda a, b: a @ b,
+    lambda a, b: b + a,
+    lambda a, b: b @ a,
+], ids=["tensor-add", "tensor-matmul", "ndarray-add", "ndarray-matmul"])
+def test_operator_with_ndarray_operand_is_type_error(apply):
+    with pytest.raises(TypeError):
+        apply(Tensor(np.eye(2)), np.eye(2))
+
+
 def test_backward_through_matmul_sum():
     a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
     b = Tensor(np.array([[5.0], [6.0]]), requires_grad=True)
