@@ -218,6 +218,7 @@ def save_features(path, instances: Sequence[VcrInstance]) -> None:
 def load_instances(annotation_path, feature_path) -> list:
     features = read_checkpoint(feature_path)
     instances = []
+    first_line = {}  # instance_id -> the line that introduced it
     with open(annotation_path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -232,9 +233,16 @@ def load_instances(annotation_path, feature_path) -> list:
                 raise DataError(f"{annotation_path}: malformed JSON on line {lineno}: {err}")
             try:
                 instance_id = record["instance_id"]
+                # an integer 5 would find the features of "5" and pass as another id
+                if not isinstance(instance_id, str):
+                    raise DataError(
+                        f"instance_id must be a JSON string, got {json.dumps(instance_id)}")
                 key = f"objects/{instance_id}"
                 if key not in features:
                     raise DataError(f"{instance_id}: no feature entry in {feature_path}")
+                if instance_id in first_line:
+                    raise DataError(f"duplicate instance_id {instance_id!r}, "
+                                    f"first on line {first_line[instance_id]}")
                 inst = VcrInstance(
                     instance_id=instance_id,
                     objects=features[key],
@@ -250,6 +258,7 @@ def load_instances(annotation_path, feature_path) -> list:
             except (ValueError, TypeError) as err:
                 raise DataError(f"{annotation_path} line {lineno}: {err}") from err
             instances.append(inst)
+            first_line[instance_id] = lineno
     return instances
 
 

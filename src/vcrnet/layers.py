@@ -90,6 +90,14 @@ def init_layer_norm(d: int, eps: float = 1e-5) -> LayerNormParams:
     return LayerNormParams(gamma=Tensor(np.ones(d), requires_grad=True), beta=_zeros((d,)), eps=eps)
 
 
+def _last_axis_mean(a: np.ndarray, d: int) -> np.ndarray:
+    # np.mean's own add-reduce and true divide, without its Python-level
+    # wrapper: the same bits for any width
+    s = a.sum(axis=-1, keepdims=True)
+    s /= d
+    return s
+
+
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply γ, β.
 
@@ -102,9 +110,9 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
             f"layer_norm params for width {p.gamma.data.shape} applied to last axis {d}"
         )
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
+    mu = _last_axis_mean(xd, d)
     centered = xd - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = _last_axis_mean(centered * centered, d)
     inv = 1.0 / np.sqrt(var + p.eps)
     xhat = centered * inv
     out = p.gamma.data * xhat + p.beta.data
@@ -116,8 +124,8 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
         dxhat = g * gamma_d
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - _last_axis_mean(dxhat, d)
+            - xhat * _last_axis_mean(dxhat * xhat, d)
         )
         return dx, dgamma, dbeta
 

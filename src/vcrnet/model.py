@@ -17,10 +17,14 @@ The forward is numeric only: every attention unit and pooling step records
 a trace of weights, and no sequence carries its tokens. `trace_labels`
 names the two axes of a trace once, when `inspect` exports it.
 
-Chunks are cut in task order so that 4·n·(m_q + w) stays within
-CHUNK_POSITIONS padded positions, one task at the least: larger chunks
-amortize Python dispatch over more tasks, and the bound keeps the memory of
-one taped forward and backward small.
+Chunks are cut from a task sequence in its order so that 4·n·(m_q + w)
+stays within a bound of padded positions, one task at the least: larger
+chunks amortize Python dispatch over more tasks, and the bound keeps the
+memory of one forward small. Taped training cuts its mini-batches in data
+order at CHUNK_POSITIONS, because a tape also holds every intermediate for
+the backward. Untaped scoring sorts its tasks by `task_lengths` first, so
+that tasks of like length share a chunk, and cuts at EVAL_CHUNK_POSITIONS;
+most of the memory of such a chunk is its attention traces.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ from vcrnet.reduction import ReductionParams, candidate_logit, fuse, init_reduct
 from vcrnet.tensor import ShapeError, Tensor
 
 CANDIDATES = 4
-CHUNK_POSITIONS = 192
+CHUNK_POSITIONS = 192  # taped training
+EVAL_CHUNK_POSITIONS = 768  # untaped scoring (`training.predict_all`)
 
 # The model's parts in checkpoint order: (checkpoint prefix, VcrModel
 # attribute, forward stage the part feeds). An absent part (None) has no
@@ -88,19 +93,25 @@ class TaskInput(NamedTuple):
         return cls(make_task(inst, kind), inst.objects)
 
 
-def chunked(tasks: Sequence[TaskInput]) -> Iterator[list]:
-    """Consecutive runs of tasks whose padded chunk fits CHUNK_POSITIONS.
+def task_lengths(task: TaskInput) -> tuple:
+    """(query length, longest response length): what a task adds to a chunk's padding."""
+    ex = task.example
+    return len(ex.query), max(len(resp) for resp in ex.responses)
+
+
+def chunked(tasks: Sequence[TaskInput], positions: int) -> Iterator[list]:
+    """Consecutive runs of tasks whose padded chunk fits `positions`.
 
     A run grows while 4·n·(longest query + longest response) stays within
-    the bound; a task too long to share a chunk gets one of its own.
+    the bound; a task too long to share a chunk gets one of its own. The
+    runs keep the order of `tasks`: sort them first to pad less.
     """
     chunk: list = []
     m_q = w = 0
     for task in tasks:
-        ex = task.example
-        q_len, r_len = len(ex.query), max(len(resp) for resp in ex.responses)
+        q_len, r_len = task_lengths(task)
         grown = CANDIDATES * (len(chunk) + 1) * (max(m_q, q_len) + max(w, r_len))
-        if chunk and grown > CHUNK_POSITIONS:
+        if chunk and grown > positions:
             yield chunk
             chunk, m_q, w = [], 0, 0
         chunk.append(task)
@@ -297,6 +308,15 @@ class VcrModel:
 
     # -- forward -----------------------------------------------------------
 
+    def check_object_width(self, instance_id: str, objects: np.ndarray) -> None:
+        """Raise DataError naming the instance unless its objects fit obj_proj."""
+        d_o = self.obj_proj.weight.data.shape[0]
+        if objects.shape[1] != d_o:
+            raise DataError(
+                f"{instance_id}: object features are {objects.shape[1]} wide, "
+                f"the model expects {d_o}"
+            )
+
     def _encode(self, seqs: list, objects: Tensor) -> GroundedSeq:
         """Ground token sequences together as one time-major BiLSTM batch."""
         steps = max(len(seq) for seq in seqs)
@@ -335,11 +355,7 @@ class VcrModel:
                     f"{ex.instance_id}: expected {CANDIDATES} candidate responses, "
                     f"got {len(ex.responses)}"
                 )
-            if objs.shape[1] != d_o:
-                raise DataError(
-                    f"{ex.instance_id}: object features are {objs.shape[1]} wide, "
-                    f"the model expects {d_o}"
-                )
+            self.check_object_width(ex.instance_id, objs)
             objects[i, :k_i] = objs
             object_mask[i, :k_i] = True
             # a tag indexes its own task's k rows of the flattened (n·k, d_o) objects

@@ -9,6 +9,7 @@ from vcrnet.grounding import GroundedSeq, align_tags, ground, guided_fuse
 from vcrnet.layers import FeedForwardParams, LinearParams, init_layer_norm, linear
 from vcrnet.reduction import candidate_logit, fuse, reduce
 from vcrnet.layers import _expit as expit
+from vcrnet.model import CANDIDATES, task_lengths
 from vcrnet.tensor import ShapeError, Tensor, record_op
 
 
@@ -52,6 +53,12 @@ def all_gradients(tape, output, seed_grad):
             cur = totals.get(id(tensor))
             totals[id(tensor)] = gi if cur is None else cur + gi
     return totals
+
+
+def padded_positions(chunk):
+    """4·n·(longest query + longest response): the padded size of a chunk of n tasks."""
+    m_q, w = (max(lengths) for lengths in zip(*map(task_lengths, chunk)))
+    return CANDIDATES * len(chunk) * (m_q + w)
 
 
 def pad_grounded(seq, length):

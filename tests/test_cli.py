@@ -446,6 +446,27 @@ def _one_error(capsys) -> str:
     return errors[0]
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_repeated_instance_id_is_one_error_line(trained_run, tmp_path, capsys, command):
+    data, ckpt = trained_run
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    annotations = copy / cli.TRAIN_FILE
+    lines = annotations.read_text().splitlines(keepends=True)
+    annotations.write_text("".join(lines + lines[:1]))
+    out = tmp_path / "run"
+    argv = {
+        "eval": ["eval", "--ckpt", str(ckpt), "--data", str(annotations)],
+        "train": ["train", "--data", str(copy), "--out", str(out), *_FAST],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    first = json.loads(lines[0])["instance_id"]
+    assert _one_error(capsys) == (f"error: {annotations} line {len(lines) + 1}: "
+                                  f"duplicate instance_id {first!r}, first on line 1")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_train_rejects_non_finite_lr(tmp_path, capsys, value):
     data = _synth(tmp_path)

@@ -127,6 +127,27 @@ def test_loader_reports_line_number_for_bad_json(tmp_path):
     assert "line 3" in str(err.value)
 
 
+def test_loader_names_a_repeated_instance_id_and_its_first_line(tmp_path):
+    ann, feat = _write_instance_files(tmp_path, lambda records: records.append(records[0]))
+    with pytest.raises(DataError) as err:
+        load_instances(ann, feat)
+    assert str(err.value) == (f"{ann} line 3: duplicate instance_id 'synth-31-00000', "
+                              f"first on line 1")
+
+
+def test_loader_rejects_a_non_string_instance_id(tmp_path):
+    inst = synth_generate(seed=31, n=1)[0]
+    inst.instance_id = "5"
+    record = json.loads(serialize_instance(inst))
+    record["instance_id"] = 5
+    ann, feat = tmp_path / "a.jsonl", tmp_path / "f.canckpt"
+    ann.write_text(json.dumps(record) + "\n")
+    save_features(feat, [inst])
+    with pytest.raises(DataError) as err:
+        load_instances(ann, feat)
+    assert str(err.value) == f"{ann} line 1: instance_id must be a JSON string, got 5"
+
+
 def test_loader_rejects_wrong_answer_count(tmp_path):
     def chop(records):
         records[1]["answers"] = records[1]["answers"][:3]

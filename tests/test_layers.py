@@ -42,6 +42,27 @@ def test_layer_norm_standardizes_rows():
     npt.assert_allclose(out.var(axis=-1), np.ones(6), atol=1e-3)
 
 
+@pytest.mark.parametrize("d", [7, 12])
+def test_layer_norm_equals_the_np_mean_formula_exactly(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((3, 5, d)) * 3.0 + 1.5
+    gamma, beta, g = rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal(x.shape)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = centered * inv
+    dxhat = g * gamma
+    want_dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+
+    xt = Tensor(x, requires_grad=True)
+    p = L.LayerNormParams(Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True))
+    with T.Tape() as tape:
+        out = L.layer_norm(xt, p)
+    tape.seed(out, g)
+    assert np.array_equal(out.data, gamma * xhat + beta)
+    assert np.array_equal(xt.grad, want_dx)
+
+
 def test_layer_norm_width_mismatch():
     p = L.init_layer_norm(3)
     with pytest.raises(ShapeError):

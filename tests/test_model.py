@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import loop_forward
+from helpers import loop_forward, padded_positions
 
 from vcrnet.attention import AttentionTrace
 from vcrnet.checkpoint import CheckpointError, write_checkpoint
@@ -21,14 +21,16 @@ from vcrnet.diagnostics import probe_instance
 from vcrnet.model import (
     CANDIDATES,
     CHUNK_POSITIONS,
+    EVAL_CHUNK_POSITIONS,
     ChunkForward,
     TaskInput,
     VcrModel,
     chunked,
+    task_lengths,
     trace_labels,
 )
 from vcrnet.tensor import ShapeError, Tape, Tensor
-from vcrnet.training import task_loss
+from vcrnet.training import predict_all, task_loss
 
 
 def _config(**kw):
@@ -425,18 +427,63 @@ def test_chunk_matches_loop_of_one_task_forwards(arch):
 def test_chunks_respect_the_position_bound():
     insts = synth_generate(5, 12)
     tasks = [TaskInput.of(inst, kind) for inst in insts for kind in (TASK_Q2A, TASK_QA2R)]
-    chunks = list(chunked(tasks))
-    assert [t for chunk in chunks for t in chunk] == tasks
-    assert max(len(chunk) for chunk in chunks) > 1
-    for chunk in chunks:
-        m_q = max(len(t.example.query) for t in chunk)
-        w = max(len(r) for t in chunk for r in t.example.responses)
-        assert CANDIDATES * len(chunk) * (m_q + w) <= CHUNK_POSITIONS
-    # a task too long for the bound still gets a chunk of its own
     inst = _ragged_inst()
-    long_q = TaskExample(inst.instance_id, TASK_Q2A, inst.question * 20, inst.answers, 0)
+    long_q = TaskExample(inst.instance_id, TASK_Q2A, inst.question * 100, inst.answers, 0)
     long = TaskInput(long_q, inst.objects)
-    assert [len(c) for c in chunked([long, long, tasks[0]])] == [1, 1, 1]
+    for bound in (CHUNK_POSITIONS, EVAL_CHUNK_POSITIONS):
+        chunks = list(chunked(tasks, bound))
+        assert [t for chunk in chunks for t in chunk] == tasks
+        assert len(chunks) > 1 and max(len(chunk) for chunk in chunks) > 1
+        for chunk, after in zip(chunks, chunks[1:] + [None]):
+            assert padded_positions(chunk) <= bound
+            # a run grows as long as it can
+            if after is not None:
+                assert padded_positions(chunk + after[:1]) > bound
+        # a task too long for the bound still gets a chunk of its own
+        assert padded_positions([long]) > bound
+        assert [len(c) for c in chunked([long, long, tasks[0]], bound)] == [1, 1, 1]
+
+
+def _mixed_length_instances():
+    """Short synthetic instances, every third with a long question, some with
+    six objects: sorting their tasks by length reorders them."""
+    insts = synth_generate(41, 16) + synth_generate(42, 8, k_objects=6)
+    for inst in insts[::3]:
+        inst.question = inst.question * 4
+    return insts[1::2] + insts[::2]
+
+
+@pytest.mark.parametrize("arch", sorted(_ARCHITECTURES))
+def test_predict_all_matches_one_task_predicts_in_data_order(arch, monkeypatch):
+    insts = _mixed_length_instances()
+    model = VcrModel.build(_config(**_ARCHITECTURES[arch]), Vocab.build(insts),
+                           insts[0].objects.shape[1], np.random.default_rng(17))
+    _randomize_head(model)
+    tasks = [TaskInput.of(inst, kind) for kind in (TASK_Q2A, TASK_QA2R) for inst in insts]
+    assert sorted(tasks, key=task_lengths) != tasks
+
+    chunks = []
+    forward = VcrModel.forward_chunk
+
+    def recorded(self, chunk, *args, **kwargs):
+        chunks.append(list(chunk))
+        return forward(self, chunk, *args, **kwargs)
+
+    monkeypatch.setattr(VcrModel, "forward_chunk", recorded)
+    q2a, qa2r = predict_all(model, insts)
+    monkeypatch.undo()
+    # several chunks of several tasks each, cut under the untaped bound
+    assert sum(map(len, chunks)) == len(tasks) and sum(len(c) > 1 for c in chunks) >= 3
+    assert all(padded_positions(c) <= EVAL_CHUNK_POSITIONS for c in chunks)
+    assert max(map(padded_positions, chunks)) > CHUNK_POSITIONS
+
+    for kind, records in ((TASK_Q2A, q2a), (TASK_QA2R, qa2r)):
+        assert len(records) == len(insts)
+        for inst, rec in zip(insts, records):
+            alone = model.predict(inst, kind)
+            assert (rec.instance_id, rec.task, rec.pred, rec.gold) == (
+                alone.instance_id, alone.task, alone.pred, alone.gold)
+            npt.assert_allclose(rec.logits, alone.logits, rtol=0, atol=1e-12)
 
 
 _PAD = "<pad>"

@@ -5,13 +5,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import padded_positions
 from vcrnet import tensor as T
 from vcrnet import training
 from vcrnet.checkpoint import read_checkpoint
 from vcrnet.config import TrainConfig
 from vcrnet.data import TASK_Q2A, TASK_QA2R, DataError, synth_generate
 from vcrnet.diagnostics import probe_instance, probe_model
-from vcrnet.model import TaskInput
+from vcrnet.model import CHUNK_POSITIONS, TaskInput, VcrModel, chunked, task_lengths
 from vcrnet.tensor import Tape, Tensor
 from vcrnet.training import (
     CHECKPOINT_NAME,
@@ -223,6 +224,50 @@ def test_evaluate_reports_all_metrics(tmp_path):
     assert metrics["n"] == 1
     assert 0.0 <= metrics["q2ar"] <= metrics["q2a"]
     assert 0.0 <= metrics["q2ar"] <= metrics["qa2r"]
+
+
+def test_evaluate_names_the_first_wrong_width_in_data_order(tmp_path):
+    result = train(_quick_config(epochs=1), *_data(), tmp_path)  # 8-wide objects
+    first, later = synth_generate(4, 2, d_o=4)
+    first.question = first.question * 5
+    # sorted by length, every task of `later` would be scored before `first`
+    keys = {inst.instance_id: [task_lengths(TaskInput.of(inst, kind))
+                               for kind in (TASK_Q2A, TASK_QA2R)]
+            for inst in (first, later)}
+    assert max(keys[later.instance_id]) < min(keys[first.instance_id])
+    good = synth_generate(3, 4)
+    with pytest.raises(DataError) as err:
+        evaluate(result.model, good[:2] + [first] + good[2:] + [later])
+    assert str(err.value) == (f"{first.instance_id}: object features are 4 wide, "
+                              f"the model expects 8")
+
+
+def test_taped_training_cuts_data_order_chunks_at_the_training_bound(tmp_path, monkeypatch):
+    taped, untaped = [], []
+    forward = VcrModel.forward_chunk
+
+    def recorded(self, chunk, *args, **kwargs):
+        (taped if T._tape_stack() else untaped).append(list(chunk))
+        return forward(self, chunk, *args, **kwargs)
+
+    monkeypatch.setattr(VcrModel, "forward_chunk", recorded)
+    config = _quick_config(epochs=1, batch_size=8)
+    tr, va = _data(n=24)
+    train(config, tr, va, tmp_path)
+
+    # each mini-batch lists its instances' Q2A and QA2R tasks in pairs, and
+    # is cut greedily in that order under CHUNK_POSITIONS
+    flat = [t for chunk in taped for t in chunk]
+    firsts = [t.example.instance_id for t in flat[::2]]
+    assert sorted(firsts) == sorted(inst.instance_id for inst in tr)
+    assert [(t.example.instance_id, t.example.task) for t in flat] == [
+        (inst_id, kind) for inst_id in firsts for kind in (TASK_Q2A, TASK_QA2R)]
+    batch = 2 * config.batch_size
+    recut = [chunk for start in range(0, len(flat), batch)
+             for chunk in chunked(flat[start:start + batch], CHUNK_POSITIONS)]
+    assert taped == recut and max(map(len, taped)) > 1
+    # the in-epoch evaluation cuts its untaped chunks at the larger bound
+    assert max(map(padded_positions, untaped)) > CHUNK_POSITIONS
 
 
 def test_load_run_round_trip(tmp_path):
