@@ -220,7 +220,7 @@ def guided_attention_unit(
     """One unit: attend x over the guide, then feed-forward; each sublayer
     adds its input back before its LayerNorm."""
     att, trace = multi_head(x, guide, guide, p.mha, mask, label)
-    y = layer_norm(x + att, p.ln1)
-    out = layer_norm(y + feed_forward(y, p.ffn, training=training, rng=rng), p.ln2)
+    y = layer_norm(x, p.ln1, att)
+    out = layer_norm(y, p.ln2, feed_forward(y, p.ffn, training=training, rng=rng))
     return out, trace
 

@@ -140,7 +140,9 @@ class Vocab:
         return self._ids.get(text.lower(), self.unk_id)
 
     def encode(self, tokens: Sequence[TaggedToken]) -> list:
-        return [self.token_id(tok.text) for tok in tokens]
+        # token_id inlined: this runs once per token of every forward
+        ids, unk = self._ids, self.unk_id
+        return [ids.get(tok.text.lower(), unk) for tok in tokens]
 
     def tokens(self) -> list:
         return list(self._tokens)

@@ -98,12 +98,25 @@ def layer_checks(h: float = 1e-5) -> list:
     check("layer_norm/x", lambda t: L.layer_norm(t, ln), x)
     check("layer_norm/gamma", _installed(ln, "gamma", lambda: L.layer_norm(x, ln)), ln.gamma)
     check("layer_norm/beta", _installed(ln, "beta", lambda: L.layer_norm(x, ln)), ln.beta)
+    # the residual form LN(x + y), through its second input
+    y = Tensor(rng.standard_normal((3, 6)))
+    check("layer_norm/residual/y", lambda t: L.layer_norm(x, ln, t), y)
 
     # feed-forward
     ffn = L.init_feed_forward(rng, 8, 32, 0.0)
     x = Tensor(rng.standard_normal((3, 8)))
     check("feed_forward/x", lambda t: L.feed_forward(t, ffn), x)
     check_params("feed_forward", ffn, lambda: L.feed_forward(x, ffn))
+
+    # in training mode with dropout: a fresh rng of one seed on every call
+    # draws the same mask, so each call is the same function
+    ffn_drop = L.init_feed_forward(rng, 8, 32, 0.25)
+
+    def train_ffn(t: Tensor) -> Tensor:
+        return L.feed_forward(t, ffn_drop, training=True, rng=np.random.default_rng(5))
+
+    check("feed_forward/train/x", train_ffn, x)
+    check_params("feed_forward/train", ffn_drop, lambda: train_ffn(x))
 
     # score MLP
     mlp_p = L.init_mlp(rng, [8, 4, 1])

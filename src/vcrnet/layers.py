@@ -10,10 +10,14 @@ Initialization: weight matrices uniform in [-1/sqrt(d_in), +1/sqrt(d_in)]
 with d_in the matrix's own input width, biases zero, LSTM forget-gate bias
 +1.0.
 
-`layer_norm` and `bilstm` are fused ops: one tape entry each, with a
-hand-written backward rule. `bilstm` packs each sequence's live steps to
-the front, sorts the sequences longest first and runs both directions in
-one loop over the longest sequence, so no step is masked.
+`linear`, `layer_norm`, `feed_forward` and `bilstm` are fused ops: one
+tape entry each, with a hand-written backward rule. `layer_norm` also takes
+a residual pair, LN(x + y), without keeping the sum. `feed_forward` holds
+its input and its dropout draw, a boolean mask, and recomputes its hidden
+activation in the backward, so a large taped chunk stays small in memory.
+`bilstm` packs each sequence's live steps to the front, sorts the
+sequences longest first and runs both directions in one loop over the
+longest sequence, so no step is masked.
 """
 
 from __future__ import annotations
@@ -23,13 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from vcrnet.tensor import (
-    Tensor,
-    ShapeError,
-    dropout,
-    record_op,
-    relu,
-)
+from vcrnet.tensor import Tensor, ShapeError, record_op, relu
 
 
 def named_tensors(params, prefix: str) -> Iterator[tuple[str, Tensor]]:
@@ -73,7 +71,19 @@ def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> LinearParams
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    return x @ p.weight + p.bias
+    """x @ weight + bias over the last axis of x, as one fused op."""
+    xd, w, b = x.data, p.weight.data, p.bias.data
+    d_in, d_out = w.shape
+    if xd.ndim < 2 or xd.shape[-1] != d_in or b.shape != (d_out,):
+        raise ShapeError(
+            f"linear: {w.shape} weight and {b.shape} bias applied to shape {xd.shape}"
+        )
+
+    def rule(g):
+        flat = g.reshape(-1, d_out)
+        return g @ w.T, xd.reshape(-1, d_in).T @ flat, flat.sum(axis=0)
+
+    return record_op(xd @ w + b, (x, p.weight, p.bias), rule)
 
 
 # -- layer norm ------------------------------------------------------------
@@ -98,18 +108,24 @@ def _last_axis_mean(a: np.ndarray, d: int) -> np.ndarray:
     return s
 
 
-def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then apply γ, β.
+def layer_norm(x: Tensor, p: LayerNormParams, y: Optional[Tensor] = None) -> Tensor:
+    """Normalize the last axis of x, or of the residual sum x + y, to zero
+    mean / unit variance, then apply γ, β.
 
     Implemented as one fused op: the composed-op formulation would cost a
     dozen tape entries per call and this sits inside every attention unit.
+    The sum x + y is not kept; x and y get the same gradient.
     """
-    d = x.data.shape[-1]
+    xd = x.data
+    d = xd.shape[-1]
     if p.gamma.data.shape != (d,) or p.beta.data.shape != (d,):
         raise ShapeError(
             f"layer_norm params for width {p.gamma.data.shape} applied to last axis {d}"
         )
-    xd = x.data
+    if y is not None:
+        if y.data.shape != xd.shape:
+            raise ShapeError(f"layer_norm of a sum of shapes {xd.shape} and {y.data.shape}")
+        xd = xd + y.data
     mu = _last_axis_mean(xd, d)
     centered = xd - mu
     var = _last_axis_mean(centered * centered, d)
@@ -127,9 +143,12 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
             - _last_axis_mean(dxhat, d)
             - xhat * _last_axis_mean(dxhat * xhat, d)
         )
-        return dx, dgamma, dbeta
+        if y is None:
+            return dx, dgamma, dbeta
+        return dx, dx, dgamma, dbeta
 
-    return record_op(out, [x, p.gamma, p.beta], rule)
+    inputs = (x, p.gamma, p.beta) if y is None else (x, y, p.gamma, p.beta)
+    return record_op(out, inputs, rule)
 
 
 # -- feed-forward ----------------------------------------------------------
@@ -158,9 +177,56 @@ def feed_forward(
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    h = relu(linear(x, p.lin1))
-    h = dropout(h, p.dropout, training=training, rng=rng)
-    return linear(h, p.lin2)
+    """linear, relu, inverted dropout (scaled by 1/(1-p) in training, none
+    in eval), linear: one fused op.
+
+    Its tape entry keeps the input and the dropout draw as a boolean mask,
+    not the (..., d_ff) hidden activation: the backward recomputes that
+    from the input, one more matmul for the largest arrays a taped
+    attention unit would otherwise hold.
+    """
+    drop = p.dropout
+    if not 0.0 <= drop < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {drop}")
+    xd = x.data
+    w1, b1 = p.lin1.weight.data, p.lin1.bias.data
+    w2, b2 = p.lin2.weight.data, p.lin2.bias.data
+    d_in, d_ff = w1.shape
+    d_out = w2.shape[1]
+    if xd.ndim < 2 or xd.shape[-1] != d_in or w2.shape[0] != d_ff:
+        raise ShapeError(
+            f"feed_forward: {w1.shape} and {w2.shape} weights applied to shape {xd.shape}"
+        )
+    keep = None
+    if training and drop > 0.0:
+        if rng is None:
+            raise ValueError("dropout in training mode needs an explicit rng")
+        keep = rng.random(xd.shape[:-1] + (d_ff,)) >= drop
+
+    def hidden():
+        """(relu mask, hidden activation after dropout, dropout factor or None)."""
+        h = xd @ w1 + b1
+        live = h > 0
+        a = np.where(live, h, 0.0)
+        if keep is None:
+            return live, a, None
+        factor = keep / (1.0 - drop)
+        return live, a * factor, factor
+
+    def rule(g):
+        live, a, factor = hidden()
+        flat = g.reshape(-1, d_out)
+        g_a = g @ w2.T
+        if factor is not None:
+            g_a = g_a * factor
+        g_h = g_a * live
+        flat_h = g_h.reshape(-1, d_ff)
+        return (g_h @ w1.T, xd.reshape(-1, d_in).T @ flat_h, flat_h.sum(axis=0),
+                a.reshape(-1, d_ff).T @ flat, flat.sum(axis=0))
+
+    a = hidden()[1]
+    inputs = (x, p.lin1.weight, p.lin1.bias, p.lin2.weight, p.lin2.bias)
+    return record_op(a @ w2 + b2, inputs, rule)
 
 
 # -- score MLP -------------------------------------------------------------

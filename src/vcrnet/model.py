@@ -18,13 +18,16 @@ a trace of weights, and no sequence carries its tokens. `trace_labels`
 names the two axes of a trace once, when `inspect` exports it.
 
 Chunks are cut from a task sequence in its order so that 4·n·(m_q + w)
-stays within a bound of padded positions, one task at the least: larger
-chunks amortize Python dispatch over more tasks, and the bound keeps the
-memory of one forward small. Taped training cuts its mini-batches in data
-order at CHUNK_POSITIONS, because a tape also holds every intermediate for
-the backward. Untaped scoring sorts its tasks by `task_lengths` first, so
-that tasks of like length share a chunk, and cuts at EVAL_CHUNK_POSITIONS;
-most of the memory of such a chunk is its attention traces.
+stays within CHUNK_POSITIONS padded positions, one task at the least:
+larger chunks amortize Python dispatch over more tasks, and the bound keeps
+the memory of one forward small. Taped training and untaped scoring share
+the bound. Training cuts each mini-batch in data order, so a default
+mini-batch is one taped forward; its tape stays small because the
+feed-forward, affine and residual-LayerNorm sublayers are one fused entry
+each, and the feed-forward recomputes its hidden activation in the
+backward instead of keeping it. Untaped scoring sorts its tasks by
+`task_lengths` first, so that tasks of like length share a chunk; most of
+the memory of such a chunk is its attention traces.
 """
 
 from __future__ import annotations
@@ -55,8 +58,7 @@ from vcrnet.reduction import ReductionParams, candidate_logit, fuse, init_reduct
 from vcrnet.tensor import ShapeError, Tensor
 
 CANDIDATES = 4
-CHUNK_POSITIONS = 192  # taped training
-EVAL_CHUNK_POSITIONS = 768  # untaped scoring (`training.predict_all`)
+CHUNK_POSITIONS = 768
 
 # The model's parts in checkpoint order: (checkpoint prefix, VcrModel
 # attribute, forward stage the part feeds). An absent part (None) has no
@@ -99,8 +101,8 @@ def task_lengths(task: TaskInput) -> tuple:
     return len(ex.query), max(len(resp) for resp in ex.responses)
 
 
-def chunked(tasks: Sequence[TaskInput], positions: int) -> Iterator[list]:
-    """Consecutive runs of tasks whose padded chunk fits `positions`.
+def chunked(tasks: Sequence[TaskInput]) -> Iterator[list]:
+    """Consecutive runs of tasks whose padded chunk fits CHUNK_POSITIONS.
 
     A run grows while 4·n·(longest query + longest response) stays within
     the bound; a task too long to share a chunk gets one of its own. The
@@ -111,7 +113,7 @@ def chunked(tasks: Sequence[TaskInput], positions: int) -> Iterator[list]:
     for task in tasks:
         q_len, r_len = task_lengths(task)
         grown = CANDIDATES * (len(chunk) + 1) * (max(m_q, q_len) + max(w, r_len))
-        if chunk and grown > positions:
+        if chunk and grown > CHUNK_POSITIONS:
             yield chunk
             chunk, m_q, w = [], 0, 0
         chunk.append(task)

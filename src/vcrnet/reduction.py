@@ -92,7 +92,7 @@ def fuse(z_q: Tensor, z_r: Tensor, p: ReductionParams) -> Tensor:
         raise ShapeError(
             f"fuse expects two n x {d} row stacks, got {z_q.data.shape} and {z_r.data.shape}"
         )
-    return layer_norm(z_q @ p.w1 + z_r @ p.w2, p.ln)
+    return layer_norm(z_q @ p.w1, p.ln, z_r @ p.w2)
 
 
 def candidate_logit(fused: Tensor, p: ReductionParams) -> Tensor:

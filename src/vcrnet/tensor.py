@@ -2,15 +2,16 @@
 
 Everything downstream (layers, attention, the full model) is expressed in
 the operations defined here, plus the fused ops its modules build with
-`record_op` (`layer_norm`, `sdpa`, `bilstm`, the loss). Each op computes its
-result eagerly with numpy and, when a Tape is active and an input
-participates in gradients, records a backward rule onto that tape.
+`record_op` (`linear`, `layer_norm`, `feed_forward`, `sdpa`, `bilstm`, the
+loss). Each op computes its result eagerly with numpy and, when a Tape is
+active and an input participates in gradients, records a backward rule onto
+that tape.
 Gradients are recovered by walking the tape in reverse execution order,
 which is a valid reverse-topological order because an operation's inputs
 always exist before the operation runs.
 
 The op set is `add` (also `a + b`), `matmul` (`a @ b`), `relu`, `softmax`,
-`concat`, `repeat`, `dropout`, `embedding_lookup`, and the methods
+`concat`, `repeat`, `embedding_lookup`, and the methods
 `Tensor.reshape`, `Tensor.transpose` and `Tensor.slice`. An op stays here
 only while the program runs it; one training epoch reaches every one.
 
@@ -44,7 +45,6 @@ __all__ = [
     "softmax",
     "concat",
     "repeat",
-    "dropout",
     "embedding_lookup",
     "grad_check",
 ]
@@ -372,18 +372,6 @@ def repeat(x: Tensor, count: int) -> Tensor:
         return (g.reshape((shape[0], count) + shape[1:]).sum(axis=1),)
 
     return _result(np.repeat(xd, count, axis=0), (x,), rule)
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: scales by 1/(1-p) at train time, identity in eval."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an explicit rng")
-    factor = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return _result(x.data * factor, (x,), lambda g: (g * factor,))
 
 
 def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:

@@ -33,8 +33,6 @@ from vcrnet.data import (
     metrics_report,
 )
 from vcrnet.model import (
-    CHUNK_POSITIONS,
-    EVAL_CHUNK_POSITIONS,
     TaskInput,
     VcrModel,
     chunked,
@@ -163,17 +161,23 @@ class TrainResult:
 def predict_all(model: VcrModel, instances: Sequence[VcrInstance]) -> tuple:
     """Greedy (Q2A, QA2R) predictions over a dataset, each list in data order.
 
-    The tasks are scored untaped, sorted by `task_lengths` and cut at
-    EVAL_CHUNK_POSITIONS, so that tasks of like length share a chunk. A
-    logit does not depend on its chunk's other tasks, and the object widths
-    are checked in data order first, so an error names the first
+    The tasks are scored untaped, sorted by `task_lengths` and cut by
+    `chunked`, so that tasks of like length share a chunk. A logit does not
+    depend on its chunk's other tasks. Before any forward
+    runs, each instance is validated, checked for a repeated id and for
+    its object width, in data order, so an error names the first
     malformed instance.
     """
+    seen = set()
     for inst in instances:
+        inst.validate()
+        if inst.instance_id in seen:
+            raise DataError(f"{inst.instance_id}: duplicate instance_id")
+        seen.add(inst.instance_id)
         model.check_object_width(inst.instance_id, inst.objects)
     tasks = [TaskInput.of(inst, kind) for kind in (TASK_Q2A, TASK_QA2R) for inst in instances]
     order = sorted(range(len(tasks)), key=lambda i: task_lengths(tasks[i]))
-    scored = (rec for chunk in chunked([tasks[i] for i in order], EVAL_CHUNK_POSITIONS)
+    scored = (rec for chunk in chunked([tasks[i] for i in order])
               for rec in model.forward_chunk(chunk).records())
     records = [None] * len(tasks)
     for i, rec in zip(order, scored):
@@ -248,7 +252,7 @@ def train(
             batch = [train_insts[idx] for idx in order[start:start + config.batch_size]]
             tasks = [TaskInput.of(inst, kind) for inst in batch for kind in (TASK_Q2A, TASK_QA2R)]
             model.zero_grad()
-            for chunk in chunked(tasks, CHUNK_POSITIONS):
+            for chunk in chunked(tasks):
                 with Tape() as tape:
                     fwd = model.forward_chunk(chunk, training=True, rng=rng)
                     losses = task_loss(fwd.logits, [ex.gold for ex in fwd.examples])

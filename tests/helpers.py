@@ -6,7 +6,7 @@ from vcrnet import attention as A
 from vcrnet import tensor as T
 from vcrnet.coattention import coattend, join, lstm_encode
 from vcrnet.grounding import GroundedSeq, align_tags, ground, guided_fuse
-from vcrnet.layers import FeedForwardParams, LinearParams, init_layer_norm, linear
+from vcrnet.layers import FeedForwardParams, LinearParams, init_layer_norm, layer_norm, linear
 from vcrnet.reduction import candidate_logit, fuse, reduce
 from vcrnet.layers import _expit as expit
 from vcrnet.model import CANDIDATES, task_lengths
@@ -17,6 +17,33 @@ def np_layer_norm(x, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps)
+
+
+def composed_linear(x, p):
+    """Reference for the fused `layers.linear`: a matmul op, then a bias add op."""
+    return x @ p.weight + p.bias
+
+
+def composed_layer_norm(x, p, y):
+    """Reference for the residual `layers.layer_norm(x, p, y)`: an add op,
+    then the one-input LayerNorm."""
+    return layer_norm(x + y, p)
+
+
+def dropout(x, p, rng):
+    """Inverted dropout as its own op: survivors scaled by 1/(1-p)."""
+    factor = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    return record_op(x.data * factor, (x,), lambda g: (g * factor,))
+
+
+def composed_feed_forward(x, p, training=False, rng=None):
+    """Reference for the fused `layers.feed_forward`: linear, relu, dropout
+    (training with p > 0 only) and linear, each its own op, keeping every
+    intermediate."""
+    h = T.relu(composed_linear(x, p.lin1))
+    if training and p.dropout > 0.0:
+        h = dropout(h, p.dropout, rng)
+    return composed_linear(h, p.lin2)
 
 
 def zero_unit(d, d_ff, h=2):

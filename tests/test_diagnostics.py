@@ -23,6 +23,8 @@ def test_layer_battery_is_clean():
     # they are actually in the battery
     assert any(n.startswith("bilstm") for n in names)
     assert any(n.startswith("sdpa") for n in names)
+    assert {"linear/x", "layer_norm/residual/y", "feed_forward/train/x",
+            "feed_forward/train.lin1.weight"} <= set(names)
 
 
 def test_probe_instance_round_trips_validation():

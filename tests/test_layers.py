@@ -4,7 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import bilstm_two_pass
+from helpers import (
+    bilstm_two_pass,
+    composed_feed_forward,
+    composed_layer_norm,
+    composed_linear,
+)
 from vcrnet import checkpoint
 from vcrnet import layers as L
 from vcrnet import tensor as T
@@ -107,6 +112,120 @@ def test_feed_forward_eval_ignores_dropout_probability():
         L.feed_forward(x, p_half, training=False).data,
         L.feed_forward(x, p_none, training=False).data,
     )
+
+
+def _taped(fn, inputs, seed):
+    """fn() under a tape seeded with a fixed random gradient: the output and
+    the gradient of each of `inputs`, which start with none."""
+    for t in inputs:
+        t.grad = None
+    with T.Tape() as tape:
+        out = fn()
+    tape.seed(out, np.random.default_rng(seed).standard_normal(out.data.shape))
+    return [out.data] + [t.grad for t in inputs]
+
+
+def _assert_same(fused, composed):
+    assert len(fused) == len(composed)
+    for i, (mine, want) in enumerate(zip(fused, composed)):
+        assert mine is not None and np.array_equal(mine, want), f"array {i} differs"
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (3, 4, 6)])
+def test_linear_equals_its_composed_oracle_exactly(shape):
+    rng = np.random.default_rng(len(shape))
+    p = L.init_linear(rng, 6, 5)
+    p.bias.data = rng.standard_normal(5)
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    inputs = [x, p.weight, p.bias]
+    _assert_same(_taped(lambda: L.linear(x, p), inputs, 0),
+                 _taped(lambda: composed_linear(x, p), inputs, 0))
+    with T.Tape() as tape:
+        L.linear(x, p)
+    assert len(tape) == 1
+    with pytest.raises(ShapeError):
+        L.linear(Tensor(np.zeros((2, 5))), p)
+
+
+@pytest.mark.parametrize("d", [7, 12])
+def test_residual_layer_norm_equals_its_composed_oracle_exactly(d):
+    rng = np.random.default_rng(d)
+    p = L.LayerNormParams(Tensor(rng.standard_normal(d), requires_grad=True),
+                          Tensor(rng.standard_normal(d), requires_grad=True))
+    x = Tensor(rng.standard_normal((3, 5, d)) * 3.0, requires_grad=True)
+    y = Tensor(rng.standard_normal((3, 5, d)) + 1.5, requires_grad=True)
+    inputs = [x, y, p.gamma, p.beta]
+    _assert_same(_taped(lambda: L.layer_norm(x, p, y), inputs, 1),
+                 _taped(lambda: composed_layer_norm(x, p, y), inputs, 1))
+    # one entry, whose rule does not hold the sum
+    with T.Tape() as tape:
+        L.layer_norm(x, p, y)
+    assert len(tape) == 1
+    _, _, rule = tape._entries[0]
+    held = [c.cell_contents for c in rule.__closure__]
+    assert not any(isinstance(v, np.ndarray) and v.shape == x.shape
+                   and np.array_equal(v, x.data + y.data) for v in held)
+    with pytest.raises(ShapeError):
+        L.layer_norm(x, p, Tensor(np.zeros((3, 4, d))))
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+def test_feed_forward_equals_its_composed_oracle_exactly(training):
+    rng = np.random.default_rng(11)
+    p = L.init_feed_forward(rng, 6, 24, p_drop=0.1)
+    for lin in (p.lin1, p.lin2):
+        lin.bias.data = 0.3 * rng.standard_normal(lin.bias.data.shape)
+    x = Tensor(rng.standard_normal((3, 5, 6)), requires_grad=True)
+    inputs = [x, p.lin1.weight, p.lin1.bias, p.lin2.weight, p.lin2.bias]
+
+    def run(fn):
+        # the same dropout draw for both: a fixed rng, made fresh per run
+        drop_rng = np.random.default_rng(21)
+        got = _taped(lambda: fn(x, p, training=training, rng=drop_rng), inputs, 2)
+        return got, drop_rng.random()
+
+    fused, after_fused = run(L.feed_forward)
+    composed, after_composed = run(composed_feed_forward)
+    _assert_same(fused, composed)
+    # both draw the same numbers from the rng, and training draws
+    assert after_fused == after_composed
+    assert (after_fused != np.random.default_rng(21).random()) == training
+    with T.Tape() as tape:
+        L.feed_forward(x, p, training=training, rng=np.random.default_rng(21))
+    assert len(tape) == 1
+
+
+def test_feed_forward_dropout_off_draws_nothing():
+    """Eval mode, or p = 0 in training, applies no dropout and leaves the rng as it was."""
+    rng = np.random.default_rng(9)
+    p_half = L.init_feed_forward(rng, 3, 8, p_drop=0.5)
+    p_none = L.FeedForwardParams(lin1=p_half.lin1, lin2=p_half.lin2, dropout=0.0)
+    x = Tensor(rng.standard_normal((2, 3)))
+    want = L.feed_forward(x, p_none).data
+    state = rng.bit_generator.state
+    npt.assert_array_equal(L.feed_forward(x, p_half, training=False, rng=rng).data, want)
+    npt.assert_array_equal(L.feed_forward(x, p_none, training=True, rng=rng).data, want)
+    npt.assert_array_equal(L.feed_forward(x, p_none, training=True).data, want)
+    assert rng.bit_generator.state == state
+
+
+def test_feed_forward_dropout_scales_survivors():
+    # identity layers and positive inputs pass every hidden unit through the
+    # relu, so the output is the dropout factor itself
+    eye = L.LinearParams(Tensor(np.eye(50), requires_grad=True), Tensor(np.zeros(50)))
+    p = L.FeedForwardParams(lin1=eye, lin2=eye, dropout=0.25)
+    x = Tensor(np.ones((200, 50)), requires_grad=True)
+    with T.Tape() as tape:
+        y = L.feed_forward(x, p, training=True, rng=np.random.default_rng(9))
+    kept = y.data != 0.0
+    npt.assert_allclose(y.data[kept], 1.0 / 0.75)
+    assert abs(kept.mean() - 0.75) < 0.02
+    tape.seed(y, np.ones((200, 50)))
+    npt.assert_allclose(x.grad, np.where(kept, 1.0 / 0.75, 0.0))
+    with pytest.raises(ValueError, match="explicit rng"):
+        L.feed_forward(x, p, training=True)
+    with pytest.raises(ValueError, match="dropout probability"):
+        L.feed_forward(x, L.FeedForwardParams(lin1=eye, lin2=eye, dropout=1.0))
 
 
 def test_feed_forward_grad_check():

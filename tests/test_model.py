@@ -21,7 +21,6 @@ from vcrnet.diagnostics import probe_instance
 from vcrnet.model import (
     CANDIDATES,
     CHUNK_POSITIONS,
-    EVAL_CHUNK_POSITIONS,
     ChunkForward,
     TaskInput,
     VcrModel,
@@ -430,18 +429,18 @@ def test_chunks_respect_the_position_bound():
     inst = _ragged_inst()
     long_q = TaskExample(inst.instance_id, TASK_Q2A, inst.question * 100, inst.answers, 0)
     long = TaskInput(long_q, inst.objects)
-    for bound in (CHUNK_POSITIONS, EVAL_CHUNK_POSITIONS):
-        chunks = list(chunked(tasks, bound))
-        assert [t for chunk in chunks for t in chunk] == tasks
-        assert len(chunks) > 1 and max(len(chunk) for chunk in chunks) > 1
-        for chunk, after in zip(chunks, chunks[1:] + [None]):
-            assert padded_positions(chunk) <= bound
-            # a run grows as long as it can
-            if after is not None:
-                assert padded_positions(chunk + after[:1]) > bound
-        # a task too long for the bound still gets a chunk of its own
-        assert padded_positions([long]) > bound
-        assert [len(c) for c in chunked([long, long, tasks[0]], bound)] == [1, 1, 1]
+    assert CHUNK_POSITIONS == 768
+    chunks = list(chunked(tasks))
+    assert [t for chunk in chunks for t in chunk] == tasks
+    assert len(chunks) > 1 and max(len(chunk) for chunk in chunks) > 1
+    for chunk, after in zip(chunks, chunks[1:] + [None]):
+        assert padded_positions(chunk) <= CHUNK_POSITIONS
+        # a run grows as long as it can
+        if after is not None:
+            assert padded_positions(chunk + after[:1]) > CHUNK_POSITIONS
+    # a task too long for the bound still gets a chunk of its own
+    assert padded_positions([long]) > CHUNK_POSITIONS
+    assert [len(c) for c in chunked([long, long, tasks[0]])] == [1, 1, 1]
 
 
 def _mixed_length_instances():
@@ -472,10 +471,9 @@ def test_predict_all_matches_one_task_predicts_in_data_order(arch, monkeypatch):
     monkeypatch.setattr(VcrModel, "forward_chunk", recorded)
     q2a, qa2r = predict_all(model, insts)
     monkeypatch.undo()
-    # several chunks of several tasks each, cut under the untaped bound
-    assert sum(map(len, chunks)) == len(tasks) and sum(len(c) > 1 for c in chunks) >= 3
-    assert all(padded_positions(c) <= EVAL_CHUNK_POSITIONS for c in chunks)
-    assert max(map(padded_positions, chunks)) > CHUNK_POSITIONS
+    # several chunks of several tasks each: the length-sorted tasks cut at the bound
+    assert sum(len(c) > 1 for c in chunks) >= 3
+    assert chunks == list(chunked(sorted(tasks, key=task_lengths)))
 
     for kind, records in ((TASK_Q2A, q2a), (TASK_QA2R, qa2r)):
         assert len(records) == len(insts)

@@ -263,24 +263,6 @@ def test_slice_rejects_bad_bounds():
             x.slice(1, start, stop)
 
 
-def test_dropout_eval_is_identity():
-    x = Tensor(np.ones((3, 3)))
-    assert T.dropout(x, 0.5, training=False) is x
-    assert T.dropout(x, 0.0, training=True) is x
-
-
-def test_dropout_train_scales_survivors():
-    rng = np.random.default_rng(9)
-    x = Tensor(np.ones((200, 50)), requires_grad=True)
-    with Tape() as tape:
-        y = T.dropout(x, 0.25, training=True, rng=rng)
-    kept = y.data != 0.0
-    npt.assert_allclose(y.data[kept], 1.0 / 0.75)
-    assert abs(kept.mean() - 0.75) < 0.02
-    tape.seed(y, np.ones((200, 50)))
-    npt.assert_allclose(x.grad, np.where(kept, 1.0 / 0.75, 0.0))
-
-
 def test_embedding_lookup_gathers_and_scatters():
     table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     with Tape() as tape:

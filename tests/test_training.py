@@ -5,14 +5,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import padded_positions
 from vcrnet import tensor as T
 from vcrnet import training
 from vcrnet.checkpoint import read_checkpoint
 from vcrnet.config import TrainConfig
 from vcrnet.data import TASK_Q2A, TASK_QA2R, DataError, synth_generate
 from vcrnet.diagnostics import probe_instance, probe_model
-from vcrnet.model import CHUNK_POSITIONS, TaskInput, VcrModel, chunked, task_lengths
+from vcrnet.model import TaskInput, VcrModel, chunked, task_lengths
 from vcrnet.tensor import Tape, Tensor
 from vcrnet.training import (
     CHECKPOINT_NAME,
@@ -242,7 +241,9 @@ def test_evaluate_names_the_first_wrong_width_in_data_order(tmp_path):
                               f"the model expects 8")
 
 
-def test_taped_training_cuts_data_order_chunks_at_the_training_bound(tmp_path, monkeypatch):
+def _recorded_chunks(monkeypatch) -> tuple:
+    """(taped, untaped): the task lists of every later `forward_chunk` call,
+    split by whether a tape was open."""
     taped, untaped = [], []
     forward = VcrModel.forward_chunk
 
@@ -251,12 +252,35 @@ def test_taped_training_cuts_data_order_chunks_at_the_training_bound(tmp_path, m
         return forward(self, chunk, *args, **kwargs)
 
     monkeypatch.setattr(VcrModel, "forward_chunk", recorded)
-    config = _quick_config(epochs=1, batch_size=8)
+    return taped, untaped
+
+
+def test_evaluate_validates_in_data_order_before_any_forward(tmp_path, monkeypatch):
+    result = train(_quick_config(epochs=1), *_data(), tmp_path)
+    insts = synth_generate(4, 6)
+    insts[2].gold_answer = 7
+    insts[4].answers = insts[4].answers[:3]
+    taped, untaped = _recorded_chunks(monkeypatch)
+    with pytest.raises(DataError) as err:
+        evaluate(result.model, insts)
+    assert str(err.value) == f"{insts[2].instance_id}: gold index out of range"
+    # the first repeat in data order is named, not the first id repeated
+    good = insts[:2] + insts[5:]
+    with pytest.raises(DataError) as err:
+        evaluate(result.model, good + [good[1], good[0]])
+    assert str(err.value) == f"{good[1].instance_id}: duplicate instance_id"
+    assert taped == untaped == []
+
+
+def test_taped_training_cuts_data_order_chunks_at_the_training_bound(tmp_path, monkeypatch):
+    taped, untaped = _recorded_chunks(monkeypatch)
+    # 18 training instances: mini-batches of 32 and 4 tasks
+    config = _quick_config(epochs=1, batch_size=16)
     tr, va = _data(n=24)
     train(config, tr, va, tmp_path)
 
     # each mini-batch lists its instances' Q2A and QA2R tasks in pairs, and
-    # is cut greedily in that order under CHUNK_POSITIONS
+    # is cut greedily in that order under the bound
     flat = [t for chunk in taped for t in chunk]
     firsts = [t.example.instance_id for t in flat[::2]]
     assert sorted(firsts) == sorted(inst.instance_id for inst in tr)
@@ -264,10 +288,21 @@ def test_taped_training_cuts_data_order_chunks_at_the_training_bound(tmp_path, m
         (inst_id, kind) for inst_id in firsts for kind in (TASK_Q2A, TASK_QA2R)]
     batch = 2 * config.batch_size
     recut = [chunk for start in range(0, len(flat), batch)
-             for chunk in chunked(flat[start:start + batch], CHUNK_POSITIONS)]
-    assert taped == recut and max(map(len, taped)) > 1
-    # the in-epoch evaluation cuts its untaped chunks at the larger bound
-    assert max(map(padded_positions, untaped)) > CHUNK_POSITIONS
+             for chunk in chunked(flat[start:start + batch])]
+    assert taped == recut and len(taped) > 2 and max(map(len, taped)) > 1
+    # the in-epoch evaluation cuts the length-sorted tasks at the same bound
+    expected = [chunk for insts in (tr, va) for chunk in chunked(sorted(
+        (TaskInput.of(inst, kind) for kind in (TASK_Q2A, TASK_QA2R) for inst in insts),
+        key=task_lengths))]
+    assert untaped == expected
+
+
+def test_a_default_mini_batch_is_one_taped_forward(tmp_path, monkeypatch):
+    taped, _ = _recorded_chunks(monkeypatch)
+    config = TrainConfig(epochs=1)
+    insts = synth_generate(9001, 40)
+    train(config, insts[:32], insts[32:], tmp_path)
+    assert [len(chunk) for chunk in taped] == [2 * config.batch_size] * 4
 
 
 def test_load_run_round_trip(tmp_path):
