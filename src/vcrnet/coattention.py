@@ -15,7 +15,7 @@ task's query, repeated once per candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +66,37 @@ class CoAttnParams:
     r: list
 
 
+UNITS = ("sa", "ga")
+
+
+def coattend_layer(
+    y: Tensor,
+    mask: np.ndarray,
+    joint: JointSeq,
+    layer: CoAttnLayerParams,
+    side: str,
+    idx: int,
+    units: Sequence[str] = UNITS,
+    training: bool = False,
+    rng: Optional[np.random.Generator] = None,
+) -> tuple:
+    """Layer `idx` of the `side` stack on y: the `sa` unit attends over y
+    itself under its `mask`, then the `ga` unit over the joint X.
+
+    `units` runs only a trailing part of the layer, in order, so a
+    gradient sweep can restart at the unit a parameter feeds. Returns
+    (y, one trace per unit run).
+    """
+    traces = []
+    for unit in units:
+        guide, guide_mask = (y, mask) if unit == "sa" else (joint.positions, joint.mask)
+        y, trace = guided_attention_unit(y, guide, getattr(layer, unit), mask=guide_mask,
+                                         training=training, rng=rng,
+                                         label=f"coattn.{side}.{unit}.{idx}")
+        traces.append(trace)
+    return y, traces
+
+
 def coattend(
     joint: JointSeq,
     fused_q: GroundedSeq,
@@ -79,20 +110,14 @@ def coattend(
     if depth != len(p.r) or depth < 1:
         raise ShapeError("both co-attention stacks need the same depth >= 1")
     traces = []
-
-    def one_module(y, seq, layer, side, idx):
-        y, sa = guided_attention_unit(y, y, layer.sa, mask=seq.mask, training=training,
-                                      rng=rng, label=f"coattn.{side}.sa.{idx}")
-        y, ga = guided_attention_unit(y, joint.positions, layer.ga, mask=joint.mask,
-                                      training=training, rng=rng,
-                                      label=f"coattn.{side}.ga.{idx}")
-        traces.extend([sa, ga])
-        return y
-
     y_q, y_r = fused_q.positions, fused_r.positions
+    # layer by layer, query side first: the order of the dropout draws
     for idx in range(depth):
-        y_q = one_module(y_q, fused_q, p.q[idx], "q", idx)
-        y_r = one_module(y_r, fused_r, p.r[idx], "r", idx)
+        y_q, more_q = coattend_layer(y_q, fused_q.mask, joint, p.q[idx], "q", idx,
+                                     training=training, rng=rng)
+        y_r, more_r = coattend_layer(y_r, fused_r.mask, joint, p.r[idx], "r", idx,
+                                     training=training, rng=rng)
+        traces += more_q + more_r
     return y_q, y_r, traces
 
 

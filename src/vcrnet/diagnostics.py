@@ -4,27 +4,32 @@ Two levels: `layer_checks` sweeps every building block in isolation, and
 `end_to_end_checks` sweeps every parameter coordinate of a small but
 complete model against central differences of the real training loss.
 
-The end-to-end sweep reuses the model's forward stages: a perturbed
-parameter only requires recomputing from the stage it feeds, and the stage
-composition is asserted (exactly, not approximately) to reproduce the full
-forward before any sweeping starts.
+The end-to-end sweep reruns only what a perturbed parameter reaches. A
+co-attention parameter restarts at the attention unit that reads it: the
+unit's input comes from one unperturbed pass, the rest of that side's stack
+reruns through `coattention.coattend_layer`, and the head scores it with
+the other side's unperturbed output. Every other parameter restarts at the
+forward stage it feeds (`model.stage_of`). Each restart is asserted
+(exactly, not approximately) to reproduce the full loss before any
+sweeping starts.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from vcrnet import layers as L
 from vcrnet.attention import guided_attention_unit, init_attn_unit, sdpa
+from vcrnet.coattention import UNITS, coattend_layer, join
 from vcrnet.config import TrainConfig
 from vcrnet.data import TASK_Q2A, TaggedToken, VcrInstance, Vocab
 from vcrnet.grounding import align_tags
-from vcrnet.model import CANDIDATES, TaskInput, VcrModel, stage_of
+from vcrnet.model import CANDIDATES, EncodedState, TaskInput, VcrModel, stage_of
 from vcrnet.reduction import candidate_logit, fuse, init_reduction, reduce
 from vcrnet.tensor import Tensor, Tape, grad_check, repeat
 from vcrnet.training import task_loss
@@ -68,8 +73,11 @@ def _installed(obj, key: str, fn: Callable[[], Tensor]) -> Callable[[Tensor], Te
 
 
 def layer_checks(h: float = 1e-5) -> list:
-    """Per-coordinate gradient sweeps for each building block in isolation."""
-    rng = np.random.default_rng(42)
+    """Per-coordinate gradient sweeps for each building block in isolation.
+
+    Each block draws its inputs from a generator of its own seed, so adding
+    or changing a block leaves every other block's inputs as they were.
+    """
     results = []
 
     def check(name, fn, x):
@@ -84,6 +92,7 @@ def layer_checks(h: float = 1e-5) -> list:
             check(name, _installed(holder, attr, out), tensor)
 
     # linear
+    rng = np.random.default_rng(42)
     lin = L.init_linear(rng, 5, 3)
     x = Tensor(rng.standard_normal((4, 5)))
     check("linear/x", lambda t: L.linear(t, lin), x)
@@ -91,6 +100,7 @@ def layer_checks(h: float = 1e-5) -> list:
     check("linear/bias", _installed(lin, "bias", lambda: L.linear(x, lin)), lin.bias)
 
     # layer norm
+    rng = np.random.default_rng(43)
     ln = L.init_layer_norm(6)
     ln.gamma.data = rng.uniform(0.5, 1.5, 6)
     ln.beta.data = rng.standard_normal(6)
@@ -103,6 +113,7 @@ def layer_checks(h: float = 1e-5) -> list:
     check("layer_norm/residual/y", lambda t: L.layer_norm(x, ln, t), y)
 
     # feed-forward
+    rng = np.random.default_rng(44)
     ffn = L.init_feed_forward(rng, 8, 32, 0.0)
     x = Tensor(rng.standard_normal((3, 8)))
     check("feed_forward/x", lambda t: L.feed_forward(t, ffn), x)
@@ -119,18 +130,21 @@ def layer_checks(h: float = 1e-5) -> list:
     check_params("feed_forward/train", ffn_drop, lambda: train_ffn(x))
 
     # score MLP
+    rng = np.random.default_rng(45)
     mlp_p = L.init_mlp(rng, [8, 4, 1])
     x = Tensor(rng.standard_normal((5, 8)))
     check("mlp/x", lambda t: L.mlp(t, mlp_p), x)
 
     # bidirectional LSTM, including the fused backward-through-time rule,
     # on a time-major batch of one
+    rng = np.random.default_rng(46)
     bi = L.init_bilstm(rng, 5, 3)
     x = Tensor(rng.standard_normal((4, 1, 5)))
     check("bilstm/x", lambda t: L.bilstm(t, bi), x)
     check_params("bilstm", bi, lambda: L.bilstm(x, bi))
 
     # scaled dot-product attention with a partially masked key axis
+    rng = np.random.default_rng(47)
     q = Tensor(rng.standard_normal((1, 3, 4)))
     k = Tensor(rng.standard_normal((1, 5, 4)))
     v = Tensor(rng.standard_normal((1, 5, 4)))
@@ -144,6 +158,7 @@ def layer_checks(h: float = 1e-5) -> list:
     check("sdpa/heads2/v", lambda t: sdpa(q, k, t, mask, 2)[0], v)
 
     # one full guided attention unit, every parameter
+    rng = np.random.default_rng(48)
     unit = init_attn_unit(rng, 8, 2, 32, 0.0)
     x = Tensor(rng.standard_normal((1, 3, 8)))
     guide = Tensor(rng.standard_normal((1, 4, 8)))
@@ -153,6 +168,7 @@ def layer_checks(h: float = 1e-5) -> list:
     check_params("attn_unit", unit, lambda: guided_attention_unit(x, guide, unit, mask=gmask)[0])
 
     # tag alignment
+    rng = np.random.default_rng(49)
     emb = Tensor(rng.standard_normal((3, 4)))
     objs = Tensor(rng.standard_normal((2, 5)))
     tokens = [TaggedToken("a"), TaggedToken("b", 1), TaggedToken("c", 0)]
@@ -160,6 +176,7 @@ def layer_checks(h: float = 1e-5) -> list:
     check("align_tags/objects", lambda t: align_tags(tokens, emb, t), objs)
 
     # pooling, fusion, and the candidate head
+    rng = np.random.default_rng(50)
     red = init_reduction(rng, 8, 8)
     red.clf.weight.data = rng.uniform(-0.5, 0.5, red.clf.weight.data.shape)
     red.clf.bias.data = rng.uniform(-0.5, 0.5, red.clf.bias.data.shape)
@@ -176,10 +193,12 @@ def layer_checks(h: float = 1e-5) -> list:
           red.clf.weight)
 
     # four-way cross-entropy
+    rng = np.random.default_rng(51)
     logits = Tensor(rng.standard_normal(4))
     check("task_loss/logits", lambda t: task_loss(t, 2), logits)
 
     # batched forms: a leading batch axis whose rows differ in length
+    rng = np.random.default_rng(52)
     q = Tensor(rng.standard_normal((2, 3, 4)))
     k = Tensor(rng.standard_normal((2, 5, 4)))
     v = Tensor(rng.standard_normal((2, 5, 4)))
@@ -189,6 +208,7 @@ def layer_checks(h: float = 1e-5) -> list:
     check("sdpa/batch/v", lambda t: sdpa(q, k, t, bmask, 2)[0], v)
     # the rows of two candidates side by side against one task's keys and
     # values, as guided fusion runs them
+    rng = np.random.default_rng(53)
     k = Tensor(rng.standard_normal((1, 5, 4)))
     v = Tensor(rng.standard_normal((1, 5, 4)))
     grouped = q.reshape(1, 6, 4)
@@ -198,6 +218,7 @@ def layer_checks(h: float = 1e-5) -> list:
     # time-major BiLSTM batch of lengths 4, 2, 3, then the same batch under a
     # step mask with holes, as the lstm encoder's [padded query | padded
     # response] sequences have
+    rng = np.random.default_rng(54)
     lengths = np.array([4, 2, 3])
     x = Tensor(rng.standard_normal((4, 3, 5)))
     gaps = np.array([[True, True, False], [False, True, True], [True, False, False],
@@ -208,11 +229,13 @@ def layer_checks(h: float = 1e-5) -> list:
         check(f"{label}/x", lambda t: L.bilstm(t, bi, steps), x)
         check_params(label, bi, lambda: L.bilstm(x, bi, steps))
 
+    rng = np.random.default_rng(55)
     Z = Tensor(rng.standard_normal((3, 5, 8)))
     zmask = np.arange(5) < np.array([[5], [2], [4]])
     check("reduce/batch/Z", lambda t: reduce(t, zmask, red.mlp_q)[0], Z)
 
     # each row copied once per candidate, as the joint stage copies queries
+    rng = np.random.default_rng(56)
     x = Tensor(rng.standard_normal((2, 3)))
     check("repeat/x", lambda t: repeat(t, 4), x)
 
@@ -246,10 +269,12 @@ def probe_instance() -> VcrInstance:
 def probe_model(inst: Optional[VcrInstance] = None, **overrides) -> VcrModel:
     """Small full model with a randomized head so every gradient is live.
 
-    `overrides` are TrainConfig fields, e.g. `ga=False` for an ablation.
+    `overrides` are TrainConfig fields that replace the probe's own, e.g.
+    `ga=False` for an ablation or `layers=2`.
     """
     inst = inst or probe_instance()
-    config = TrainConfig(d_model=8, d_token=8, heads=2, layers=1, dropout=0.0, **overrides)
+    fields = dict(d_model=8, d_token=8, heads=2, layers=1, dropout=0.0)
+    config = TrainConfig(**{**fields, **overrides})
     model = VcrModel.build(
         config, Vocab.build([inst]), inst.objects.shape[1], np.random.default_rng(3)
     )
@@ -303,14 +328,16 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
         "joint": lambda: head_loss(model._stage_joint(fused)),
         "head": lambda: head_loss(encoded),
     }
+    restarts = _unit_restarts(model, encoded, head_loss) if model.coattn is not None else {}
 
-    # the staged shortcuts must reproduce the full loss bit for bit
+    # the staged shortcuts and the unit restarts must reproduce the full
+    # loss bit for bit
     base = loss_full()
     if float(loss.data) != base:
         raise AssertionError("taped and untaped losses disagree")
-    for stage, evaluator in evaluators.items():
+    for where, evaluator in (*evaluators.items(), *restarts.items()):
         if evaluator() != base:
-            raise AssertionError(f"stage shortcut {stage!r} does not reproduce the loss")
+            raise AssertionError(f"shortcut {where!r} does not reproduce the loss")
 
     worst = {stage: 0.0 for stage in evaluators}
     coords = {stage: 0 for stage in evaluators}
@@ -318,7 +345,8 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
 
     for name, p in model.named_parameters():
         stage = stage_of(name)
-        evaluator = evaluators[stage]
+        # a co-attention unit's parameters restart at that unit
+        evaluator = restarts.get(".".join(name.split(".")[:4]), evaluators[stage])
         t0 = time.perf_counter()
         flat = p.data.reshape(-1)
         grad = analytic[name].reshape(-1)
@@ -341,6 +369,34 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
                     seconds[stage])
         for stage in evaluators
     ]
+
+
+def _unit_restarts(model: VcrModel, encoded: EncodedState, head_loss) -> dict:
+    """{'coattn.<side>.<layer>.<unit>': loss evaluator} for a coattention model.
+
+    Each evaluator takes the unit's input from one unperturbed pass, reruns
+    the rest of that side's stack through `coattend_layer`, and scores the
+    head with the other side's unperturbed output.
+    """
+    joint = join(encoded.fq, encoded.fr)
+    sides = {"q": (encoded.fq, model.coattn.q), "r": (encoded.fr, model.coattn.r)}
+
+    def restart(side, idx, units, y):
+        seq, stack = sides[side]
+        y, _ = coattend_layer(y, seq.mask, joint, stack[idx], side, idx, units)
+        for later in range(idx + 1, len(stack)):
+            y, _ = coattend_layer(y, seq.mask, joint, stack[later], side, later)
+        return head_loss(replace(encoded, **{f"z_{side}": y}))
+
+    restarts = {}
+    for side, (seq, stack) in sides.items():
+        y = seq.positions
+        for idx, layer in enumerate(stack):
+            for at, unit in enumerate(UNITS):
+                restarts[f"coattn.{side}.{idx}.{unit}"] = functools.partial(
+                    restart, side, idx, UNITS[at:], y)
+                y, _ = coattend_layer(y, seq.mask, joint, layer, side, idx, (unit,))
+    return restarts
 
 
 def run_all(h: float = 1e-5) -> list:

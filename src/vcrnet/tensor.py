@@ -16,8 +16,8 @@ The op set is `add` (also `a + b`), `matmul` (`a @ b`), `relu`, `softmax`,
 only while the program runs it; one training epoch reaches every one.
 
 Broadcasting is deliberately restricted: `add` requires identical shapes
-or a trailing-axis bias vector, and `matmul` applies one 2-d right operand
-to every leading index of the left.
+(the fused `linear` adds its own bias), and `matmul` applies one 2-d right
+operand to every leading index of the left.
 A batch is a leading axis; `repeat` copies each of its rows so that one
 row can meet several partners row by row. This keeps every backward rule
 auditable.
@@ -29,7 +29,6 @@ freed as soon as the entry that consumed them has run.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -136,24 +135,13 @@ class Tensor:
 
 # -- tape ------------------------------------------------------------------
 
-_TAPES = threading.local()
-# count of open tapes across all threads; lets untaped code skip the
-# thread-local lookup entirely. Guarded by a lock so it can never read 0
-# while any tape is open.
-_OPEN_TAPES = 0
-_OPEN_TAPES_LOCK = threading.Lock()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_TAPES, "stack", None)
-    if stack is None:
-        stack = []
-        _TAPES.stack = stack
-    return stack
+# the open tapes, innermost last; ops record onto the innermost. The
+# program runs on one thread, so one module-level stack serves every tape.
+_TAPES: list = []
 
 
 class Tape:
-    """Ordered record of operations for one forward pass, confined to a thread.
+    """Ordered record of operations for one forward pass.
 
     Entries are appended in execution order, so every operation's inputs
     precede it; the backward walk visits entries once, in reverse.
@@ -163,18 +151,12 @@ class Tape:
         self._entries: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
-        global _OPEN_TAPES
-        _tape_stack().append(self)
-        with _OPEN_TAPES_LOCK:
-            _OPEN_TAPES += 1
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _OPEN_TAPES
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self, "tapes must unwind in LIFO order"
-        with _OPEN_TAPES_LOCK:
-            _OPEN_TAPES -= 1
         return False
 
     def __len__(self) -> int:
@@ -256,10 +238,8 @@ def _result(data: np.ndarray, inputs: tuple, rule: Callable) -> Tensor:
     out.data = data
     out.requires_grad = requires
     out.grad = None
-    if requires and _OPEN_TAPES:
-        stack = getattr(_TAPES, "stack", None)
-        if stack:
-            stack[-1]._entries.append((inputs, out, rule))
+    if requires and _TAPES:
+        _TAPES[-1]._entries.append((inputs, out, rule))
     return out
 
 
@@ -278,14 +258,11 @@ def record_op(data, inputs: Sequence[Tensor], rule: Callable) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-d bias broadcast over leading axes."""
+    """Elementwise sum of two tensors of one shape."""
     ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-        return _result(ad + bd, (a, b), lambda g: (g, g))
-    if bd.ndim == 1 and ad.ndim >= 2 and bd.shape[0] == ad.shape[-1]:
-        n = bd.shape[0]
-        return _result(ad + bd, (a, b), lambda g: (g, g.reshape(-1, n).sum(axis=0)))
-    raise ShapeError(f"add: incompatible shapes {ad.shape} and {bd.shape}")
+    if ad.shape != bd.shape:
+        raise ShapeError(f"add: incompatible shapes {ad.shape} and {bd.shape}")
+    return _result(ad + bd, (a, b), lambda g: (g, g))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

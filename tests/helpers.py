@@ -5,12 +5,15 @@ import numpy as np
 from vcrnet import attention as A
 from vcrnet import tensor as T
 from vcrnet.coattention import coattend, join, lstm_encode
+from vcrnet.data import TASK_Q2A
+from vcrnet.diagnostics import probe_instance
 from vcrnet.grounding import GroundedSeq, align_tags, ground, guided_fuse
 from vcrnet.layers import FeedForwardParams, LinearParams, init_layer_norm, layer_norm, linear
 from vcrnet.reduction import candidate_logit, fuse, reduce
 from vcrnet.layers import _expit as expit
-from vcrnet.model import CANDIDATES, task_lengths
-from vcrnet.tensor import ShapeError, Tensor, record_op
+from vcrnet.model import CANDIDATES, TaskInput, stage_of, task_lengths
+from vcrnet.tensor import ShapeError, Tape, Tensor, record_op
+from vcrnet.training import task_loss
 
 
 def np_layer_norm(x, eps=1e-5):
@@ -19,9 +22,15 @@ def np_layer_norm(x, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps)
 
 
+def bias_add(x, b):
+    """A 1-d bias added along the last axis of x, as its own op."""
+    n = b.data.shape[0]
+    return record_op(x.data + b.data, (x, b), lambda g: (g, g.reshape(-1, n).sum(axis=0)))
+
+
 def composed_linear(x, p):
     """Reference for the fused `layers.linear`: a matmul op, then a bias add op."""
-    return x @ p.weight + p.bias
+    return bias_add(x @ p.weight, p.bias)
 
 
 def composed_layer_norm(x, p, y):
@@ -221,3 +230,51 @@ def _run_direction(seq, p, mask, reverse):
                 flat.sum(axis=0))
 
     return record_op(out, (seq, p.w_x, p.w_h, p.b), rule)
+
+
+def stage_sweep(model, h=1e-5):
+    """Reference for `diagnostics.end_to_end_checks`: every parameter
+    coordinate's central difference reruns the whole forward stage it feeds
+    (a co-attention parameter reruns both stacks). Returns one
+    (name, max_rel_err, coords) per stage."""
+    task = TaskInput.of(probe_instance(), TASK_Q2A)
+    gold = task.example.gold
+
+    def loss_of(chunk):
+        return task_loss(chunk.logits.reshape(CANDIDATES), gold)
+
+    with Tape() as tape:
+        tape.backward(loss_of(model.forward_chunk([task])))
+    analytic = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                for name, p in model.named_parameters()}
+    model.zero_grad()
+
+    def head_loss(encoded):
+        return float(loss_of(model._stage_head([task.example], encoded)).data)
+
+    s1 = model._stage_encode([task])
+    fused = model._stage_fuse(s1)
+    encoded = model._stage_joint(fused)
+    evaluators = {
+        "encode": lambda: float(loss_of(model.forward_chunk([task])).data),
+        "fuse": lambda: head_loss(model._stage_joint(model._stage_fuse(s1))),
+        "joint": lambda: head_loss(model._stage_joint(fused)),
+        "head": lambda: head_loss(encoded),
+    }
+    worst = dict.fromkeys(evaluators, 0.0)
+    coords = dict.fromkeys(evaluators, 0)
+    for name, p in model.named_parameters():
+        stage = stage_of(name)
+        flat = p.data.reshape(-1)
+        grad = analytic[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = evaluators[stage]()
+            flat[i] = orig - h
+            down = evaluators[stage]()
+            flat[i] = orig
+            err = abs(grad[i] - (up - down) / (2.0 * h)) / max(1.0, abs(grad[i]))
+            worst[stage] = max(worst[stage], err)
+        coords[stage] += flat.size
+    return [(f"end_to_end/{stage}", float(worst[stage]), coords[stage]) for stage in evaluators]

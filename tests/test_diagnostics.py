@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import stage_sweep
 from vcrnet.data import TASK_Q2A
 from vcrnet.model import TaskInput, stage_of
 from vcrnet.diagnostics import (
@@ -59,15 +60,24 @@ def test_check_result_serializes():
                     "seconds": 0.123}
 
 
-@pytest.mark.parametrize("overrides", [{"ga": False}, {"encoder": "lstm"}],
-                         ids=["no-ga", "lstm"])
+def test_probe_model_overrides_replace_its_fields():
+    overrides = dict(d_model=12, d_token=6, heads=3, layers=2, dropout=0.1)
+    config = probe_model(**overrides).config
+    assert {key: getattr(config, key) for key in overrides} == overrides
+
+
+@pytest.mark.parametrize("overrides", [{}, {"ga": False}, {"encoder": "lstm"},
+                                       {"layers": 2, "d_model": 4, "heads": 1}],
+                         ids=["default", "no-ga", "lstm", "layers2"])
 def test_end_to_end_sweep_of_ablation_probe_models(overrides):
-    # the A1 end-to-end sweep covers the default model; the two ablations
-    # take other paths (no guided fusion, the masked BiLSTM encoder)
+    # each co-attention unit's parameters restart at that unit; the sweep
+    # that reruns whole stages must agree with it to the last bit. The
+    # ablations take other paths (no guided fusion, the masked BiLSTM
+    # encoder), and at layers=2 a layer-0 restart reruns layer 1 of its side
+    # (narrower, at d_model=4 and one head, to keep both sweeps short)
     model = probe_model(**overrides)
     results = end_to_end_checks(model=model)
-    assert [r.name for r in results] == [f"end_to_end/{s}"
-                                         for s in ("encode", "fuse", "joint", "head")]
+    assert [(r.name, r.max_rel_err, r.coords) for r in results] == stage_sweep(model)
     assert sum(r.coords for r in results) == model.num_parameters()
     worst = max(r.max_rel_err for r in results)
     assert worst <= 1e-4, f"worst relative error {worst:.2e}"

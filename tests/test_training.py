@@ -248,7 +248,7 @@ def _recorded_chunks(monkeypatch) -> tuple:
     forward = VcrModel.forward_chunk
 
     def recorded(self, chunk, *args, **kwargs):
-        (taped if T._tape_stack() else untaped).append(list(chunk))
+        (taped if T._TAPES else untaped).append(list(chunk))
         return forward(self, chunk, *args, **kwargs)
 
     monkeypatch.setattr(VcrModel, "forward_chunk", recorded)
