@@ -19,6 +19,7 @@ identical files. Files are written atomically (`write_atomic`).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -110,7 +111,7 @@ def read_checkpoint(path) -> Dict[str, np.ndarray]:
             raise CheckpointError(f"entry {name!r} has unknown dtype tag {tag}")
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         dtype = _DTYPE_TAGS[tag]
-        n_items = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        n_items = math.prod(shape)  # a Python int: oversized extents read as truncation
         data = np.frombuffer(take(n_items * dtype.itemsize), dtype=dtype)
         entries[name] = data.reshape(shape).copy()
     if pos != len(view):

@@ -282,8 +282,9 @@ def probe_model(inst: Optional[VcrInstance] = None, **overrides) -> VcrModel:
     # gradient and make the sweep vacuous
     rng = np.random.default_rng(9)
     lim = 1.0 / np.sqrt(model.config.d_model)
-    model.reduction.clf.weight.data = rng.uniform(-lim, lim, model.reduction.clf.weight.data.shape)
-    model.reduction.clf.bias.data = rng.uniform(-lim, lim, model.reduction.clf.bias.data.shape)
+    clf = model.reduction.clf
+    clf.weight.data[...] = rng.uniform(-lim, lim, clf.weight.data.shape)
+    clf.bias.data[...] = rng.uniform(-lim, lim, clf.bias.data.shape)
     return model
 
 
@@ -306,10 +307,7 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
     with Tape() as tape:
         loss = loss_of(model.forward_chunk([task]))
         tape.backward(loss)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in model.named_parameters()
-    }
+    analytic = model.flat_grad()
     model.zero_grad()
 
     def head_loss(encoded) -> float:
@@ -343,14 +341,14 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
     coords = {stage: 0 for stage in evaluators}
     seconds = {stage: 0.0 for stage in evaluators}
 
+    flat = model.flat
+    start = 0
     for name, p in model.named_parameters():
         stage = stage_of(name)
         # a co-attention unit's parameters restart at that unit
         evaluator = restarts.get(".".join(name.split(".")[:4]), evaluators[stage])
         t0 = time.perf_counter()
-        flat = p.data.reshape(-1)
-        grad = analytic[name].reshape(-1)
-        for i in range(flat.size):
+        for i in range(start, start + p.data.size):
             orig = flat[i]
             flat[i] = orig + h
             up = evaluator()
@@ -358,11 +356,12 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
             down = evaluator()
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
-            err = abs(grad[i] - numeric) / max(1.0, abs(grad[i]))
+            err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
             if err > worst[stage]:
                 worst[stage] = err
-        coords[stage] += flat.size
+        coords[stage] += p.data.size
         seconds[stage] += time.perf_counter() - t0
+        start += p.data.size
 
     return [
         CheckResult(f"end_to_end/{stage}", float(worst[stage]), coords[stage],

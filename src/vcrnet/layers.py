@@ -3,8 +3,8 @@
 Parameter containers are plain dataclasses of Tensors, and lists of them.
 `named_tensors` walks such a tree and is the one rule that names its
 tensors: a dataclass field by its name, a list item by its index, in
-declaration order. The optimizer and the checkpoint writer both rely on
-that order being stable.
+declaration order. The model's flat parameter buffer and its checkpoints
+are both laid out in that order.
 
 Initialization: weight matrices uniform in [-1/sqrt(d_in), +1/sqrt(d_in)]
 with d_in the matrix's own input width, biases zero, LSTM forget-gate bias

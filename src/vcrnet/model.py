@@ -28,6 +28,8 @@ each, and the feed-forward recomputes its hidden activation in the
 backward instead of keeping it. Untaped scoring sorts its tasks by
 `task_lengths` first, so that tasks of like length share a chunk; most of
 the memory of such a chunk is its attention traces.
+
+Every parameter's `.data` is a view into one flat buffer, `VcrModel.flat`.
 """
 
 from __future__ import annotations
@@ -195,7 +197,9 @@ class ChunkForward:
 class VcrModel:
     """All trainable state plus the forward pass, configured by a TrainConfig.
 
-    The parameter fields are the attributes of PARTS.
+    The parameter fields are the attributes of PARTS. Each parameter's
+    `.data` is a view into one contiguous float64 buffer, `flat`, laid out
+    in PARTS order: write it with `t.data[...] = ...`, never rebind it.
     """
 
     config: TrainConfig
@@ -252,19 +256,32 @@ class VcrModel:
 
     # -- parameter plumbing ------------------------------------------------
 
+    def __post_init__(self) -> None:
+        self._named = [(name, t) for prefix, attr, _ in PARTS
+                       for name, t in L.named_tensors(getattr(self, attr), prefix)]
+        self.flat = np.concatenate([t.data.ravel() for _, t in self._named])
+        offsets = np.cumsum([t.data.size for _, t in self._named])[:-1]
+        for (_, t), part in zip(self._named, np.split(self.flat, offsets)):
+            t.data = part.reshape(t.data.shape)
+
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for prefix, attr, _ in PARTS:
-            yield from L.named_tensors(getattr(self, attr), prefix)
+        return iter(self._named)
 
     def num_parameters(self) -> int:
-        return sum(t.data.size for _, t in self.named_parameters())
+        return self.flat.size
 
     def zero_grad(self) -> None:
-        for _, t in self.named_parameters():
+        for _, t in self._named:
             t.grad = None
 
+    def flat_grad(self) -> np.ndarray:
+        """Every parameter's gradient in `flat`'s layout; 0 where a parameter has none."""
+        return np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
+                               for _, t in self._named])
+
     def state_dict(self) -> dict:
-        return {name: t.data for name, t in self.named_parameters()}
+        """{name: value}, in PARTS order; each value is a view into `flat`."""
+        return {name: t.data for name, t in self._named}
 
     def load_state_dict(self, arrays: dict) -> None:
         mine = dict(self.named_parameters())
@@ -280,7 +297,7 @@ class VcrModel:
                 )
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"parameter {name!r} holds NaN or Inf")
-            t.data = np.asarray(arr, dtype=np.float64)
+            t.data[...] = arr
             t.grad = None
 
     def save(self, path) -> None:

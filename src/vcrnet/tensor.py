@@ -59,6 +59,8 @@ class Tensor:
     `data` is a row-major float64 numpy array; `grad`, once populated by a
     backward pass, always has the same shape as `data`. Tensors are
     value-like: no op ever mutates an existing tensor's data or grad in place.
+    A model's parameters are views into its flat buffer (`VcrModel.flat`),
+    which Adam and `load_state_dict` write in place; ops still never do.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -70,14 +72,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def __repr__(self) -> str:
         rg = ", requires_grad=True" if self.requires_grad else ""

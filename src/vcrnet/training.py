@@ -4,7 +4,8 @@ Each instance contributes a joint loss: cross-entropy for answer selection
 plus cross-entropy for rationale selection. A mini-batch's tasks are scored
 in chunks (see `model.chunked`), one taped forward and backward per chunk,
 and its loss is the sum of its task losses over the number of instances,
-so the gradients are averaged over instances before every update. One
+so the gradients are averaged over instances before every update. Adam
+updates the model's flat parameter buffer in place, in one step. One
 checkpoint and one report line are written per epoch; reported losses are
 per-task means, so an untrained model starts at ln 4.
 """
@@ -85,37 +86,26 @@ def task_loss(logits: Tensor, gold) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction; moment state is keyed by parameter name."""
+    """Adam with bias correction (Kingma & Ba, arXiv:1412.6980) over a
+    model's flat parameter buffer: one elementwise update per step."""
 
-    def __init__(
-        self,
-        params,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        self.params = list(params)
-        names = [name for name, _ in self.params]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate parameter names")
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, model: VcrModel, lr: float):
+        self.model = model
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self._v = {name: np.zeros_like(p.data) for name, p in self.params}
+        self._m = np.zeros_like(model.flat)
+        self._v = np.zeros_like(model.flat)
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self._m[name] = self.beta1 * self._m[name] + (1.0 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1.0 - self.beta2) * g * g
-            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
+        g = self.model.flat_grad()
+        m = self._m = self.BETA1 * self._m + (1.0 - self.BETA1) * g
+        v = self._v = self.BETA2 * self._v + (1.0 - self.BETA2) * g * g
+        self.model.flat -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
 
 @dataclass
@@ -239,7 +229,7 @@ def train(
     log_path = out_dir / LOG_NAME
     log_path.write_text("", encoding="utf-8")
 
-    opt = Adam(model.named_parameters(), lr=config.lr)
+    opt = Adam(model, lr=config.lr)
     reports: list = []
     best_val = -math.inf
     best_epoch = 0

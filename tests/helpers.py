@@ -1,9 +1,13 @@
 """Shared oracle-style helpers for the test suite."""
 
+import struct
+
 import numpy as np
+import numpy.testing as npt
 
 from vcrnet import attention as A
 from vcrnet import tensor as T
+from vcrnet.checkpoint import MAGIC, VERSION
 from vcrnet.coattention import coattend, join, lstm_encode
 from vcrnet.data import TASK_Q2A
 from vcrnet.diagnostics import probe_instance
@@ -278,3 +282,42 @@ def stage_sweep(model, h=1e-5):
             worst[stage] = max(worst[stage], err)
         coords[stage] += flat.size
     return [(f"end_to_end/{stage}", float(worst[stage]), coords[stage]) for stage in evaluators]
+
+
+class LoopAdam:
+    """Reference for `training.Adam`: one update per parameter, moments
+    keyed by name, a missing gradient read as zeros."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self._m = {name: np.zeros_like(p.data) for name, p in self.params}
+        self._v = {name: np.zeros_like(p.data) for name, p in self.params}
+
+    def step(self):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params:
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m = self._m[name] = self.beta1 * self._m[name] + (1.0 - self.beta1) * g
+            v = self._v[name] = self.beta2 * self._v[name] + (1.0 - self.beta2) * g * g
+            p.data[...] = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+def assert_flat_aliasing(model):
+    """Every parameter's data is a view into `model.flat`, and `flat` holds
+    the state in checkpoint order."""
+    for name, t in model.named_parameters():
+        assert np.shares_memory(t.data, model.flat), f"{name} is not a view into flat"
+    npt.assert_array_equal(
+        model.flat, np.concatenate([arr.ravel() for arr in model.state_dict().values()]))
+
+
+def write_overflowing_container(path):
+    """A container whose one float64 entry claims (2**32 - 1) x (2**32 - 1)
+    items, a count that wraps in 64-bit integers, followed by 16 bytes."""
+    extent = 2 ** 32 - 1
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, 1) + struct.pack("<H", 1) + b"w"
+                     + struct.pack("<BB2I", 1, 2, extent, extent) + bytes(16))

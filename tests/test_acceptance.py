@@ -24,7 +24,6 @@ from vcrnet.data import (
     metrics_report,
     synth_generate,
 )
-from vcrnet.diagnostics import run_all
 from vcrnet.model import VcrModel
 from vcrnet.reduction import fuse, init_reduction, reduce
 from vcrnet.tensor import Tensor
@@ -39,10 +38,8 @@ def _verdict(tag: str, ok: bool, detail: str) -> None:
 # -- A1 --------------------------------------------------------------------
 
 
-def test_a1_gradient_integrity():
-    t0 = time.perf_counter()
-    results = run_all()
-    elapsed = time.perf_counter() - t0
+def test_a1_gradient_integrity(a1_battery):
+    _, results, elapsed = a1_battery
     worst = max(r.max_rel_err for r in results)
     stages = {r.name for r in results if r.name.startswith("end_to_end/")}
     ok = worst <= 1e-4 and elapsed < 60.0 and len(stages) == 4

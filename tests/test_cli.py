@@ -4,6 +4,8 @@ import shutil
 import numpy as np
 import pytest
 
+from helpers import write_overflowing_container
+
 import vcrnet.cli as cli
 from vcrnet.checkpoint import read_checkpoint, write_checkpoint
 from vcrnet.cli import main
@@ -498,6 +500,20 @@ def test_non_finite_checkpoint_parameter_is_refused(trained_run, tmp_path, capsy
     error = _one_error(capsys)
     assert str(bad) in error and "reduce.clf.bias" in error
     assert not traces.exists()
+
+
+@pytest.mark.parametrize("container", ["features", "model"])
+def test_eval_reports_an_overflowing_extent(trained_run, tmp_path, capsys, container):
+    data, ckpt = trained_run
+    copy, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(data, copy)
+    shutil.copytree(ckpt.parent, run)
+    bad = {"features": copy / cli.FEATURES_FILE, "model": run / ckpt.name}[container]
+    write_overflowing_container(bad)
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(run / ckpt.name),
+                 "--data", str(copy / cli.TRAIN_FILE)]) == 1
+    assert _one_error(capsys).startswith(f"error: truncated container {bad} at byte ")
 
 
 _NOT_UTF8 = b"\xff\xfe"

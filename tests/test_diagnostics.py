@@ -1,7 +1,8 @@
 import numpy as np
+import numpy.testing as npt
 import pytest
 
-from helpers import stage_sweep
+from helpers import assert_flat_aliasing, stage_sweep
 from vcrnet.data import TASK_Q2A
 from vcrnet.model import TaskInput, stage_of
 from vcrnet.diagnostics import (
@@ -69,14 +70,22 @@ def test_probe_model_overrides_replace_its_fields():
 @pytest.mark.parametrize("overrides", [{}, {"ga": False}, {"encoder": "lstm"},
                                        {"layers": 2, "d_model": 4, "heads": 1}],
                          ids=["default", "no-ga", "lstm", "layers2"])
-def test_end_to_end_sweep_of_ablation_probe_models(overrides):
+def test_end_to_end_sweep_of_ablation_probe_models(overrides, request):
     # each co-attention unit's parameters restart at that unit; the sweep
     # that reruns whole stages must agree with it to the last bit. The
     # ablations take other paths (no guided fusion, the masked BiLSTM
     # encoder), and at layers=2 a layer-0 restart reruns layer 1 of its side
-    # (narrower, at d_model=4 and one head, to keep both sweeps short)
-    model = probe_model(**overrides)
-    results = end_to_end_checks(model=model)
+    # (narrower, at d_model=4 and one head, to keep both sweeps short). The
+    # default probe's sweep is A1's, run once per session
+    if overrides:
+        model = probe_model(**overrides)
+        results = end_to_end_checks(model=model)
+    else:
+        model, battery, _ = request.getfixturevalue("a1_battery")
+        results = [r for r in battery if r.name.startswith("end_to_end/")]
+    # the sweep writes coordinates of the flat buffer and puts each back
+    assert_flat_aliasing(model)
+    npt.assert_array_equal(model.flat, probe_model(**overrides).flat)
     assert [(r.name, r.max_rel_err, r.coords) for r in results] == stage_sweep(model)
     assert sum(r.coords for r in results) == model.num_parameters()
     worst = max(r.max_rel_err for r in results)

@@ -9,6 +9,7 @@ from helpers import (
     composed_feed_forward,
     composed_layer_norm,
     composed_linear,
+    write_overflowing_container,
 )
 from vcrnet import checkpoint
 from vcrnet import layers as L
@@ -163,7 +164,7 @@ def test_residual_layer_norm_equals_its_composed_oracle_exactly(d):
     assert len(tape) == 1
     _, _, rule = tape._entries[0]
     held = [c.cell_contents for c in rule.__closure__]
-    assert not any(isinstance(v, np.ndarray) and v.shape == x.shape
+    assert not any(isinstance(v, np.ndarray) and v.shape == x.data.shape
                    and np.array_equal(v, x.data + y.data) for v in held)
     with pytest.raises(ShapeError):
         L.layer_norm(x, p, Tensor(np.zeros((3, 4, d))))
@@ -588,6 +589,14 @@ def test_checkpoint_rejects_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 9])
     with pytest.raises(CheckpointError):
+        read_checkpoint(path)
+
+
+def test_checkpoint_rejects_an_extent_product_that_wraps(tmp_path):
+    # (2**32 - 1)**2 items wrap to a negative count in int64 arithmetic
+    path = tmp_path / "model.canckpt"
+    write_overflowing_container(path)
+    with pytest.raises(CheckpointError, match=f"truncated container {path}"):
         read_checkpoint(path)
 
 

@@ -151,10 +151,9 @@ def test_wrong_candidate_count_rejected():
 def _randomize_head(model):
     # fresh heads are zero on purpose; give them values so logits differ
     rng = np.random.default_rng(99)
-    model.reduction.clf.weight.data = rng.standard_normal(
-        model.reduction.clf.weight.data.shape)
-    model.reduction.clf.bias.data = rng.standard_normal(
-        model.reduction.clf.bias.data.shape)
+    clf = model.reduction.clf
+    clf.weight.data[...] = rng.standard_normal(clf.weight.data.shape)
+    clf.bias.data[...] = rng.standard_normal(clf.bias.data.shape)
 
 
 def _unit_layout(prefix, d, d_ff):

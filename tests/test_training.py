@@ -5,14 +5,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import LoopAdam, assert_flat_aliasing
 from vcrnet import tensor as T
 from vcrnet import training
 from vcrnet.checkpoint import read_checkpoint
 from vcrnet.config import TrainConfig
-from vcrnet.data import TASK_Q2A, TASK_QA2R, DataError, synth_generate
+from vcrnet.data import TASK_Q2A, TASK_QA2R, DataError, Vocab, synth_generate
 from vcrnet.diagnostics import probe_instance, probe_model
 from vcrnet.model import TaskInput, VcrModel, chunked, task_lengths
-from vcrnet.tensor import Tape, Tensor
+from vcrnet.tensor import Tape
 from vcrnet.training import (
     CHECKPOINT_NAME,
     CONFIG_NAME,
@@ -40,33 +41,65 @@ def _data(n=8, seed=0):
     return insts[cut:], insts[:cut]
 
 
-def test_adam_rejects_duplicate_names():
-    t = Tensor(np.zeros(2), requires_grad=True)
-    with pytest.raises(ValueError):
-        Adam([("w", t), ("w", t)], lr=0.1)
+def _random_grads(model, rng):
+    for _, t in model.named_parameters():
+        t.grad = rng.standard_normal(t.data.shape)
+
+
+def test_adam_matches_per_parameter_loop():
+    # the flat update is elementwise, so it must give the loop's bits
+    model, oracle = probe_model(), probe_model()
+    opt, ref = Adam(model, lr=0.01), LoopAdam(oracle.named_parameters(), lr=0.01)
+    rng = np.random.default_rng(0)
+    for step in range(3):
+        _random_grads(model, rng)
+        for (_, t), (_, u) in zip(model.named_parameters(), oracle.named_parameters()):
+            u.grad = t.grad
+        if step == 1:
+            # a parameter the loss did not reach has no gradient
+            for m in (model, oracle):
+                m.embedding.grad = None
+        opt.step()
+        ref.step()
+    npt.assert_array_equal(model.flat, oracle.flat)
 
 
 def test_adam_zero_lr_is_bitwise_identity():
-    rng = np.random.default_rng(0)
-    params = [(f"p{i}", Tensor(rng.standard_normal(4), requires_grad=True))
-              for i in range(3)]
-    before = [p.data.copy() for _, p in params]
-    opt = Adam(params, lr=0.0)
-    for _, p in params:
-        p.grad = rng.standard_normal(4)
+    model = probe_model()
+    before = model.flat.copy()
+    opt = Adam(model, lr=0.0)
+    _random_grads(model, np.random.default_rng(0))
     opt.step()
-    for (_, p), want in zip(params, before):
-        npt.assert_array_equal(p.data, want)
+    npt.assert_array_equal(model.flat, before)
 
 
 def test_adam_first_step_moves_by_lr():
     # bias correction makes the very first update lr-sized regardless of the
     # gradient's magnitude
-    t = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    opt = Adam([("t", t)], lr=0.5)
-    t.grad = np.array([3.0, -0.01])
+    model = probe_model()
+    before = model.flat.copy()
+    opt = Adam(model, lr=0.5)
+    rng = np.random.default_rng(0)
+    for _, t in model.named_parameters():
+        # signed magnitudes from 0.01 to 100
+        t.grad = rng.choice([-1.0, 1.0], t.data.shape) * 10.0 ** rng.uniform(-2, 2, t.data.shape)
     opt.step()
-    npt.assert_allclose(t.data, [1.0 - 0.5, -2.0 + 0.5], atol=1e-5)
+    npt.assert_allclose(model.flat, before - 0.5 * np.sign(model.flat_grad()), atol=1e-5)
+
+
+def test_parameters_are_views_into_the_flat_buffer(tmp_path):
+    # Adam, load_state_dict and probe_model write parameters in place; a
+    # rebound `.data` would leave the optimizer updating a stale buffer
+    tr, va = _data()
+    built = VcrModel.build(_quick_config(), Vocab.build(tr), tr[0].objects.shape[1],
+                           np.random.default_rng(0))
+    assert_flat_aliasing(built)
+    assert_flat_aliasing(probe_model())
+    result = train(_quick_config(epochs=1), tr, va, tmp_path)
+    assert_flat_aliasing(result.model)
+    loaded = VcrModel.load(tmp_path / CHECKPOINT_NAME, result.model.config, result.vocab)
+    assert_flat_aliasing(loaded)
+    npt.assert_array_equal(loaded.flat, result.model.flat)
 
 
 def test_gradient_accumulation_is_linear():
