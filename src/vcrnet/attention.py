@@ -3,7 +3,8 @@
 One unit, `guided_attention_unit`, takes its queries from one sequence
 and keys/values from another, so the guide decides what the first sequence
 attends to; a self-attention unit is the same call with the sequence as its
-own guide.
+own guide. A unit's feed-forward runs dropout only when it is given a
+generator to draw from.
 
 Masking is additive: padded key positions get a -1e9 score before softmax,
 which underflows to an exactly-zero weight. No positional encodings here;
@@ -213,14 +214,14 @@ def guided_attention_unit(
     guide: Tensor,
     p: AttnUnitParams,
     mask: Optional[np.ndarray] = None,
-    training: bool = False,
     rng: Optional[np.random.Generator] = None,
     label: str = "ga",
 ) -> tuple[Tensor, AttentionTrace]:
     """One unit: attend x over the guide, then feed-forward; each sublayer
-    adds its input back before its LayerNorm."""
+    adds its input back before its LayerNorm. A generator `rng` turns on
+    the feed-forward's dropout."""
     att, trace = multi_head(x, guide, guide, p.mha, mask, label)
     y = layer_norm(x, p.ln1, att)
-    out = layer_norm(y, p.ln2, feed_forward(y, p.ffn, training=training, rng=rng))
+    out = layer_norm(y, p.ln2, feed_forward(y, p.ffn, rng))
     return out, trace
 

@@ -22,12 +22,13 @@ from vcrnet.data import (
     TASK_QA2R,
     DataError,
     load_instances,
+    make_task,
     save_annotations,
     save_features,
     synth_generate,
 )
 from vcrnet.diagnostics import run_all
-from vcrnet.model import TaskInput, trace_labels
+from vcrnet.model import trace_labels
 from vcrnet.training import (
     CHECKPOINT_NAME,
     TrainingDiverged,
@@ -174,7 +175,7 @@ def cmd_inspect(args) -> int:
     out = _out_dir(args.out)
     written = []
     for task in (TASK_Q2A, TASK_QA2R):
-        fwd = model.forward_chunk([TaskInput.of(inst, task)])
+        fwd = model.forward_chunk([make_task(inst, task)])
         record = fwd.records()[0]
         blobs = {}
         for trace in fwd.traces:

@@ -9,7 +9,9 @@ stacks with a single BiLSTM over X, used as an ablation baseline.
 
 Everything here runs on a batch: the candidates of a chunk of tasks as
 (B, m, d) sequences with a (B, m) mask, each paired row by row with its own
-task's query, repeated once per candidate.
+task's query, repeated once per candidate. A generator passed to
+`coattend` draws every unit's dropout mask, layer by layer, query side
+first.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ def coattend_layer(
     side: str,
     idx: int,
     units: Sequence[str] = UNITS,
-    training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple:
     """Layer `idx` of the `side` stack on y: the `sa` unit attends over y
@@ -91,8 +92,7 @@ def coattend_layer(
     for unit in units:
         guide, guide_mask = (y, mask) if unit == "sa" else (joint.positions, joint.mask)
         y, trace = guided_attention_unit(y, guide, getattr(layer, unit), mask=guide_mask,
-                                         training=training, rng=rng,
-                                         label=f"coattn.{side}.{unit}.{idx}")
+                                         rng=rng, label=f"coattn.{side}.{unit}.{idx}")
         traces.append(trace)
     return y, traces
 
@@ -102,7 +102,6 @@ def coattend(
     fused_q: GroundedSeq,
     fused_r: GroundedSeq,
     p: CoAttnParams,
-    training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple:
     """Run both co-attention stacks against the fixed joint X; returns (Z_q, Z_r, traces)."""
@@ -113,10 +112,8 @@ def coattend(
     y_q, y_r = fused_q.positions, fused_r.positions
     # layer by layer, query side first: the order of the dropout draws
     for idx in range(depth):
-        y_q, more_q = coattend_layer(y_q, fused_q.mask, joint, p.q[idx], "q", idx,
-                                     training=training, rng=rng)
-        y_r, more_r = coattend_layer(y_r, fused_r.mask, joint, p.r[idx], "r", idx,
-                                     training=training, rng=rng)
+        y_q, more_q = coattend_layer(y_q, fused_q.mask, joint, p.q[idx], "q", idx, rng=rng)
+        y_r, more_r = coattend_layer(y_r, fused_r.mask, joint, p.r[idx], "r", idx, rng=rng)
         traces += more_q + more_r
     return y_q, y_r, traces
 

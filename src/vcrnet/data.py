@@ -79,22 +79,26 @@ class VcrInstance:
 
 @dataclass
 class TaskExample:
+    """One task to score: a query, its candidate responses and the image's objects."""
+
     instance_id: str
     task: str
     query: list
     responses: list
     gold: int
+    objects: np.ndarray
 
 
 def make_task(inst: VcrInstance, kind: str) -> TaskExample:
     """Q2A: bare question vs. answers. QA2R: question + gold answer vs. rationales."""
     if kind == TASK_Q2A:
         return TaskExample(inst.instance_id, kind, list(inst.question),
-                           [list(a) for a in inst.answers], inst.gold_answer)
+                           [list(a) for a in inst.answers], inst.gold_answer, inst.objects)
     if kind == TASK_QA2R:
         query = list(inst.question) + list(inst.answers[inst.gold_answer])
         return TaskExample(inst.instance_id, kind, query,
-                           [list(r) for r in inst.rationales], inst.gold_rationale)
+                           [list(r) for r in inst.rationales], inst.gold_rationale,
+                           inst.objects)
     raise DataError(f"unknown task kind {kind!r}")
 
 

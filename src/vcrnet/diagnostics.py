@@ -27,9 +27,9 @@ from vcrnet import layers as L
 from vcrnet.attention import guided_attention_unit, init_attn_unit, sdpa
 from vcrnet.coattention import UNITS, coattend_layer, join
 from vcrnet.config import TrainConfig
-from vcrnet.data import TASK_Q2A, TaggedToken, VcrInstance, Vocab
+from vcrnet.data import TASK_Q2A, TaggedToken, VcrInstance, Vocab, make_task
 from vcrnet.grounding import align_tags
-from vcrnet.model import CANDIDATES, EncodedState, TaskInput, VcrModel, stage_of
+from vcrnet.model import CANDIDATES, EncodedState, VcrModel, stage_of
 from vcrnet.reduction import candidate_logit, fuse, init_reduction, reduce
 from vcrnet.tensor import Tensor, Tape, grad_check, repeat
 from vcrnet.training import task_loss
@@ -119,12 +119,12 @@ def layer_checks(h: float = 1e-5) -> list:
     check("feed_forward/x", lambda t: L.feed_forward(t, ffn), x)
     check_params("feed_forward", ffn, lambda: L.feed_forward(x, ffn))
 
-    # in training mode with dropout: a fresh rng of one seed on every call
-    # draws the same mask, so each call is the same function
+    # with dropout on: a fresh generator of one seed on every call draws
+    # the same mask, so each call is the same function
     ffn_drop = L.init_feed_forward(rng, 8, 32, 0.25)
 
     def train_ffn(t: Tensor) -> Tensor:
-        return L.feed_forward(t, ffn_drop, training=True, rng=np.random.default_rng(5))
+        return L.feed_forward(t, ffn_drop, np.random.default_rng(5))
 
     check("feed_forward/train/x", train_ffn, x)
     check_params("feed_forward/train", ffn_drop, lambda: train_ffn(x))
@@ -298,11 +298,10 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
     inst = probe_instance()
     if model is None:
         model = probe_model(inst)
-    task = TaskInput.of(inst, TASK_Q2A)
-    ex = task.example
+    task = make_task(inst, TASK_Q2A)
 
     def loss_of(chunk) -> Tensor:
-        return task_loss(chunk.logits.reshape(CANDIDATES), ex.gold)
+        return task_loss(chunk.logits.reshape(CANDIDATES), task.gold)
 
     with Tape() as tape:
         loss = loss_of(model.forward_chunk([task]))
@@ -311,7 +310,7 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
     model.zero_grad()
 
     def head_loss(encoded) -> float:
-        return float(loss_of(model._stage_head([ex], encoded)).data)
+        return float(loss_of(model._stage_head([task], encoded)).data)
 
     def loss_full() -> float:
         return float(loss_of(model.forward_chunk([task])).data)

@@ -103,7 +103,6 @@ def guided_fuse(
     grounded_r: GroundedSeq,
     objects: GroundedSeq,
     p: GaFuseParams,
-    training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple:
     """Refine the responses under query guidance, then under object guidance.
@@ -127,12 +126,12 @@ def guided_fuse(
     d = grounded_r.positions.data.shape[-1]
     r_pos = grounded_r.positions.reshape(n, count * w, d)
     r_pos, q_trace = guided_attention_unit(
-        r_pos, grounded_q.positions, p.ga_query, mask=grounded_q.mask,
-        training=training, rng=rng, label="ga.r_from_q",
+        r_pos, grounded_q.positions, p.ga_query, mask=grounded_q.mask, rng=rng,
+        label="ga.r_from_q",
     )
     r_pos, obj_trace = guided_attention_unit(
-        r_pos, objects.positions, p.ga_object, mask=objects.mask,
-        training=training, rng=rng, label="ga.r_from_obj",
+        r_pos, objects.positions, p.ga_object, mask=objects.mask, rng=rng,
+        label="ga.r_from_obj",
     )
     for trace in (q_trace, obj_trace):
         trace.heads = _per_candidate(trace.heads, count)

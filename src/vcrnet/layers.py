@@ -35,7 +35,7 @@ def named_tensors(params, prefix: str) -> Iterator[tuple[str, Tensor]]:
 
     A Tensor is named `prefix`; a list names its items `prefix.0`,
     `prefix.1`, ...; a dataclass names its fields `prefix.<field>` in field
-    order. Any other value (a head count, an eps, a dropout rate, None)
+    order. Any other value (a head count, a dropout rate, None)
     holds no tensor and yields nothing.
     """
     if isinstance(params, Tensor):
@@ -89,15 +89,17 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
 # -- layer norm ------------------------------------------------------------
 
 
+LAYER_NORM_EPS = 1e-5
+
+
 @dataclass
 class LayerNormParams:
     gamma: Tensor
     beta: Tensor
-    eps: float = 1e-5
 
 
-def init_layer_norm(d: int, eps: float = 1e-5) -> LayerNormParams:
-    return LayerNormParams(gamma=Tensor(np.ones(d), requires_grad=True), beta=_zeros((d,)), eps=eps)
+def init_layer_norm(d: int) -> LayerNormParams:
+    return LayerNormParams(gamma=Tensor(np.ones(d), requires_grad=True), beta=_zeros((d,)))
 
 
 def _last_axis_mean(a: np.ndarray, d: int) -> np.ndarray:
@@ -129,7 +131,7 @@ def layer_norm(x: Tensor, p: LayerNormParams, y: Optional[Tensor] = None) -> Ten
     mu = _last_axis_mean(xd, d)
     centered = xd - mu
     var = _last_axis_mean(centered * centered, d)
-    inv = 1.0 / np.sqrt(var + p.eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     out = p.gamma.data * xhat + p.beta.data
     gamma_d = p.gamma.data
@@ -172,13 +174,13 @@ def init_feed_forward(
 
 
 def feed_forward(
-    x: Tensor,
-    p: FeedForwardParams,
-    training: bool = False,
-    rng: Optional[np.random.Generator] = None,
+    x: Tensor, p: FeedForwardParams, rng: Optional[np.random.Generator] = None
 ) -> Tensor:
-    """linear, relu, inverted dropout (scaled by 1/(1-p) in training, none
-    in eval), linear: one fused op.
+    """linear, relu, inverted dropout, linear: one fused op.
+
+    Dropout runs iff a generator `rng` is given and `p.dropout` > 0: the
+    kept units are drawn from `rng` and scaled by 1/(1-p). Without a
+    generator the op draws nothing and scales nothing.
 
     Its tape entry keeps the input and the dropout draw as a boolean mask,
     not the (..., d_ff) hidden activation: the backward recomputes that
@@ -198,9 +200,7 @@ def feed_forward(
             f"feed_forward: {w1.shape} and {w2.shape} weights applied to shape {xd.shape}"
         )
     keep = None
-    if training and drop > 0.0:
-        if rng is None:
-            raise ValueError("dropout in training mode needs an explicit rng")
+    if rng is not None and drop > 0.0:
         keep = rng.random(xd.shape[:-1] + (d_ff,)) >= drop
 
     def hidden():

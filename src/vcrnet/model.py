@@ -29,13 +29,18 @@ backward instead of keeping it. Untaped scoring sorts its tasks by
 `task_lengths` first, so that tasks of like length share a chunk; most of
 the memory of such a chunk is its attention traces.
 
+A task is a `data.TaskExample`, which carries its image's objects. The
+forward's one switch is a generator: `forward_chunk(tasks, rng)` draws
+dropout masks from `rng`, and without one the forward runs no dropout.
+Training passes its generator; scoring and diagnostics pass none.
+
 Every parameter's `.data` is a view into one flat buffer, `VcrModel.flat`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -86,24 +91,12 @@ def stage_of(name: str) -> str:
     raise ValueError(f"no stage known for parameter {name!r}")
 
 
-class TaskInput(NamedTuple):
-    """One task to score: the example and its image's objects."""
-
-    example: TaskExample
-    objects: np.ndarray
-
-    @classmethod
-    def of(cls, inst: VcrInstance, kind: str) -> "TaskInput":
-        return cls(make_task(inst, kind), inst.objects)
-
-
-def task_lengths(task: TaskInput) -> tuple:
+def task_lengths(task: TaskExample) -> tuple:
     """(query length, longest response length): what a task adds to a chunk's padding."""
-    ex = task.example
-    return len(ex.query), max(len(resp) for resp in ex.responses)
+    return len(task.query), max(len(resp) for resp in task.responses)
 
 
-def chunked(tasks: Sequence[TaskInput]) -> Iterator[list]:
+def chunked(tasks: Sequence[TaskExample]) -> Iterator[list]:
     """Consecutive runs of tasks whose padded chunk fits CHUNK_POSITIONS.
 
     A run grows while 4·n·(longest query + longest response) stays within
@@ -284,6 +277,7 @@ class VcrModel:
         return {name: t.data for name, t in self._named}
 
     def load_state_dict(self, arrays: dict) -> None:
+        """Copy `arrays` into `flat`; every entry is checked before any is written."""
         mine = dict(self.named_parameters())
         for what, names in (("unexpected", set(arrays) - set(mine)),
                             ("missing", set(mine) - set(arrays))):
@@ -297,7 +291,8 @@ class VcrModel:
                 )
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"parameter {name!r} holds NaN or Inf")
-            t.data[...] = arr
+        for name, t in mine.items():
+            t.data[...] = arrays[name]
             t.grad = None
 
     def save(self, path) -> None:
@@ -346,36 +341,34 @@ class VcrModel:
         return ground(aligned, [len(seq) for seq in seqs], self.ground_lstm)
 
     def forward_chunk(
-        self,
-        tasks: Sequence[TaskInput],
-        training: bool = False,
-        rng: Optional[np.random.Generator] = None,
+        self, tasks: Sequence[TaskExample], rng: Optional[np.random.Generator] = None
     ) -> ChunkForward:
+        """Score a chunk of tasks; a generator `rng` turns dropout on and draws its masks."""
         state = self._stage_encode(tasks)
-        fused = self._stage_fuse(state, training, rng)
-        encoded = self._stage_joint(fused, training, rng)
-        return self._stage_head([task.example for task in tasks], encoded)
+        fused = self._stage_fuse(state, rng)
+        encoded = self._stage_joint(fused, rng)
+        return self._stage_head(tasks, encoded)
 
     # The forward pass is split into stages so diagnostics can rerun only
     # the part of the pipeline a given parameter can influence. Composed in
     # order they are exactly forward_chunk.
 
-    def _stage_encode(self, tasks: Sequence[TaskInput]) -> EncodeState:
+    def _stage_encode(self, tasks: Sequence[TaskExample]) -> EncodeState:
         n = len(tasks)
         d_o = self.obj_proj.weight.data.shape[0]
         k = max(task.objects.shape[0] for task in tasks)
         objects = np.zeros((n, k, d_o))
         object_mask = np.zeros((n, k), dtype=bool)
         queries, responses = [], []
-        for i, (ex, objs) in enumerate(tasks):
-            k_i = objs.shape[0]
+        for i, ex in enumerate(tasks):
+            k_i = ex.objects.shape[0]
             if len(ex.responses) != CANDIDATES:
                 raise DataError(
                     f"{ex.instance_id}: expected {CANDIDATES} candidate responses, "
                     f"got {len(ex.responses)}"
                 )
-            self.check_object_width(ex.instance_id, objs)
-            objects[i, :k_i] = objs
+            self.check_object_width(ex.instance_id, ex.objects)
+            objects[i, :k_i] = ex.objects
             object_mask[i, :k_i] = True
             # a tag indexes its own task's k rows of the flattened (n·k, d_o) objects
             queries.append(_offset_tags(ex, ex.query, i * k, k_i))
@@ -388,54 +381,41 @@ class VcrModel:
         )
 
     def _stage_fuse(
-        self,
-        state: EncodeState,
-        training: bool = False,
-        rng: Optional[np.random.Generator] = None,
+        self, state: EncodeState, rng: Optional[np.random.Generator] = None
     ) -> FusedState:
         if self.ga_fuse is None:
             return FusedState(fq=state.grounded_q, fr=state.grounded_r, traces=[])
         fr, traces = guided_fuse(
-            state.grounded_q,
-            state.grounded_r,
-            state.objects,
-            self.ga_fuse,
-            training=training,
-            rng=rng,
+            state.grounded_q, state.grounded_r, state.objects, self.ga_fuse, rng=rng
         )
         return FusedState(fq=state.grounded_q, fr=fr, traces=traces)
 
     def _stage_joint(
-        self,
-        fused: FusedState,
-        training: bool = False,
-        rng: Optional[np.random.Generator] = None,
+        self, fused: FusedState, rng: Optional[np.random.Generator] = None
     ) -> EncodedState:
         q = fused.fq
         # each candidate row pairs with its own task's copy of the query
         fq = GroundedSeq(T.repeat(q.positions, CANDIDATES), np.repeat(q.mask, CANDIDATES, axis=0))
         joint = join(fq, fused.fr)
         if self.coattn is not None:
-            z_q, z_r, traces = coattend(
-                joint, fq, fused.fr, self.coattn, training=training, rng=rng
-            )
+            z_q, z_r, traces = coattend(joint, fq, fused.fr, self.coattn, rng=rng)
         else:
             z_q, z_r, traces = lstm_encode(joint, self.encoder_lstm)
         return EncodedState(fq=fq, fr=fused.fr, z_q=z_q, z_r=z_r, traces=fused.traces + traces)
 
-    def _stage_head(self, examples: list, encoded: EncodedState) -> ChunkForward:
+    def _stage_head(self, tasks: Sequence[TaskExample], encoded: EncodedState) -> ChunkForward:
         pooled_q, alpha_q = reduce(encoded.z_q, encoded.fq.mask, self.reduction.mlp_q)
         pooled_r, alpha_r = reduce(encoded.z_r, encoded.fr.mask, self.reduction.mlp_r)
         fused = fuse(pooled_q, pooled_r, self.reduction)
-        logits = candidate_logit(fused, self.reduction).reshape(len(examples), CANDIDATES)
+        logits = candidate_logit(fused, self.reduction).reshape(len(tasks), CANDIDATES)
         traces = encoded.traces + [
             _pool_trace("reduce.q", alpha_q),
             _pool_trace("reduce.r", alpha_r),
         ]
-        return ChunkForward(examples=list(examples), logits=logits, traces=traces)
+        return ChunkForward(examples=list(tasks), logits=logits, traces=traces)
 
     def predict(self, inst: VcrInstance, kind: str) -> PredictionRecord:
-        return self.forward_chunk([TaskInput.of(inst, kind)]).records()[0]
+        return self.forward_chunk([make_task(inst, kind)]).records()[0]
 
 
 def _offset_tags(ex: TaskExample, seq: list, base: int, k: int) -> list:

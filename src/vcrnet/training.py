@@ -31,14 +31,10 @@ from vcrnet.data import (
     DataError,
     VcrInstance,
     Vocab,
+    make_task,
     metrics_report,
 )
-from vcrnet.model import (
-    TaskInput,
-    VcrModel,
-    chunked,
-    task_lengths,
-)
+from vcrnet.model import VcrModel, chunked, task_lengths
 from vcrnet.tensor import Tape, Tensor
 
 CHECKPOINT_NAME = "model.canckpt"
@@ -165,7 +161,7 @@ def predict_all(model: VcrModel, instances: Sequence[VcrInstance]) -> tuple:
             raise DataError(f"{inst.instance_id}: duplicate instance_id")
         seen.add(inst.instance_id)
         model.check_object_width(inst.instance_id, inst.objects)
-    tasks = [TaskInput.of(inst, kind) for kind in (TASK_Q2A, TASK_QA2R) for inst in instances]
+    tasks = [make_task(inst, kind) for kind in (TASK_Q2A, TASK_QA2R) for inst in instances]
     order = sorted(range(len(tasks)), key=lambda i: task_lengths(tasks[i]))
     scored = (rec for chunk in chunked([tasks[i] for i in order])
               for rec in model.forward_chunk(chunk).records())
@@ -240,11 +236,11 @@ def train(
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [train_insts[idx] for idx in order[start:start + config.batch_size]]
-            tasks = [TaskInput.of(inst, kind) for inst in batch for kind in (TASK_Q2A, TASK_QA2R)]
+            tasks = [make_task(inst, kind) for inst in batch for kind in (TASK_Q2A, TASK_QA2R)]
             model.zero_grad()
             for chunk in chunked(tasks):
                 with Tape() as tape:
-                    fwd = model.forward_chunk(chunk, training=True, rng=rng)
+                    fwd = model.forward_chunk(chunk, rng)
                     losses = task_loss(fwd.logits, [ex.gold for ex in fwd.examples])
                     bad = np.flatnonzero(~np.isfinite(losses.data))
                     if bad.size:

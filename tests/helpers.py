@@ -9,13 +9,13 @@ from vcrnet import attention as A
 from vcrnet import tensor as T
 from vcrnet.checkpoint import MAGIC, VERSION
 from vcrnet.coattention import coattend, join, lstm_encode
-from vcrnet.data import TASK_Q2A
+from vcrnet.data import TASK_Q2A, make_task
 from vcrnet.diagnostics import probe_instance
 from vcrnet.grounding import GroundedSeq, align_tags, ground, guided_fuse
 from vcrnet.layers import FeedForwardParams, LinearParams, init_layer_norm, layer_norm, linear
 from vcrnet.reduction import candidate_logit, fuse, reduce
 from vcrnet.layers import _expit as expit
-from vcrnet.model import CANDIDATES, TaskInput, stage_of, task_lengths
+from vcrnet.model import CANDIDATES, stage_of, task_lengths
 from vcrnet.tensor import ShapeError, Tape, Tensor, record_op
 from vcrnet.training import task_loss
 
@@ -49,12 +49,12 @@ def dropout(x, p, rng):
     return record_op(x.data * factor, (x,), lambda g: (g * factor,))
 
 
-def composed_feed_forward(x, p, training=False, rng=None):
+def composed_feed_forward(x, p, rng=None):
     """Reference for the fused `layers.feed_forward`: linear, relu, dropout
-    (training with p > 0 only) and linear, each its own op, keeping every
-    intermediate."""
+    (with a generator and p > 0 only) and linear, each its own op, keeping
+    every intermediate."""
     h = T.relu(composed_linear(x, p.lin1))
-    if training and p.dropout > 0.0:
+    if rng is not None and p.dropout > 0.0:
         h = dropout(h, p.dropout, rng)
     return composed_linear(h, p.lin2)
 
@@ -115,10 +115,11 @@ def pad_grounded(seq, length):
     )
 
 
-def loop_forward(model, ex, objects):
+def loop_forward(model, ex):
     """Score each candidate on its own as a batch of one: the oracle for the
-    batched VcrModel forward (eval mode). Returns (logits, one trace list per
+    batched VcrModel forward (no dropout). Returns (logits, one trace list per
     candidate, each trace one candidate's (heads, m, n) slice)."""
+    objects = ex.objects
     objects_t = Tensor(objects)
     guide = GroundedSeq(linear(Tensor(objects[None]), model.obj_proj),
                         np.ones((1, len(objects)), dtype=bool))
@@ -241,8 +242,8 @@ def stage_sweep(model, h=1e-5):
     coordinate's central difference reruns the whole forward stage it feeds
     (a co-attention parameter reruns both stacks). Returns one
     (name, max_rel_err, coords) per stage."""
-    task = TaskInput.of(probe_instance(), TASK_Q2A)
-    gold = task.example.gold
+    task = make_task(probe_instance(), TASK_Q2A)
+    gold = task.gold
 
     def loss_of(chunk):
         return task_loss(chunk.logits.reshape(CANDIDATES), gold)
@@ -254,7 +255,7 @@ def stage_sweep(model, h=1e-5):
     model.zero_grad()
 
     def head_loss(encoded):
-        return float(loss_of(model._stage_head([task.example], encoded)).data)
+        return float(loss_of(model._stage_head([task], encoded)).data)
 
     s1 = model._stage_encode([task])
     fused = model._stage_fuse(s1)

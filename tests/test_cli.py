@@ -13,12 +13,13 @@ from vcrnet.data import (
     TASK_Q2A,
     TASK_QA2R,
     load_instances,
+    make_task,
     save_annotations,
     save_features,
     synth_generate,
 )
 from vcrnet.diagnostics import CheckResult
-from vcrnet.model import TaskInput, trace_labels
+from vcrnet.model import trace_labels
 from vcrnet.training import load_run
 
 
@@ -172,7 +173,7 @@ def test_inspect_files_are_the_predicted_candidates_slice(trained_run, tmp_path,
     model, _, _ = load_run(ckpt)
     expected = set()
     for task in (TASK_Q2A, TASK_QA2R):
-        fwd = model.forward_chunk([TaskInput.of(inst, task)])
+        fwd = model.forward_chunk([make_task(inst, task)])
         record = fwd.records()[0]
         for trace in fwd.traces:
             path = traces / f"{task}.{trace.unit}.json"

@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from helpers import assert_flat_aliasing, stage_sweep
-from vcrnet.data import TASK_Q2A
-from vcrnet.model import TaskInput, stage_of
+from vcrnet.data import TASK_Q2A, make_task
+from vcrnet.model import stage_of
 from vcrnet.diagnostics import (
     CheckResult,
     end_to_end_checks,
@@ -40,7 +40,7 @@ def test_probe_model_head_is_live():
     model = probe_model()
     assert np.abs(model.reduction.clf.weight.data).max() > 0
     inst = probe_instance()
-    logits = model.forward_chunk([TaskInput.of(inst, TASK_Q2A)]).logits.data
+    logits = model.forward_chunk([make_task(inst, TASK_Q2A)]).logits.data
     assert np.abs(logits).max() > 0
 
 

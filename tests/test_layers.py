@@ -110,8 +110,8 @@ def test_feed_forward_eval_ignores_dropout_probability():
     p_half = L.init_feed_forward(np.random.default_rng(1), 6, 24, p_drop=0.5)
     p_none = L.FeedForwardParams(lin1=p_half.lin1, lin2=p_half.lin2, dropout=0.0)
     npt.assert_array_equal(
-        L.feed_forward(x, p_half, training=False).data,
-        L.feed_forward(x, p_none, training=False).data,
+        L.feed_forward(x, p_half).data,
+        L.feed_forward(x, p_none).data,
     )
 
 
@@ -182,31 +182,31 @@ def test_feed_forward_equals_its_composed_oracle_exactly(training):
     def run(fn):
         # the same dropout draw for both: a fixed rng, made fresh per run
         drop_rng = np.random.default_rng(21)
-        got = _taped(lambda: fn(x, p, training=training, rng=drop_rng), inputs, 2)
+        got = _taped(lambda: fn(x, p, drop_rng if training else None), inputs, 2)
         return got, drop_rng.random()
 
     fused, after_fused = run(L.feed_forward)
     composed, after_composed = run(composed_feed_forward)
     _assert_same(fused, composed)
-    # both draw the same numbers from the rng, and training draws
+    # both draw the same numbers from the rng, and only a given rng is drawn
     assert after_fused == after_composed
     assert (after_fused != np.random.default_rng(21).random()) == training
     with T.Tape() as tape:
-        L.feed_forward(x, p, training=training, rng=np.random.default_rng(21))
+        L.feed_forward(x, p, np.random.default_rng(21) if training else None)
     assert len(tape) == 1
 
 
 def test_feed_forward_dropout_off_draws_nothing():
-    """Eval mode, or p = 0 in training, applies no dropout and leaves the rng as it was."""
+    """No generator, or a generator with p = 0, applies no dropout; p = 0 leaves
+    the generator as it was."""
     rng = np.random.default_rng(9)
     p_half = L.init_feed_forward(rng, 3, 8, p_drop=0.5)
     p_none = L.FeedForwardParams(lin1=p_half.lin1, lin2=p_half.lin2, dropout=0.0)
     x = Tensor(rng.standard_normal((2, 3)))
     want = L.feed_forward(x, p_none).data
     state = rng.bit_generator.state
-    npt.assert_array_equal(L.feed_forward(x, p_half, training=False, rng=rng).data, want)
-    npt.assert_array_equal(L.feed_forward(x, p_none, training=True, rng=rng).data, want)
-    npt.assert_array_equal(L.feed_forward(x, p_none, training=True).data, want)
+    npt.assert_array_equal(L.feed_forward(x, p_half).data, want)
+    npt.assert_array_equal(L.feed_forward(x, p_none, rng).data, want)
     assert rng.bit_generator.state == state
 
 
@@ -217,14 +217,12 @@ def test_feed_forward_dropout_scales_survivors():
     p = L.FeedForwardParams(lin1=eye, lin2=eye, dropout=0.25)
     x = Tensor(np.ones((200, 50)), requires_grad=True)
     with T.Tape() as tape:
-        y = L.feed_forward(x, p, training=True, rng=np.random.default_rng(9))
+        y = L.feed_forward(x, p, np.random.default_rng(9))
     kept = y.data != 0.0
     npt.assert_allclose(y.data[kept], 1.0 / 0.75)
     assert abs(kept.mean() - 0.75) < 0.02
     tape.seed(y, np.ones((200, 50)))
     npt.assert_allclose(x.grad, np.where(kept, 1.0 / 0.75, 0.0))
-    with pytest.raises(ValueError, match="explicit rng"):
-        L.feed_forward(x, p, training=True)
     with pytest.raises(ValueError, match="dropout probability"):
         L.feed_forward(x, L.FeedForwardParams(lin1=eye, lin2=eye, dropout=1.0))
 

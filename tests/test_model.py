@@ -15,14 +15,14 @@ from vcrnet.data import (
     TaskExample,
     VcrInstance,
     Vocab,
+    make_task,
     synth_generate,
 )
-from vcrnet.diagnostics import probe_instance
+from vcrnet.diagnostics import probe_instance, probe_model
 from vcrnet.model import (
     CANDIDATES,
     CHUNK_POSITIONS,
     ChunkForward,
-    TaskInput,
     VcrModel,
     chunked,
     task_lengths,
@@ -46,12 +46,12 @@ def _model(inst, seed=0, **kw):
 
 def _forward(model, inst, kind):
     """One task of `inst` scored as a chunk of one."""
-    return model.forward_chunk([TaskInput.of(inst, kind)])
+    return model.forward_chunk([make_task(inst, kind)])
 
 
-def _logits(model, ex, objects):
+def _logits(model, ex):
     """The (4,) candidate logits of one task example."""
-    return model.forward_chunk([TaskInput(ex, objects)]).logits.data[0]
+    return model.forward_chunk([ex]).logits.data[0]
 
 
 def _ragged_inst():
@@ -111,7 +111,7 @@ def test_loss_rejects_out_of_range_gold():
 
 def test_argmax_tie_goes_to_lowest_index():
     inst = probe_instance()
-    ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question, inst.answers, 0)
+    ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question, inst.answers, 0, inst.objects)
     fwd = ChunkForward([ex, ex], Tensor(np.array([[0.5, 0.9, 0.9, 0.1], [0.25] * 4])), [])
     assert [rec.pred for rec in fwd.records()] == [1, 0]
 
@@ -122,8 +122,8 @@ def test_duplicate_candidates_score_identically():
     _randomize_head(model)
     ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question,
                      [inst.answers[1], inst.answers[0], inst.answers[1], inst.answers[2]],
-                     0)
-    logits = _logits(model, ex, inst.objects)
+                     0, inst.objects)
+    logits = _logits(model, ex)
     assert logits[0] == logits[2]
     assert logits[0] != logits[1]
 
@@ -135,17 +135,18 @@ def test_candidate_order_permutes_logits_bitwise():
     base = _forward(model, inst, TASK_Q2A).logits.data[0]
     perm = [2, 0, 3, 1]
     ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question,
-                     [inst.answers[i] for i in perm], 0)
-    shuffled = _logits(model, ex, inst.objects)
+                     [inst.answers[i] for i in perm], 0, inst.objects)
+    shuffled = _logits(model, ex)
     npt.assert_array_equal(shuffled, base[perm])
 
 
 def test_wrong_candidate_count_rejected():
     inst = probe_instance()
     model = _model(inst)
-    ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question, inst.answers[:3], 0)
+    ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question, inst.answers[:3], 0,
+                     inst.objects)
     with pytest.raises(DataError):
-        _logits(model, ex, inst.objects)
+        _logits(model, ex)
 
 
 def _randomize_head(model):
@@ -257,6 +258,23 @@ def test_load_error_names_file_and_bounds_name_list(tmp_path):
     assert "stale.03.weight" not in msg
 
 
+@pytest.mark.parametrize("fault", ["nan", "shape"])
+def test_failed_load_leaves_every_parameter_as_it_was(fault):
+    # only the last entry is malformed, so every other one passes its checks
+    model = probe_model()
+    before = model.flat.copy()
+    state = {name: value + 1.0 for name, value in model.state_dict().items()}
+    last = list(state)[-1]
+    assert last == "reduce.clf.bias"
+    if fault == "nan":
+        state[last][-1] = np.nan
+    else:
+        state[last] = state[last][:-1]
+    with pytest.raises(CheckpointError, match=last):
+        model.load_state_dict(state)
+    assert model.flat.tobytes() == before.tobytes()
+
+
 def test_trace_labels_cover_the_pipeline():
     inst = probe_instance()
     fwd = _forward(_model(inst), inst, TASK_Q2A)
@@ -345,7 +363,7 @@ def test_batched_forward_matches_candidate_loop(arch, task):
     _randomize_head(model)
     batched = _forward(model, inst, task)
     ex = batched.examples[0]
-    loop_logits, loop_traces = loop_forward(model, ex, inst.objects)
+    loop_logits, loop_traces = loop_forward(model, ex)
     npt.assert_allclose(batched.logits.data[0], loop_logits.data, rtol=0, atol=1e-12)
 
     assert len(loop_traces) == CANDIDATES
@@ -357,7 +375,7 @@ def test_batched_forward_matches_candidate_loop(arch, task):
             npt.assert_allclose(np.asarray(g.heads), np.asarray(w.heads), rtol=0, atol=1e-12)
 
     with_batch = _grads(model, lambda: _forward(model, inst, task).logits, [ex.gold])
-    with_loop = _grads(model, lambda: loop_forward(model, ex, inst.objects)[0], ex.gold)
+    with_loop = _grads(model, lambda: loop_forward(model, ex)[0], ex.gold)
     for name, grad in with_batch.items():
         if grad is None:  # obj_proj feeds only the guided fusion
             assert arch == "no-ga" and name.startswith("obj_proj") and with_loop[name] is None
@@ -371,12 +389,12 @@ def test_lengthening_one_candidate_leaves_the_others(ga, encoder):
     inst = _ragged_inst()
     model = _model(inst, seed=12, ga=ga, encoder=encoder)
     _randomize_head(model)
-    ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question, inst.answers, 0)
+    ex = TaskExample(inst.instance_id, TASK_Q2A, inst.question, inst.answers, 0, inst.objects)
     longer = [tok for _ in range(3) for tok in inst.answers[3]]
     ex_long = TaskExample(inst.instance_id, TASK_Q2A, inst.question,
-                          inst.answers[:3] + [longer], 0)
-    base = _logits(model, ex, inst.objects)
-    moved = _logits(model, ex_long, inst.objects)
+                          inst.answers[:3] + [longer], 0, inst.objects)
+    base = _logits(model, ex)
+    moved = _logits(model, ex_long)
     npt.assert_allclose(moved[:3], base[:3], rtol=0, atol=1e-12)
     assert moved[3] != base[3]
 
@@ -386,17 +404,17 @@ def test_chunk_matches_loop_of_one_task_forwards(arch):
     # Q2A and QA2R tasks of three instances, with different query lengths
     # and with 4 and 6 objects, scored as one chunk
     insts = synth_generate(21, 2) + synth_generate(22, 1, k_objects=6)
-    tasks = [TaskInput.of(inst, kind) for inst in insts for kind in (TASK_Q2A, TASK_QA2R)]
-    assert len({len(t.example.query) for t in tasks}) > 2
+    tasks = [make_task(inst, kind) for inst in insts for kind in (TASK_Q2A, TASK_QA2R)]
+    assert len({len(t.query) for t in tasks}) > 2
     assert {t.objects.shape[0] for t in tasks} == {4, 6}
     model = VcrModel.build(_config(**_ARCHITECTURES[arch]), Vocab.build(insts),
                            insts[0].objects.shape[1], np.random.default_rng(13))
     _randomize_head(model)
-    golds = [t.example.gold for t in tasks]
+    golds = [t.gold for t in tasks]
 
     chunk = model.forward_chunk(tasks)
     assert chunk.logits.data.shape == (len(tasks), CANDIDATES)
-    assert [ex.instance_id for ex in chunk.examples] == [t.example.instance_id for t in tasks]
+    assert [ex.instance_id for ex in chunk.examples] == [t.instance_id for t in tasks]
     loop = np.stack([model.forward_chunk([t]).logits.data[0] for t in tasks])
     npt.assert_allclose(chunk.logits.data, loop, rtol=0, atol=1e-12)
     assert [r.logits for r in chunk.records()] == chunk.logits.data.tolist()
@@ -404,7 +422,7 @@ def test_chunk_matches_loop_of_one_task_forwards(arch):
         assert trace.heads.shape[0] == CANDIDATES * len(tasks)
 
     def loop_loss():
-        losses = [task_loss(model.forward_chunk([t]).logits, [t.example.gold]) for t in tasks]
+        losses = [task_loss(model.forward_chunk([t]).logits, [t.gold]) for t in tasks]
         total = losses[0]
         for loss in losses[1:]:
             total = total + loss
@@ -424,10 +442,10 @@ def test_chunk_matches_loop_of_one_task_forwards(arch):
 
 def test_chunks_respect_the_position_bound():
     insts = synth_generate(5, 12)
-    tasks = [TaskInput.of(inst, kind) for inst in insts for kind in (TASK_Q2A, TASK_QA2R)]
+    tasks = [make_task(inst, kind) for inst in insts for kind in (TASK_Q2A, TASK_QA2R)]
     inst = _ragged_inst()
-    long_q = TaskExample(inst.instance_id, TASK_Q2A, inst.question * 100, inst.answers, 0)
-    long = TaskInput(long_q, inst.objects)
+    long = TaskExample(inst.instance_id, TASK_Q2A, inst.question * 100, inst.answers, 0,
+                       inst.objects)
     assert CHUNK_POSITIONS == 768
     chunks = list(chunked(tasks))
     assert [t for chunk in chunks for t in chunk] == tasks
@@ -440,6 +458,38 @@ def test_chunks_respect_the_position_bound():
     # a task too long for the bound still gets a chunk of its own
     assert padded_positions([long]) > CHUNK_POSITIONS
     assert [len(c) for c in chunked([long, long, tasks[0]])] == [1, 1, 1]
+
+
+def _dropout_model(arch, dropout):
+    """A ragged-instance model with a live head, and a chunk of its two tasks."""
+    inst = _ragged_inst()
+    model = _model(inst, seed=14, dropout=dropout, **_ARCHITECTURES[arch])
+    _randomize_head(model)
+    return model, [make_task(inst, kind) for kind in (TASK_Q2A, TASK_QA2R)]
+
+
+@pytest.mark.parametrize("arch", sorted(_ARCHITECTURES))
+def test_a_generator_turns_dropout_on_through_the_whole_model(arch):
+    model, chunk = _dropout_model(arch, 0.1)
+    plain = model.forward_chunk(chunk).logits.data
+    dropped = model.forward_chunk(chunk, np.random.default_rng(3)).logits.data
+    assert not np.array_equal(dropped, plain)
+    # without a generator the rate is never read: the same weights at
+    # dropout 0 score the same bits
+    npt.assert_array_equal(_dropout_model(arch, 0.0)[0].forward_chunk(chunk).logits.data, plain)
+
+
+@pytest.mark.parametrize("arch", sorted(_ARCHITECTURES))
+def test_at_dropout_zero_a_generator_changes_nothing(arch):
+    model, chunk = _dropout_model(arch, 0.0)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with_rng = model.forward_chunk(chunk, rng)
+    without = model.forward_chunk(chunk)
+    npt.assert_array_equal(with_rng.logits.data, without.logits.data)
+    for a, b in zip(with_rng.traces, without.traces, strict=True):
+        npt.assert_array_equal(a.heads, b.heads)
+    assert rng.bit_generator.state == state
 
 
 def _mixed_length_instances():
@@ -457,7 +507,7 @@ def test_predict_all_matches_one_task_predicts_in_data_order(arch, monkeypatch):
     model = VcrModel.build(_config(**_ARCHITECTURES[arch]), Vocab.build(insts),
                            insts[0].objects.shape[1], np.random.default_rng(17))
     _randomize_head(model)
-    tasks = [TaskInput.of(inst, kind) for kind in (TASK_Q2A, TASK_QA2R) for inst in insts]
+    tasks = [make_task(inst, kind) for kind in (TASK_Q2A, TASK_QA2R) for inst in insts]
     assert sorted(tasks, key=task_lengths) != tasks
 
     chunks = []
@@ -547,7 +597,7 @@ def test_export_labels_name_every_axis(arch, task):
 
 def test_export_labels_reject_weights_of_another_shape():
     inst = _ragged_inst()
-    ex = TaskInput.of(inst, TASK_Q2A).example  # answers pad to 4 tokens
+    ex = make_task(inst, TASK_Q2A)  # answers pad to 4 tokens
     trace_labels(AttentionTrace("reduce.r", np.zeros((4, 1, 1, 4))), 0, ex, inst.object_labels)
     with pytest.raises(ShapeError):
         trace_labels(AttentionTrace("reduce.r", np.zeros((4, 1, 1, 5))), 0, ex,

@@ -7,9 +7,8 @@ import pytest
 from helpers import all_gradients
 
 from vcrnet import tensor as T
-from vcrnet.data import TASK_Q2A, TASK_QA2R
+from vcrnet.data import TASK_Q2A, TASK_QA2R, make_task
 from vcrnet.diagnostics import probe_instance, probe_model
-from vcrnet.model import TaskInput
 from vcrnet.tensor import Tensor, Tape, ShapeError
 from vcrnet.training import task_loss
 
@@ -331,10 +330,10 @@ def test_seed_writes_leaves_only_and_matches_full_accumulation():
     # a chunk forward of the probe model: the leaves are its parameters
     inst = probe_instance()
     model = probe_model(inst)
-    tasks = [TaskInput.of(inst, kind) for kind in (TASK_Q2A, TASK_QA2R)]
+    tasks = [make_task(inst, kind) for kind in (TASK_Q2A, TASK_QA2R)]
     with Tape() as tape:
         logits = model.forward_chunk(tasks).logits
-        losses = task_loss(logits, [t.example.gold for t in tasks])
+        losses = task_loss(logits, [t.gold for t in tasks])
     want = all_gradients(tape, losses, np.ones(2))
     tape.seed(losses, np.ones(2))
     for _, out, _ in tape._entries:

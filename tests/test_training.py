@@ -10,9 +10,9 @@ from vcrnet import tensor as T
 from vcrnet import training
 from vcrnet.checkpoint import read_checkpoint
 from vcrnet.config import TrainConfig
-from vcrnet.data import TASK_Q2A, TASK_QA2R, DataError, Vocab, synth_generate
+from vcrnet.data import TASK_Q2A, TASK_QA2R, DataError, Vocab, make_task, synth_generate
 from vcrnet.diagnostics import probe_instance, probe_model
-from vcrnet.model import TaskInput, VcrModel, chunked, task_lengths
+from vcrnet.model import VcrModel, chunked, task_lengths
 from vcrnet.tensor import Tape
 from vcrnet.training import (
     CHECKPOINT_NAME,
@@ -107,8 +107,8 @@ def test_gradient_accumulation_is_linear():
     model = probe_model(inst_a)
 
     def loss_for(task):
-        ex = TaskInput.of(inst_a, task)
-        return task_loss(model.forward_chunk([ex]).logits, [ex.example.gold])
+        ex = make_task(inst_a, task)
+        return task_loss(model.forward_chunk([ex]).logits, [ex.gold])
 
     def grads_for(task):
         model.zero_grad()
@@ -182,6 +182,16 @@ def test_same_seed_runs_are_identical(tmp_path):
     assert [r.core() for r in a.reports] == [r.core() for r in b.reports]
     assert (tmp_path / "a" / CHECKPOINT_NAME).read_bytes() == \
         (tmp_path / "b" / CHECKPOINT_NAME).read_bytes()
+
+
+def test_dropout_changes_a_same_seed_training_run(tmp_path):
+    # training must hand its generator to the forward: without it every
+    # dropout rate would train the same weights
+    tr, va = _data()
+    for rate in (0.1, 0.0):
+        train(_quick_config(epochs=1, dropout=rate), tr, va, tmp_path / str(rate))
+    assert (tmp_path / "0.1" / CHECKPOINT_NAME).read_bytes() != \
+        (tmp_path / "0.0" / CHECKPOINT_NAME).read_bytes()
 
 
 def test_zero_lr_stops_on_patience(tmp_path):
@@ -263,7 +273,7 @@ def test_evaluate_names_the_first_wrong_width_in_data_order(tmp_path):
     first, later = synth_generate(4, 2, d_o=4)
     first.question = first.question * 5
     # sorted by length, every task of `later` would be scored before `first`
-    keys = {inst.instance_id: [task_lengths(TaskInput.of(inst, kind))
+    keys = {inst.instance_id: [task_lengths(make_task(inst, kind))
                                for kind in (TASK_Q2A, TASK_QA2R)]
             for inst in (first, later)}
     assert max(keys[later.instance_id]) < min(keys[first.instance_id])
@@ -315,9 +325,9 @@ def test_taped_training_cuts_data_order_chunks_at_the_training_bound(tmp_path, m
     # each mini-batch lists its instances' Q2A and QA2R tasks in pairs, and
     # is cut greedily in that order under the bound
     flat = [t for chunk in taped for t in chunk]
-    firsts = [t.example.instance_id for t in flat[::2]]
+    firsts = [t.instance_id for t in flat[::2]]
     assert sorted(firsts) == sorted(inst.instance_id for inst in tr)
-    assert [(t.example.instance_id, t.example.task) for t in flat] == [
+    assert [(t.instance_id, t.task) for t in flat] == [
         (inst_id, kind) for inst_id in firsts for kind in (TASK_Q2A, TASK_QA2R)]
     batch = 2 * config.batch_size
     recut = [chunk for start in range(0, len(flat), batch)
@@ -325,7 +335,7 @@ def test_taped_training_cuts_data_order_chunks_at_the_training_bound(tmp_path, m
     assert taped == recut and len(taped) > 2 and max(map(len, taped)) > 1
     # the in-epoch evaluation cuts the length-sorted tasks at the same bound
     expected = [chunk for insts in (tr, va) for chunk in chunked(sorted(
-        (TaskInput.of(inst, kind) for kind in (TASK_Q2A, TASK_QA2R) for inst in insts),
+        (make_task(inst, kind) for kind in (TASK_Q2A, TASK_QA2R) for inst in insts),
         key=task_lengths))]
     assert untaped == expected
 
