@@ -151,8 +151,10 @@ def sdpa(
 
     def rule(g):
         gh = split(g)
-        g_w = gh @ vh.swapaxes(-1, -2)
-        g_s = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
+        # the softmax gradient w * (g_w - sum(g_w * w)), in place
+        g_s = gh @ vh.swapaxes(-1, -2)
+        g_s -= (g_s * w).sum(axis=-1, keepdims=True)
+        g_s *= w
         return (merge(g_s @ kh) * scale,
                 merge(g_s.swapaxes(-1, -2) @ qh) * scale,
                 merge(w.swapaxes(-1, -2) @ gh))

@@ -129,22 +129,25 @@ def layer_norm(x: Tensor, p: LayerNormParams, y: Optional[Tensor] = None) -> Ten
             raise ShapeError(f"layer_norm of a sum of shapes {xd.shape} and {y.data.shape}")
         xd = xd + y.data
     mu = _last_axis_mean(xd, d)
-    centered = xd - mu
-    var = _last_axis_mean(centered * centered, d)
+    xhat = xd - mu
+    var = _last_axis_mean(xhat * xhat, d)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv
-    out = p.gamma.data * xhat + p.beta.data
+    xhat *= inv
+    out = xhat * p.gamma.data
+    out += p.beta.data
     gamma_d = p.gamma.data
 
     def rule(g):
-        dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv, in place
+        t = g * xhat
+        dgamma = t.reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)
-        dxhat = g * gamma_d
-        dx = inv * (
-            dxhat
-            - _last_axis_mean(dxhat, d)
-            - xhat * _last_axis_mean(dxhat * xhat, d)
-        )
+        dx = g * gamma_d
+        np.multiply(dx, xhat, out=t)
+        np.multiply(xhat, _last_axis_mean(t, d), out=t)
+        dx -= _last_axis_mean(dx, d)
+        dx -= t
+        dx *= inv
         if y is None:
             return dx, dgamma, dbeta
         return dx, dx, dgamma, dbeta
@@ -179,13 +182,16 @@ def feed_forward(
     """linear, relu, inverted dropout, linear: one fused op.
 
     Dropout runs iff a generator `rng` is given and `p.dropout` > 0: the
-    kept units are drawn from `rng` and scaled by 1/(1-p). Without a
-    generator the op draws nothing and scales nothing.
+    kept units are drawn from `rng` as a boolean mask and scaled by the
+    scalar 1/(1-p). Without a generator the op draws nothing and scales
+    nothing. The relu is `np.maximum(h, 0)`, so a NaN pre-activation stays
+    NaN and reaches the output, where `Tape.first_non_finite` names this op.
 
-    Its tape entry keeps the input and the dropout draw as a boolean mask,
-    not the (..., d_ff) hidden activation: the backward recomputes that
-    from the input, one more matmul for the largest arrays a taped
-    attention unit would otherwise hold.
+    Its tape entry keeps the input and the boolean dropout mask, not the
+    (..., d_ff) hidden activation: the backward recomputes that from the
+    input, one more matmul for the largest arrays a taped attention unit
+    would otherwise hold. Its gradient mask is a > 0, exactly the relu
+    mask and the dropout mask together.
     """
     drop = p.dropout
     if not 0.0 <= drop < 1.0:
@@ -199,32 +205,32 @@ def feed_forward(
         raise ShapeError(
             f"feed_forward: {w1.shape} and {w2.shape} weights applied to shape {xd.shape}"
         )
-    keep = None
+    keep, scale = None, 1.0 / (1.0 - drop)
     if rng is not None and drop > 0.0:
         keep = rng.random(xd.shape[:-1] + (d_ff,)) >= drop
 
     def hidden():
-        """(relu mask, hidden activation after dropout, dropout factor or None)."""
-        h = xd @ w1 + b1
-        live = h > 0
-        a = np.where(live, h, 0.0)
-        if keep is None:
-            return live, a, None
-        factor = keep / (1.0 - drop)
-        return live, a * factor, factor
+        """The hidden activation after relu and dropout, built in place."""
+        h = xd @ w1
+        h += b1
+        a = np.maximum(h, 0.0, out=h)
+        if keep is not None:
+            a *= keep
+            a *= scale
+        return a
 
     def rule(g):
-        live, a, factor = hidden()
+        a = hidden()
         flat = g.reshape(-1, d_out)
-        g_a = g @ w2.T
-        if factor is not None:
-            g_a = g_a * factor
-        g_h = g_a * live
+        g_h = g @ w2.T
+        g_h *= a > 0
+        if keep is not None:
+            g_h *= scale
         flat_h = g_h.reshape(-1, d_ff)
         return (g_h @ w1.T, xd.reshape(-1, d_in).T @ flat_h, flat_h.sum(axis=0),
                 a.reshape(-1, d_ff).T @ flat, flat.sum(axis=0))
 
-    a = hidden()[1]
+    a = hidden()
     inputs = (x, p.lin1.weight, p.lin1.bias, p.lin2.weight, p.lin2.bias)
     return record_op(a @ w2 + b2, inputs, rule)
 

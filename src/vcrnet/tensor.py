@@ -282,8 +282,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); a NaN input stays NaN, and gets no gradient."""
     mask = x.data > 0
-    return _result(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    return _result(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -43,8 +43,16 @@ def composed_layer_norm(x, p, y):
     return layer_norm(x + y, p)
 
 
+def relu(x):
+    """relu as a select of the positive entries, its own op; independent of
+    the `np.maximum` that `tensor.relu` and `layers.feed_forward` use."""
+    live = x.data > 0
+    return record_op(np.where(live, x.data, 0.0), (x,), lambda g: (g * live,))
+
+
 def dropout(x, p, rng):
-    """Inverted dropout as its own op: survivors scaled by 1/(1-p)."""
+    """Inverted dropout as its own op: survivors scaled by a float factor
+    array of 0 and 1/(1-p)."""
     factor = (rng.random(x.data.shape) >= p) / (1.0 - p)
     return record_op(x.data * factor, (x,), lambda g: (g * factor,))
 
@@ -53,7 +61,7 @@ def composed_feed_forward(x, p, rng=None):
     """Reference for the fused `layers.feed_forward`: linear, relu, dropout
     (with a generator and p > 0 only) and linear, each its own op, keeping
     every intermediate."""
-    h = T.relu(composed_linear(x, p.lin1))
+    h = relu(composed_linear(x, p.lin1))
     if rng is not None and p.dropout > 0.0:
         h = dropout(h, p.dropout, rng)
     return composed_linear(h, p.lin2)

@@ -104,17 +104,6 @@ def test_feed_forward_zero_params_zero_output():
     npt.assert_allclose(out.data, np.zeros((2, 3)))
 
 
-def test_feed_forward_eval_ignores_dropout_probability():
-    rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal((4, 6)))
-    p_half = L.init_feed_forward(np.random.default_rng(1), 6, 24, p_drop=0.5)
-    p_none = L.FeedForwardParams(lin1=p_half.lin1, lin2=p_half.lin2, dropout=0.0)
-    npt.assert_array_equal(
-        L.feed_forward(x, p_half).data,
-        L.feed_forward(x, p_none).data,
-    )
-
-
 def _taped(fn, inputs, seed):
     """fn() under a tape seeded with a fixed random gradient: the output and
     the gradient of each of `inputs`, which start with none."""
@@ -200,14 +189,61 @@ def test_feed_forward_dropout_off_draws_nothing():
     """No generator, or a generator with p = 0, applies no dropout; p = 0 leaves
     the generator as it was."""
     rng = np.random.default_rng(9)
-    p_half = L.init_feed_forward(rng, 3, 8, p_drop=0.5)
-    p_none = L.FeedForwardParams(lin1=p_half.lin1, lin2=p_half.lin2, dropout=0.0)
-    x = Tensor(rng.standard_normal((2, 3)))
-    want = L.feed_forward(x, p_none).data
-    state = rng.bit_generator.state
-    npt.assert_array_equal(L.feed_forward(x, p_half).data, want)
-    npt.assert_array_equal(L.feed_forward(x, p_none, rng).data, want)
-    assert rng.bit_generator.state == state
+    cases = [
+        (L.init_feed_forward(rng, 3, 8, p_drop=0.5), rng.standard_normal((2, 3))),
+        (L.init_feed_forward(np.random.default_rng(1), 6, 24, p_drop=0.5),
+         np.random.default_rng(5).standard_normal((4, 6))),
+    ]
+    for p_half, x in cases:
+        p_none = L.FeedForwardParams(lin1=p_half.lin1, lin2=p_half.lin2, dropout=0.0)
+        x = Tensor(x)
+        want = L.feed_forward(x, p_none).data
+        state = rng.bit_generator.state
+        npt.assert_array_equal(L.feed_forward(x, p_half).data, want)
+        npt.assert_array_equal(L.feed_forward(x, p_none, rng).data, want)
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+def test_a_nan_weight_surfaces_at_feed_forward(training):
+    """A NaN pre-activation is not zeroed by the relu or the dropout mask: the
+    output goes non-finite and the tape names feed_forward, not the linear
+    op before it."""
+    rng = np.random.default_rng(3)
+    lin = L.init_linear(rng, 4, 4)
+    p = L.init_feed_forward(rng, 4, 16, p_drop=0.5)
+    p.lin1.weight.data[1, 5] = np.nan
+    x = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+    with T.Tape() as tape:
+        out = L.feed_forward(L.linear(x, lin), p,
+                             np.random.default_rng(0) if training else None)
+    assert not np.isfinite(out.data).all()
+    assert tape.first_non_finite() == (1, "feed_forward")
+
+
+class _NegativeZeroProducts(np.ndarray):
+    """An input whose product with any weight is all -0.0. A real matmul sums
+    from +0.0, so this is how a test hands feed_forward a -0.0 pre-activation."""
+
+    def __matmul__(self, w):
+        return np.full(self.shape[:-1] + w.shape[-1:], -0.0)
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+def test_feed_forward_relu_of_negative_zero_is_positive_zero(training):
+    # same-seed byte identity rests on np.maximum(-0.0, 0.0) being +0.0, as
+    # the np.where formulation gives
+    p = L.init_feed_forward(np.random.default_rng(4), 6, 40, p_drop=0.5)
+    p.lin1.bias.data[...] = -0.0
+    x = Tensor(np.ones((3, 7, 6)))
+    x.data = x.data.view(_NegativeZeroProducts)
+    with T.Tape() as tape:
+        L.feed_forward(x, p, np.random.default_rng(0) if training else None)
+    _, _, rule = tape._entries[0]
+    cells = dict(zip(rule.__code__.co_freevars, (c.cell_contents for c in rule.__closure__)))
+    a = cells["hidden"]()
+    assert a.shape == (3, 7, 40) and not a.any()
+    assert not np.signbit(a).any()
 
 
 def test_feed_forward_dropout_scales_survivors():

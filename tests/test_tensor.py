@@ -98,6 +98,16 @@ def test_relu_gradient_is_input_mask():
     npt.assert_allclose(x.grad, [0.0, 0.0, 0.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 33, 1000])
+def test_relu_of_negative_zero_is_positive_zero(n):
+    # lengths on and off the SIMD widths, and a strided view
+    x = np.full(n, -0.0)
+    x[1::3] = -1.5
+    for data in (x, np.repeat(x, 2)[::2]):
+        out = T.relu(Tensor(data)).data
+        assert not out.any() and not np.signbit(out).any()
+
+
 def test_backward_twice_accumulates():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with Tape() as tape:
