@@ -104,6 +104,17 @@ def test_feed_forward_zero_params_zero_output():
     npt.assert_allclose(out.data, np.zeros((2, 3)))
 
 
+def test_feed_forward_eval_ignores_dropout_probability():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((4, 6)))
+    p_half = L.init_feed_forward(np.random.default_rng(1), 6, 24, p_drop=0.5)
+    p_none = L.FeedForwardParams(lin1=p_half.lin1, lin2=p_half.lin2, dropout=0.0)
+    npt.assert_array_equal(
+        L.feed_forward(x, p_half).data,
+        L.feed_forward(x, p_none).data,
+    )
+
+
 def _taped(fn, inputs, seed):
     """fn() under a tape seeded with a fixed random gradient: the output and
     the gradient of each of `inputs`, which start with none."""
@@ -189,19 +200,14 @@ def test_feed_forward_dropout_off_draws_nothing():
     """No generator, or a generator with p = 0, applies no dropout; p = 0 leaves
     the generator as it was."""
     rng = np.random.default_rng(9)
-    cases = [
-        (L.init_feed_forward(rng, 3, 8, p_drop=0.5), rng.standard_normal((2, 3))),
-        (L.init_feed_forward(np.random.default_rng(1), 6, 24, p_drop=0.5),
-         np.random.default_rng(5).standard_normal((4, 6))),
-    ]
-    for p_half, x in cases:
-        p_none = L.FeedForwardParams(lin1=p_half.lin1, lin2=p_half.lin2, dropout=0.0)
-        x = Tensor(x)
-        want = L.feed_forward(x, p_none).data
-        state = rng.bit_generator.state
-        npt.assert_array_equal(L.feed_forward(x, p_half).data, want)
-        npt.assert_array_equal(L.feed_forward(x, p_none, rng).data, want)
-        assert rng.bit_generator.state == state
+    p_half = L.init_feed_forward(rng, 3, 8, p_drop=0.5)
+    p_none = L.FeedForwardParams(lin1=p_half.lin1, lin2=p_half.lin2, dropout=0.0)
+    x = Tensor(rng.standard_normal((2, 3)))
+    want = L.feed_forward(x, p_none).data
+    state = rng.bit_generator.state
+    npt.assert_array_equal(L.feed_forward(x, p_half).data, want)
+    npt.assert_array_equal(L.feed_forward(x, p_none, rng).data, want)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
