@@ -4,21 +4,31 @@ Two levels: `layer_checks` sweeps every building block in isolation, and
 `end_to_end_checks` sweeps every parameter coordinate of a small but
 complete model against central differences of the real training loss.
 
-The end-to-end sweep reruns only what a perturbed parameter reaches. A
-co-attention parameter restarts at the attention unit that reads it: the
-unit's input comes from one unperturbed pass, the rest of that side's stack
-reruns through `coattention.coattend_layer`, and the head scores it with
-the other side's unperturbed output. Every other parameter restarts at the
-forward stage it feeds (`model.stage_of`). Each restart is asserted
-(exactly, not approximately) to reproduce the full loss before any
-sweeping starts.
+The end-to-end sweep reruns only what a perturbed parameter reaches, split
+at its restart point (`restart_points`) in two. The part reads the
+parameter: for a co-attention parameter, the attention unit that reads it,
+run alone through `coattention.coattend_layer`; for any other, the
+`_stage_*` step of the stage it feeds (`model.stage_of`); each on the
+unperturbed state before it. The rest reads none of that stage's
+parameters, so it runs once per block of BLOCK coordinates, after each
+perturbation is undone: the 2·BLOCK states of the block's +h / -h passes,
+laid end to end along the batch axis, are one chunk of as many copies of
+the probe task, and the rest of the forward gives one loss per copy. The
+rows of one task never meet another task's, so each copy's loss is that of
+its state run alone. Head parameters are read by every rest, so each of
+their passes runs the head alone.
+
+Before any sweeping starts, every part and rest is asserted (exactly, not
+approximately) to reproduce the full loss in each row of a stack of
+unperturbed copies, at the smallest and at the largest block. Each
+end-to-end result names the coordinate of its largest error.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +44,10 @@ from vcrnet.reduction import candidate_logit, fuse, init_reduction, reduce
 from vcrnet.tensor import Tensor, Tape, grad_check, repeat
 from vcrnet.training import task_loss
 
+# coordinates per block of the end-to-end sweep: their 2·BLOCK perturbed
+# states share one run of the forward's rest
+BLOCK = 16
+
 
 @dataclass
 class CheckResult:
@@ -41,14 +55,19 @@ class CheckResult:
     max_rel_err: float
     coords: int
     seconds: float
+    # an end-to-end sweep's coordinate of largest error, e.g. "ground.bwd.b[5]"
+    worst_at: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {
+        blob = {
             "name": self.name,
             "max_rel_err": self.max_rel_err,
             "coords": self.coords,
             "seconds": round(self.seconds, 3),
         }
+        if self.worst_at is not None:
+            blob["worst_at"] = self.worst_at
+        return blob
 
 
 def _timed(name: str, coords: int, fn: Callable[[], float]) -> CheckResult:
@@ -292,109 +311,161 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
     """Sweep every model parameter coordinate against the training loss.
 
     Runs on the Q2A task of the probe instance, by default with the probe
-    model. Returns one result per forward stage; the union covers every
-    coordinate of every parameter exactly once.
+    model. Returns one result per forward stage, naming the coordinate of
+    its largest error; the union covers every coordinate of every parameter
+    exactly once. `model.flat` is left as it was found, also when an
+    evaluation raises.
     """
     inst = probe_instance()
     if model is None:
         model = probe_model(inst)
     task = make_task(inst, TASK_Q2A)
 
-    def loss_of(chunk) -> Tensor:
-        return task_loss(chunk.logits.reshape(CANDIDATES), task.gold)
-
     with Tape() as tape:
-        loss = loss_of(model.forward_chunk([task]))
+        loss = task_loss(model.forward_chunk([task]).logits.reshape(CANDIDATES), task.gold)
         tape.backward(loss)
     analytic = model.flat_grad()
     model.zero_grad()
 
-    def head_loss(encoded) -> float:
-        return float(loss_of(model._stage_head([task], encoded)).data)
+    # every part and rest must reproduce the taped loss bit for bit, in each
+    # row of a stack of unperturbed copies as small and as large as a block's
+    points = restart_points(model, task)
+    base = float(loss.data)
+    for where, (part, rest) in points.items():
+        state = part()
+        for copies in (2, 2 * BLOCK):
+            if rest([state] * copies) != [base] * copies:
+                raise AssertionError(
+                    f"restart {where!r} does not reproduce the loss in a stack of {copies}")
 
-    def loss_full() -> float:
-        return float(loss_of(model.forward_chunk([task])).data)
-
-    s1 = model._stage_encode([task])
-    fused = model._stage_fuse(s1)
-    encoded = model._stage_joint(fused)
-
-    evaluators = {
-        "encode": loss_full,
-        "fuse": lambda: head_loss(model._stage_joint(model._stage_fuse(s1))),
-        "joint": lambda: head_loss(model._stage_joint(fused)),
-        "head": lambda: head_loss(encoded),
-    }
-    restarts = _unit_restarts(model, encoded, head_loss) if model.coattn is not None else {}
-
-    # the staged shortcuts and the unit restarts must reproduce the full
-    # loss bit for bit
-    base = loss_full()
-    if float(loss.data) != base:
-        raise AssertionError("taped and untaped losses disagree")
-    for where, evaluator in (*evaluators.items(), *restarts.items()):
-        if evaluator() != base:
-            raise AssertionError(f"shortcut {where!r} does not reproduce the loss")
-
-    worst = {stage: 0.0 for stage in evaluators}
-    coords = {stage: 0 for stage in evaluators}
-    seconds = {stage: 0.0 for stage in evaluators}
+    stages = ("encode", "fuse", "joint", "head")
+    worst = dict.fromkeys(stages, 0.0)
+    worst_at = dict.fromkeys(stages)
+    coords = dict.fromkeys(stages, 0)
+    seconds = dict.fromkeys(stages, 0.0)
 
     flat = model.flat
     start = 0
     for name, p in model.named_parameters():
         stage = stage_of(name)
-        # a co-attention unit's parameters restart at that unit
-        evaluator = restarts.get(".".join(name.split(".")[:4]), evaluators[stage])
+        part, rest = points[restart_of(name, points)]
         t0 = time.perf_counter()
-        for i in range(start, start + p.data.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = evaluator()
-            flat[i] = orig - h
-            down = evaluator()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
-            if err > worst[stage]:
-                worst[stage] = err
+        for lo in range(start, start + p.data.size, BLOCK):
+            block = range(lo, min(lo + BLOCK, start + p.data.size))
+            states = []
+            for i in block:
+                orig = flat[i]
+                try:
+                    flat[i] = orig + h
+                    states.append(part())
+                    flat[i] = orig - h
+                    states.append(part())
+                finally:
+                    flat[i] = orig
+            losses = rest(states)
+            for i, up, down in zip(block, losses[0::2], losses[1::2]):
+                numeric = (up - down) / (2.0 * h)
+                err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
+                if worst_at[stage] is None or err > worst[stage]:
+                    worst[stage], worst_at[stage] = err, f"{name}[{i - start}]"
         coords[stage] += p.data.size
         seconds[stage] += time.perf_counter() - t0
         start += p.data.size
 
     return [
         CheckResult(f"end_to_end/{stage}", float(worst[stage]), coords[stage],
-                    seconds[stage])
-        for stage in evaluators
+                    seconds[stage], worst_at[stage])
+        for stage in stages
     ]
 
 
-def _unit_restarts(model: VcrModel, encoded: EncodedState, head_loss) -> dict:
-    """{'coattn.<side>.<layer>.<unit>': loss evaluator} for a coattention model.
+def restart_points(model: VcrModel, task) -> dict:
+    """{stage or 'coattn.<side>.<layer>.<unit>': (part, rest)} for one task.
 
-    Each evaluator takes the unit's input from one unperturbed pass, reruns
-    the rest of that side's stack through `coattend_layer`, and scores the
-    head with the other side's unperturbed output.
+    `part()` reruns what reads a parameter that restarts there, and returns
+    its state for one copy of the task. `rest(states)` finishes the forward
+    of those states, laid end to end as one chunk, and returns one loss per
+    state. A stage's part is its `_stage_*` step on the unperturbed state
+    before it; the head's part is the whole loss, and its rest passes
+    losses on.
+    """
+    s1 = model._stage_encode([task])
+    fused = model._stage_fuse(s1)
+    encoded = model._stage_joint(fused)
+
+    def losses(encoded: EncodedState) -> list:
+        n = encoded.z_q.data.shape[0] // CANDIDATES
+        logits = model._stage_head([task] * n, encoded).logits
+        return task_loss(logits, [task.gold] * n).data.tolist()
+
+    points = {
+        "encode": (lambda: model._stage_encode([task]),
+                   lambda states: losses(model._stage_joint(model._stage_fuse(_stacked(states))))),
+        "fuse": (lambda: model._stage_fuse(s1),
+                 lambda states: losses(model._stage_joint(_stacked(states)))),
+        "joint": (lambda: model._stage_joint(fused), lambda states: losses(_stacked(states))),
+        "head": (lambda: losses(encoded)[0], list),
+    }
+    if model.coattn is not None:
+        points.update(_unit_restarts(model, encoded, losses))
+    return points
+
+
+def restart_of(name: str, points: dict) -> str:
+    """The key of `points` where parameter `name`'s perturbation restarts:
+    its co-attention unit if it has one, otherwise its stage."""
+    unit = ".".join(name.split(".")[:4])
+    return unit if unit in points else stage_of(name)
+
+
+def _stacked(states: list):
+    """States of one task each, laid end to end along their batch axis as
+    one chunk of copies. Traces are dropped: no loss reads them."""
+    first = states[0]
+    if isinstance(first, Tensor):
+        return Tensor(np.concatenate([s.data for s in states]))
+    if isinstance(first, np.ndarray):
+        return np.concatenate(states)
+    if isinstance(first, list):
+        return []
+    return replace(first, **{f.name: _stacked([getattr(s, f.name) for s in states])
+                             for f in fields(first)})
+
+
+def _unit_restarts(model: VcrModel, encoded: EncodedState, losses) -> dict:
+    """{'coattn.<side>.<layer>.<unit>': (part, rest)} for a coattention model.
+
+    A part runs its unit alone through `coattend_layer`, on the unit's
+    input from one unperturbed pass. Its rest runs the remainder of that
+    side's stack on the stacked outputs, and scores the head with the other
+    side's unperturbed output, stacked alike.
     """
     joint = join(encoded.fq, encoded.fr)
-    sides = {"q": (encoded.fq, model.coattn.q), "r": (encoded.fr, model.coattn.r)}
 
-    def restart(side, idx, units, y):
-        seq, stack = sides[side]
-        y, _ = coattend_layer(y, seq.mask, joint, stack[idx], side, idx, units)
+    def part(seq, layer, side, idx, unit, y):
+        return coattend_layer(y, seq.mask, joint, layer, side, idx, (unit,))[0]
+
+    def rest(side, idx, later_units, ys):
+        copies = _stacked([encoded] * len(ys))
+        mask = getattr(copies, f"f{side}").mask
+        joints = join(copies.fq, copies.fr)
+        stack = getattr(model.coattn, side)
+        y, _ = coattend_layer(_stacked(ys), mask, joints, stack[idx], side, idx, later_units)
         for later in range(idx + 1, len(stack)):
-            y, _ = coattend_layer(y, seq.mask, joint, stack[later], side, later)
-        return head_loss(replace(encoded, **{f"z_{side}": y}))
+            y, _ = coattend_layer(y, mask, joints, stack[later], side, later)
+        return losses(replace(copies, **{f"z_{side}": y}))
 
-    restarts = {}
-    for side, (seq, stack) in sides.items():
+    points = {}
+    for side in ("q", "r"):
+        seq = getattr(encoded, f"f{side}")
         y = seq.positions
-        for idx, layer in enumerate(stack):
+        for idx, layer in enumerate(getattr(model.coattn, side)):
             for at, unit in enumerate(UNITS):
-                restarts[f"coattn.{side}.{idx}.{unit}"] = functools.partial(
-                    restart, side, idx, UNITS[at:], y)
-                y, _ = coattend_layer(y, seq.mask, joint, layer, side, idx, (unit,))
-    return restarts
+                unit_part = functools.partial(part, seq, layer, side, idx, unit, y)
+                points[f"coattn.{side}.{idx}.{unit}"] = (
+                    unit_part, functools.partial(rest, side, idx, UNITS[at + 1:]))
+                y = unit_part()
+    return points
 
 
 def run_all(h: float = 1e-5) -> list:

@@ -249,7 +249,8 @@ def stage_sweep(model, h=1e-5):
     """Reference for `diagnostics.end_to_end_checks`: every parameter
     coordinate's central difference reruns the whole forward stage it feeds
     (a co-attention parameter reruns both stacks). Returns one
-    (name, max_rel_err, coords) per stage."""
+    (name, max_rel_err, coords, worst_at) per stage, worst_at naming the
+    first coordinate of the largest error as "<parameter>[<index>]"."""
     task = make_task(probe_instance(), TASK_Q2A)
     gold = task.gold
 
@@ -275,6 +276,7 @@ def stage_sweep(model, h=1e-5):
         "head": lambda: head_loss(encoded),
     }
     worst = dict.fromkeys(evaluators, 0.0)
+    worst_at = dict.fromkeys(evaluators)
     coords = dict.fromkeys(evaluators, 0)
     for name, p in model.named_parameters():
         stage = stage_of(name)
@@ -288,9 +290,11 @@ def stage_sweep(model, h=1e-5):
             down = evaluators[stage]()
             flat[i] = orig
             err = abs(grad[i] - (up - down) / (2.0 * h)) / max(1.0, abs(grad[i]))
-            worst[stage] = max(worst[stage], err)
+            if worst_at[stage] is None or err > worst[stage]:
+                worst[stage], worst_at[stage] = err, f"{name}[{i}]"
         coords[stage] += flat.size
-    return [(f"end_to_end/{stage}", float(worst[stage]), coords[stage]) for stage in evaluators]
+    return [(f"end_to_end/{stage}", float(worst[stage]), coords[stage], worst_at[stage])
+            for stage in evaluators]
 
 
 class LoopAdam:

@@ -199,10 +199,13 @@ def test_gradcheck_exit_codes(tmp_path, capsys, monkeypatch):
     import numpy as np
 
     # numpy scalars, exactly what the battery produces; json must cope
-    good = [CheckResult("stub/a", np.float64(1e-9), 4, 0.01)]
+    good = [CheckResult("stub/a", np.float64(1e-9), 4, 0.01, "stub.w[3]")]
     monkeypatch.setattr(cli, "run_all", lambda: good)
     assert main(["gradcheck"]) == 0
-    summary = _lines(capsys)[-1]
+    lines = _lines(capsys)
+    # an end-to-end line names its worst coordinate
+    assert lines[0]["worst_at"] == "stub.w[3]"
+    summary = lines[-1]
     assert summary["passed"] is True and summary["worst"] == 1e-9
 
     bad = [CheckResult("stub/b", np.float64(0.5), 4, 0.01)]

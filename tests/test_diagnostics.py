@@ -11,7 +11,11 @@ from vcrnet.diagnostics import (
     layer_checks,
     probe_instance,
     probe_model,
+    restart_of,
+    restart_points,
 )
+from vcrnet.tensor import Tape
+from vcrnet.training import task_loss
 
 
 def test_layer_battery_is_clean():
@@ -59,6 +63,9 @@ def test_check_result_serializes():
     blob = r.to_json_dict()
     assert blob == {"name": "x/y", "max_rel_err": 1.5e-9, "coords": 12,
                     "seconds": 0.123}
+    named = CheckResult("end_to_end/head", 1.5e-9, 12, 0.12345, "reduce.w1[3]")
+    assert named.to_json_dict() == {**blob, "name": "end_to_end/head",
+                                    "worst_at": "reduce.w1[3]"}
 
 
 def test_probe_model_overrides_replace_its_fields():
@@ -86,7 +93,82 @@ def test_end_to_end_sweep_of_ablation_probe_models(overrides, request):
     # the sweep writes coordinates of the flat buffer and puts each back
     assert_flat_aliasing(model)
     npt.assert_array_equal(model.flat, probe_model(**overrides).flat)
-    assert [(r.name, r.max_rel_err, r.coords) for r in results] == stage_sweep(model)
+    assert [(r.name, r.max_rel_err, r.coords, r.worst_at) for r in results] == \
+        stage_sweep(model)
     assert sum(r.coords for r in results) == model.num_parameters()
     worst = max(r.max_rel_err for r in results)
     assert worst <= 1e-4, f"worst relative error {worst:.2e}"
+
+
+@pytest.mark.parametrize("overrides", [{}, {"encoder": "lstm"},
+                                       {"layers": 2, "d_model": 4, "heads": 1}],
+                         ids=["default", "lstm", "layers2"])
+def test_a_stacked_rest_keeps_each_state_apart(overrides):
+    # the sweep runs the rest once on the +h / -h states of a block of
+    # coordinates, laid end to end; row by row that must be exactly the loss
+    # of each state run alone. Each restart takes the three coordinates of
+    # largest gradient among the parameters that restart there, so that
+    # every state differs
+    model = probe_model(**overrides)
+    task = make_task(probe_instance(), TASK_Q2A)
+    with Tape() as tape:
+        tape.backward(task_loss(model.forward_chunk([task]).logits.reshape(4), task.gold))
+    grad = np.abs(model.flat_grad())
+    model.zero_grad()
+    points = restart_points(model, task)
+    owner = np.concatenate([[restart_of(name, points)] * p.data.size
+                            for name, p in model.named_parameters()])
+    flat = model.flat
+    checked = 0
+    for where, (part, rest) in points.items():
+        coords = np.flatnonzero(owner == where)
+        if coords.size == 0:
+            continue  # a stage whose every parameter restarts at a unit
+        states = []
+        for i in coords[np.argsort(-grad[coords], kind="stable")[:3]]:
+            orig = flat[i]
+            for step in (1e-3, -1e-3):
+                flat[i] = orig + step
+                states.append(part())
+            flat[i] = orig
+        alone = [rest([state])[0] for state in states]
+        assert len(set(alone)) == len(alone), where
+        assert rest(states) == alone, where
+        checked += 1
+    assert checked == len(set(owner))
+
+
+def test_a_restart_that_misses_the_loss_in_a_stack_is_named(monkeypatch):
+    # a rest that is exact on one copy but not on a stack of them stops the
+    # sweep before it starts
+    model = probe_model()
+    head = model._stage_head
+
+    def off_in_the_last_row(tasks, encoded):
+        chunk = head(tasks, encoded)
+        if len(tasks) > 1:
+            chunk.logits.data[-1, 0] += 1.0
+        return chunk
+
+    monkeypatch.setattr(model, "_stage_head", off_in_the_last_row)
+    with pytest.raises(AssertionError, match="restart 'encode' .* stack of 2"):
+        end_to_end_checks(model=model)
+
+
+def test_a_sweep_that_raises_leaves_the_model_as_it_was(monkeypatch):
+    # the guided-fusion part fails as soon as it sees a perturbed model: the
+    # coordinate it was evaluating must be put back all the same
+    model = probe_model()
+    before = model.flat.copy()
+    fuse = model._stage_fuse
+
+    def fuse_unperturbed_only(state, rng=None):
+        if not np.array_equal(model.flat, before):
+            raise RuntimeError("evaluation failed mid-sweep")
+        return fuse(state, rng)
+
+    monkeypatch.setattr(model, "_stage_fuse", fuse_unperturbed_only)
+    with pytest.raises(RuntimeError, match="mid-sweep"):
+        end_to_end_checks(model=model)
+    assert model.flat.tobytes() == before.tobytes()
+    assert_flat_aliasing(model)
