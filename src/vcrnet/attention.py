@@ -6,6 +6,14 @@ attends to; a self-attention unit is the same call with the sequence as its
 own guide. A unit's feed-forward runs dropout only when it is given a
 generator to draw from.
 
+A unit is four sublayers run in order (`SUBLAYERS`): the multi-head
+attention, the first residual LayerNorm, the feed-forward and the second
+residual LayerNorm. They are steps over a (residual, branch) state, and a
+unit can run a trailing slice of them, or one alone, from the state before
+it; the whole unit is the same loop over all four. The gradient sweep
+restarts a perturbation at the one sublayer that reads the parameter this
+way.
+
 Masking is additive: padded key positions get a -1e9 score before softmax,
 which underflows to an exactly-zero weight. No positional encodings here;
 order information comes from the recurrent grounding stage upstream.
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +38,9 @@ from vcrnet.layers import (
 from vcrnet.tensor import Tensor, ShapeError, record_op
 
 _MASK_SCORE = -1e9
+
+# a unit's sublayers in order, each named by its field of AttnUnitParams
+SUBLAYERS = ("mha", "ln1", "ffn", "ln2")
 
 
 @dataclass
@@ -218,12 +229,28 @@ def guided_attention_unit(
     mask: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
     label: str = "ga",
-) -> tuple[Tensor, AttentionTrace]:
+    sublayers: Sequence[str] = SUBLAYERS,
+    branch: Optional[Tensor] = None,
+) -> tuple[Tensor, Optional[AttentionTrace]]:
     """One unit: attend x over the guide, then feed-forward; each sublayer
     adds its input back before its LayerNorm. A generator `rng` turns on
-    the feed-forward's dropout."""
-    att, trace = multi_head(x, guide, guide, p.mha, mask, label)
-    y = layer_norm(x, p.ln1, att)
-    out = layer_norm(y, p.ln2, feed_forward(y, p.ffn, rng))
-    return out, trace
+    the feed-forward's dropout.
 
+    The four sublayers are steps over a (residual, branch) state that
+    starts as (x, None): `mha` and `ffn` compute a branch from the
+    residual, and `ln1` and `ln2` fold it in, LN(residual + branch).
+    `sublayers` runs only a trailing slice of them, or one sublayer alone,
+    from the state (x, branch) before its first, so a gradient sweep can
+    restart at the sublayer a parameter feeds. Returns (the output of the
+    last sublayer run, the trace): the unit's output for a trailing slice,
+    and the trace is None if the slice skips `mha`.
+    """
+    trace = None
+    for sub in sublayers:
+        if sub == "mha":
+            branch, trace = multi_head(x, guide, guide, p.mha, mask, label)
+        elif sub == "ffn":
+            branch = feed_forward(x, p.ffn, rng)
+        else:
+            x, branch = layer_norm(x, getattr(p, sub), branch), None
+    return (x if branch is None else branch), trace

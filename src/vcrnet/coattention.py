@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from vcrnet.attention import AttnUnitParams, guided_attention_unit
+from vcrnet.attention import SUBLAYERS, AttnUnitParams, guided_attention_unit
 from vcrnet.grounding import GroundedSeq
 from vcrnet.layers import BiLstmParams, bilstm
 from vcrnet.tensor import Tensor, ShapeError, concat
@@ -69,6 +69,8 @@ class CoAttnParams:
 
 
 UNITS = ("sa", "ga")
+# a layer's steps in order: every sublayer of its `sa` unit, then of its `ga` unit
+LAYER_STEPS = tuple((unit, sub) for unit in UNITS for sub in SUBLAYERS)
 
 
 def coattend_layer(
@@ -78,22 +80,31 @@ def coattend_layer(
     layer: CoAttnLayerParams,
     side: str,
     idx: int,
-    units: Sequence[str] = UNITS,
+    steps: Sequence[tuple] = LAYER_STEPS,
     rng: Optional[np.random.Generator] = None,
+    branch: Optional[Tensor] = None,
 ) -> tuple:
     """Layer `idx` of the `side` stack on y: the `sa` unit attends over y
     itself under its `mask`, then the `ga` unit over the joint X.
 
-    `units` runs only a trailing part of the layer, in order, so a
-    gradient sweep can restart at the unit a parameter feeds. Returns
-    (y, one trace per unit run).
+    `steps` runs only a trailing slice of the layer's (unit, sublayer)
+    steps, or one step alone, from the state (y, branch) before it (see
+    `attention.guided_attention_unit`), so a gradient sweep can restart at
+    the sublayer a parameter feeds. Returns (the output of the last step
+    run, one trace per attention run).
     """
     traces = []
-    for unit in units:
+    for unit in UNITS:
+        sublayers = [sub for at, sub in steps if at == unit]
+        if not sublayers:
+            continue
         guide, guide_mask = (y, mask) if unit == "sa" else (joint.positions, joint.mask)
         y, trace = guided_attention_unit(y, guide, getattr(layer, unit), mask=guide_mask,
-                                         rng=rng, label=f"coattn.{side}.{unit}.{idx}")
-        traces.append(trace)
+                                         rng=rng, label=f"coattn.{side}.{unit}.{idx}",
+                                         sublayers=sublayers, branch=branch)
+        branch = None
+        if trace is not None:
+            traces.append(trace)
     return y, traces
 
 

@@ -6,27 +6,33 @@ complete model against central differences of the real training loss.
 
 The end-to-end sweep reruns only what a perturbed parameter reaches, split
 at its restart point (`restart_points`) in two. The part reads the
-parameter: for a co-attention parameter, the attention unit that reads it,
-run alone through `coattention.coattend_layer`; for any other, the
-`_stage_*` step of the stage it feeds (`model.stage_of`); each on the
-unperturbed state before it. The rest reads none of that stage's
-parameters, so it runs once per block of BLOCK coordinates, after each
-perturbation is undone: the 2·BLOCK states of the block's +h / -h passes,
-laid end to end along the batch axis, are one chunk of as many copies of
-the probe task, and the rest of the forward gives one loss per copy. The
-rows of one task never meet another task's, so each copy's loss is that of
-its state run alone. Head parameters are read by every rest, so each of
-their passes runs the head alone.
+parameter, on the unperturbed state before it. For a parameter of an
+attention unit (guided fusion or co-attention), it is the one sublayer of
+that unit that reads the parameter: the multi-head attention, a residual
+LayerNorm or the feed-forward, run alone on the unit's (residual, branch)
+state through `grounding.guided_fuse` or `coattention.coattend_layer`. For
+any other parameter, it is the `_stage_*` step of the stage the parameter
+feeds (`model.stage_of`). The rest reads none of the part's parameters:
+the rest of the unit, the later units and stages, then the head. It runs
+once per block of BLOCK coordinates, after each perturbation is undone:
+the 2·BLOCK states of the block's +h / -h passes, laid end to end along the
+batch axis, are one chunk of as many copies of the probe task, and the rest
+of the forward gives one loss per copy. The rows of one task never meet
+another task's, so each copy's loss is that of its state run alone. Head
+parameters are read by every rest, so each of their passes runs the head
+alone.
 
 Before any sweeping starts, every part and rest is asserted (exactly, not
 approximately) to reproduce the full loss in each row of a stack of
 unperturbed copies, at the smallest and at the largest block. Each
-end-to-end result names the coordinate of its largest error.
+end-to-end result names the coordinate of its largest error; a NaN error
+ranks above every number, so it fails its stage.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
@@ -35,11 +41,11 @@ import numpy as np
 
 from vcrnet import layers as L
 from vcrnet.attention import guided_attention_unit, init_attn_unit, sdpa
-from vcrnet.coattention import UNITS, coattend_layer, join
+from vcrnet.coattention import LAYER_STEPS, coattend_layer, join
 from vcrnet.config import TrainConfig
 from vcrnet.data import TASK_Q2A, TaggedToken, VcrInstance, Vocab, make_task
-from vcrnet.grounding import align_tags
-from vcrnet.model import CANDIDATES, EncodedState, VcrModel, stage_of
+from vcrnet.grounding import FUSE_STEPS, align_tags, guided_fuse
+from vcrnet.model import CANDIDATES, EncodedState, FusedState, VcrModel, stage_of
 from vcrnet.reduction import candidate_logit, fuse, init_reduction, reduce
 from vcrnet.tensor import Tensor, Tape, grad_check, repeat
 from vcrnet.training import task_loss
@@ -59,9 +65,11 @@ class CheckResult:
     worst_at: Optional[str] = None
 
     def to_json_dict(self) -> dict:
+        """The result as strict JSON: a non-finite error is written as null."""
+        err = float(self.max_rel_err)
         blob = {
             "name": self.name,
-            "max_rel_err": self.max_rel_err,
+            "max_rel_err": err if math.isfinite(err) else None,
             "coords": self.coords,
             "seconds": round(self.seconds, 3),
         }
@@ -366,7 +374,7 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
             for i, up, down in zip(block, losses[0::2], losses[1::2]):
                 numeric = (up - down) / (2.0 * h)
                 err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
-                if worst_at[stage] is None or err > worst[stage]:
+                if worst_at[stage] is None or _worse(err, worst[stage]):
                     worst[stage], worst_at[stage] = err, f"{name}[{i - start}]"
         coords[stage] += p.data.size
         seconds[stage] += time.perf_counter() - t0
@@ -379,15 +387,23 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
     ]
 
 
-def restart_points(model: VcrModel, task) -> dict:
-    """{stage or 'coattn.<side>.<layer>.<unit>': (part, rest)} for one task.
+def _worse(err: float, worst: float) -> bool:
+    """Whether `err` ranks above `worst`. A NaN ranks above every number,
+    so a NaN central difference becomes its stage's error and fails it."""
+    return err > worst or (math.isnan(err) and not math.isnan(worst))
 
-    `part()` reruns what reads a parameter that restarts there, and returns
-    its state for one copy of the task. `rest(states)` finishes the forward
-    of those states, laid end to end as one chunk, and returns one loss per
-    state. A stage's part is its `_stage_*` step on the unperturbed state
-    before it; the head's part is the whole loss, and its rest passes
-    losses on.
+
+def restart_points(model: VcrModel, task) -> dict:
+    """{restart key: (part, rest)} for one task.
+
+    A key is a stage, or for a parameter of an attention unit the name of
+    the unit's sublayer that reads it, such as 'fuse.ga_object.ln2' or
+    'coattn.q.0.sa.ffn' (see `restart_of`). `part()` reruns what reads a
+    parameter that restarts there, and returns its state for one copy of
+    the task. `rest(states)` finishes the forward of those states, laid end
+    to end as one chunk, and returns one loss per state. A stage's part is
+    its `_stage_*` step on the unperturbed state before it; the head's part
+    is the whole loss, and its rest passes losses on.
     """
     s1 = model._stage_encode([task])
     fused = model._stage_fuse(s1)
@@ -401,71 +417,120 @@ def restart_points(model: VcrModel, task) -> dict:
     points = {
         "encode": (lambda: model._stage_encode([task]),
                    lambda states: losses(model._stage_joint(model._stage_fuse(_stacked(states))))),
-        "fuse": (lambda: model._stage_fuse(s1),
-                 lambda states: losses(model._stage_joint(_stacked(states)))),
         "joint": (lambda: model._stage_joint(fused), lambda states: losses(_stacked(states))),
         "head": (lambda: losses(encoded)[0], list),
     }
+    if model.ga_fuse is not None:
+        _fuse_restarts(points, model, s1, losses)
     if model.coattn is not None:
-        points.update(_unit_restarts(model, encoded, losses))
+        _coattn_restarts(points, model, encoded, losses)
     return points
 
 
 def restart_of(name: str, points: dict) -> str:
     """The key of `points` where parameter `name`'s perturbation restarts:
-    its co-attention unit if it has one, otherwise its stage."""
-    unit = ".".join(name.split(".")[:4])
-    return unit if unit in points else stage_of(name)
+    the longest key that prefixes the name (its sublayer's), otherwise its
+    stage."""
+    path = name.split(".")
+    for end in range(len(path) - 1, 0, -1):
+        key = ".".join(path[:end])
+        if key in points:
+            return key
+    return stage_of(name)
 
 
 def _stacked(states: list):
     """States of one task each, laid end to end along their batch axis as
     one chunk of copies. Traces are dropped: no loss reads them."""
     first = states[0]
+    if first is None:
+        return None
     if isinstance(first, Tensor):
         return Tensor(np.concatenate([s.data for s in states]))
     if isinstance(first, np.ndarray):
         return np.concatenate(states)
     if isinstance(first, list):
         return []
+    if isinstance(first, tuple):
+        return tuple(_stacked(list(column)) for column in zip(*states))
     return replace(first, **{f.name: _stacked([getattr(s, f.name) for s in states])
                              for f in fields(first)})
 
 
-def _unit_restarts(model: VcrModel, encoded: EncodedState, losses) -> dict:
-    """{'coattn.<side>.<layer>.<unit>': (part, rest)} for a coattention model.
+def _step_restarts(points: dict, prefix: str, steps: tuple, run, rest, state: tuple) -> tuple:
+    """Add '<prefix>.<unit>.<sublayer>' -> (part, rest) to `points` for each
+    (unit, sublayer) step of an attention-unit chain; returns the chain's
+    unperturbed (residual, branch) state after its last step.
 
-    A part runs its unit alone through `coattend_layer`, on the unit's
-    input from one unperturbed pass. Its rest runs the remainder of that
-    side's stack on the stacked outputs, and scores the head with the other
-    side's unperturbed output, stacked alike.
+    `run(steps, residual, branch)` runs a slice of the steps on one copy
+    from that state and returns the output of the last. A part runs its one
+    step on the unperturbed state before it, `state` before the first, and
+    returns the state after it. `rest(later_steps, states)` finishes the
+    forward from the stacked states.
     """
+    for at, (unit, sub) in enumerate(steps):
+        part = functools.partial(_step_part, run, steps[at], state)
+        points[f"{prefix}.{unit}.{sub}"] = (part, functools.partial(rest, steps[at + 1:]))
+        state = part()
+    return state
+
+
+def _step_part(run, step: tuple, state: tuple) -> tuple:
+    residual, branch = state
+    out = run((step,), residual, branch)
+    # attention and feed-forward compute a branch; a LayerNorm folds it in
+    return (residual, out) if step[1] in ("mha", "ffn") else (out, None)
+
+
+def _fuse_restarts(points: dict, model: VcrModel, s1, losses) -> None:
+    """The guided-fusion sublayer restarts. A part runs its step through
+    `guided_fuse` on the unperturbed encode state; its rest runs the later
+    steps on stacked copies of that state, then the joint stage."""
+
+    def run(state, steps, residual, branch):
+        r = replace(state.grounded_r, positions=residual)
+        return guided_fuse(state.grounded_q, r, state.objects, model.ga_fuse,
+                           steps=steps, branch=branch)[0]
+
+    def rest(steps, states):
+        copies = _stacked([s1] * len(states))
+        fr = run(copies, steps, *_stacked(states))
+        return losses(model._stage_joint(FusedState(copies.grounded_q, fr, [])))
+
+    _step_restarts(points, "fuse", FUSE_STEPS,
+                   lambda *args: run(s1, *args).positions, rest,
+                   (s1.grounded_r.positions, None))
+
+
+def _coattn_restarts(points: dict, model: VcrModel, encoded: EncodedState, losses) -> None:
+    """The co-attention sublayer restarts. A part runs its step through
+    `coattend_layer` on the unperturbed input of its layer's steps. Its
+    rest runs the remainder of that side's stack on the stacked states, and
+    scores the head with the other side's unperturbed output, stacked
+    alike."""
     joint = join(encoded.fq, encoded.fr)
 
-    def part(seq, layer, side, idx, unit, y):
-        return coattend_layer(y, seq.mask, joint, layer, side, idx, (unit,))[0]
+    def run(seq, layer, side, idx, steps, y, branch):
+        return coattend_layer(y, seq.mask, joint, layer, side, idx, steps, branch=branch)[0]
 
-    def rest(side, idx, later_units, ys):
-        copies = _stacked([encoded] * len(ys))
+    def rest(side, idx, steps, states):
+        copies = _stacked([encoded] * len(states))
         mask = getattr(copies, f"f{side}").mask
         joints = join(copies.fq, copies.fr)
         stack = getattr(model.coattn, side)
-        y, _ = coattend_layer(_stacked(ys), mask, joints, stack[idx], side, idx, later_units)
+        y, branch = _stacked(states)
+        y, _ = coattend_layer(y, mask, joints, stack[idx], side, idx, steps, branch=branch)
         for later in range(idx + 1, len(stack)):
             y, _ = coattend_layer(y, mask, joints, stack[later], side, later)
         return losses(replace(copies, **{f"z_{side}": y}))
 
-    points = {}
     for side in ("q", "r"):
         seq = getattr(encoded, f"f{side}")
-        y = seq.positions
+        state = (seq.positions, None)
         for idx, layer in enumerate(getattr(model.coattn, side)):
-            for at, unit in enumerate(UNITS):
-                unit_part = functools.partial(part, seq, layer, side, idx, unit, y)
-                points[f"coattn.{side}.{idx}.{unit}"] = (
-                    unit_part, functools.partial(rest, side, idx, UNITS[at + 1:]))
-                y = unit_part()
-    return points
+            state = _step_restarts(points, f"coattn.{side}.{idx}", LAYER_STEPS,
+                                   functools.partial(run, seq, layer, side, idx),
+                                   functools.partial(rest, side, idx), state)
 
 
 def run_all(h: float = 1e-5) -> list:

@@ -16,11 +16,11 @@ attached at export (see `model.trace_labels`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from vcrnet.attention import AttnUnitParams, guided_attention_unit
+from vcrnet.attention import SUBLAYERS, AttnUnitParams, guided_attention_unit
 from vcrnet.data import DataError
 from vcrnet.layers import BiLstmParams, bilstm
 from vcrnet.tensor import Tensor, ShapeError, concat
@@ -53,6 +53,11 @@ class GroundedSeq:
 class GaFuseParams:
     ga_query: AttnUnitParams
     ga_object: AttnUnitParams
+
+
+# the fusion's steps in order: every sublayer of the query-guided unit,
+# then of the object-guided unit
+FUSE_STEPS = tuple((unit, sub) for unit in ("ga_query", "ga_object") for sub in SUBLAYERS)
 
 
 def align_tags(tokens: list, token_emb: Tensor, objects: Tensor) -> Tensor:
@@ -104,6 +109,8 @@ def guided_fuse(
     objects: GroundedSeq,
     p: GaFuseParams,
     rng: Optional[np.random.Generator] = None,
+    steps: Sequence[tuple] = FUSE_STEPS,
+    branch: Optional[Tensor] = None,
 ) -> tuple:
     """Refine the responses under query guidance, then under object guidance.
 
@@ -114,6 +121,13 @@ def guided_fuse(
     query and objects only; the traces are split back to one row per
     candidate, (n·count, heads, w, m_q) and (n·count, heads, w, k). Returns
     (fused responses, traces); the query is not changed here.
+
+    `steps` runs only a trailing slice of the (unit, sublayer) steps, or
+    one step alone, so a gradient sweep can restart at the sublayer a
+    parameter feeds: `grounded_r` then holds the residual before the first
+    step and `branch` its pending branch, in grounded_r's layout (see
+    `attention.guided_attention_unit`), and the result holds the output of
+    the last step run.
     """
     n = grounded_q.mask.shape[0]
     rows, w = grounded_r.mask.shape
@@ -125,14 +139,20 @@ def guided_fuse(
     count = rows // n
     d = grounded_r.positions.data.shape[-1]
     r_pos = grounded_r.positions.reshape(n, count * w, d)
-    r_pos, q_trace = guided_attention_unit(
-        r_pos, grounded_q.positions, p.ga_query, mask=grounded_q.mask, rng=rng,
-        label="ga.r_from_q",
-    )
-    r_pos, obj_trace = guided_attention_unit(
-        r_pos, objects.positions, p.ga_object, mask=objects.mask, rng=rng,
-        label="ga.r_from_obj",
-    )
-    for trace in (q_trace, obj_trace):
-        trace.heads = _per_candidate(trace.heads, count)
-    return GroundedSeq(r_pos.reshape(rows, w, d), grounded_r.mask), [q_trace, obj_trace]
+    if branch is not None:
+        branch = branch.reshape(n, count * w, d)
+    traces = []
+    for unit, guide, label in (("ga_query", grounded_q, "ga.r_from_q"),
+                               ("ga_object", objects, "ga.r_from_obj")):
+        sublayers = [sub for at, sub in steps if at == unit]
+        if not sublayers:
+            continue
+        r_pos, trace = guided_attention_unit(
+            r_pos, guide.positions, getattr(p, unit), mask=guide.mask, rng=rng,
+            label=label, sublayers=sublayers, branch=branch,
+        )
+        branch = None
+        if trace is not None:
+            trace.heads = _per_candidate(trace.heads, count)
+            traces.append(trace)
+    return GroundedSeq(r_pos.reshape(rows, w, d), grounded_r.mask), traces

@@ -250,7 +250,8 @@ def stage_sweep(model, h=1e-5):
     coordinate's central difference reruns the whole forward stage it feeds
     (a co-attention parameter reruns both stacks). Returns one
     (name, max_rel_err, coords, worst_at) per stage, worst_at naming the
-    first coordinate of the largest error as "<parameter>[<index>]"."""
+    first coordinate of the largest error as "<parameter>[<index>]"; a NaN
+    error counts as the largest."""
     task = make_task(probe_instance(), TASK_Q2A)
     gold = task.gold
 
@@ -290,7 +291,9 @@ def stage_sweep(model, h=1e-5):
             down = evaluators[stage]()
             flat[i] = orig
             err = abs(grad[i] - (up - down) / (2.0 * h)) / max(1.0, abs(grad[i]))
-            if worst_at[stage] is None or err > worst[stage]:
+            # a NaN outranks every number and the first NaN stays
+            if worst_at[stage] is None or err > worst[stage] or (
+                    np.isnan(err) and not np.isnan(worst[stage])):
                 worst[stage], worst_at[stage] = err, f"{name}[{i}]"
         coords[stage] += flat.size
     return [(f"end_to_end/{stage}", float(worst[stage]), coords[stage], worst_at[stage])

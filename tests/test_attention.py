@@ -387,6 +387,42 @@ def test_guided_unit_batch_matches_row_by_row_units():
         npt.assert_allclose(one.heads, row_trace.heads[0], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("cuts", [(1,), (1, 2), (1, 2, 3)],
+                         ids=["mha|rest", "mha|ln1|rest", "each"])
+@pytest.mark.parametrize("unit", ["sa", "ga"])
+def test_unit_sublayer_slices_compose_to_the_whole_unit(unit, cuts):
+    # a gradient sweep runs a unit's sublayers one at a time up to a
+    # restart, then the trailing slice after it, each from the (residual,
+    # branch) state the one before left: that must be exactly the whole
+    # unit, dropout draws and trace too
+    rng = np.random.default_rng(31)
+    p = A.init_attn_unit(rng, 8, 2, 16, p_drop=0.25)
+    x = Tensor(rng.standard_normal((2, 3, 8)))
+    if unit == "sa":
+        guide, mask = x, np.array([[True, True, False], [True, True, True]])
+    else:
+        guide, mask = Tensor(rng.standard_normal((2, 5, 8))), np.arange(5) < np.array([[5], [2]])
+    whole_rng = np.random.default_rng(7)
+    whole, whole_trace = A.guided_attention_unit(x, guide, p, mask, whole_rng, unit)
+    assert not np.array_equal(whole.data, A.guided_attention_unit(x, guide, p, mask)[0].data)
+
+    sliced_rng = np.random.default_rng(7)
+    residual, branch, traces = x, None, []
+    bounds = (0, *cuts, len(A.SUBLAYERS))
+    for lo, hi in zip(bounds, bounds[1:]):
+        out, trace = A.guided_attention_unit(residual, guide, p, mask, sliced_rng, unit,
+                                             A.SUBLAYERS[lo:hi], branch)
+        if A.SUBLAYERS[hi - 1] in ("mha", "ffn"):
+            branch = out
+        else:
+            residual, branch = out, None
+        traces += [trace] if trace is not None else []
+    npt.assert_array_equal(residual.data, whole.data)
+    assert [t.unit for t in traces] == [whole_trace.unit]
+    npt.assert_array_equal(traces[0].heads, whole_trace.heads)
+    assert sliced_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
 def test_trace_row_slices_heads():
     heads = np.arange(6.0).reshape(2, 1, 1, 3)
     trace = A.AttentionTrace("u", heads)

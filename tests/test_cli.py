@@ -23,8 +23,13 @@ from vcrnet.model import trace_labels
 from vcrnet.training import load_run
 
 
+def _strict(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 def _lines(capsys):
-    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    return [json.loads(line, parse_constant=_strict)
+            for line in capsys.readouterr().out.splitlines()]
 
 
 def _synth(tmp_path, n=4, seed=3):
@@ -212,6 +217,16 @@ def test_gradcheck_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_all", lambda: bad)
     assert main(["gradcheck"]) == 1
     assert _lines(capsys)[-1]["passed"] is False
+
+    # a NaN after a passing result fails the battery, and stdout stays
+    # strict JSON: the NaN is written as null
+    nan = [CheckResult("stub/a", np.float64(1e-9), 4, 0.01),
+           CheckResult("stub/c", np.float64("nan"), 4, 0.01, "stub.w[0]")]
+    monkeypatch.setattr(cli, "run_all", lambda: nan)
+    assert main(["gradcheck"]) == 1
+    lines = _lines(capsys)
+    assert lines[1]["max_rel_err"] is None and lines[1]["worst_at"] == "stub.w[0]"
+    assert lines[-1]["worst"] is None and lines[-1]["passed"] is False
 
 
 def test_usage_errors_from_argparse():

@@ -3,6 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from helpers import assert_flat_aliasing, stage_sweep
+from vcrnet import diagnostics
+from vcrnet.attention import SUBLAYERS
 from vcrnet.data import TASK_Q2A, make_task
 from vcrnet.model import stage_of
 from vcrnet.diagnostics import (
@@ -66,6 +68,10 @@ def test_check_result_serializes():
     named = CheckResult("end_to_end/head", 1.5e-9, 12, 0.12345, "reduce.w1[3]")
     assert named.to_json_dict() == {**blob, "name": "end_to_end/head",
                                     "worst_at": "reduce.w1[3]"}
+    # strict JSON: a non-finite error is written as null
+    for err in (np.nan, np.inf):
+        assert CheckResult("x/y", err, 12, 0.12345).to_json_dict() == {
+            **blob, "max_rel_err": None}
 
 
 def test_probe_model_overrides_replace_its_fields():
@@ -74,16 +80,21 @@ def test_probe_model_overrides_replace_its_fields():
     assert {key: getattr(config, key) for key in overrides} == overrides
 
 
-@pytest.mark.parametrize("overrides", [{}, {"ga": False}, {"encoder": "lstm"},
-                                       {"layers": 2, "d_model": 4, "heads": 1}],
-                         ids=["default", "no-ga", "lstm", "layers2"])
+# the probe model and its ablations: no guided fusion, the masked BiLSTM
+# encoder, and two co-attention layers (narrower, at d_model=4 and one head,
+# to keep their sweeps short)
+PROBES = pytest.mark.parametrize(
+    "overrides", [{}, {"ga": False}, {"encoder": "lstm"}, {"layers": 2, "d_model": 4, "heads": 1}],
+    ids=["default", "no-ga", "lstm", "layers2"])
+
+
+@PROBES
 def test_end_to_end_sweep_of_ablation_probe_models(overrides, request):
-    # each co-attention unit's parameters restart at that unit; the sweep
-    # that reruns whole stages must agree with it to the last bit. The
-    # ablations take other paths (no guided fusion, the masked BiLSTM
-    # encoder), and at layers=2 a layer-0 restart reruns layer 1 of its side
-    # (narrower, at d_model=4 and one head, to keep both sweeps short). The
-    # default probe's sweep is A1's, run once per session
+    # each attention unit's parameters restart at the sublayer that reads
+    # them; the sweep that reruns whole stages must agree with it to the
+    # last bit. The ablations take other paths, and at layers=2 a layer-0
+    # restart reruns layer 1 of its side. The default probe's sweep is A1's,
+    # run once per session
     if overrides:
         model = probe_model(**overrides)
         results = end_to_end_checks(model=model)
@@ -100,9 +111,7 @@ def test_end_to_end_sweep_of_ablation_probe_models(overrides, request):
     assert worst <= 1e-4, f"worst relative error {worst:.2e}"
 
 
-@pytest.mark.parametrize("overrides", [{}, {"encoder": "lstm"},
-                                       {"layers": 2, "d_model": 4, "heads": 1}],
-                         ids=["default", "lstm", "layers2"])
+@PROBES
 def test_a_stacked_rest_keeps_each_state_apart(overrides):
     # the sweep runs the rest once on the +h / -h states of a block of
     # coordinates, laid end to end; row by row that must be exactly the loss
@@ -138,6 +147,26 @@ def test_a_stacked_rest_keeps_each_state_apart(overrides):
     assert checked == len(set(owner))
 
 
+@PROBES
+def test_each_unit_parameter_restarts_at_its_sublayer(overrides):
+    # an attention unit's parameter restarts at the one sublayer that reads
+    # it, named by its prefix: fuse.<unit>.<sublayer> or
+    # coattn.<side>.<layer>.<unit>.<sublayer>; any other at its stage
+    model = probe_model(**overrides)
+    points = restart_points(model, make_task(probe_instance(), TASK_Q2A))
+    used = set()
+    for name, _ in model.named_parameters():
+        path = name.split(".")
+        depth = {"fuse": 3, "coattn": 5}.get(path[0])
+        key = restart_of(name, points)
+        if depth is None:
+            assert key == stage_of(name), name
+        else:
+            assert key == ".".join(path[:depth]) and path[depth - 1] in SUBLAYERS, name
+            used.add(key)
+    assert used == set(points) - {"encode", "joint", "head"}
+
+
 def test_a_restart_that_misses_the_loss_in_a_stack_is_named(monkeypatch):
     # a rest that is exact on one copy but not on a stack of them stops the
     # sweep before it starts
@@ -155,19 +184,58 @@ def test_a_restart_that_misses_the_loss_in_a_stack_is_named(monkeypatch):
         end_to_end_checks(model=model)
 
 
+def _nan_head_while_perturbed(monkeypatch, model, name, index):
+    # the model's head gives NaN logits while flat coordinate `index` of
+    # parameter `name` is perturbed
+    offsets = np.cumsum([0] + [p.data.size for _, p in model.named_parameters()])
+    at = offsets[[n for n, _ in model.named_parameters()].index(name)] + index
+    orig = model.flat[at]
+    head = model._stage_head
+
+    def head_with_nan(tasks, encoded):
+        chunk = head(tasks, encoded)
+        if model.flat[at] != orig:
+            chunk.logits.data[...] = np.nan
+        return chunk
+
+    monkeypatch.setattr(model, "_stage_head", head_with_nan)
+
+
+def test_a_nan_central_difference_fails_its_stage(monkeypatch):
+    # NaN compares false with every number, so a NaN error must be ranked
+    # above them explicitly, or the stage passes
+    model = probe_model()
+    _nan_head_while_perturbed(monkeypatch, model, "reduce.clf.weight", 6)
+    head = end_to_end_checks(model=model)[-1]
+    assert head.name == "end_to_end/head" and np.isnan(head.max_rel_err)
+    assert head.worst_at == "reduce.clf.weight[6]"
+    # the oracle ranks it the same way (on a narrower model, to stay short)
+    small = probe_model(ga=False, encoder="lstm", d_model=4, heads=1)
+    _nan_head_while_perturbed(monkeypatch, small, "reduce.clf.weight", 2)
+    swept = [(r.name, r.max_rel_err, r.coords, r.worst_at)
+             for r in end_to_end_checks(model=small)]
+    oracle = stage_sweep(small)
+    assert swept[:-1] == oracle[:-1]
+    head_coords = swept[-1][2]
+    for name, err, coords, worst_at in (swept[-1], oracle[-1]):
+        assert np.isnan(err)
+        assert (name, coords, worst_at) == \
+            ("end_to_end/head", head_coords, "reduce.clf.weight[2]")
+
+
 def test_a_sweep_that_raises_leaves_the_model_as_it_was(monkeypatch):
-    # the guided-fusion part fails as soon as it sees a perturbed model: the
-    # coordinate it was evaluating must be put back all the same
+    # the guided-fusion parts fail as soon as they see a perturbed model: the
+    # coordinate being evaluated must be put back all the same
     model = probe_model()
     before = model.flat.copy()
-    fuse = model._stage_fuse
+    fuse = diagnostics.guided_fuse
 
-    def fuse_unperturbed_only(state, rng=None):
+    def fuse_unperturbed_only(*args, **kwargs):
         if not np.array_equal(model.flat, before):
             raise RuntimeError("evaluation failed mid-sweep")
-        return fuse(state, rng)
+        return fuse(*args, **kwargs)
 
-    monkeypatch.setattr(model, "_stage_fuse", fuse_unperturbed_only)
+    monkeypatch.setattr(diagnostics, "guided_fuse", fuse_unperturbed_only)
     with pytest.raises(RuntimeError, match="mid-sweep"):
         end_to_end_checks(model=model)
     assert model.flat.tobytes() == before.tobytes()
