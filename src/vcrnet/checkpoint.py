@@ -113,6 +113,11 @@ def read_checkpoint(path) -> Dict[str, np.ndarray]:
         dtype = _DTYPE_TAGS[tag]
         n_items = math.prod(shape)  # a Python int: oversized extents read as truncation
         data = np.frombuffer(take(n_items * dtype.itemsize), dtype=dtype)
+        # an empty entry passes `take` whatever its other extents; numpy
+        # still refuses a shape whose nonzero extents span more bytes than
+        # an index can address
+        if math.prod(e for e in shape if e) * dtype.itemsize > np.iinfo(np.intp).max:
+            raise CheckpointError(f"{path} entry {name!r} has shape {shape}, too large for an array")
         entries[name] = data.reshape(shape).copy()
     if pos != len(view):
         raise CheckpointError(f"{path} has {len(view) - pos} trailing bytes")

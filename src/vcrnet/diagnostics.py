@@ -156,12 +156,6 @@ def layer_checks(h: float = 1e-5) -> list:
     check("feed_forward/train/x", train_ffn, x)
     check_params("feed_forward/train", ffn_drop, lambda: train_ffn(x))
 
-    # score MLP
-    rng = np.random.default_rng(45)
-    mlp_p = L.init_mlp(rng, [8, 4, 1])
-    x = Tensor(rng.standard_normal((5, 8)))
-    check("mlp/x", lambda t: L.mlp(t, mlp_p), x)
-
     # bidirectional LSTM, including the fused backward-through-time rule,
     # on a time-major batch of one
     rng = np.random.default_rng(46)

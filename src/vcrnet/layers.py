@@ -1,4 +1,4 @@
-"""Composite layers: linear, LayerNorm, feed-forward, score MLP, and BiLSTM.
+"""Composite layers: linear, LayerNorm, feed-forward, and BiLSTM.
 
 Parameter containers are plain dataclasses of Tensors, and lists of them.
 `named_tensors` walks such a tree and is the one rule that names its
@@ -11,7 +11,9 @@ with d_in the matrix's own input width, biases zero, LSTM forget-gate bias
 +1.0.
 
 `linear`, `layer_norm`, `feed_forward` and `bilstm` are fused ops: one
-tape entry each, with a hand-written backward rule. `layer_norm` also takes
+tape entry each, with a hand-written backward rule. `feed_forward` serves
+both the attention units and, as its score MLP, the pooling in
+`reduction`. `layer_norm` also takes
 a residual pair, LN(x + y), without keeping the sum. `feed_forward` holds
 its input and its dropout draw, a boolean mask, and recomputes its hidden
 activation in the backward, so a large taped chunk stays small in memory.
@@ -27,7 +29,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from vcrnet.tensor import Tensor, ShapeError, record_op, relu
+from vcrnet.tensor import Tensor, ShapeError, record_op
 
 
 def named_tensors(params, prefix: str) -> Iterator[tuple[str, Tensor]]:
@@ -233,24 +235,6 @@ def feed_forward(
     a = hidden()
     inputs = (x, p.lin1.weight, p.lin1.bias, p.lin2.weight, p.lin2.bias)
     return record_op(a @ w2 + b2, inputs, rule)
-
-
-# -- score MLP -------------------------------------------------------------
-
-
-def init_mlp(rng: np.random.Generator, widths: list) -> list:
-    """widths = [d_in, hidden..., d_out]: one LinearParams per layer, in order."""
-    if len(widths) < 2:
-        raise ValueError("mlp needs at least an input and an output width")
-    return [init_linear(rng, widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
-
-
-def mlp(x: Tensor, layers: list) -> Tensor:
-    """ReLU between the linear layers, none after the last."""
-    h = x
-    for lin in layers[:-1]:
-        h = relu(linear(h, lin))
-    return linear(h, layers[-1])
 
 
 # -- LSTM ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Attention reduction, fusion of the two pooled vectors, and the logit head.
 
-Reduction pools a sequence into one vector: a small MLP scores every
-position, a masked softmax turns the scores into weights, and the weighted
-rows are summed. The query and response pools are fused by two linear
+Reduction pools a sequence into one vector by attentional reduction: a
+two-layer score MLP, run as the fused `feed_forward`, scores every
+position, and one fused `sdpa` call pools the rows by the masked softmax of
+those scores. The query and response pools are fused by two linear
 projections, added, LayerNorm-ed, and a final linear layer emits the
 per-candidate logit. Each step runs on a batch of candidates, one pooled
 row and one logit per candidate.
@@ -15,22 +16,23 @@ from typing import Optional
 
 import numpy as np
 
-from vcrnet.attention import mask_bias
+from vcrnet.attention import sdpa
 from vcrnet.layers import (
+    FeedForwardParams,
     LayerNormParams,
     LinearParams,
+    feed_forward,
     init_layer_norm,
-    init_mlp,
+    init_linear,
     layer_norm,
     linear,
-    mlp,
 )
-from vcrnet.tensor import Tensor, ShapeError, softmax
+from vcrnet.tensor import Tensor, ShapeError
 
 
 @dataclass
 class ReductionParams:
-    """Score MLPs for the two paths (lists of LinearParams), fusion, head."""
+    """Score MLPs for the two paths (two LinearParams each), fusion, head."""
 
     mlp_q: list
     mlp_r: list
@@ -41,9 +43,9 @@ class ReductionParams:
 
 
 def init_reduction(rng: np.random.Generator, d_model: int, d_c: int) -> ReductionParams:
-    widths = [d_model, max(d_model // 2, 1), 1]
-    mlp_q = init_mlp(rng, widths)
-    mlp_r = init_mlp(rng, widths)
+    hidden = max(d_model // 2, 1)
+    mlp_q = [init_linear(rng, d_model, hidden), init_linear(rng, hidden, 1)]
+    mlp_r = [init_linear(rng, d_model, hidden), init_linear(rng, hidden, 1)]
     lim = 1.0 / np.sqrt(d_model)
     # the classifier starts at zero: a fresh model scores all candidates
     # identically, pinning the untrained loss at ln 4 and keeping the
@@ -67,6 +69,11 @@ def reduce(Z: Tensor, mask: Optional[np.ndarray], p_mlp: list) -> tuple[Tensor, 
     Returns (B, d) pooled vectors and (B, m) weights; `mask` is (B, m) or
     None. Masked positions get exactly zero weight; a fully masked sequence
     is an error. With a zero MLP the weights are uniform over unmasked rows.
+
+    The two linear layers of `p_mlp` run as one `feed_forward` (no
+    dropout), giving one score per position. The pooling is `sdpa` with one
+    unit query of width 1 over those scores as keys and the rows as values:
+    q kᵀ is exactly the scores and the scale is 1.
     """
     shape = Z.data.shape
     if len(shape) != 3 or shape[1] < 1:
@@ -74,15 +81,11 @@ def reduce(Z: Tensor, mask: Optional[np.ndarray], p_mlp: list) -> tuple[Tensor, 
     batch, m, d = shape
     if mask is not None and np.shape(mask) != shape[:-1]:
         raise ShapeError(f"mask shape {np.shape(mask)} does not match sequence shape {shape}")
-    scores = mlp(Z, p_mlp)
+    scores = feed_forward(Z, FeedForwardParams(*p_mlp))
     if scores.data.shape != shape[:-1] + (1,):
         raise ShapeError(f"score MLP must map to one column, got {scores.data.shape}")
-    row = scores.reshape(batch, 1, m)
-    bias = mask_bias(mask, m)
-    if bias is not None:
-        row = row + Tensor(bias.reshape(batch, 1, m))
-    alpha_row = softmax(row, axis=-1)
-    return (alpha_row @ Z).reshape(batch, d), alpha_row.reshape(batch, m)
+    pooled, weights = sdpa(Tensor(np.ones((batch, 1, 1))), scores, Z, mask)
+    return pooled.reshape(batch, d), weights.reshape(batch, m)
 
 
 def fuse(z_q: Tensor, z_r: Tensor, p: ReductionParams) -> Tensor:

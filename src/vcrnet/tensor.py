@@ -10,14 +10,16 @@ Gradients are recovered by walking the tape in reverse execution order,
 which is a valid reverse-topological order because an operation's inputs
 always exist before the operation runs.
 
-The op set is `add` (also `a + b`), `matmul` (`a @ b`), `relu`, `softmax`,
-`concat`, `repeat`, `embedding_lookup`, and the methods
-`Tensor.reshape`, `Tensor.transpose` and `Tensor.slice`. An op stays here
-only while the program runs it; one training epoch reaches every one.
+The op set is `matmul` (`a @ b`), `concat`, `repeat`, `embedding_lookup`,
+and the methods `Tensor.reshape`, `Tensor.transpose` and `Tensor.slice`.
+An op stays here only while the program runs it; one training epoch
+reaches every one. Sums, nonlinearities and softmaxes live inside the
+fused ops, e.g. the residual sum in `layer_norm`, the relu in
+`feed_forward` and the masked softmax in `sdpa`.
 
-Broadcasting is deliberately restricted: `add` requires identical shapes
-(the fused `linear` adds its own bias), and `matmul` applies one 2-d right
-operand to every leading index of the left.
+Broadcasting is deliberately restricted: `matmul` applies one 2-d right
+operand to every leading index of the left, or pairs two batches row by
+row.
 A batch is a leading axis; `repeat` copies each of its rows so that one
 row can meet several partners row by row. This keeps every backward rule
 auditable.
@@ -38,10 +40,7 @@ __all__ = [
     "Tape",
     "ShapeError",
     "record_op",
-    "add",
     "matmul",
-    "relu",
-    "softmax",
     "concat",
     "repeat",
     "embedding_lookup",
@@ -64,8 +63,9 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad")
-    # numpy refuses a Tensor operand, so an ndarray on either side of `+` or
-    # `@` is a TypeError rather than an object-array or 0-d matmul attempt
+    # numpy refuses a Tensor operand, so an ndarray on either side of `@` or
+    # an arithmetic operator is a TypeError rather than an object-array or
+    # 0-d matmul attempt
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
@@ -77,12 +77,7 @@ class Tensor:
         rg = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{rg})"
 
-    # -- operator forms; both operands must be tensors --
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return NotImplemented
+    # -- operator form; both operands must be tensors --
 
     def __matmul__(self, other):
         if isinstance(other, Tensor):
@@ -251,14 +246,6 @@ def record_op(data, inputs: Sequence[Tensor], rule: Callable) -> Tensor:
 # -- arithmetic ------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of one shape."""
-    ad, bd = a.data, b.data
-    if ad.shape != bd.shape:
-        raise ShapeError(f"add: incompatible shapes {ad.shape} and {bd.shape}")
-    return _result(ad + bd, (a, b), lambda g: (g, g))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., m, k) @ (k, n), or a batch (B, m, k) @ (B, k, n) pair by pair."""
     ad, bd = a.data, b.data
@@ -276,31 +263,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, n)
 
     return _result(ad @ bd, (a, b), rule)
-
-
-# -- elementwise nonlinearities --------------------------------------------
-
-
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); a NaN input stays NaN, and gets no gradient."""
-    mask = x.data > 0
-    return _result(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stabilized softmax; each slice along `axis` sums to 1."""
-    xd = x.data
-    nd = xd.ndim
-    if not -nd <= axis < nd:
-        raise ShapeError(f"softmax axis {axis} out of range for shape {xd.shape}")
-    shifted = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def rule(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    return _result(y, (x,), rule)
 
 
 # -- structural ops --------------------------------------------------------

@@ -26,6 +26,13 @@ def np_layer_norm(x, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps)
 
 
+def add(a, b):
+    """The elementwise sum of two tensors of one shape, as its own op."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape}")
+    return record_op(a.data + b.data, (a, b), lambda g: (g, g))
+
+
 def bias_add(x, b):
     """A 1-d bias added along the last axis of x, as its own op."""
     n = b.data.shape[0]
@@ -40,12 +47,12 @@ def composed_linear(x, p):
 def composed_layer_norm(x, p, y):
     """Reference for the residual `layers.layer_norm(x, p, y)`: an add op,
     then the one-input LayerNorm."""
-    return layer_norm(x + y, p)
+    return layer_norm(add(x, y), p)
 
 
 def relu(x):
     """relu as a select of the positive entries, its own op; independent of
-    the `np.maximum` that `tensor.relu` and `layers.feed_forward` use."""
+    the `np.maximum` that `layers.feed_forward` uses."""
     live = x.data > 0
     return record_op(np.where(live, x.data, 0.0), (x,), lambda g: (g * live,))
 
@@ -65,6 +72,28 @@ def composed_feed_forward(x, p, rng=None):
     if rng is not None and p.dropout > 0.0:
         h = dropout(h, p.dropout, rng)
     return composed_linear(h, p.lin2)
+
+
+def softmax(x):
+    """Stabilized softmax over the last axis, as its own op."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return record_op(y, (x,), lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
+
+
+def composed_reduce(Z, mask, p_mlp):
+    """Reference for `reduction.reduce`: the score MLP (linear, relu,
+    linear), an additive mask bias, a softmax over each sequence and the
+    weighted sum of its rows, each its own op. Returns ((B, d) pooled,
+    (B, m) weights)."""
+    batch, m, d = Z.data.shape
+    scores = composed_linear(relu(composed_linear(Z, p_mlp[0])), p_mlp[1])
+    row = scores.reshape(batch, 1, m)
+    bias = A.mask_bias(mask, m)
+    if bias is not None:
+        row = add(row, Tensor(bias.reshape(batch, 1, m)))
+    alpha = softmax(row)
+    return (alpha @ Z).reshape(batch, d), alpha.reshape(batch, m)
 
 
 def zero_unit(d, d_ff, h=2):
@@ -331,9 +360,10 @@ def assert_flat_aliasing(model):
         model.flat, np.concatenate([arr.ravel() for arr in model.state_dict().values()]))
 
 
-def write_overflowing_container(path):
-    """A container whose one float64 entry claims (2**32 - 1) x (2**32 - 1)
-    items, a count that wraps in 64-bit integers, followed by 16 bytes."""
-    extent = 2 ** 32 - 1
+def write_overflowing_container(path, extents=(2 ** 32 - 1, 2 ** 32 - 1), dtype_tag=1):
+    """A container whose one entry, `w`, claims `extents` (by default
+    (2**32 - 1) x (2**32 - 1) items, a count that wraps in 64-bit integers)
+    of a dtype tag (1 = float64, 0 = float32), followed by 16 bytes."""
+    rank = len(extents)
     path.write_bytes(MAGIC + struct.pack("<II", VERSION, 1) + struct.pack("<H", 1) + b"w"
-                     + struct.pack("<BB2I", 1, 2, extent, extent) + bytes(16))
+                     + struct.pack(f"<BB{rank}I", dtype_tag, rank, *extents) + bytes(16))

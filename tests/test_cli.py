@@ -535,6 +535,22 @@ def test_eval_reports_an_overflowing_extent(trained_run, tmp_path, capsys, conta
     assert _one_error(capsys).startswith(f"error: truncated container {bad} at byte ")
 
 
+@pytest.mark.parametrize("container", ["features", "model"])
+def test_eval_reports_an_empty_entry_too_large_for_an_array(
+        trained_run, tmp_path, capsys, container):
+    data, ckpt = trained_run
+    copy, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(data, copy)
+    shutil.copytree(ckpt.parent, run)
+    bad = {"features": copy / cli.FEATURES_FILE, "model": run / ckpt.name}[container]
+    write_overflowing_container(bad, (0, 2 ** 32 - 1, 2 ** 32 - 1))
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(run / ckpt.name),
+                 "--data", str(copy / cli.TRAIN_FILE)]) == 1
+    assert _one_error(capsys).startswith(
+        f"error: {bad} entry 'w' has shape (0, 4294967295, 4294967295)")
+
+
 _NOT_UTF8 = b"\xff\xfe"
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import np_layer_norm, pad_grounded, zero_unit
+from helpers import add, np_layer_norm, pad_grounded, zero_unit
 
 from vcrnet import attention as A
 from vcrnet import grounding as G
@@ -222,7 +222,7 @@ def test_grounding_end_to_end_grad_check():
     def pipeline(objects):
         aligned = G.align_tags(tokens, emb, objects).reshape(3, 1, 5)
         gq = G.ground(aligned, [len(tokens)], lstm)
-        scaled = gq.positions @ Tensor(0.5 * np.eye(4)) + Tensor(np.full((1, 3, 4), 0.1))
+        scaled = add(gq.positions @ Tensor(0.5 * np.eye(4)), Tensor(np.full((1, 3, 4), 0.1)))
         gr = G.GroundedSeq(scaled, np.ones((1, 3), dtype=bool))
         guide = G.GroundedSeq((objects @ obj_proj).reshape(1, 2, 4), np.ones((1, 2), dtype=bool))
         fr, _ = G.guided_fuse(gq, gr, guide, fuse)

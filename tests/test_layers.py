@@ -235,20 +235,35 @@ class _NegativeZeroProducts(np.ndarray):
         return np.full(self.shape[:-1] + w.shape[-1:], -0.0)
 
 
+def _hidden_of_negative_zero(p, shape, rng=None):
+    """feed_forward's hidden activation, as its backward rebuilds it, for
+    an input of `shape` whose every pre-activation is -0.0."""
+    p.lin1.bias.data[...] = -0.0
+    x = Tensor(np.ones(shape))
+    x.data = x.data.view(_NegativeZeroProducts)
+    with T.Tape() as tape:
+        L.feed_forward(x, p, rng)
+    _, _, rule = tape._entries[0]
+    cells = dict(zip(rule.__code__.co_freevars, (c.cell_contents for c in rule.__closure__)))
+    return cells["hidden"]()
+
+
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
 def test_feed_forward_relu_of_negative_zero_is_positive_zero(training):
     # same-seed byte identity rests on np.maximum(-0.0, 0.0) being +0.0, as
     # the np.where formulation gives
     p = L.init_feed_forward(np.random.default_rng(4), 6, 40, p_drop=0.5)
-    p.lin1.bias.data[...] = -0.0
-    x = Tensor(np.ones((3, 7, 6)))
-    x.data = x.data.view(_NegativeZeroProducts)
-    with T.Tape() as tape:
-        L.feed_forward(x, p, np.random.default_rng(0) if training else None)
-    _, _, rule = tape._entries[0]
-    cells = dict(zip(rule.__code__.co_freevars, (c.cell_contents for c in rule.__closure__)))
-    a = cells["hidden"]()
+    a = _hidden_of_negative_zero(p, (3, 7, 6), np.random.default_rng(0) if training else None)
     assert a.shape == (3, 7, 40) and not a.any()
+    assert not np.signbit(a).any()
+
+
+@pytest.mark.parametrize("d_ff", [1, 7, 8, 33, 1000])
+def test_feed_forward_relu_of_negative_zero_at_simd_widths(d_ff):
+    # hidden widths on and off the SIMD widths of np.maximum
+    p = L.init_feed_forward(np.random.default_rng(d_ff), 3, d_ff)
+    a = _hidden_of_negative_zero(p, (1, 3))
+    assert a.shape == (1, d_ff) and not a.any()
     assert not np.signbit(a).any()
 
 
@@ -276,32 +291,6 @@ def test_feed_forward_grad_check():
         x = Tensor(np.random.default_rng(s).standard_normal((3, 4)))
         worst = max(worst, T.grad_check(lambda t: L.feed_forward(t, p), x, seed=s))
     assert worst < 1e-6
-
-
-def test_mlp_single_identity_layer_is_identity():
-    p = [L.LinearParams(Tensor(np.eye(3)), Tensor(np.zeros(3)))]
-    x = np.arange(6.0).reshape(2, 3)
-    npt.assert_allclose(L.mlp(Tensor(x), p).data, x)
-
-
-def test_mlp_zero_final_layer_gives_zeros():
-    rng = np.random.default_rng(3)
-    p = L.init_mlp(rng, [4, 8, 2])
-    p[-1].weight.data = np.zeros_like(p[-1].weight.data)
-    p[-1].bias.data = np.zeros_like(p[-1].bias.data)
-    out = L.mlp(Tensor(rng.standard_normal((5, 4))), p)
-    npt.assert_allclose(out.data, np.zeros((5, 2)))
-
-
-def test_mlp_grad_check():
-    p = L.init_mlp(np.random.default_rng(8), [3, 6, 1])
-    x = Tensor(np.random.default_rng(9).standard_normal((4, 3)))
-    assert T.grad_check(lambda t: L.mlp(t, p), x) < 1e-6
-
-
-def test_mlp_requires_two_widths():
-    with pytest.raises(ValueError):
-        L.init_mlp(np.random.default_rng(0), [4])
 
 
 # -- LSTM ------------------------------------------------------------------
@@ -638,6 +627,23 @@ def test_checkpoint_rejects_an_extent_product_that_wraps(tmp_path):
     write_overflowing_container(path)
     with pytest.raises(CheckpointError, match=f"truncated container {path}"):
         read_checkpoint(path)
+
+
+def test_checkpoint_rejects_an_empty_entry_too_large_for_an_array(tmp_path):
+    # zero items pass the payload read, but numpy refuses any shape whose
+    # nonzero extents span more than 2**63 - 1 bytes; per dtype tag (float64,
+    # float32), an empty entry just inside that limit, then one just past it
+    path = tmp_path / "model.canckpt"
+    for tag, fits, too_wide in ((1, (0, 2 ** 30 - 1, 2 ** 30 + 1), (0, 2 ** 30, 2 ** 30)),
+                                (0, (0, 2 ** 30, 2 ** 31 - 1), (0, 2 ** 30, 2 ** 31))):
+        # read as far as the 16 bytes after the entry
+        write_overflowing_container(path, fits, tag)
+        with pytest.raises(CheckpointError, match="16 trailing bytes"):
+            read_checkpoint(path)
+        for extents in (too_wide, (0, 2 ** 32 - 1, 2 ** 32 - 1)):
+            write_overflowing_container(path, extents, tag)
+            with pytest.raises(CheckpointError, match=f"{path} entry 'w' has shape"):
+                read_checkpoint(path)
 
 
 def test_checkpoint_rejects_integer_arrays(tmp_path):

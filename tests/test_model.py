@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import loop_forward, padded_positions
+from helpers import add, loop_forward, padded_positions
 
 from vcrnet.attention import AttentionTrace
 from vcrnet.checkpoint import CheckpointError, write_checkpoint
@@ -425,7 +425,7 @@ def test_chunk_matches_loop_of_one_task_forwards(arch):
         losses = [task_loss(model.forward_chunk([t]).logits, [t.gold]) for t in tasks]
         total = losses[0]
         for loss in losses[1:]:
-            total = total + loss
+            total = add(total, loss)
         return total
 
     with_chunk = _grads(model, lambda: model.forward_chunk(tasks).logits, golds)

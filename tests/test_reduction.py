@@ -2,12 +2,24 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import np_layer_norm
+from helpers import composed_reduce, np_layer_norm
 
 from vcrnet import reduction as R
 from vcrnet import tensor as T
-from vcrnet.layers import LinearParams, init_mlp
-from vcrnet.tensor import Tensor, ShapeError
+from vcrnet.layers import LinearParams, init_linear
+from vcrnet.tensor import Tape, Tensor, ShapeError
+
+
+def _mlp(rng, d, hidden=2):
+    return [init_linear(rng, d, hidden), init_linear(rng, hidden, 1)]
+
+
+def _first_feature_mlp(d, shift):
+    """A score MLP whose score of a row is max(row[0], 0) + shift."""
+    pick = np.zeros((d, 1))
+    pick[0, 0] = 1.0
+    return [LinearParams(Tensor(pick), Tensor(np.zeros(1))),
+            LinearParams(Tensor(np.ones((1, 1))), Tensor(np.array([shift])))]
 
 
 def _zero_mlp(d):
@@ -48,6 +60,59 @@ def test_reduce_rejects_fully_masked():
         R.reduce(Tensor(np.zeros((1, 2, 4))), np.array([[False, False]]), _zero_mlp(4))
 
 
+def test_reduce_two_to_one_odds():
+    # scores [ln 2, 0] put exactly twice the weight on the first row
+    Z = np.array([[[np.log(2.0), 1.0], [0.0, -1.0]]])
+    _, alpha = R.reduce(Tensor(Z), None, _first_feature_mlp(2, 0.0))
+    npt.assert_allclose(alpha.data, [[2.0 / 3.0, 1.0 / 3.0]], rtol=0, atol=1e-12)
+
+
+def test_reduce_survives_scores_near_1000():
+    # unshifted, exp(1000) overflows and exp(-1000) underflows to 0 / 0
+    Z = np.array([[[0.0, 1.0], [np.log(2.0), 2.0], [0.0, 3.0], [5.0, 4.0]]])
+    mask = np.array([[True, True, True, False]])
+    for shift in (1000.0, -1000.0):
+        pooled, alpha = R.reduce(Tensor(Z), mask, _first_feature_mlp(2, shift))
+        assert np.isfinite(pooled.data).all() and np.isfinite(alpha.data).all()
+        npt.assert_allclose(alpha.data, [[0.25, 0.5, 0.25, 0.0]], rtol=0, atol=1e-12)
+        npt.assert_allclose(pooled.data, [[0.5 * np.log(2.0), 2.0]], rtol=0, atol=1e-12)
+
+
+def test_reduce_weights_sum_to_one():
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        Z = rng.standard_normal((4, 7, 4)) * rng.uniform(0.1, 50.0)
+        mask = np.arange(7) < rng.integers(1, 8, size=(4, 1))
+        _, alpha = R.reduce(Tensor(Z), mask, _mlp(rng, 4))
+        npt.assert_allclose(alpha.data.sum(axis=-1), np.ones(4), rtol=0, atol=1e-12)
+        assert (alpha.data >= 0).all() and not alpha.data[~mask].any()
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "ragged"])
+def test_reduce_equals_its_composed_oracle_exactly(masked):
+    """The fused pooling (feed_forward, then a one-query sdpa) gives the
+    bits of the composed score MLP, mask bias, softmax and weighted sum:
+    pooled rows, weights, and the gradients of Z and the score MLP."""
+    rng = np.random.default_rng(31)
+    for batch, m, d in ((1, 1, 4), (3, 5, 4), (6, 9, 8)):
+        p_mlp = _mlp(rng, d, hidden=d // 2)
+        params = [t for lin in p_mlp for t in (lin.weight, lin.bias)]
+        Z = rng.standard_normal((batch, m, d)) * 3.0
+        mask = np.arange(m) < rng.integers(1, m + 1, size=(batch, 1)) if masked else None
+        seed = rng.standard_normal((batch, d))
+        got, want = [], []
+        for pool, out in ((R.reduce, got), (composed_reduce, want)):
+            z = Tensor(Z, requires_grad=True)
+            for t in params:
+                t.grad = None
+            with Tape() as tape:
+                pooled, alpha = pool(z, mask, p_mlp)
+            tape.seed(pooled, seed)
+            out += [pooled.data, alpha.data, z.grad] + [t.grad for t in params]
+        for a, b in zip(got, want):
+            npt.assert_array_equal(a, b)
+
+
 def _np_mlp_scores(Z, p_mlp):
     h = Z
     for lin in p_mlp[:-1]:
@@ -62,7 +127,7 @@ def test_reduce_matches_scalar_loop_oracle():
         rng = np.random.default_rng(8000 + seed)
         m, d = int(rng.integers(1, 7)), 4
         Z = rng.standard_normal((m, d))
-        p_mlp = init_mlp(rng, [d, 2, 1])
+        p_mlp = _mlp(rng, d)
         mask = None
         if m > 1 and seed % 2 == 0:
             mask = rng.random(m) < 0.7
@@ -123,7 +188,7 @@ def test_fresh_classifier_scores_zero():
 
 def test_reduction_grad_checks():
     rng = np.random.default_rng(6)
-    p_mlp = init_mlp(rng, [4, 2, 1])
+    p_mlp = _mlp(rng, 4)
     mask = np.array([[True, True, False, True]])
     assert T.grad_check(
         lambda t: R.reduce(t, mask, p_mlp)[0], Tensor(rng.standard_normal((1, 4, 4)))

@@ -1,11 +1,13 @@
 import inspect
 import json
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import LoopAdam, assert_flat_aliasing
+from helpers import LoopAdam, add, assert_flat_aliasing
+from vcrnet import layers as L
 from vcrnet import tensor as T
 from vcrnet import training
 from vcrnet.checkpoint import read_checkpoint
@@ -122,7 +124,7 @@ def test_gradient_accumulation_is_linear():
 
     model.zero_grad()
     with Tape() as tape:
-        tape.backward(loss_for(TASK_Q2A) + loss_for(TASK_QA2R))
+        tape.backward(add(loss_for(TASK_Q2A), loss_for(TASK_QA2R)))
 
     worst = 0.0
     for name, t in model.named_parameters():
@@ -393,6 +395,34 @@ def test_one_train_epoch_reaches_every_tensor_op(tmp_path, monkeypatch):
     train_set, val_set = _data(n=8)
     train(TrainConfig(epochs=1), train_set, val_set, tmp_path / "run")
     builders = _op_builders()
-    assert {"add", "matmul", "Tensor.reshape", "Tensor.transpose", "Tensor.slice"} <= builders
+    assert {"matmul", "Tensor.reshape", "Tensor.transpose", "Tensor.slice"} <= builders
     assert builders - owners == set()
     assert "task_loss" in owners
+
+
+def test_one_train_epoch_calls_every_layer(tmp_path, monkeypatch):
+    """`layers` holds only layers the program runs: one default training
+    epoch calls each of its public functions other than the `init_*` ones,
+    wherever a vcrnet module holds it."""
+    public = {name: fn for name, fn in vars(L).items()
+              if inspect.isfunction(fn) and fn.__module__ == L.__name__
+              and not name.startswith(("_", "init_"))}
+    assert {"linear", "layer_norm", "feed_forward", "bilstm"} <= set(public)
+    called = set()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, fn in public.items():
+        wrapped = counting(name, fn)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "vcrnet" or mod_name.startswith("vcrnet."):
+                for key, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, key, wrapped)
+    train_set, val_set = _data(n=8)
+    train(TrainConfig(epochs=1), train_set, val_set, tmp_path / "run")
+    assert set(public) - called == set()
