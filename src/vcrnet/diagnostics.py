@@ -192,9 +192,9 @@ def layer_checks(h: float = 1e-5) -> list:
     rng = np.random.default_rng(49)
     emb = Tensor(rng.standard_normal((3, 4)))
     objs = Tensor(rng.standard_normal((2, 5)))
-    tokens = [TaggedToken("a"), TaggedToken("b", 1), TaggedToken("c", 0)]
-    check("align_tags/emb", lambda t: align_tags(tokens, t, objs), emb)
-    check("align_tags/objects", lambda t: align_tags(tokens, emb, t), objs)
+    rows = np.array([-1, 1, 0])  # an untagged token, then tags 1 and 0
+    check("align_tags/emb", lambda t: align_tags(rows, t, objs), emb)
+    check("align_tags/objects", lambda t: align_tags(rows, emb, t), objs)
 
     # pooling, fusion, and the candidate head
     rng = np.random.default_rng(50)

@@ -1,7 +1,9 @@
 """Visual grounding: align object features to text tags, fuse, then guide.
 
-`align_tags` concatenates each token's embedding with the feature of the
-object its tag points at (zeros when untagged); `ground` runs the joint
+`align_tags` concatenates each token's embedding with the object row its
+tag points at. It takes one row index per token, -1 for an untagged token,
+which reads zeros; the model checks each tag against its own task's
+objects before it turns the tag into a row. `ground` runs the joint
 sequences through a BiLSTM whose bidirectional output width equals the
 model width. The queries and candidate responses of a chunk of tasks go
 through one masked recurrence together, so padding never enters it.
@@ -21,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from vcrnet.attention import SUBLAYERS, AttnUnitParams, guided_attention_unit
-from vcrnet.data import DataError
 from vcrnet.layers import BiLstmParams, bilstm
 from vcrnet.tensor import Tensor, ShapeError, concat
 
@@ -60,29 +61,21 @@ class GaFuseParams:
 FUSE_STEPS = tuple((unit, sub) for unit in ("ga_query", "ga_object") for sub in SUBLAYERS)
 
 
-def align_tags(tokens: list, token_emb: Tensor, objects: Tensor) -> Tensor:
-    """Concatenate each token embedding with its tagged object's feature row.
+def align_tags(rows: np.ndarray, token_emb: Tensor, objects: Tensor) -> Tensor:
+    """Concatenate each token embedding with the object feature row it reads.
 
-    Untagged positions get a zero object half. Gradients flow into both the
+    rows[i] is the row of `objects` that token i reads, or -1 for an
+    untagged token, whose object half is zero. Gradients flow into both the
     embeddings and the object features (via a constant selection matrix).
     """
-    m = len(tokens)
+    m, k = len(rows), objects.data.shape[0]
     if token_emb.data.shape[0] != m:
-        raise ShapeError(
-            f"{m} tokens but embedding matrix has {token_emb.data.shape[0]} rows"
-        )
-    k = objects.data.shape[0]
-    select = np.zeros((m, k))
-    for i, tok in enumerate(tokens):
-        if tok.tag is None:
-            continue
-        if not 0 <= tok.tag < k:
-            raise DataError(
-                f"token {i} ({tok.text!r}) tags object {tok.tag} but only {k} objects exist"
-            )
-        select[i, tok.tag] = 1.0
-    object_half = Tensor(select) @ objects
-    return concat([token_emb, object_half], axis=1)
+        raise ShapeError(f"{m} object rows but embedding matrix has {token_emb.data.shape[0]} rows")
+    if np.any((rows < -1) | (rows >= k)):
+        raise ShapeError(f"object rows must lie in [-1, {k}), got {rows.min()}..{rows.max()}")
+    # row -1 picks the identity's last row, which is all zero once its last column is cut
+    select = np.eye(k + 1)[rows, :k]
+    return concat([token_emb, Tensor(select) @ objects], axis=1)
 
 
 def ground(aligned: Tensor, lengths, p: BiLstmParams) -> GroundedSeq:

@@ -47,7 +47,7 @@ import numpy as np
 from vcrnet import tensor as T
 from vcrnet import layers as L
 from vcrnet.attention import AttentionTrace, AttnUnitParams, init_attn_unit
-from vcrnet.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+from vcrnet.checkpoint import CheckpointError, write_checkpoint
 from vcrnet.coattention import CoAttnLayerParams, CoAttnParams, coattend, join, lstm_encode
 from vcrnet.config import TrainConfig
 from vcrnet.data import (
@@ -300,25 +300,27 @@ class VcrModel:
 
     @classmethod
     def from_state(cls, config: TrainConfig, vocab: Vocab, arrays: dict) -> "VcrModel":
-        if "obj_proj.weight" not in arrays:
-            raise CheckpointError("state has no obj_proj.weight to size objects from")
-        shape = arrays["obj_proj.weight"].shape
-        if len(shape) != 2 or shape[0] < 1:
-            raise CheckpointError(
-                f"parameter 'obj_proj.weight' has shape {shape}, expected a matrix "
-                f"with at least one row"
-            )
-        model = cls.build(config, vocab, shape[0], np.random.default_rng(0))
+        """The model whose state `arrays` holds. The config and vocabulary must
+        agree with the architecture its names and shapes imply before anything
+        is built; `heads` cannot be read from a state, so it is trusted."""
+        d_o, d_model = _matrix_shape(arrays, "obj_proj.weight")
+        vocab_size, d_token = _matrix_shape(arrays, "embedding")
+        stacks = {name.split(".", 3)[2] for name in arrays if name.startswith("coattn.q.")}
+        coattn = any(name.startswith("coattn.") for name in arrays)
+        for field, want, got in (
+            ("vocabulary size", len(vocab), vocab_size),
+            ("d_token", config.d_token, d_token),
+            ("d_model", config.d_model, d_model),
+            ("ga", config.ga, any(name.startswith("fuse.") for name in arrays)),
+            ("encoder", config.encoder, "coattention" if coattn else "lstm"),
+            # an lstm encoder has no stacks; the encoder check has settled it
+            ("layers", config.layers, len(stacks) or config.layers),
+        ):
+            if want != got:
+                raise CheckpointError(f"checkpoint has {field} {got!r}, the run declares {want!r}")
+        model = cls.build(config, vocab, d_o, np.random.default_rng(0))
         model.load_state_dict(arrays)
         return model
-
-    @classmethod
-    def load(cls, ckpt_path, config: TrainConfig, vocab: Vocab) -> "VcrModel":
-        arrays = read_checkpoint(ckpt_path)
-        try:
-            return cls.from_state(config, vocab, arrays)
-        except CheckpointError as exc:
-            raise CheckpointError(f"{ckpt_path}: {exc}") from exc
 
     # -- forward -----------------------------------------------------------
 
@@ -332,13 +334,16 @@ class VcrModel:
             )
 
     def _encode(self, seqs: list, objects: Tensor) -> GroundedSeq:
-        """Ground token sequences together as one time-major BiLSTM batch."""
-        steps = max(len(seq) for seq in seqs)
+        """Ground (base, tokens) pairs together as one time-major BiLSTM batch;
+        a tagged token reads row base + tag of `objects` (tags come checked)."""
+        steps = max(len(seq) for _, seq in seqs)
         pad = TaggedToken(PAD_TOKEN)
-        flat = [seq[t] if t < len(seq) else pad for t in range(steps) for seq in seqs]
-        emb = T.embedding_lookup(self.embedding, self.vocab.encode(flat))
-        aligned = align_tags(flat, emb, objects).reshape(steps, len(seqs), -1)
-        return ground(aligned, [len(seq) for seq in seqs], self.ground_lstm)
+        cells = [(base, seq[t] if t < len(seq) else pad)
+                 for t in range(steps) for base, seq in seqs]
+        emb = T.embedding_lookup(self.embedding, self.vocab.encode([tok for _, tok in cells]))
+        rows = np.array([-1 if tok.tag is None else base + tok.tag for base, tok in cells])
+        aligned = align_tags(rows, emb, objects).reshape(steps, len(seqs), -1)
+        return ground(aligned, [len(seq) for _, seq in seqs], self.ground_lstm)
 
     def forward_chunk(
         self, tasks: Sequence[TaskExample], rng: Optional[np.random.Generator] = None
@@ -368,16 +373,20 @@ class VcrModel:
                     f"got {len(ex.responses)}"
                 )
             self.check_object_width(ex.instance_id, ex.objects)
+            for tok in (tok for seq in (ex.query, *ex.responses) for tok in seq):
+                if tok.tag is not None and not 0 <= tok.tag < k_i:
+                    raise DataError(f"{ex.instance_id}: token {tok.text!r} tags object "
+                                    f"{tok.tag} but only {k_i} objects exist")
             objects[i, :k_i] = ex.objects
             object_mask[i, :k_i] = True
             # a tag indexes its own task's k rows of the flattened (n·k, d_o) objects
-            queries.append(_offset_tags(ex, ex.query, i * k, k_i))
-            responses.extend(_offset_tags(ex, resp, i * k, k_i) for resp in ex.responses)
+            queries.append((i * k, ex.query))
+            responses.extend((i * k, resp) for resp in ex.responses)
         grounded = self._encode(queries + responses, Tensor(objects.reshape(n * k, d_o)))
         return EncodeState(
             objects=GroundedSeq(L.linear(Tensor(objects), self.obj_proj), object_mask),
-            grounded_q=grounded.rows(0, n, max(len(seq) for seq in queries)),
-            grounded_r=grounded.rows(n, n + len(responses), max(len(seq) for seq in responses)),
+            grounded_q=grounded.rows(0, n, max(len(seq) for _, seq in queries)),
+            grounded_r=grounded.rows(n, n + len(responses), max(len(seq) for _, seq in responses)),
         )
 
     def _stage_fuse(
@@ -418,20 +427,15 @@ class VcrModel:
         return self.forward_chunk([make_task(inst, kind)]).records()[0]
 
 
-def _offset_tags(ex: TaskExample, seq: list, base: int, k: int) -> list:
-    """`seq` with each tag moved up by `base`; a tag must name one of the k objects."""
-    out = []
-    for tok in seq:
-        if tok.tag is not None:
-            if not 0 <= tok.tag < k:
-                raise DataError(
-                    f"{ex.instance_id}: token {tok.text!r} tags object {tok.tag} "
-                    f"but only {k} objects exist"
-                )
-            if base:
-                tok = TaggedToken(tok.text, tok.tag + base)
-        out.append(tok)
-    return out
+def _matrix_shape(arrays: dict, name: str) -> tuple:
+    """The shape of state entry `name`, which sizes the model: a matrix with rows."""
+    if name not in arrays:
+        raise CheckpointError(f"state has no {name} to size the model from")
+    shape = arrays[name].shape
+    if len(shape) != 2 or shape[0] < 1:
+        raise CheckpointError(f"parameter {name!r} has shape {shape}, "
+                              f"expected a matrix with at least one row")
+    return shape
 
 
 def _name_summary(what: str, names: set, shown: int = 3) -> str:

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from vcrnet import tensor as T
-from vcrnet.checkpoint import write_atomic
+from vcrnet.checkpoint import CheckpointError, read_checkpoint, write_atomic
 from vcrnet.config import TrainConfig
 from vcrnet.data import (
     TASK_Q2A,
@@ -293,9 +293,7 @@ def load_run(ckpt_path) -> tuple:
     ckpt_path = Path(ckpt_path)
     if not ckpt_path.is_file():
         raise FileNotFoundError(f"no checkpoint at {ckpt_path}")
-    run_dir = ckpt_path.parent
-    config_path = run_dir / CONFIG_NAME
-    vocab_path = run_dir / VOCAB_NAME
+    config_path, vocab_path = ckpt_path.parent / CONFIG_NAME, ckpt_path.parent / VOCAB_NAME
     for path in (config_path, vocab_path):
         if not path.is_file():
             raise FileNotFoundError(f"missing sidecar file {path}")
@@ -304,5 +302,8 @@ def load_run(ckpt_path) -> tuple:
         vocab = Vocab.from_json(vocab_path.read_text(encoding="utf-8"))
     except (DataError, UnicodeDecodeError) as exc:
         raise DataError(f"{vocab_path}: {exc}") from exc
-    model = VcrModel.load(ckpt_path, config, vocab)
-    return model, config, vocab
+    arrays = read_checkpoint(ckpt_path)  # its errors name the file already
+    try:
+        return VcrModel.from_state(config, vocab, arrays), config, vocab
+    except CheckpointError as exc:
+        raise CheckpointError(f"{ckpt_path}: {exc}") from exc

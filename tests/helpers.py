@@ -163,7 +163,8 @@ def loop_forward(model, ex):
 
     def encode(tokens):
         emb = T.embedding_lookup(model.embedding, model.vocab.encode(tokens))
-        aligned = align_tags(tokens, emb, objects_t).reshape(len(tokens), 1, -1)
+        rows = np.array([-1 if tok.tag is None else tok.tag for tok in tokens])
+        aligned = align_tags(rows, emb, objects_t).reshape(len(tokens), 1, -1)
         return ground(aligned, [len(tokens)], model.ground_lstm)
 
     def pool_trace(label, alpha):

@@ -456,6 +456,23 @@ def test_eval_reports_malformed_object_projection(trained_run, tmp_path, capsys,
     assert not any("Traceback" in line for line in err)
 
 
+def test_eval_reports_a_config_that_disagrees_with_its_checkpoint(trained_run, tmp_path, capsys):
+    # building 2000 co-attention layers before reading the checkpoint's
+    # names would take seconds and memory; the config is checked first
+    data, ckpt = trained_run
+    run = tmp_path / "run"
+    shutil.copytree(ckpt.parent, run)
+    config = json.loads((run / "config.json").read_text())
+    trained = config["layers"]
+    (run / "config.json").write_text(json.dumps({**config, "layers": 2000}))
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(run / ckpt.name),
+                 "--data", str(data / cli.TRAIN_FILE)]) == 1
+    assert _one_error(capsys) == (
+        f"error: {run / ckpt.name}: checkpoint has layers {trained}, the run declares 2000"
+    )
+
+
 def _one_error(capsys) -> str:
     """The single `error:` line of a failed command that printed no report."""
     captured = capsys.readouterr()

@@ -7,25 +7,14 @@ from helpers import add, np_layer_norm, pad_grounded, zero_unit
 from vcrnet import attention as A
 from vcrnet import grounding as G
 from vcrnet import tensor as T
-from vcrnet.data import DataError, TaggedToken
 from vcrnet.layers import bilstm, init_bilstm
 from vcrnet.tensor import Tensor, ShapeError
-
-
-def toks(*specs):
-    out = []
-    for s in specs:
-        if isinstance(s, tuple):
-            out.append(TaggedToken(s[0], s[1]))
-        else:
-            out.append(TaggedToken(s))
-    return out
 
 
 def test_align_without_tags_zeroes_object_half():
     emb = Tensor(np.ones((3, 2)))
     objects = Tensor(np.full((2, 4), 9.0))
-    aligned = G.align_tags(toks("a", "b", "c"), emb, objects)
+    aligned = G.align_tags(np.array([-1, -1, -1]), emb, objects)
     npt.assert_array_equal(aligned.data[:, 2:], np.zeros((3, 4)))
     npt.assert_array_equal(aligned.data[:, :2], emb.data)
 
@@ -34,7 +23,7 @@ def test_align_copies_tagged_object_row_verbatim():
     rng = np.random.default_rng(0)
     emb = Tensor(rng.standard_normal((3, 2)))
     objects = Tensor(rng.standard_normal((3, 4)))
-    aligned = G.align_tags(toks("the", ("[1]", 1), "runs"), emb, objects)
+    aligned = G.align_tags(np.array([-1, 1, -1]), emb, objects)
     npt.assert_array_equal(aligned.data[1, 2:], objects.data[1])
     npt.assert_array_equal(aligned.data[0, 2:], np.zeros(4))
 
@@ -43,28 +32,29 @@ def test_align_same_object_identical_halves_distinct_objects_differ():
     rng = np.random.default_rng(1)
     emb = Tensor(rng.standard_normal((4, 2)))
     objects = Tensor(rng.standard_normal((2, 3)))
-    aligned = G.align_tags(
-        toks(("[0]", 0), "x", ("[0]", 0), ("[1]", 1)), emb, objects
-    ).data
+    aligned = G.align_tags(np.array([0, -1, 0, 1]), emb, objects).data
     npt.assert_array_equal(aligned[0, 2:], aligned[2, 2:])
     assert not np.array_equal(aligned[0, 2:], aligned[3, 2:])
 
 
-def test_align_out_of_range_tag_names_token_index():
+@pytest.mark.parametrize("rows", [[-1, 2], [-2, 0], [0]],
+                         ids=["past-k", "below-minus-one", "count"])
+def test_align_rejects_rows_that_break_the_contract(rows):
+    # the model checks tags against their task's objects before they become
+    # rows, so a row out of range or a row count off is a bug, not bad data
     emb = Tensor(np.zeros((2, 2)))
     objects = Tensor(np.zeros((2, 3)))
-    with pytest.raises(DataError) as err:
-        G.align_tags(toks("ok", ("[5]", 5)), emb, objects)
-    assert "token 1" in str(err.value)
+    with pytest.raises(ShapeError):
+        G.align_tags(np.array(rows), emb, objects)
 
 
 def test_align_grad_check_both_inputs():
     rng = np.random.default_rng(2)
-    tokens = toks(("[0]", 0), "w", ("[2]", 2))
+    rows = np.array([0, -1, 2])
     emb = Tensor(rng.standard_normal((3, 2)))
     objects = Tensor(rng.standard_normal((3, 3)))
-    assert T.grad_check(lambda t: G.align_tags(tokens, t, objects), emb) < 1e-7
-    assert T.grad_check(lambda t: G.align_tags(tokens, emb, t), objects) < 1e-7
+    assert T.grad_check(lambda t: G.align_tags(rows, t, objects), emb) < 1e-7
+    assert T.grad_check(lambda t: G.align_tags(rows, emb, t), objects) < 1e-7
 
 
 def test_ground_delegates_to_bilstm():
@@ -214,14 +204,14 @@ def test_grounding_end_to_end_grad_check():
     rng = np.random.default_rng(11)
     lstm = init_bilstm(rng, 5, 2)
     fuse = _fuse_params(rng, 4)
-    tokens = toks(("[0]", 0), "sees", ("[1]", 1))
+    rows = np.array([0, -1, 1])
     emb = Tensor(rng.standard_normal((3, 2)))
     obj_feats = Tensor(rng.standard_normal((2, 3)))
     obj_proj = Tensor(rng.standard_normal((3, 4)))
 
     def pipeline(objects):
-        aligned = G.align_tags(tokens, emb, objects).reshape(3, 1, 5)
-        gq = G.ground(aligned, [len(tokens)], lstm)
+        aligned = G.align_tags(rows, emb, objects).reshape(3, 1, 5)
+        gq = G.ground(aligned, [len(rows)], lstm)
         scaled = add(gq.positions @ Tensor(0.5 * np.eye(4)), Tensor(np.full((1, 3, 4), 0.1)))
         gr = G.GroundedSeq(scaled, np.ones((1, 3), dtype=bool))
         guide = G.GroundedSeq((objects @ obj_proj).reshape(1, 2, 4), np.ones((1, 2), dtype=bool))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from helpers import add, loop_forward, padded_positions
 
 from vcrnet.attention import AttentionTrace
-from vcrnet.checkpoint import CheckpointError, write_checkpoint
+from vcrnet.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from vcrnet.config import TrainConfig
 from vcrnet.data import (
     TASK_Q2A,
@@ -29,7 +31,14 @@ from vcrnet.model import (
     trace_labels,
 )
 from vcrnet.tensor import ShapeError, Tape, Tensor
-from vcrnet.training import predict_all, task_loss
+from vcrnet.training import (
+    CHECKPOINT_NAME,
+    CONFIG_NAME,
+    VOCAB_NAME,
+    load_run,
+    predict_all,
+    task_loss,
+)
 
 
 def _config(**kw):
@@ -149,6 +158,22 @@ def test_wrong_candidate_count_rejected():
         _logits(model, ex)
 
 
+@pytest.mark.parametrize("objects,tag", [(2, 2), (1, 1), (2, -1)],
+                         ids=["next-task", "padding", "negative"])
+def test_forward_checks_each_tag_against_its_own_tasks_objects(objects, tag):
+    # the chunk flattens its tasks' objects into one (n·k) block, so a tag
+    # past its own task's objects would read the next task's first object
+    # or its own padding there, with no error from the rows it becomes
+    inst = probe_instance()
+    model = probe_model(inst)
+    answers = [list(a) for a in inst.answers]
+    answers[1][1] = TaggedToken("c", tag)
+    bad = TaskExample("bad-0", TASK_Q2A, inst.question, answers, 1, inst.objects[:objects])
+    with pytest.raises(DataError) as err:
+        model.forward_chunk([bad, make_task(inst, TASK_Q2A)])
+    assert str(err.value) == f"bad-0: token 'c' tags object {tag} but only {objects} objects exist"
+
+
 def _randomize_head(model):
     # fresh heads are zero on purpose; give them values so logits differ
     rng = np.random.default_rng(99)
@@ -213,7 +238,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     path = tmp_path / "model.canckpt"
     model.save(path)
 
-    again = VcrModel.load(path, model.config, model.vocab)
+    again = VcrModel.from_state(model.config, model.vocab, read_checkpoint(path))
     for (name_a, t_a), (name_b, t_b) in zip(model.named_parameters(),
                                             again.named_parameters()):
         assert name_a == name_b
@@ -242,15 +267,46 @@ def test_load_rejects_mismatched_state():
         VcrModel.from_state(model.config, model.vocab, missing)
 
 
+@pytest.mark.parametrize("field,change", [
+    ("layers", {"layers": 2000}),
+    ("d_model", {"d_model": 12}),
+    ("d_token", {"d_token": 6}),
+    ("ga", {"ga": False}),
+    ("encoder", {"encoder": "lstm"}),
+    ("vocabulary size", {}),
+])
+def test_from_state_checks_the_architecture_before_it_builds(monkeypatch, field, change):
+    # a run's config and vocabulary must agree with what the checkpoint's
+    # names and shapes imply; a mismatch must fail before the model the
+    # config declares is allocated
+    model = probe_model()
+    config = dataclasses.replace(model.config, **change)
+    vocab = model.vocab if change else Vocab(model.vocab.tokens() + ["extra"])
+    have = {**dataclasses.asdict(model.config), "vocabulary size": len(model.vocab)}
+    want = {**dataclasses.asdict(config), "vocabulary size": len(vocab)}
+
+    def refuse(*args):
+        raise AssertionError("VcrModel.build ran on a mismatched config")
+
+    monkeypatch.setattr(VcrModel, "build", refuse)
+    with pytest.raises(CheckpointError) as err:
+        VcrModel.from_state(config, vocab, model.state_dict())
+    assert str(err.value) == (
+        f"checkpoint has {field} {have[field]!r}, the run declares {want[field]!r}"
+    )
+
+
 def test_load_error_names_file_and_bounds_name_list(tmp_path):
     inst = probe_instance()
     model = _model(inst)
+    (tmp_path / CONFIG_NAME).write_text(model.config.to_json(), encoding="utf-8")
+    (tmp_path / VOCAB_NAME).write_text(model.vocab.to_json(), encoding="utf-8")
     state = model.state_dict()
     state.update({f"stale.{i:02d}.weight": np.zeros(2) for i in range(40)})
-    path = tmp_path / "model.canckpt"
+    path = tmp_path / CHECKPOINT_NAME
     write_checkpoint(path, state)
     with pytest.raises(CheckpointError) as err:
-        VcrModel.load(path, model.config, model.vocab)
+        load_run(path)
     msg = str(err.value)
     assert msg.startswith(f"{path}: ")
     assert "40 unexpected parameters" in msg

@@ -99,7 +99,7 @@ def test_parameters_are_views_into_the_flat_buffer(tmp_path):
     assert_flat_aliasing(probe_model())
     result = train(_quick_config(epochs=1), tr, va, tmp_path)
     assert_flat_aliasing(result.model)
-    loaded = VcrModel.load(tmp_path / CHECKPOINT_NAME, result.model.config, result.vocab)
+    loaded, _, _ = load_run(tmp_path / CHECKPOINT_NAME)
     assert_flat_aliasing(loaded)
     npt.assert_array_equal(loaded.flat, result.model.flat)
 
