@@ -8,11 +8,12 @@ generator to draw from.
 
 A unit is four sublayers run in order (`SUBLAYERS`): the multi-head
 attention, the first residual LayerNorm, the feed-forward and the second
-residual LayerNorm. They are steps over a (residual, branch) state, and a
-unit can run a trailing slice of them, or one alone, from the state before
-it; the whole unit is the same loop over all four. The gradient sweep
-restarts a perturbation at the one sublayer that reads the parameter this
-way.
+residual LayerNorm. They are steps over a (residual, branch) state:
+`BRANCHING` sublayers leave a pending branch, and a LayerNorm folds it in.
+Guided fusion and each co-attention stack are chains of units. `run_chain`
+runs a chain's (unit, sublayer) steps, or a trailing slice of them from
+the state before it, or one alone, so the gradient sweep can restart a
+perturbation at the one sublayer that reads the parameter.
 
 Masking is additive: padded key positions get a -1e9 score before softmax,
 which underflows to an exactly-zero weight. No positional encodings here;
@@ -41,6 +42,8 @@ _MASK_SCORE = -1e9
 
 # a unit's sublayers in order, each named by its field of AttnUnitParams
 SUBLAYERS = ("mha", "ln1", "ffn", "ln2")
+# the sublayers that compute a branch, which the next sublayer folds in
+BRANCHING = ("mha", "ffn")
 
 
 @dataclass
@@ -240,10 +243,9 @@ def guided_attention_unit(
     starts as (x, None): `mha` and `ffn` compute a branch from the
     residual, and `ln1` and `ln2` fold it in, LN(residual + branch).
     `sublayers` runs only a trailing slice of them, or one sublayer alone,
-    from the state (x, branch) before its first, so a gradient sweep can
-    restart at the sublayer a parameter feeds. Returns (the output of the
-    last sublayer run, the trace): the unit's output for a trailing slice,
-    and the trace is None if the slice skips `mha`.
+    from the state (x, branch) before its first (see `run_chain`). Returns
+    (the output of the last sublayer run, the trace): the unit's output for
+    a trailing slice, and the trace is None if the slice skips `mha`.
     """
     trace = None
     for sub in sublayers:
@@ -254,3 +256,33 @@ def guided_attention_unit(
         else:
             x, branch = layer_norm(x, getattr(p, sub), branch), None
     return (x if branch is None else branch), trace
+
+
+def chain_steps(chain: Sequence[tuple]) -> tuple:
+    """A chain's (unit name, sublayer) steps in order: every sublayer of its
+    first unit, then of the next."""
+    return tuple((name, sub) for name, *_ in chain for sub in SUBLAYERS)
+
+
+def run_chain(x: Tensor, chain: Sequence[tuple], steps: Optional[Sequence[tuple]] = None,
+              rng: Optional[np.random.Generator] = None, branch: Optional[Tensor] = None) -> tuple:
+    """Run a chain of attention units on x, each unit on the one before's output.
+
+    A chain is a list of (name, params, guide, mask, label) entries: unit
+    `name` attends over `guide` under its key `mask`, or over its own input
+    if `guide` is None, and records its trace as `label`. `steps` runs only
+    a trailing slice of `chain_steps(chain)`, or one step alone, from the
+    state (x, branch) before its first; the branch is the first unit's.
+    Returns (the output of the last step run, one trace per attention run).
+    """
+    traces = []
+    for name, p, guide, mask, label in chain:
+        sublayers = SUBLAYERS if steps is None else [sub for at, sub in steps if at == name]
+        if not sublayers:
+            continue
+        x, trace = guided_attention_unit(x, x if guide is None else guide, p, mask, rng, label,
+                                         sublayers, branch)
+        branch = None
+        if trace is not None:
+            traces.append(trace)
+    return x, traces

@@ -3,9 +3,10 @@
 The fused query and response are concatenated along the sequence axis into
 a joint sequence X. Two stacks then run in lockstep: one refines the query
 against X, the other refines the response against X, each layer being a
-self-attention unit followed by a unit guided by X. X stays fixed at the
-initial join through every layer. An alternative encoder replaces both
-stacks with a single BiLSTM over X, used as an ablation baseline.
+self-attention unit followed by a unit guided by X; `side_chain` declares
+a stack as one chain of units. X stays fixed at the initial join through
+every layer. An alternative encoder replaces both stacks with a single
+BiLSTM over X, used as an ablation baseline.
 
 Everything here runs on a batch: the candidates of a chunk of tasks as
 (B, m, d) sequences with a (B, m) mask, each paired row by row with its own
@@ -17,11 +18,11 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from vcrnet.attention import SUBLAYERS, AttnUnitParams, guided_attention_unit
+from vcrnet.attention import AttnUnitParams, run_chain
 from vcrnet.grounding import GroundedSeq
 from vcrnet.layers import BiLstmParams, bilstm
 from vcrnet.tensor import Tensor, ShapeError, concat
@@ -68,44 +69,15 @@ class CoAttnParams:
     r: list
 
 
-UNITS = ("sa", "ga")
-# a layer's steps in order: every sublayer of its `sa` unit, then of its `ga` unit
-LAYER_STEPS = tuple((unit, sub) for unit in UNITS for sub in SUBLAYERS)
-
-
-def coattend_layer(
-    y: Tensor,
-    mask: np.ndarray,
-    joint: JointSeq,
-    layer: CoAttnLayerParams,
-    side: str,
-    idx: int,
-    steps: Sequence[tuple] = LAYER_STEPS,
-    rng: Optional[np.random.Generator] = None,
-    branch: Optional[Tensor] = None,
-) -> tuple:
-    """Layer `idx` of the `side` stack on y: the `sa` unit attends over y
-    itself under its `mask`, then the `ga` unit over the joint X.
-
-    `steps` runs only a trailing slice of the layer's (unit, sublayer)
-    steps, or one step alone, from the state (y, branch) before it (see
-    `attention.guided_attention_unit`), so a gradient sweep can restart at
-    the sublayer a parameter feeds. Returns (the output of the last step
-    run, one trace per attention run).
-    """
-    traces = []
-    for unit in UNITS:
-        sublayers = [sub for at, sub in steps if at == unit]
-        if not sublayers:
-            continue
-        guide, guide_mask = (y, mask) if unit == "sa" else (joint.positions, joint.mask)
-        y, trace = guided_attention_unit(y, guide, getattr(layer, unit), mask=guide_mask,
-                                         rng=rng, label=f"coattn.{side}.{unit}.{idx}",
-                                         sublayers=sublayers, branch=branch)
-        branch = None
-        if trace is not None:
-            traces.append(trace)
-    return y, traces
+def side_chain(p: CoAttnParams, side: str, mask: np.ndarray, joint: JointSeq) -> list:
+    """The `side` stack as one chain of units (see `attention.run_chain`):
+    per layer idx, unit '<idx>.sa' attends over the side's own sequence
+    under its `mask`, then '<idx>.ga' over the joint X."""
+    chain = []
+    for idx, layer in enumerate(getattr(p, side)):
+        chain += [(f"{idx}.sa", layer.sa, None, mask, f"coattn.{side}.sa.{idx}"),
+                  (f"{idx}.ga", layer.ga, joint.positions, joint.mask, f"coattn.{side}.ga.{idx}")]
+    return chain
 
 
 def coattend(
@@ -116,15 +88,15 @@ def coattend(
     rng: Optional[np.random.Generator] = None,
 ) -> tuple:
     """Run both co-attention stacks against the fixed joint X; returns (Z_q, Z_r, traces)."""
-    depth = len(p.q)
-    if depth != len(p.r) or depth < 1:
+    if len(p.q) != len(p.r) or not p.q:
         raise ShapeError("both co-attention stacks need the same depth >= 1")
-    traces = []
-    y_q, y_r = fused_q.positions, fused_r.positions
-    # layer by layer, query side first: the order of the dropout draws
-    for idx in range(depth):
-        y_q, more_q = coattend_layer(y_q, fused_q.mask, joint, p.q[idx], "q", idx, rng=rng)
-        y_r, more_r = coattend_layer(y_r, fused_r.mask, joint, p.r[idx], "r", idx, rng=rng)
+    q_chain = side_chain(p, "q", fused_q.mask, joint)
+    r_chain = side_chain(p, "r", fused_r.mask, joint)
+    y_q, y_r, traces = fused_q.positions, fused_r.positions, []
+    # a layer's two units at a time, query side first: the order of the dropout draws
+    for at in range(0, len(q_chain), 2):
+        y_q, more_q = run_chain(y_q, q_chain[at:at + 2], rng=rng)
+        y_r, more_r = run_chain(y_r, r_chain[at:at + 2], rng=rng)
         traces += more_q + more_r
     return y_q, y_r, traces
 

@@ -7,17 +7,19 @@ complete model against central differences of the real training loss.
 The end-to-end sweep reruns only what a perturbed parameter reaches, split
 at its restart point (`restart_points`) in two. The part reads the
 parameter, on the unperturbed state before it. For a parameter of an
-attention unit (guided fusion or co-attention), it is the one sublayer of
-that unit that reads the parameter: the multi-head attention, a residual
-LayerNorm or the feed-forward, run alone on the unit's (residual, branch)
-state through `grounding.guided_fuse` or `coattention.coattend_layer`. For
-any other parameter, it is the `_stage_*` step of the stage the parameter
-feeds (`model.stage_of`). The rest reads none of the part's parameters:
-the rest of the unit, the later units and stages, then the head. It runs
-once per block of BLOCK coordinates, after each perturbation is undone:
-the 2·BLOCK states of the block's +h / -h passes, laid end to end along the
-batch axis, are one chunk of as many copies of the probe task, and the rest
-of the forward gives one loss per copy. The rows of one task never meet
+attention unit, it is the one sublayer of that unit that reads the
+parameter: the multi-head attention, a residual LayerNorm or the
+feed-forward, run alone as one step of the unit's chain from the
+unperturbed (residual, branch) state. Guided fusion is one chain, run
+through `grounding.guided_fuse`; each co-attention side's stack is one
+chain, run through `attention.run_chain`. For any other parameter, it is
+the `_stage_*` step of the stage the parameter feeds (`model.stage_of`).
+The rest reads none of the part's parameters: the later steps of the
+chain, the later stages, then the head. It runs once per block of BLOCK
+coordinates, after each perturbation is undone: the 2·BLOCK states of the
+block's +h / -h passes, laid end to end along the batch axis, are one
+chunk of as many copies of the probe task, and the rest of the forward
+gives one loss per copy. The rows of one task never meet
 another task's, so each copy's loss is that of its state run alone. Head
 parameters are read by every rest, so each of their passes runs the head
 alone.
@@ -40,11 +42,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from vcrnet import layers as L
-from vcrnet.attention import guided_attention_unit, init_attn_unit, sdpa
-from vcrnet.coattention import LAYER_STEPS, coattend_layer, join
+from vcrnet.attention import (BRANCHING, chain_steps, guided_attention_unit, init_attn_unit,
+                              run_chain, sdpa)
+from vcrnet.coattention import join, side_chain
 from vcrnet.config import TrainConfig
 from vcrnet.data import TASK_Q2A, TaggedToken, VcrInstance, Vocab, make_task
-from vcrnet.grounding import FUSE_STEPS, align_tags, guided_fuse
+from vcrnet.grounding import align_tags, fuse_chain, guided_fuse
 from vcrnet.model import CANDIDATES, EncodedState, FusedState, VcrModel, stage_of
 from vcrnet.reduction import candidate_logit, fuse, init_reduction, reduce
 from vcrnet.tensor import Tensor, Tape, grad_check, repeat
@@ -451,80 +454,71 @@ def _stacked(states: list):
                              for f in fields(first)})
 
 
-def _step_restarts(points: dict, prefix: str, steps: tuple, run, rest, state: tuple) -> tuple:
+def _step_restarts(points: dict, prefix: str, steps: tuple, state: tuple, run, base,
+                   finish) -> None:
     """Add '<prefix>.<unit>.<sublayer>' -> (part, rest) to `points` for each
-    (unit, sublayer) step of an attention-unit chain; returns the chain's
-    unperturbed (residual, branch) state after its last step.
+    (unit, sublayer) step of an attention-unit chain that reads `base`, an
+    unperturbed state.
 
-    `run(steps, residual, branch)` runs a slice of the steps on one copy
-    from that state and returns the output of the last. A part runs its one
-    step on the unperturbed state before it, `state` before the first, and
-    returns the state after it. `rest(later_steps, states)` finishes the
-    forward from the stacked states.
+    `run(copies, steps, residual, branch)` runs a slice of the steps from
+    that state on `copies`, `base` or a stack of copies of it, and returns
+    the output of the last. A part runs its one step on `base` from the
+    unperturbed state before it (`state` before the first) and returns the
+    state after it. A rest runs the later steps on one copy of `base` per
+    state, and `finish(copies, output)` returns their losses.
     """
+
+    def rest(later, states):
+        copies = _stacked([base] * len(states))
+        return finish(copies, run(copies, later, *_stacked(states)))
+
     for at, (unit, sub) in enumerate(steps):
-        part = functools.partial(_step_part, run, steps[at], state)
+        part = functools.partial(_step_part, run, base, steps[at], state)
         points[f"{prefix}.{unit}.{sub}"] = (part, functools.partial(rest, steps[at + 1:]))
         state = part()
-    return state
 
 
-def _step_part(run, step: tuple, state: tuple) -> tuple:
-    residual, branch = state
-    out = run((step,), residual, branch)
-    # attention and feed-forward compute a branch; a LayerNorm folds it in
-    return (residual, out) if step[1] in ("mha", "ffn") else (out, None)
+def _step_part(run, base, step: tuple, state: tuple) -> tuple:
+    out = run(base, (step,), *state)
+    return (state[0], out) if step[1] in BRANCHING else (out, None)
 
 
 def _fuse_restarts(points: dict, model: VcrModel, s1, losses) -> None:
-    """The guided-fusion sublayer restarts. A part runs its step through
-    `guided_fuse` on the unperturbed encode state; its rest runs the later
-    steps on stacked copies of that state, then the joint stage."""
+    """The guided-fusion sublayer restarts, each step run through
+    `guided_fuse` on the encode state; a rest ends with the joint stage."""
 
-    def run(state, steps, residual, branch):
-        r = replace(state.grounded_r, positions=residual)
-        return guided_fuse(state.grounded_q, r, state.objects, model.ga_fuse,
-                           steps=steps, branch=branch)[0]
+    def run(copies, steps, residual, branch):
+        r = replace(copies.grounded_r, positions=residual)
+        return guided_fuse(copies.grounded_q, r, copies.objects, model.ga_fuse,
+                           steps=steps, branch=branch)[0].positions
 
-    def rest(steps, states):
-        copies = _stacked([s1] * len(states))
-        fr = run(copies, steps, *_stacked(states))
-        return losses(model._stage_joint(FusedState(copies.grounded_q, fr, [])))
+    def finish(copies, fr):
+        r = replace(copies.grounded_r, positions=fr)
+        return losses(model._stage_joint(FusedState(copies.grounded_q, r, [])))
 
-    _step_restarts(points, "fuse", FUSE_STEPS,
-                   lambda *args: run(s1, *args).positions, rest,
-                   (s1.grounded_r.positions, None))
+    steps = chain_steps(fuse_chain(s1.grounded_q, s1.objects, model.ga_fuse))
+    _step_restarts(points, "fuse", steps, (s1.grounded_r.positions, None), run, s1, finish)
 
 
 def _coattn_restarts(points: dict, model: VcrModel, encoded: EncodedState, losses) -> None:
-    """The co-attention sublayer restarts. A part runs its step through
-    `coattend_layer` on the unperturbed input of its layer's steps. Its
-    rest runs the remainder of that side's stack on the stacked states, and
-    scores the head with the other side's unperturbed output, stacked
-    alike."""
+    """The co-attention sublayer restarts, a side's stack one chain; a rest
+    scores the head with the other side's unperturbed output."""
     joint = join(encoded.fq, encoded.fr)
-
-    def run(seq, layer, side, idx, steps, y, branch):
-        return coattend_layer(y, seq.mask, joint, layer, side, idx, steps, branch=branch)[0]
-
-    def rest(side, idx, steps, states):
-        copies = _stacked([encoded] * len(states))
-        mask = getattr(copies, f"f{side}").mask
-        joints = join(copies.fq, copies.fr)
-        stack = getattr(model.coattn, side)
-        y, branch = _stacked(states)
-        y, _ = coattend_layer(y, mask, joints, stack[idx], side, idx, steps, branch=branch)
-        for later in range(idx + 1, len(stack)):
-            y, _ = coattend_layer(y, mask, joints, stack[later], side, later)
-        return losses(replace(copies, **{f"z_{side}": y}))
-
     for side in ("q", "r"):
         seq = getattr(encoded, f"f{side}")
-        state = (seq.positions, None)
-        for idx, layer in enumerate(getattr(model.coattn, side)):
-            state = _step_restarts(points, f"coattn.{side}.{idx}", LAYER_STEPS,
-                                   functools.partial(run, seq, layer, side, idx),
-                                   functools.partial(rest, side, idx), state)
+        one = side_chain(model.coattn, side, seq.mask, joint)
+
+        def run(copies, steps, y, branch, side=side, one=one):
+            # the unperturbed state's chain, and its join, are built once
+            chain = one if copies is encoded else side_chain(
+                model.coattn, side, getattr(copies, f"f{side}").mask, join(copies.fq, copies.fr))
+            return run_chain(y, chain, steps, branch=branch)[0]
+
+        def finish(copies, y, side=side):
+            return losses(replace(copies, **{f"z_{side}": y}))
+
+        _step_restarts(points, f"coattn.{side}", chain_steps(one), (seq.positions, None),
+                       run, encoded, finish)
 
 
 def run_all(h: float = 1e-5) -> list:

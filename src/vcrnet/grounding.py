@@ -7,12 +7,12 @@ objects before it turns the tag into a row. `ground` runs the joint
 sequences through a BiLSTM whose bidirectional output width equals the
 model width. The queries and candidate responses of a chunk of tasks go
 through one masked recurrence together, so padding never enters it.
-`guided_fuse` then refines the batch of responses: one guided-attention
-unit reads each task's grounded query, then a second reads that task's
-object features. A task's candidates sit side by side in one row of those
-units, so a candidate attends over its own task's query and objects only.
-Sequences here are numbers and masks only; the tokens that label them are
-attached at export (see `model.trace_labels`).
+`guided_fuse` then refines the batch of responses with the chain of units
+`fuse_chain`: one unit reads each task's grounded query, then a second
+reads that task's object features. A task's candidates sit side by side in
+one row of those units, so a candidate attends over its own task's query
+and objects only. Sequences here are numbers and masks only; the tokens
+that label them are attached at export (see `model.trace_labels`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from vcrnet.attention import SUBLAYERS, AttnUnitParams, guided_attention_unit
+from vcrnet.attention import AttnUnitParams, run_chain
 from vcrnet.layers import BiLstmParams, bilstm
 from vcrnet.tensor import Tensor, ShapeError, concat
 
@@ -56,9 +56,11 @@ class GaFuseParams:
     ga_object: AttnUnitParams
 
 
-# the fusion's steps in order: every sublayer of the query-guided unit,
-# then of the object-guided unit
-FUSE_STEPS = tuple((unit, sub) for unit in ("ga_query", "ga_object") for sub in SUBLAYERS)
+def fuse_chain(grounded_q: GroundedSeq, objects: GroundedSeq, p: GaFuseParams) -> list:
+    """The fusion's chain (see `attention.run_chain`): `ga_query` over the
+    grounded query, then `ga_object` over the objects."""
+    return [("ga_query", p.ga_query, grounded_q.positions, grounded_q.mask, "ga.r_from_q"),
+            ("ga_object", p.ga_object, objects.positions, objects.mask, "ga.r_from_obj")]
 
 
 def align_tags(rows: np.ndarray, token_emb: Tensor, objects: Tensor) -> Tensor:
@@ -102,7 +104,7 @@ def guided_fuse(
     objects: GroundedSeq,
     p: GaFuseParams,
     rng: Optional[np.random.Generator] = None,
-    steps: Sequence[tuple] = FUSE_STEPS,
+    steps: Optional[Sequence[tuple]] = None,
     branch: Optional[Tensor] = None,
 ) -> tuple:
     """Refine the responses under query guidance, then under object guidance.
@@ -115,12 +117,12 @@ def guided_fuse(
     candidate, (n·count, heads, w, m_q) and (n·count, heads, w, k). Returns
     (fused responses, traces); the query is not changed here.
 
-    `steps` runs only a trailing slice of the (unit, sublayer) steps, or
-    one step alone, so a gradient sweep can restart at the sublayer a
-    parameter feeds: `grounded_r` then holds the residual before the first
-    step and `branch` its pending branch, in grounded_r's layout (see
-    `attention.guided_attention_unit`), and the result holds the output of
-    the last step run.
+    `steps` runs only a trailing slice of `fuse_chain`'s (unit, sublayer)
+    steps, or one step alone, so a gradient sweep can restart at the
+    sublayer a parameter feeds: `grounded_r` then holds the residual before
+    the first step and `branch` its pending branch, in grounded_r's layout
+    (see `attention.run_chain`), and the result holds the output of the
+    last step run.
     """
     n = grounded_q.mask.shape[0]
     rows, w = grounded_r.mask.shape
@@ -134,18 +136,7 @@ def guided_fuse(
     r_pos = grounded_r.positions.reshape(n, count * w, d)
     if branch is not None:
         branch = branch.reshape(n, count * w, d)
-    traces = []
-    for unit, guide, label in (("ga_query", grounded_q, "ga.r_from_q"),
-                               ("ga_object", objects, "ga.r_from_obj")):
-        sublayers = [sub for at, sub in steps if at == unit]
-        if not sublayers:
-            continue
-        r_pos, trace = guided_attention_unit(
-            r_pos, guide.positions, getattr(p, unit), mask=guide.mask, rng=rng,
-            label=label, sublayers=sublayers, branch=branch,
-        )
-        branch = None
-        if trace is not None:
-            trace.heads = _per_candidate(trace.heads, count)
-            traces.append(trace)
+    r_pos, traces = run_chain(r_pos, fuse_chain(grounded_q, objects, p), steps, rng, branch)
+    for trace in traces:
+        trace.heads = _per_candidate(trace.heads, count)
     return GroundedSeq(r_pos.reshape(rows, w, d), grounded_r.mask), traces

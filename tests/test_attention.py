@@ -387,39 +387,54 @@ def test_guided_unit_batch_matches_row_by_row_units():
         npt.assert_allclose(one.heads, row_trace.heads[0], rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("cuts", [(1,), (1, 2), (1, 2, 3)],
-                         ids=["mha|rest", "mha|ln1|rest", "each"])
-@pytest.mark.parametrize("unit", ["sa", "ga"])
-def test_unit_sublayer_slices_compose_to_the_whole_unit(unit, cuts):
-    # a gradient sweep runs a unit's sublayers one at a time up to a
-    # restart, then the trailing slice after it, each from the (residual,
-    # branch) state the one before left: that must be exactly the whole
-    # unit, dropout draws and trace too
-    rng = np.random.default_rng(31)
-    p = A.init_attn_unit(rng, 8, 2, 16, p_drop=0.25)
-    x = Tensor(rng.standard_normal((2, 3, 8)))
-    if unit == "sa":
-        guide, mask = x, np.array([[True, True, False], [True, True, True]])
-    else:
-        guide, mask = Tensor(rng.standard_normal((2, 5, 8))), np.arange(5) < np.array([[5], [2]])
-    whole_rng = np.random.default_rng(7)
-    whole, whole_trace = A.guided_attention_unit(x, guide, p, mask, whole_rng, unit)
-    assert not np.array_equal(whole.data, A.guided_attention_unit(x, guide, p, mask)[0].data)
+# a chain of a self-attention unit, a guided unit and a second
+# self-attention unit, cut after `cut` of its 12 (unit, sublayer) steps:
+# "sa-*" cuts inside the first unit, "ga-*" inside the second, "sa2-*"
+# inside the third, and "boundary-*" between two units
+CUTS = {"sa-mha|rest": 1, "sa-mha|ln1|rest": 2, "sa-each": 3, "boundary-sa|ga": 4,
+        "ga-mha|rest": 5, "ga-mha|ln1|rest": 6, "ga-each": 7, "boundary-ga|sa2": 8,
+        "sa2-mha|ln1|rest": 10}
 
+
+@pytest.mark.parametrize("cut", list(CUTS.values()), ids=list(CUTS))
+def test_unit_sublayer_slices_compose_to_the_whole_unit(cut):
+    # a gradient sweep runs a chain's steps one at a time up to a restart,
+    # then the trailing slice after it, each from the (residual, branch)
+    # state the one before left: that must be exactly the whole chain,
+    # dropout draws and traces too. A self-attention unit attends over its
+    # own input, not over the chain's
+    rng = np.random.default_rng(31)
+    units = [A.init_attn_unit(rng, 8, 2, 16, p_drop=0.25) for _ in range(3)]
+    x = Tensor(rng.standard_normal((2, 3, 8)))
+    mask = np.array([[True, True, False], [True, True, True]])
+    guide, gmask = Tensor(rng.standard_normal((2, 5, 8))), np.arange(5) < np.array([[5], [2]])
+    chain = [("sa", units[0], None, mask, "sa.0"), ("ga", units[1], guide, gmask, "ga.0"),
+             ("sa2", units[2], None, mask, "sa.1")]
+
+    whole_rng = np.random.default_rng(7)
+    y, first = A.guided_attention_unit(x, x, units[0], mask, whole_rng, "sa.0")
+    y, second = A.guided_attention_unit(y, guide, units[1], gmask, whole_rng, "ga.0")
+    whole, third = A.guided_attention_unit(y, y, units[2], mask, whole_rng, "sa.1")
+    whole_traces = [first, second, third]
+    chained, chained_traces = A.run_chain(x, chain, rng=np.random.default_rng(7))
+    npt.assert_array_equal(chained.data, whole.data)
+    assert [t.unit for t in chained_traces] == ["sa.0", "ga.0", "sa.1"]
+    assert not np.array_equal(whole.data, A.run_chain(x, chain)[0].data)
+
+    steps = A.chain_steps(chain)
+    assert len(steps) == 12 and steps[4] == ("ga", "mha")
     sliced_rng = np.random.default_rng(7)
     residual, branch, traces = x, None, []
-    bounds = (0, *cuts, len(A.SUBLAYERS))
-    for lo, hi in zip(bounds, bounds[1:]):
-        out, trace = A.guided_attention_unit(residual, guide, p, mask, sliced_rng, unit,
-                                             A.SUBLAYERS[lo:hi], branch)
-        if A.SUBLAYERS[hi - 1] in ("mha", "ffn"):
-            branch = out
-        else:
-            residual, branch = out, None
-        traces += [trace] if trace is not None else []
-    npt.assert_array_equal(residual.data, whole.data)
-    assert [t.unit for t in traces] == [whole_trace.unit]
-    npt.assert_array_equal(traces[0].heads, whole_trace.heads)
+    for step in steps[:cut]:
+        out, more = A.run_chain(residual, chain, (step,), sliced_rng, branch)
+        residual, branch = (residual, out) if step[1] in A.BRANCHING else (out, None)
+        traces += more
+    out, more = A.run_chain(residual, chain, steps[cut:], sliced_rng, branch)
+    traces += more
+    npt.assert_array_equal(out.data, whole.data)
+    assert [t.unit for t in traces] == [t.unit for t in whole_traces]
+    for got, want in zip(traces, whole_traces):
+        npt.assert_array_equal(got.heads, want.heads)
     assert sliced_rng.bit_generator.state == whole_rng.bit_generator.state
 
 

@@ -21,10 +21,10 @@ def _seq(rng, texts, d=4, mask=None):
     )
 
 
-def _params(rng, depth, d=4, h=2, d_ff=8):
+def _params(rng, depth, d=4, h=2, d_ff=8, p_drop=0.0):
     def stack():
-        return [C.CoAttnLayerParams(sa=A.init_attn_unit(rng, d, h, d_ff),
-                                    ga=A.init_attn_unit(rng, d, h, d_ff))
+        return [C.CoAttnLayerParams(sa=A.init_attn_unit(rng, d, h, d_ff, p_drop),
+                                    ga=A.init_attn_unit(rng, d, h, d_ff, p_drop))
                 for _ in range(depth)]
 
     return C.CoAttnParams(q=stack(), r=stack())
@@ -65,6 +65,39 @@ def test_coattend_output_shapes():
     assert len(traces) == 8
     assert traces[0].unit == "coattn.q.sa.0"
     assert traces[1].unit == "coattn.q.ga.0"
+
+
+def test_coattend_draws_dropout_layer_by_layer_query_side_first():
+    # one generator draws every unit's dropout mask: per layer the query
+    # side's sa then ga unit, then the response side's. Running a side's
+    # whole stack before the other's would draw other masks from one seed
+    rng = np.random.default_rng(13)
+    q = _seq(rng, ["a", "b", "c"])
+    r = _seq(rng, ["d", "e", "<pad>"], mask=[True, True, False])
+    p = _params(rng, depth=3, p_drop=0.3)
+    joint = C.join(q, r)
+    drop = np.random.default_rng(5)
+    zq, zr, traces = C.coattend(joint, q, r, p, rng=drop)
+
+    want = np.random.default_rng(5)
+    ys = {"q": q.positions, "r": r.positions}
+    masks = {"q": q.mask, "r": r.mask}
+    want_traces = []
+    for idx in range(3):
+        for side in ("q", "r"):
+            layer = getattr(p, side)[idx]
+            ys[side], sa = A.guided_attention_unit(ys[side], ys[side], layer.sa, masks[side], want,
+                                                   f"coattn.{side}.sa.{idx}")
+            ys[side], ga = A.guided_attention_unit(ys[side], joint.positions, layer.ga, joint.mask,
+                                                   want, f"coattn.{side}.ga.{idx}")
+            want_traces += [sa, ga]
+    npt.assert_array_equal(zq.data, ys["q"].data)
+    npt.assert_array_equal(zr.data, ys["r"].data)
+    assert [t.unit for t in traces] == [t.unit for t in want_traces]
+    for got, expected in zip(traces, want_traces):
+        npt.assert_array_equal(got.heads, expected.heads)
+    assert drop.bit_generator.state == want.bit_generator.state
+    assert not np.array_equal(zq.data, C.coattend(joint, q, r, p)[0].data)
 
 
 def _zero_params(depth, d=4, d_ff=8):
