@@ -15,6 +15,10 @@ runs a chain's (unit, sublayer) steps, or a trailing slice of them from
 the state before it, or one alone, so the gradient sweep can restart a
 perturbation at the one sublayer that reads the parameter.
 
+`sdpa` and `multi_head` are fused ops, one tape entry each, that share one
+masked softmax and its gradient (`_attend`, `_attend_grads`), so a taped
+unit is four entries, one per sublayer.
+
 Masking is additive: padded key positions get a -1e9 score before softmax,
 which underflows to an exactly-zero weight. No positional encodings here;
 order information comes from the recurrent grounding stage upstream.
@@ -115,22 +119,18 @@ def mask_bias(mask: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
     return np.where(mask, 0.0, _MASK_SCORE)
 
 
-def sdpa(
-    q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None, heads: int = 1
-) -> tuple[Tensor, Tensor]:
-    """softmax(q kᵀ / sqrt(d_k)) v per batch row and head; returns (output, weights).
+def _split(a: np.ndarray, heads: int) -> np.ndarray:  # (B, rows, heads·d) -> (B, heads, rows, d)
+    return a.reshape(a.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
 
-    A (B, m, d) batch of queries attends row by row over (B, n, d) keys and
-    values, with an optional (B, n) key mask. q, k, v are split into
-    `heads` equal column blocks and head i attends with block i of each, so
-    the output is (B, m, heads·d_v) with the heads side by side and the
-    weights are (B, heads, m, n).
 
-    One fused tape entry; gradients flow through the output only, and the
-    returned weights are a value-only view for inspection. This op runs
-    inside every unit, hence the hand-written backward.
-    """
-    qd, kd, vd = q.data, k.data, v.data
+def _merge(a: np.ndarray) -> np.ndarray:  # (B, heads, rows, d) -> (B, rows, heads·d)
+    return a.swapaxes(-3, -2).reshape(a.shape[:-3] + (a.shape[-2], -1))
+
+
+def _attend(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, mask: Optional[np.ndarray],
+            heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of `sdpa`: its (B, m, heads·d_v) output and (B, heads, m, n)
+    weights."""
     if not qd.ndim == kd.ndim == vd.ndim == 3 or not qd.shape[0] == kd.shape[0] == vd.shape[0]:
         raise ShapeError(
             f"sdpa expects a (B, m, d) query batch over (B, n, d) keys and values; "
@@ -145,35 +145,52 @@ def sdpa(
     if mask is not None and np.shape(mask)[:1] != qd.shape[:1]:
         raise ShapeError(f"a {np.shape(mask)} mask needs a batch of {np.shape(mask)[0]} queries")
 
-    def split(a):  # (B, rows, heads·d) -> (B, heads, rows, d)
-        return a.reshape(a.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
-
-    def merge(a):  # (B, heads, rows, d) -> (B, rows, heads·d)
-        return a.swapaxes(-3, -2).reshape(a.shape[:-3] + (a.shape[-2], -1))
-
-    qh, kh, vh = split(qd), split(kd), split(vd)
-    scale = 1.0 / math.sqrt(qh.shape[-1])
+    qh = _split(qd, heads)
     # the softmax works in place: a batch's scores are its largest arrays
-    w = qh @ kh.swapaxes(-1, -2)
-    w *= scale
+    w = qh @ _split(kd, heads).swapaxes(-1, -2)
+    w *= 1.0 / math.sqrt(qh.shape[-1])
     bias = mask_bias(mask, kd.shape[-2])
     if bias is not None:
         w += bias[:, None, None, :]
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
+    return _merge(w @ _split(vd, heads)), w
 
-    def rule(g):
-        gh = split(g)
-        # the softmax gradient w * (g_w - sum(g_w * w)), in place
-        g_s = gh @ vh.swapaxes(-1, -2)
-        g_s -= (g_s * w).sum(axis=-1, keepdims=True)
-        g_s *= w
-        return (merge(g_s @ kh) * scale,
-                merge(g_s.swapaxes(-1, -2) @ qh) * scale,
-                merge(w.swapaxes(-1, -2) @ gh))
 
-    return record_op(merge(w @ vh), (q, k, v), rule), Tensor(w)
+def _attend_grads(g: np.ndarray, qd: np.ndarray, kd: np.ndarray, vd: np.ndarray,
+                  w: np.ndarray) -> tuple:
+    """The gradients of `_attend`'s output with respect to q, k and v, given
+    the upstream gradient g and the weights w."""
+    qh, kh, vh, gh = (_split(a, w.shape[1]) for a in (qd, kd, vd, g))
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    # the softmax gradient w * (g_w - sum(g_w * w)), in place
+    g_s = gh @ vh.swapaxes(-1, -2)
+    g_s -= (g_s * w).sum(axis=-1, keepdims=True)
+    g_s *= w
+    return (_merge(g_s @ kh) * scale,
+            _merge(g_s.swapaxes(-1, -2) @ qh) * scale,
+            _merge(w.swapaxes(-1, -2) @ gh))
+
+
+def sdpa(
+    q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None, heads: int = 1
+) -> tuple[Tensor, Tensor]:
+    """softmax(q kᵀ / sqrt(d_k)) v per batch row and head; returns (output, weights).
+
+    A (B, m, d) batch of queries attends row by row over (B, n, d) keys and
+    values, with an optional (B, n) key mask. q, k, v are split into
+    `heads` equal column blocks and head i attends with block i of each, so
+    the output is (B, m, heads·d_v) with the heads side by side and the
+    weights are (B, heads, m, n).
+
+    One fused tape entry; gradients flow through the output only, and the
+    returned weights are a value-only view for inspection. Pooling runs it;
+    `multi_head` runs the same arrays inside its own entry.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    out, w = _attend(qd, kd, vd, mask, heads)
+    return record_op(out, (q, k, v), lambda g: _attend_grads(g, qd, kd, vd, w)), Tensor(w)
 
 
 def init_mha(rng: np.random.Generator, d_model: int, h: int) -> MhaParams:
@@ -201,6 +218,12 @@ def init_mha(rng: np.random.Generator, d_model: int, h: int) -> MhaParams:
     )
 
 
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a shared right operand w in x @ w, from the output's
+    gradient g: every leading index of x summed."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def multi_head(
     q_in: Tensor,
     k_in: Tensor,
@@ -209,9 +232,34 @@ def multi_head(
     mask: Optional[np.ndarray] = None,
     label: str = "mha",
 ) -> tuple[Tensor, AttentionTrace]:
-    """Project, attend with every head at once, project out."""
-    out, w = sdpa(q_in @ p.wq, k_in @ p.wk, v_in @ p.wv, mask, p.heads)
-    return out @ p.wo, AttentionTrace(unit=label, heads=w.data)
+    """`sdpa(q_in @ wq, k_in @ wk, v_in @ wv) @ wo` as one fused op.
+
+    Its tape entry keeps the inputs, the weights and the attention weights
+    (the trace holds those anyway); the backward recomputes the projections
+    and merged heads, as `feed_forward` recomputes its hidden activation.
+    """
+    qx, kx, vx = q_in.data, k_in.data, v_in.data
+    wq, wk, wv, wo = p.wq.data, p.wk.data, p.wv.data, p.wo.data
+    for x, wt in ((qx, wq), (kx, wk), (vx, wv)):
+        if x.shape[-1:] != wt.shape[:1]:
+            raise ShapeError(f"multi_head: a {wt.shape} projection applied to shape {x.shape}")
+    heads_out, w = _attend(qx @ wq, kx @ wk, vx @ wv, mask, p.heads)
+
+    def rule(g):
+        # the projections and merged heads again; each gradient is the
+        # expression that matmul's or sdpa's own rule computes
+        q, k, v = qx @ wq, kx @ wk, vx @ wv
+        merged = _merge(w @ _split(v, p.heads))
+        g_q, g_k, g_v = _attend_grads(g @ wo.T, q, k, v, w)
+        return (g_v @ wv.T, g_k @ wk.T, g_q @ wq.T, _weight_grad(vx, g_v),
+                _weight_grad(kx, g_k), _weight_grad(qx, g_q), _weight_grad(merged, g))
+
+    # values first: a tape adds an input's gradient terms in input order, so
+    # an input passed as several of q_in, k_in, v_in sums v, then k, then q,
+    # the order a tape of five separate ops (q, k and v projections, sdpa,
+    # output projection) would, walking back from its last entry
+    inputs = (v_in, k_in, q_in, p.wv, p.wk, p.wq, p.wo)
+    return record_op(heads_out @ wo, inputs, rule), AttentionTrace(unit=label, heads=w)
 
 
 def init_attn_unit(

@@ -106,6 +106,8 @@ def read_checkpoint(path) -> Dict[str, np.ndarray]:
             raise CheckpointError(
                 f"{path} has an entry name at byte {pos - name_len} that is not UTF-8: {exc}"
             ) from exc
+        if name in entries:
+            raise CheckpointError(f"{path} has entry {name!r} twice")
         tag, rank = struct.unpack("<BB", take(2))
         if tag not in _DTYPE_TAGS:
             raise CheckpointError(f"entry {name!r} has unknown dtype tag {tag}")

@@ -11,12 +11,13 @@ with d_in the matrix's own input width, biases zero, LSTM forget-gate bias
 +1.0.
 
 `linear`, `layer_norm`, `feed_forward` and `bilstm` are fused ops: one
-tape entry each, with a hand-written backward rule. `feed_forward` serves
-both the attention units and, as its score MLP, the pooling in
-`reduction`. `layer_norm` also takes
+tape entry each, with a hand-written backward rule (`attention` adds
+`sdpa` and `multi_head`). `feed_forward` serves both the attention units
+and, as its score MLP, the pooling in `reduction`. `layer_norm` also takes
 a residual pair, LN(x + y), without keeping the sum. `feed_forward` holds
 its input and its dropout draw, a boolean mask, and recomputes its hidden
-activation in the backward, so a large taped chunk stays small in memory.
+activation in the backward, so a large taped chunk stays small in memory;
+`multi_head` recomputes its projections the same way.
 `bilstm` packs each sequence's live steps to the front, sorts the
 sequences longest first and runs both directions in one loop over the
 longest sequence, so no step is masked.

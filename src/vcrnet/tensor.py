@@ -2,10 +2,10 @@
 
 Everything downstream (layers, attention, the full model) is expressed in
 the operations defined here, plus the fused ops its modules build with
-`record_op` (`linear`, `layer_norm`, `feed_forward`, `sdpa`, `bilstm`, the
-loss). Each op computes its result eagerly with numpy and, when a Tape is
-active and an input participates in gradients, records a backward rule onto
-that tape.
+`record_op` (`linear`, `layer_norm`, `feed_forward`, `sdpa`, `multi_head`,
+`bilstm`, the loss). Each op computes its result eagerly with numpy and,
+when a Tape is active and an input participates in gradients, records a
+backward rule onto that tape.
 Gradients are recovered by walking the tape in reverse execution order,
 which is a valid reverse-topological order because an operation's inputs
 always exist before the operation runs.
@@ -15,7 +15,7 @@ and the methods `Tensor.reshape`, `Tensor.transpose` and `Tensor.slice`.
 An op stays here only while the program runs it; one training epoch
 reaches every one. Sums, nonlinearities and softmaxes live inside the
 fused ops, e.g. the residual sum in `layer_norm`, the relu in
-`feed_forward` and the masked softmax in `sdpa`.
+`feed_forward` and the masked softmax in `sdpa` and `multi_head`.
 
 Broadcasting is deliberately restricted: `matmul` applies one 2-d right
 operand to every leading index of the left, or pairs two batches row by

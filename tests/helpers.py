@@ -7,7 +7,7 @@ import numpy.testing as npt
 
 from vcrnet import attention as A
 from vcrnet import tensor as T
-from vcrnet.checkpoint import MAGIC, VERSION
+from vcrnet.checkpoint import MAGIC, VERSION, write_checkpoint
 from vcrnet.coattention import coattend, join, lstm_encode
 from vcrnet.data import TASK_Q2A, make_task
 from vcrnet.diagnostics import probe_instance
@@ -94,6 +94,14 @@ def composed_reduce(Z, mask, p_mlp):
         row = add(row, Tensor(bias.reshape(batch, 1, m)))
     alpha = softmax(row)
     return (alpha @ Z).reshape(batch, d), alpha.reshape(batch, m)
+
+
+def composed_multi_head(q_in, k_in, v_in, p, mask=None, label="mha"):
+    """Reference for the fused `attention.multi_head`: three projection
+    matmuls, one `sdpa` and the output matmul, each its own op, keeping
+    every intermediate."""
+    out, w = A.sdpa(q_in @ p.wq, k_in @ p.wk, v_in @ p.wv, mask, p.heads)
+    return out @ p.wo, A.AttentionTrace(unit=label, heads=w.data)
 
 
 def zero_unit(d, d_ff, h=2):
@@ -368,3 +376,16 @@ def write_overflowing_container(path, extents=(2 ** 32 - 1, 2 ** 32 - 1), dtype_
     rank = len(extents)
     path.write_bytes(MAGIC + struct.pack("<II", VERSION, 1) + struct.pack("<H", 1) + b"w"
                      + struct.pack(f"<BB{rank}I", dtype_tag, rank, *extents) + bytes(16))
+
+
+def append_entry(path, name, array):
+    """Append one entry to the container at `path`, after its others and
+    whatever their names."""
+    blob = path.read_bytes()
+    (count,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
+    one = path.with_name(f"{path.name}.entry")
+    write_checkpoint(one, {name: array})
+    entry = one.read_bytes()[len(MAGIC) + 8:]
+    one.unlink()
+    path.write_bytes(blob[:len(MAGIC) + 4] + struct.pack("<I", count + 1)
+                     + blob[len(MAGIC) + 8:] + entry)

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import composed_multi_head
 from vcrnet import attention as A
 from vcrnet import tensor as T
 from vcrnet.tensor import Tensor, ShapeError
@@ -203,8 +204,65 @@ def test_multi_head_tape_entries_independent_of_heads():
         p = A.init_mha(rng, 8, h)
         with T.Tape() as tape:
             A.multi_head(x, x, x, p)
-        # three projections, one sdpa, the output projection
-        assert len(tape) == 5
+        assert len(tape) == 1
+
+
+def test_multi_head_shape_errors():
+    p = A.init_mha(np.random.default_rng(17), 8, 2)
+    x = Tensor(np.zeros((2, 3, 8)))
+    with pytest.raises(ShapeError):  # inputs narrower than the projections
+        A.multi_head(x, Tensor(np.zeros((2, 4, 6))), Tensor(np.zeros((2, 4, 6))), p)
+    with pytest.raises(ShapeError):  # unbatched queries
+        A.multi_head(Tensor(np.zeros((3, 8))), x, x, p)
+
+
+def test_unit_tape_has_one_entry_per_sublayer():
+    rng = np.random.default_rng(14)
+    p = A.init_attn_unit(rng, 8, 2, 16, p_drop=0.25)
+    x = Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
+    with T.Tape() as tape:
+        A.guided_attention_unit(x, Tensor(rng.standard_normal((2, 4, 8))), p,
+                                rng=np.random.default_rng(1))
+    assert [rule.__qualname__.split(".<locals>")[0] for _, _, rule in tape._entries] == [
+        "multi_head", "layer_norm", "feed_forward", "layer_norm"]
+
+
+def test_first_non_finite_names_multi_head():
+    rng = np.random.default_rng(15)
+    p = A.init_attn_unit(rng, 8, 2, 16)
+    p.mha.wk.data[3, 1] = np.nan
+    x = Tensor(rng.standard_normal((1, 3, 8)))
+    with T.Tape() as tape:
+        A.guided_attention_unit(x, x, p)
+    assert tape.first_non_finite() == (0, "multi_head")
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("heads", [1, 2], ids=["h1", "h2"])
+@pytest.mark.parametrize("self_attention", [True, False], ids=["self", "guided"])
+def test_multi_head_equals_the_composed_ops_bit_for_bit(self_attention, heads, masked):
+    # one tensor as all three inputs, or a guide as both keys and values:
+    # the tape sums a shared input's terms in one order, so every gradient
+    # must be the composed tape's, bit for bit
+    rng = np.random.default_rng(16 + heads)
+    p = A.init_mha(rng, 8, heads)
+    x = rng.standard_normal((2, 3, 8))
+    guide = x if self_attention else rng.standard_normal((2, 5, 8))
+    mask = (np.arange(guide.shape[1]) < np.array([[guide.shape[1]], [2]])) if masked else None
+    seed_grad = rng.standard_normal((2, 3, 8))
+
+    def run(mha):
+        """The output, the weights and every input and weight gradient."""
+        weights = [Tensor(t.data, requires_grad=True) for t in (p.wq, p.wk, p.wv, p.wo)]
+        xt = Tensor(x, requires_grad=True)
+        gt = xt if self_attention else Tensor(guide, requires_grad=True)
+        with T.Tape() as tape:
+            out, trace = mha(xt, gt, gt, A.MhaParams(*weights, heads=heads), mask)
+        tape.seed(out, seed_grad)
+        return [out.data, trace.heads] + [t.grad for t in [xt, gt] + weights]
+
+    for got, want in zip(run(A.multi_head), run(composed_multi_head)):
+        npt.assert_array_equal(got, want)
 
 
 def test_guided_unit_single_guide_position():

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from helpers import write_overflowing_container
+from helpers import append_entry, write_overflowing_container
 
 import vcrnet.cli as cli
 from vcrnet.checkpoint import read_checkpoint, write_checkpoint
@@ -566,6 +566,19 @@ def test_eval_reports_an_empty_entry_too_large_for_an_array(
                  "--data", str(copy / cli.TRAIN_FILE)]) == 1
     assert _one_error(capsys).startswith(
         f"error: {bad} entry 'w' has shape (0, 4294967295, 4294967295)")
+
+
+def test_eval_reports_a_repeated_feature_entry(trained_run, tmp_path, capsys):
+    # a second copy of the last instance's features must not replace the first
+    data, ckpt = trained_run
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    features = copy / cli.FEATURES_FILE
+    name, objects = list(read_checkpoint(features).items())[-1]
+    append_entry(features, name, objects + 1.0)
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(copy / cli.VAL_FILE)]) == 1
+    assert _one_error(capsys) == f"error: {features} has entry {name!r} twice"
 
 
 _NOT_UTF8 = b"\xff\xfe"

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import (
+    append_entry,
     bilstm_two_pass,
     composed_feed_forward,
     composed_layer_norm,
@@ -644,6 +645,14 @@ def test_checkpoint_rejects_an_empty_entry_too_large_for_an_array(tmp_path):
             write_overflowing_container(path, extents, tag)
             with pytest.raises(CheckpointError, match=f"{path} entry 'w' has shape"):
                 read_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_repeated_entry(tmp_path):
+    path = tmp_path / "features.canckpt"
+    write_checkpoint(path, {"a": np.zeros(2), "b": np.ones((2, 3))})
+    append_entry(path, "b", np.full((2, 3), 2.0))
+    with pytest.raises(CheckpointError, match=f"^{path} has entry 'b' twice$"):
+        read_checkpoint(path)
 
 
 def test_checkpoint_rejects_integer_arrays(tmp_path):
