@@ -110,7 +110,7 @@ def read_checkpoint(path) -> Dict[str, np.ndarray]:
             raise CheckpointError(f"{path} has entry {name!r} twice")
         tag, rank = struct.unpack("<BB", take(2))
         if tag not in _DTYPE_TAGS:
-            raise CheckpointError(f"entry {name!r} has unknown dtype tag {tag}")
+            raise CheckpointError(f"{path} entry {name!r} has unknown dtype tag {tag}")
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         dtype = _DTYPE_TAGS[tag]
         n_items = math.prod(shape)  # a Python int: oversized extents read as truncation

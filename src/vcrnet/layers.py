@@ -17,7 +17,8 @@ and, as its score MLP, the pooling in `reduction`. `layer_norm` also takes
 a residual pair, LN(x + y), without keeping the sum. `feed_forward` holds
 its input and its dropout draw, a boolean mask, and recomputes its hidden
 activation in the backward, so a large taped chunk stays small in memory;
-`multi_head` recomputes its projections the same way.
+`layer_norm` recomputes its normalized input and `multi_head` its
+projections the same way.
 `bilstm` packs each sequence's live steps to the front, sorts the
 sequences longest first and runs both directions in one loop over the
 longest sequence, so no step is masked.
@@ -113,35 +114,42 @@ def _last_axis_mean(a: np.ndarray, d: int) -> np.ndarray:
     return s
 
 
+def _normalize(a: np.ndarray, d: int) -> tuple:
+    """(x̂, 1/σ) of `a` over its last axis, of width d."""
+    mu = _last_axis_mean(a, d)
+    xhat = a - mu
+    var = _last_axis_mean(xhat * xhat, d)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat *= inv
+    return xhat, inv
+
+
 def layer_norm(x: Tensor, p: LayerNormParams, y: Optional[Tensor] = None) -> Tensor:
     """Normalize the last axis of x, or of the residual sum x + y, to zero
     mean / unit variance, then apply γ, β.
 
     Implemented as one fused op: the composed-op formulation would cost a
     dozen tape entries per call and this sits inside every attention unit.
-    The sum x + y is not kept; x and y get the same gradient.
+    Its tape entry keeps only its inputs: the backward recomputes the sum
+    x + y, x̂ and 1/σ by the forward's own expressions, so its gradients
+    are those of a rule that kept them, bit for bit. x and y get the same
+    gradient.
     """
-    xd = x.data
-    d = xd.shape[-1]
+    d = x.data.shape[-1]
     if p.gamma.data.shape != (d,) or p.beta.data.shape != (d,):
         raise ShapeError(
             f"layer_norm params for width {p.gamma.data.shape} applied to last axis {d}"
         )
-    if y is not None:
-        if y.data.shape != xd.shape:
-            raise ShapeError(f"layer_norm of a sum of shapes {xd.shape} and {y.data.shape}")
-        xd = xd + y.data
-    mu = _last_axis_mean(xd, d)
-    xhat = xd - mu
-    var = _last_axis_mean(xhat * xhat, d)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat *= inv
+    if y is not None and y.data.shape != x.data.shape:
+        raise ShapeError(f"layer_norm of a sum of shapes {x.data.shape} and {y.data.shape}")
+    xhat, inv = _normalize(x.data if y is None else x.data + y.data, d)
     out = xhat * p.gamma.data
     out += p.beta.data
     gamma_d = p.gamma.data
 
     def rule(g):
         # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv, in place
+        xhat, inv = _normalize(x.data if y is None else x.data + y.data, d)
         t = g * xhat
         dgamma = t.reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)

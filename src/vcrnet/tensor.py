@@ -26,7 +26,10 @@ auditable.
 
 A backward pass writes `.grad` on leaves only, i.e. tensors that no entry
 of the tape produced (parameters and inputs); intermediate gradients are
-freed as soon as the entry that consumed them has run.
+freed as soon as the entry that consumed them has run. A tape is seeded
+once: the walk releases each entry's backward rule, and every array the
+rule saved, as soon as the rule has run, so the backward holds only what
+the entries still waiting to run need.
 """
 
 from __future__ import annotations
@@ -133,11 +136,14 @@ class Tape:
     """Ordered record of operations for one forward pass.
 
     Entries are appended in execution order, so every operation's inputs
-    precede it; the backward walk visits entries once, in reverse.
+    precede it; the backward walk visits entries once, in reverse. The walk
+    consumes the tape: each entry keeps its inputs and output but loses its
+    rule, so a tape is seeded once.
     """
 
     def __init__(self):
-        self._entries: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
+        self._entries: list[tuple[tuple[Tensor, ...], Tensor, Optional[Callable]]] = []
+        self._seeded = False
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -156,8 +162,10 @@ class Tape:
 
         The op kind is the name of the function that built the entry's
         backward rule, e.g. `concat` or `Tensor.reshape`; None if every
-        output is finite.
+        output is finite. Raises RuntimeError once the tape has been seeded,
+        because seeding released the rules that name the kinds.
         """
+        self._check_unseeded("first_non_finite")
         for i, (_, out, rule) in enumerate(self._entries):
             if not np.isfinite(out.data).all():
                 return i, rule.__qualname__.split(".<locals>", 1)[0]
@@ -167,7 +175,8 @@ class Tape:
         """Accumulate d(loss)/d(leaf) onto every requires_grad leaf.
 
         `loss` must be a scalar. A loss with no recorded dependencies leaves
-        all other gradients untouched (i.e. zero).
+        all other gradients untouched (i.e. zero). This seeds the tape, which
+        is done once (see `seed`).
         """
         if loss.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -179,26 +188,35 @@ class Tape:
         `train` seeds each chunk's per-task losses with the mini-batch's
         1/instances weight, and `grad_check` seeds a random projection.
 
-        Each entry's output gradient is dropped once its rule has run, so a
-        backward pass holds only the gradients still waiting for a consumer.
-        Only leaves (tensors no entry produced) get their totals added into
-        `.grad`, so repeated calls on one tape accumulate linearly instead of
-        compounding.
+        A tape is seeded once; a second call raises RuntimeError. The walk
+        takes each entry's rule out of the tape as it reaches the entry and
+        frees it, with every array it saved, once it returns; the entry's
+        output gradient is dropped then too. So a backward pass holds only
+        the rules and gradients still waiting to run. Only leaves (tensors
+        no entry produced) get their totals added into `.grad`, so seeding
+        the tapes of several forwards sums their gradients.
         """
+        self._check_unseeded("seed")
         if seed_grad.shape != output.data.shape:
             raise ShapeError(
                 f"seed gradient shape {seed_grad.shape} != output shape {output.data.shape}"
             )
-        produced = {id(out) for _, out, _ in self._entries}
+        self._seeded = True
+        entries = self._entries
+        produced = {id(out) for _, out, _ in entries}
         pending: dict[int, np.ndarray] = {id(output): seed_grad}
         leaves: dict[int, Tensor] = {}
         if id(output) not in produced:
             leaves[id(output)] = output
-        for inputs, out, rule in reversed(self._entries):
+        for i in range(len(entries) - 1, -1, -1):
+            inputs, out, rule = entries[i]
+            entries[i] = (inputs, out, None)
             g = pending.pop(id(out), None)
             if g is None:
                 continue
-            for tensor, gi in zip(inputs, rule(g)):
+            grads = rule(g)
+            rule = None  # the last reference: its closure is freed here
+            for tensor, gi in zip(inputs, grads):
                 if gi is None or not tensor.requires_grad:
                     continue
                 key = id(tensor)
@@ -214,6 +232,13 @@ class Tape:
                 continue
             total = pending[key]
             tensor.grad = total.copy() if tensor.grad is None else tensor.grad + total
+
+    def _check_unseeded(self, what: str) -> None:
+        if self._seeded:
+            raise RuntimeError(
+                f"{what}: this tape was seeded already, which released its backward "
+                f"rules; a tape is seeded once"
+            )
 
 
 def _result(data: np.ndarray, inputs: tuple, rule: Callable) -> Tensor:

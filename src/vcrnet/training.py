@@ -240,11 +240,13 @@ def train(
             model.zero_grad()
             for chunk in chunked(tasks):
                 with Tape() as tape:
-                    fwd = model.forward_chunk(chunk, rng)
-                    losses = task_loss(fwd.logits, [ex.gold for ex in fwd.examples])
+                    # only the logits: the attention traces then die with the
+                    # rules that hold their weights, as the backward runs
+                    logits = model.forward_chunk(chunk, rng).logits
+                    losses = task_loss(logits, [ex.gold for ex in chunk])
                     bad = np.flatnonzero(~np.isfinite(losses.data))
                     if bad.size:
-                        instance_id = fwd.examples[bad[0]].instance_id
+                        instance_id = chunk[bad[0]].instance_id
                         raise TrainingDiverged(_divergence(epoch, instance_id, tape), reports)
                     loss_sum += float(losses.data.sum())
                     tape.seed(losses, np.full(losses.data.shape, 1.0 / len(batch)))

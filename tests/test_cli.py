@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from helpers import append_entry, write_overflowing_container
 
 import vcrnet.cli as cli
-from vcrnet.checkpoint import read_checkpoint, write_checkpoint
+from vcrnet.checkpoint import MAGIC, read_checkpoint, write_checkpoint
 from vcrnet.cli import main
 from vcrnet.data import (
     TASK_Q2A,
@@ -567,6 +568,25 @@ def test_eval_reports_an_empty_entry_too_large_for_an_array(
     assert _one_error(capsys).startswith(
         f"error: {bad} entry 'w' has shape (0, 4294967295, 4294967295)")
 
+
+@pytest.mark.parametrize("container", ["features", "model"])
+def test_eval_reports_an_unknown_dtype_tag(trained_run, tmp_path, capsys, container):
+    data, ckpt = trained_run
+    copy, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(data, copy)
+    shutil.copytree(ckpt.parent, run)
+    bad = {"features": copy / cli.FEATURES_FILE, "model": run / ckpt.name}[container]
+    # the first entry's dtype byte follows its u16 name length and its name
+    blob = bytearray(bad.read_bytes())
+    at = len(MAGIC) + 8
+    (name_len,) = struct.unpack_from("<H", blob, at)
+    name = blob[at + 2:at + 2 + name_len].decode("utf-8")
+    blob[at + 2 + name_len] = 7
+    bad.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(run / ckpt.name),
+                 "--data", str(copy / cli.TRAIN_FILE)]) == 1
+    assert _one_error(capsys) == f"error: {bad} entry {name!r} has unknown dtype tag 7"
 
 def test_eval_reports_a_repeated_feature_entry(trained_run, tmp_path, capsys):
     # a second copy of the last instance's features must not replace the first

@@ -171,6 +171,34 @@ def test_residual_layer_norm_equals_its_composed_oracle_exactly(d):
         L.layer_norm(x, p, Tensor(np.zeros((3, 4, d))))
 
 
+
+def _closure_arrays(fn):
+    """Every ndarray a function's closure holds, through nested closures."""
+    arrays, stack, seen = [], [fn], {id(fn)}
+    while stack:
+        for cell in stack.pop().__closure__ or ():
+            v = cell.cell_contents
+            if isinstance(v, np.ndarray):
+                arrays.append(v)
+            elif getattr(v, "__closure__", None) is not None and id(v) not in seen:
+                seen.add(id(v))
+                stack.append(v)
+    return arrays
+
+
+@pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+def test_layer_norm_rule_keeps_no_array_shaped_like_its_input(residual):
+    # the backward recomputes x̂ and 1/σ from the inputs, so the rule keeps
+    # no array with the input's rows
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((3, 5, 6)), requires_grad=True)
+    y = Tensor(rng.standard_normal((3, 5, 6)), requires_grad=True) if residual else None
+    with T.Tape() as tape:
+        L.layer_norm(x, L.init_layer_norm(6), y)
+    _, _, rule = tape._entries[0]
+    held = _closure_arrays(rule)
+    assert not any(v.shape[:-1] == x.data.shape[:-1] for v in held), [v.shape for v in held]
+
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
 def test_feed_forward_equals_its_composed_oracle_exactly(training):
     rng = np.random.default_rng(11)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -59,7 +61,9 @@ def test_backward_twice_accumulates():
         loss = x.reshape(1, 2) @ x.reshape(2, 1)  # x · x
     tape.backward(loss)
     first = x.grad.copy()
-    tape.backward(loss)
+    with Tape() as again:
+        loss = x.reshape(1, 2) @ x.reshape(2, 1)
+    again.backward(loss)
     npt.assert_allclose(x.grad, 2.0 * first)
 
 
@@ -273,12 +277,48 @@ def test_seed_writes_leaves_only_and_matches_full_accumulation():
             assert np.array_equal(p.grad, want[id(p)]), name
         else:
             assert p.grad is None, name
-    # a second pass adds the same totals again
+    # a second tape of the same forward adds the same totals again
     first = {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
-    tape.seed(losses, np.ones(2))
+    with Tape() as again:
+        logits = model.forward_chunk(tasks).logits
+        losses = task_loss(logits, [t.gold for t in tasks])
+    again.seed(losses, np.ones(2))
     for name, grad in first.items():
         npt.assert_array_equal(dict(model.named_parameters())[name].grad, grad + grad)
 
+
+
+def test_seed_releases_each_rule_as_it_runs():
+    # a co-attention trace's weights are saved by the multi_head rule that
+    # produced them; once the forward's result is dropped, only that rule
+    # holds them, and the backward frees it as it walks past
+    inst = probe_instance()
+    model = probe_model(inst)
+    tasks = [make_task(inst, kind) for kind in (TASK_Q2A, TASK_QA2R)]
+    with Tape() as tape:
+        fwd = model.forward_chunk(tasks)
+        heads = [weakref.ref(t.heads) for t in fwd.traces if t.unit.startswith("coattn.")]
+        logits = fwd.logits
+        del fwd
+        losses = task_loss(logits, [t.gold for t in tasks])
+    entries = len(tape)
+    assert heads and all(ref() is not None for ref in heads)
+    tape.seed(losses, np.ones(2))
+    assert all(ref() is None for ref in heads)
+    assert len(tape) == entries
+    assert all(rule is None for _, _, rule in tape._entries)
+
+
+def test_a_tape_is_seeded_once():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with Tape() as tape:
+        loss = x.reshape(1, 2) @ x.reshape(2, 1)  # x · x
+    tape.backward(loss)
+    for again in (lambda: tape.backward(loss), lambda: tape.seed(loss, np.ones((1, 1))),
+                  tape.first_non_finite):
+        with pytest.raises(RuntimeError, match="seeded already"):
+            again()
+    npt.assert_array_equal(x.grad, [2.0, 4.0])
 
 def test_transpose_permutes_axes():
     rng = np.random.default_rng(15)
