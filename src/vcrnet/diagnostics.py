@@ -15,14 +15,14 @@ through `grounding.guided_fuse`; each co-attention side's stack is one
 chain, run through `attention.run_chain`. For any other parameter, it is
 the `_stage_*` step of the stage the parameter feeds (`model.stage_of`).
 The rest reads none of the part's parameters: the later steps of the
-chain, the later stages, then the head. It runs once per block of BLOCK
-coordinates, after each perturbation is undone: the 2·BLOCK states of the
-block's +h / -h passes, laid end to end along the batch axis, are one
-chunk of as many copies of the probe task, and the rest of the forward
-gives one loss per copy. The rows of one task never meet
-another task's, so each copy's loss is that of its state run alone. Head
-parameters are read by every rest, so each of their passes runs the head
-alone.
+chain, then the stages after the part's in `model.STAGES`, then the loss.
+It runs once per block of BLOCK coordinates, after each perturbation is
+undone: the 2·BLOCK states of the block's +h / -h passes, laid end to end
+along the batch axis, are one chunk of as many copies of the probe task,
+and the rest of the forward gives one loss per copy. The rows of one task
+never meet another task's, so each copy's loss is that of its state run
+alone. A head parameter's part is the head itself, so its rest only
+scores the stacked logits.
 
 Before any sweeping starts, every part and rest is asserted (exactly, not
 approximately) to reproduce the full loss in each row of a stack of
@@ -48,7 +48,7 @@ from vcrnet.coattention import join, side_chain
 from vcrnet.config import TrainConfig
 from vcrnet.data import TASK_Q2A, TaggedToken, VcrInstance, Vocab, make_task
 from vcrnet.grounding import align_tags, fuse_chain, guided_fuse
-from vcrnet.model import CANDIDATES, EncodedState, FusedState, VcrModel, stage_of
+from vcrnet.model import CANDIDATES, STAGES, VcrModel, stage_of
 from vcrnet.reduction import candidate_logit, fuse, init_reduction, reduce
 from vcrnet.tensor import Tensor, Tape, grad_check, repeat
 from vcrnet.training import task_loss
@@ -56,6 +56,8 @@ from vcrnet.training import task_loss
 # coordinates per block of the end-to-end sweep: their 2·BLOCK perturbed
 # states share one run of the forward's rest
 BLOCK = 16
+# the central-difference step of every sweep
+H = 1e-5
 
 
 @dataclass
@@ -102,7 +104,7 @@ def _installed(obj, key: str, fn: Callable[[], Tensor]) -> Callable[[Tensor], Te
     return wrapped
 
 
-def layer_checks(h: float = 1e-5) -> list:
+def layer_checks() -> list:
     """Per-coordinate gradient sweeps for each building block in isolation.
 
     Each block draws its inputs from a generator of its own seed, so adding
@@ -111,7 +113,7 @@ def layer_checks(h: float = 1e-5) -> list:
     results = []
 
     def check(name, fn, x):
-        results.append(_timed(name, x.data.size, lambda: grad_check(fn, x, h=h)))
+        results.append(_timed(name, x.data.size, lambda: grad_check(fn, x, h=H)))
 
     def check_params(label, params, out):
         # every tensor of `params`, named `label.<path>`, each in turn
@@ -312,7 +314,7 @@ def probe_model(inst: Optional[VcrInstance] = None, **overrides) -> VcrModel:
     return model
 
 
-def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list:
+def end_to_end_checks(model: Optional[VcrModel] = None) -> list:
     """Sweep every model parameter coordinate against the training loss.
 
     Runs on the Q2A task of the probe instance, by default with the probe
@@ -343,11 +345,10 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
                 raise AssertionError(
                     f"restart {where!r} does not reproduce the loss in a stack of {copies}")
 
-    stages = ("encode", "fuse", "joint", "head")
-    worst = dict.fromkeys(stages, 0.0)
-    worst_at = dict.fromkeys(stages)
-    coords = dict.fromkeys(stages, 0)
-    seconds = dict.fromkeys(stages, 0.0)
+    worst = dict.fromkeys(STAGES, 0.0)
+    worst_at = dict.fromkeys(STAGES)
+    coords = dict.fromkeys(STAGES, 0)
+    seconds = dict.fromkeys(STAGES, 0.0)
 
     flat = model.flat
     start = 0
@@ -361,15 +362,15 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
             for i in block:
                 orig = flat[i]
                 try:
-                    flat[i] = orig + h
+                    flat[i] = orig + H
                     states.append(part())
-                    flat[i] = orig - h
+                    flat[i] = orig - H
                     states.append(part())
                 finally:
                     flat[i] = orig
             losses = rest(states)
             for i, up, down in zip(block, losses[0::2], losses[1::2]):
-                numeric = (up - down) / (2.0 * h)
+                numeric = (up - down) / (2.0 * H)
                 err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
                 if worst_at[stage] is None or _worse(err, worst[stage]):
                     worst[stage], worst_at[stage] = err, f"{name}[{i - start}]"
@@ -380,7 +381,7 @@ def end_to_end_checks(h: float = 1e-5, model: Optional[VcrModel] = None) -> list
     return [
         CheckResult(f"end_to_end/{stage}", float(worst[stage]), coords[stage],
                     seconds[stage], worst_at[stage])
-        for stage in stages
+        for stage in STAGES
     ]
 
 
@@ -399,28 +400,28 @@ def restart_points(model: VcrModel, task) -> dict:
     parameter that restarts there, and returns its state for one copy of
     the task. `rest(states)` finishes the forward of those states, laid end
     to end as one chunk, and returns one loss per state. A stage's part is
-    its `_stage_*` step on the unperturbed state before it; the head's part
-    is the whole loss, and its rest passes losses on.
+    its `_stage_*` step on the unperturbed state before it, and its rest
+    runs the later stages; the head's rest runs none and only scores.
     """
-    s1 = model._stage_encode([task])
-    fused = model._stage_fuse(s1)
-    encoded = model._stage_joint(fused)
 
-    def losses(encoded: EncodedState) -> list:
-        n = encoded.z_q.data.shape[0] // CANDIDATES
-        logits = model._stage_head([task] * n, encoded).logits
-        return task_loss(logits, [task.gold] * n).data.tolist()
+    def losses(stage: str, copies) -> list:
+        # the stages after `stage` on a state of copies of the task, then
+        # one loss per copy
+        for later in STAGES[STAGES.index(stage) + 1:]:
+            copies = getattr(model, f"_stage_{later}")(copies, None)
+        n = copies.logits.data.shape[0]
+        return task_loss(copies.logits, [task.gold] * n).data.tolist()
 
-    points = {
-        "encode": (lambda: model._stage_encode([task]),
-                   lambda states: losses(model._stage_joint(model._stage_fuse(_stacked(states))))),
-        "joint": (lambda: model._stage_joint(fused), lambda states: losses(_stacked(states))),
-        "head": (lambda: losses(encoded)[0], list),
-    }
+    points, after = {}, {}
+    state = [task]
+    for stage in STAGES:
+        part = functools.partial(getattr(model, f"_stage_{stage}"), state, None)
+        points[stage] = (part, lambda states, stage=stage: losses(stage, _stacked(states)))
+        state = after[stage] = part()
     if model.ga_fuse is not None:
-        _fuse_restarts(points, model, s1, losses)
+        _fuse_restarts(points, model, after["encode"], losses)
     if model.coattn is not None:
-        _coattn_restarts(points, model, encoded, losses)
+        _coattn_restarts(points, model, after["joint"], losses)
     return points
 
 
@@ -485,42 +486,42 @@ def _step_part(run, base, step: tuple, state: tuple) -> tuple:
 
 def _fuse_restarts(points: dict, model: VcrModel, s1, losses) -> None:
     """The guided-fusion sublayer restarts, each step run through
-    `guided_fuse` on the encode state; a rest ends with the joint stage."""
+    `guided_fuse` on the encode state; a rest ends with the stages after
+    fusion."""
 
     def run(copies, steps, residual, branch):
-        r = replace(copies.grounded_r, positions=residual)
-        return guided_fuse(copies.grounded_q, r, copies.objects, model.ga_fuse,
+        r = replace(copies.r, positions=residual)
+        return guided_fuse(copies.q, r, copies.objects, model.ga_fuse,
                            steps=steps, branch=branch)[0].positions
 
     def finish(copies, fr):
-        r = replace(copies.grounded_r, positions=fr)
-        return losses(model._stage_joint(FusedState(copies.grounded_q, r, [])))
+        return losses("fuse", replace(copies, r=replace(copies.r, positions=fr)))
 
-    steps = chain_steps(fuse_chain(s1.grounded_q, s1.objects, model.ga_fuse))
-    _step_restarts(points, "fuse", steps, (s1.grounded_r.positions, None), run, s1, finish)
+    steps = chain_steps(fuse_chain(s1.q, s1.objects, model.ga_fuse))
+    _step_restarts(points, "fuse", steps, (s1.r.positions, None), run, s1, finish)
 
 
-def _coattn_restarts(points: dict, model: VcrModel, encoded: EncodedState, losses) -> None:
+def _coattn_restarts(points: dict, model: VcrModel, encoded, losses) -> None:
     """The co-attention sublayer restarts, a side's stack one chain; a rest
     scores the head with the other side's unperturbed output."""
-    joint = join(encoded.fq, encoded.fr)
+    joint = join(encoded.q, encoded.r)
     for side in ("q", "r"):
-        seq = getattr(encoded, f"f{side}")
+        seq = getattr(encoded, side)
         one = side_chain(model.coattn, side, seq.mask, joint)
 
         def run(copies, steps, y, branch, side=side, one=one):
             # the unperturbed state's chain, and its join, are built once
             chain = one if copies is encoded else side_chain(
-                model.coattn, side, getattr(copies, f"f{side}").mask, join(copies.fq, copies.fr))
+                model.coattn, side, getattr(copies, side).mask, join(copies.q, copies.r))
             return run_chain(y, chain, steps, branch=branch)[0]
 
         def finish(copies, y, side=side):
-            return losses(replace(copies, **{f"z_{side}": y}))
+            return losses("joint", replace(copies, **{f"z_{side}": y}))
 
         _step_restarts(points, f"coattn.{side}", chain_steps(one), (seq.positions, None),
                        run, encoded, finish)
 
 
-def run_all(h: float = 1e-5) -> list:
+def run_all() -> list:
     """Layer sweeps followed by the staged end-to-end sweep."""
-    return layer_checks(h) + end_to_end_checks(h)
+    return layer_checks() + end_to_end_checks()

@@ -13,6 +13,11 @@ responses against their joint concatenation, pool each to a single vector,
 fuse, and emit one scalar logit per candidate: (n, 4) logits, whose rows
 feed a softmax over candidates.
 
+These steps are the four STAGES: `encode` (embed, align, ground), `fuse`
+(the paper's image-text fusion module), `joint` (its inference module) and
+`head` (pool, fuse, score). `forward_chunk` runs each `VcrModel._stage_<s>`
+in turn, from the task sequence to the `ChunkState` after each stage.
+
 The forward is numeric only: every attention unit and pooling step records
 a trace of weights, and no sequence carries its tokens. `trace_labels`
 names the two axes of a trace once, when `inspect` exports it.
@@ -39,7 +44,7 @@ Every parameter's `.data` is a view into one flat buffer, `VcrModel.flat`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -67,10 +72,14 @@ from vcrnet.tensor import ShapeError, Tensor
 CANDIDATES = 4
 CHUNK_POSITIONS = 768
 
+# the forward's stages in order; `forward_chunk` runs `VcrModel._stage_<s>`
+STAGES = ("encode", "fuse", "joint", "head")
+
 # The model's parts in checkpoint order: (checkpoint prefix, VcrModel
 # attribute, forward stage the part feeds). An absent part (None) has no
-# parameters. The stage says which of the `_stage_*` steps a parameter's
-# change first reaches, so diagnostics rerun the forward from there.
+# parameters. The stage, never earlier than the row above's, says which of
+# the STAGES a parameter's change first reaches, so diagnostics rerun the
+# forward from there; each stage's parameters are one slice of `flat`.
 PARTS = (
     ("embedding", "embedding", "encode"),
     ("obj_proj", "obj_proj", "encode"),
@@ -83,7 +92,7 @@ PARTS = (
 
 
 def stage_of(name: str) -> str:
-    """The forward stage (encode / fuse / joint / head) parameter `name` feeds."""
+    """The stage of STAGES that parameter `name` feeds."""
     top = name.split(".", 1)[0]
     for prefix, _, stage in PARTS:
         if prefix == top:
@@ -118,44 +127,31 @@ def chunked(tasks: Sequence[TaskExample]) -> Iterator[list]:
 
 
 @dataclass
-class EncodeState:
-    """Stage one: grounded sequences, before any cross-sequence attention.
+class ChunkState:
+    """What the forward knows of a chunk after a stage; each stage returns a copy.
 
-    grounded_q holds the chunk's queries and grounded_r the candidate
-    responses (task-major), each padded to the longest of them; objects
-    holds each task's projected object features.
+    objects holds each task's projected object features, q the queries and r
+    the candidate responses (task-major), each padded to the longest of
+    them; from `joint` on, q holds each query once per candidate. z_q / z_r
+    are the encoded sides and logits the (n, 4) candidate logits, each None
+    until its stage sets it. traces gathers the attention traces in
+    pipeline order.
     """
 
     objects: GroundedSeq
-    grounded_q: GroundedSeq
-    grounded_r: GroundedSeq
+    q: GroundedSeq
+    r: GroundedSeq
+    traces: list
+    z_q: Optional[Tensor] = None
+    z_r: Optional[Tensor] = None
+    logits: Optional[Tensor] = None
 
     @property
     def grounded_rs(self) -> list:
-        """Each candidate row of grounded_r on its own, as a batch of one (values only)."""
-        r = self.grounded_r
+        """Each candidate row of r on its own, as a batch of one (values only)."""
+        r = self.r
         return [GroundedSeq(Tensor(r.positions.data[c:c + 1]), r.mask[c:c + 1])
                 for c in range(r.mask.shape[0])]
-
-
-@dataclass
-class FusedState:
-    """Stage two: the queries and the guided-attention refined responses."""
-
-    fq: GroundedSeq
-    fr: GroundedSeq
-    traces: list
-
-
-@dataclass
-class EncodedState:
-    """Stage three: the repeated queries and the responses, encoded against the joint."""
-
-    fq: GroundedSeq
-    fr: GroundedSeq
-    z_q: Tensor
-    z_r: Tensor
-    traces: list
 
 
 def _record(ex: TaskExample, logits: np.ndarray) -> PredictionRecord:
@@ -349,16 +345,13 @@ class VcrModel:
         self, tasks: Sequence[TaskExample], rng: Optional[np.random.Generator] = None
     ) -> ChunkForward:
         """Score a chunk of tasks; a generator `rng` turns dropout on and draws its masks."""
-        state = self._stage_encode(tasks)
-        fused = self._stage_fuse(state, rng)
-        encoded = self._stage_joint(fused, rng)
-        return self._stage_head(tasks, encoded)
+        state = tasks
+        for stage in STAGES:
+            # looked up per call: a tracer replaces the stages on the class
+            state = getattr(self, f"_stage_{stage}")(state, rng)
+        return ChunkForward(examples=list(tasks), logits=state.logits, traces=state.traces)
 
-    # The forward pass is split into stages so diagnostics can rerun only
-    # the part of the pipeline a given parameter can influence. Composed in
-    # order they are exactly forward_chunk.
-
-    def _stage_encode(self, tasks: Sequence[TaskExample]) -> EncodeState:
+    def _stage_encode(self, tasks: Sequence[TaskExample], rng) -> ChunkState:
         n = len(tasks)
         d_o = self.obj_proj.weight.data.shape[0]
         k = max(task.objects.shape[0] for task in tasks)
@@ -383,45 +376,37 @@ class VcrModel:
             queries.append((i * k, ex.query))
             responses.extend((i * k, resp) for resp in ex.responses)
         grounded = self._encode(queries + responses, Tensor(objects.reshape(n * k, d_o)))
-        return EncodeState(
+        return ChunkState(
             objects=GroundedSeq(L.linear(Tensor(objects), self.obj_proj), object_mask),
-            grounded_q=grounded.rows(0, n, max(len(seq) for _, seq in queries)),
-            grounded_r=grounded.rows(n, n + len(responses), max(len(seq) for _, seq in responses)),
+            q=grounded.rows(0, n, max(len(seq) for _, seq in queries)),
+            r=grounded.rows(n, n + len(responses), max(len(seq) for _, seq in responses)),
+            traces=[],
         )
 
-    def _stage_fuse(
-        self, state: EncodeState, rng: Optional[np.random.Generator] = None
-    ) -> FusedState:
+    def _stage_fuse(self, state: ChunkState, rng) -> ChunkState:
         if self.ga_fuse is None:
-            return FusedState(fq=state.grounded_q, fr=state.grounded_r, traces=[])
-        fr, traces = guided_fuse(
-            state.grounded_q, state.grounded_r, state.objects, self.ga_fuse, rng=rng
-        )
-        return FusedState(fq=state.grounded_q, fr=fr, traces=traces)
+            return state
+        r, traces = guided_fuse(state.q, state.r, state.objects, self.ga_fuse, rng=rng)
+        return replace(state, r=r, traces=state.traces + traces)
 
-    def _stage_joint(
-        self, fused: FusedState, rng: Optional[np.random.Generator] = None
-    ) -> EncodedState:
-        q = fused.fq
+    def _stage_joint(self, state: ChunkState, rng) -> ChunkState:
         # each candidate row pairs with its own task's copy of the query
-        fq = GroundedSeq(T.repeat(q.positions, CANDIDATES), np.repeat(q.mask, CANDIDATES, axis=0))
-        joint = join(fq, fused.fr)
+        q = GroundedSeq(T.repeat(state.q.positions, CANDIDATES),
+                        np.repeat(state.q.mask, CANDIDATES, axis=0))
+        joint = join(q, state.r)
         if self.coattn is not None:
-            z_q, z_r, traces = coattend(joint, fq, fused.fr, self.coattn, rng=rng)
+            z_q, z_r, traces = coattend(joint, q, state.r, self.coattn, rng=rng)
         else:
             z_q, z_r, traces = lstm_encode(joint, self.encoder_lstm)
-        return EncodedState(fq=fq, fr=fused.fr, z_q=z_q, z_r=z_r, traces=fused.traces + traces)
+        return replace(state, q=q, z_q=z_q, z_r=z_r, traces=state.traces + traces)
 
-    def _stage_head(self, tasks: Sequence[TaskExample], encoded: EncodedState) -> ChunkForward:
-        pooled_q, alpha_q = reduce(encoded.z_q, encoded.fq.mask, self.reduction.mlp_q)
-        pooled_r, alpha_r = reduce(encoded.z_r, encoded.fr.mask, self.reduction.mlp_r)
+    def _stage_head(self, state: ChunkState, rng) -> ChunkState:
+        pooled_q, alpha_q = reduce(state.z_q, state.q.mask, self.reduction.mlp_q)
+        pooled_r, alpha_r = reduce(state.z_r, state.r.mask, self.reduction.mlp_r)
         fused = fuse(pooled_q, pooled_r, self.reduction)
-        logits = candidate_logit(fused, self.reduction).reshape(len(tasks), CANDIDATES)
-        traces = encoded.traces + [
-            _pool_trace("reduce.q", alpha_q),
-            _pool_trace("reduce.r", alpha_r),
-        ]
-        return ChunkForward(examples=list(tasks), logits=logits, traces=traces)
+        logits = candidate_logit(fused, self.reduction).reshape(-1, CANDIDATES)
+        traces = [_pool_trace("reduce.q", alpha_q), _pool_trace("reduce.r", alpha_r)]
+        return replace(state, logits=logits, traces=state.traces + traces)
 
     def predict(self, inst: VcrInstance, kind: str) -> PredictionRecord:
         return self.forward_chunk([make_task(inst, kind)]).records()[0]

@@ -10,7 +10,7 @@ from vcrnet import tensor as T
 from vcrnet.checkpoint import MAGIC, VERSION, write_checkpoint
 from vcrnet.coattention import coattend, join, lstm_encode
 from vcrnet.data import TASK_Q2A, make_task
-from vcrnet.diagnostics import probe_instance
+from vcrnet.diagnostics import H, probe_instance
 from vcrnet.grounding import GroundedSeq, align_tags, ground, guided_fuse
 from vcrnet.layers import FeedForwardParams, LinearParams, init_layer_norm, layer_norm, linear
 from vcrnet.reduction import candidate_logit, fuse, reduce
@@ -283,7 +283,7 @@ def _run_direction(seq, p, mask, reverse):
     return record_op(out, (seq, p.w_x, p.w_h, p.b), rule)
 
 
-def stage_sweep(model, h=1e-5):
+def stage_sweep(model):
     """Reference for `diagnostics.end_to_end_checks`: every parameter
     coordinate's central difference reruns the whole forward stage it feeds
     (a co-attention parameter reruns both stacks). Returns one
@@ -303,15 +303,15 @@ def stage_sweep(model, h=1e-5):
     model.zero_grad()
 
     def head_loss(encoded):
-        return float(loss_of(model._stage_head([task], encoded)).data)
+        return float(loss_of(model._stage_head(encoded, None)).data)
 
-    s1 = model._stage_encode([task])
-    fused = model._stage_fuse(s1)
-    encoded = model._stage_joint(fused)
+    s1 = model._stage_encode([task], None)
+    fused = model._stage_fuse(s1, None)
+    encoded = model._stage_joint(fused, None)
     evaluators = {
         "encode": lambda: float(loss_of(model.forward_chunk([task])).data),
-        "fuse": lambda: head_loss(model._stage_joint(model._stage_fuse(s1))),
-        "joint": lambda: head_loss(model._stage_joint(fused)),
+        "fuse": lambda: head_loss(model._stage_joint(model._stage_fuse(s1, None), None)),
+        "joint": lambda: head_loss(model._stage_joint(fused, None)),
         "head": lambda: head_loss(encoded),
     }
     worst = dict.fromkeys(evaluators, 0.0)
@@ -323,12 +323,12 @@ def stage_sweep(model, h=1e-5):
         grad = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + H
             up = evaluators[stage]()
-            flat[i] = orig - h
+            flat[i] = orig - H
             down = evaluators[stage]()
             flat[i] = orig
-            err = abs(grad[i] - (up - down) / (2.0 * h)) / max(1.0, abs(grad[i]))
+            err = abs(grad[i] - (up - down) / (2.0 * H)) / max(1.0, abs(grad[i]))
             # a NaN outranks every number and the first NaN stays
             if worst_at[stage] is None or err > worst[stage] or (
                     np.isnan(err) and not np.isnan(worst[stage])):

@@ -6,7 +6,7 @@ from helpers import assert_flat_aliasing, stage_sweep
 from vcrnet import diagnostics
 from vcrnet.attention import SUBLAYERS
 from vcrnet.data import TASK_Q2A, make_task
-from vcrnet.model import stage_of
+from vcrnet.model import STAGES, stage_of
 from vcrnet.diagnostics import (
     CheckResult,
     end_to_end_checks,
@@ -53,7 +53,7 @@ def test_probe_model_head_is_live():
 def test_stage_routing_covers_every_parameter():
     for overrides in ({}, {"ga": False}, {"encoder": "lstm"}):
         for name, _ in probe_model(**overrides).named_parameters():
-            assert stage_of(name) in ("encode", "fuse", "joint", "head")
+            assert stage_of(name) in STAGES
     assert stage_of("embedding") == "encode"
     assert stage_of("reduce.clf.weight") == "head"
     with pytest.raises(ValueError):
@@ -164,7 +164,7 @@ def test_each_unit_parameter_restarts_at_its_sublayer(overrides):
         else:
             assert key == ".".join(path[:depth]) and path[depth - 1] in SUBLAYERS, name
             used.add(key)
-    assert used == set(points) - {"encode", "joint", "head"}
+    assert used == set(points) - set(STAGES)
 
 
 def test_a_restart_that_misses_the_loss_in_a_stack_is_named(monkeypatch):
@@ -173,11 +173,11 @@ def test_a_restart_that_misses_the_loss_in_a_stack_is_named(monkeypatch):
     model = probe_model()
     head = model._stage_head
 
-    def off_in_the_last_row(tasks, encoded):
-        chunk = head(tasks, encoded)
-        if len(tasks) > 1:
-            chunk.logits.data[-1, 0] += 1.0
-        return chunk
+    def off_in_the_last_row(state, rng):
+        state = head(state, rng)
+        if state.logits.data.shape[0] > 1:
+            state.logits.data[-1, 0] += 1.0
+        return state
 
     monkeypatch.setattr(model, "_stage_head", off_in_the_last_row)
     with pytest.raises(AssertionError, match="restart 'encode' .* stack of 2"):
@@ -192,11 +192,11 @@ def _nan_head_while_perturbed(monkeypatch, model, name, index):
     orig = model.flat[at]
     head = model._stage_head
 
-    def head_with_nan(tasks, encoded):
-        chunk = head(tasks, encoded)
+    def head_with_nan(state, rng):
+        state = head(state, rng)
         if model.flat[at] != orig:
-            chunk.logits.data[...] = np.nan
-        return chunk
+            state.logits.data[...] = np.nan
+        return state
 
     monkeypatch.setattr(model, "_stage_head", head_with_nan)
 

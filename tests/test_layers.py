@@ -105,17 +105,6 @@ def test_feed_forward_zero_params_zero_output():
     npt.assert_allclose(out.data, np.zeros((2, 3)))
 
 
-def test_feed_forward_eval_ignores_dropout_probability():
-    rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal((4, 6)))
-    p_half = L.init_feed_forward(np.random.default_rng(1), 6, 24, p_drop=0.5)
-    p_none = L.FeedForwardParams(lin1=p_half.lin1, lin2=p_half.lin2, dropout=0.0)
-    npt.assert_array_equal(
-        L.feed_forward(x, p_half).data,
-        L.feed_forward(x, p_none).data,
-    )
-
-
 def _taped(fn, inputs, seed):
     """fn() under a tape seeded with a fixed random gradient: the output and
     the gradient of each of `inputs`, which start with none."""
@@ -225,13 +214,17 @@ def test_feed_forward_equals_its_composed_oracle_exactly(training):
     assert len(tape) == 1
 
 
-def test_feed_forward_dropout_off_draws_nothing():
+# (weight seed, input seed, input shape, d_ff); without an input seed the
+# input comes from the weights' generator
+@pytest.mark.parametrize("seed, x_seed, shape, d_ff", [(9, None, (2, 3), 8), (1, 5, (4, 6), 24)],
+                         ids=["narrow", "wide"])
+def test_feed_forward_dropout_off_draws_nothing(seed, x_seed, shape, d_ff):
     """No generator, or a generator with p = 0, applies no dropout; p = 0 leaves
     the generator as it was."""
-    rng = np.random.default_rng(9)
-    p_half = L.init_feed_forward(rng, 3, 8, p_drop=0.5)
+    rng = np.random.default_rng(seed)
+    p_half = L.init_feed_forward(rng, shape[-1], d_ff, p_drop=0.5)
     p_none = L.FeedForwardParams(lin1=p_half.lin1, lin2=p_half.lin2, dropout=0.0)
-    x = Tensor(rng.standard_normal((2, 3)))
+    x = Tensor((rng if x_seed is None else np.random.default_rng(x_seed)).standard_normal(shape))
     want = L.feed_forward(x, p_none).data
     state = rng.bit_generator.state
     npt.assert_array_equal(L.feed_forward(x, p_half).data, want)

@@ -24,6 +24,8 @@ from vcrnet.diagnostics import probe_instance, probe_model
 from vcrnet.model import (
     CANDIDATES,
     CHUNK_POSITIONS,
+    PARTS,
+    STAGES,
     ChunkForward,
     VcrModel,
     chunked,
@@ -228,6 +230,33 @@ def test_parameter_layout_is_pinned(arch, count):
     got = [(name, t.data.shape) for name, t in model.named_parameters()]
     assert got == _expected_layout(arch.get("ga", True), arch.get("encoder", "coattention"))
     assert len(got) == count
+
+
+def test_parts_feed_the_stages_in_order():
+    # so each stage's parameters are one slice of `flat`, which a per-stage
+    # report of the flat gradient can cut without an index
+    ranks = [STAGES.index(stage) for _, _, stage in PARTS]
+    assert ranks == sorted(ranks)
+
+
+def test_forward_runs_each_stage_of_the_table_once_in_order(monkeypatch):
+    # the stages are looked up on the class on every call, so a stage
+    # replaced there (as the tracer replaces them) is the one that runs
+    inst = _ragged_inst()
+    model = _model(inst, seed=12)
+    _randomize_head(model)
+    chunk = [make_task(inst, kind) for kind in (TASK_Q2A, TASK_QA2R)]
+    want = model.forward_chunk(chunk).logits.data
+    calls = []
+    for stage in STAGES:
+        def recorded(self, state, rng, stage=stage, orig=getattr(VcrModel, f"_stage_{stage}")):
+            calls.append(stage)
+            return orig(self, state, rng)
+
+        monkeypatch.setattr(VcrModel, f"_stage_{stage}", recorded)
+    got = model.forward_chunk(chunk).logits.data
+    assert calls == list(STAGES)
+    npt.assert_array_equal(got, want)
 
 
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
