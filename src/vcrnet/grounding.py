@@ -1,9 +1,9 @@
 """Visual grounding: align object features to text tags, fuse, then guide.
 
-`align_tags` concatenates each token's embedding with the object row its
-tag points at. It takes one row index per token, -1 for an untagged token,
-which reads zeros; the model checks each tag against its own task's
-objects before it turns the tag into a row. `ground` runs the joint
+`align_tags` gathers the object row each token's tag points at and joins
+it to the token's embedding. It takes one row index per token, -1 for an
+untagged token, which reads zeros; the model checks each tag against its
+own task's objects before it turns the tag into a row. `ground` runs the joint
 sequences through a BiLSTM whose bidirectional output width equals the
 model width. The queries and candidate responses of a chunk of tasks go
 through one masked recurrence together, so padding never enters it.
@@ -24,7 +24,7 @@ import numpy as np
 
 from vcrnet.attention import AttnUnitParams, run_chain
 from vcrnet.layers import BiLstmParams, bilstm
-from vcrnet.tensor import Tensor, ShapeError, concat
+from vcrnet.tensor import Tensor, ShapeError, concat, embedding_lookup
 
 
 @dataclass
@@ -67,17 +67,17 @@ def align_tags(rows: np.ndarray, token_emb: Tensor, objects: Tensor) -> Tensor:
     """Concatenate each token embedding with the object feature row it reads.
 
     rows[i] is the row of `objects` that token i reads, or -1 for an
-    untagged token, whose object half is zero. Gradients flow into both the
-    embeddings and the object features (via a constant selection matrix).
+    untagged token, whose object half is zero. A token reads its own row
+    alone; the object features' gradient is a scatter-add of the tokens'.
     """
     m, k = len(rows), objects.data.shape[0]
     if token_emb.data.shape[0] != m:
         raise ShapeError(f"{m} object rows but embedding matrix has {token_emb.data.shape[0]} rows")
     if np.any((rows < -1) | (rows >= k)):
         raise ShapeError(f"object rows must lie in [-1, {k}), got {rows.min()}..{rows.max()}")
-    # row -1 picks the identity's last row, which is all zero once its last column is cut
-    select = np.eye(k + 1)[rows, :k]
-    return concat([token_emb, Tensor(select) @ objects], axis=1)
+    # row -1 reads the zero row appended after the k object rows
+    padded = concat([objects, Tensor(np.zeros((1, objects.data.shape[1])))], axis=0)
+    return concat([token_emb, embedding_lookup(padded, np.where(rows < 0, k, rows))], axis=1)
 
 
 def ground(aligned: Tensor, lengths, p: BiLstmParams) -> GroundedSeq:

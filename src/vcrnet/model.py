@@ -1,19 +1,19 @@
 """End-to-end scorer for four-way grounded question answering.
 
 The forward pass scores a chunk of n tasks at once, which may mix Q2A and
-QA2R tasks of different instances. Embed and tag-align the n queries and
-the 4n candidate responses, and run all 5n through the shared grounding
-BiLSTM as one masked recurrence. The queries come out as an (n, m_q, d)
-batch with an (n, m_q) mask, the responses as a (4n, w, d) batch with a
-(4n, w) mask (task-major, candidate-minor), each padded to the longest in
-the chunk, and each task's objects as one row of an (n, k, d) batch with an
-(n, k) mask. Refine the responses under their own task's query and object
-guidance. Encode the queries (repeated once per candidate) and the
-responses against their joint concatenation, pool each to a single vector,
-fuse, and emit one scalar logit per candidate: (n, 4) logits, whose rows
-feed a softmax over candidates.
+QA2R tasks of different instances. Embed the n queries and 4n candidate
+responses from one time-major token grid, join each tagged token to the
+object row it gathers, and ground all 5n in one masked BiLSTM recurrence.
+The queries come out as an (n, m_q, d) batch with an (n, m_q) mask, the
+responses as a (4n, w, d) batch with a (4n, w) mask (task-major,
+candidate-minor), each padded to the longest in the chunk, and each task's
+objects as one row of an (n, k, d) batch with an (n, k) mask. Refine the
+responses under their own task's query and object guidance. Encode the
+queries (repeated once per candidate) and the responses against their
+joint concatenation, pool each to a single vector, fuse, and emit one
+scalar logit per candidate: (n, 4) logits, whose rows feed a softmax.
 
-These steps are the four STAGES: `encode` (embed, align, ground), `fuse`
+These steps are the four STAGES: `encode` (embed, gather, ground), `fuse`
 (the paper's image-text fusion module), `joint` (its inference module) and
 `head` (pool, fuse, score). `forward_chunk` runs each `VcrModel._stage_<s>`
 in turn, from the task sequence to the `ChunkState` after each stage.
@@ -59,7 +59,6 @@ from vcrnet.data import (
     PAD_TOKEN,
     DataError,
     PredictionRecord,
-    TaggedToken,
     TaskExample,
     VcrInstance,
     Vocab,
@@ -329,18 +328,6 @@ class VcrModel:
                 f"the model expects {d_o}"
             )
 
-    def _encode(self, seqs: list, objects: Tensor) -> GroundedSeq:
-        """Ground (base, tokens) pairs together as one time-major BiLSTM batch;
-        a tagged token reads row base + tag of `objects` (tags come checked)."""
-        steps = max(len(seq) for _, seq in seqs)
-        pad = TaggedToken(PAD_TOKEN)
-        cells = [(base, seq[t] if t < len(seq) else pad)
-                 for t in range(steps) for base, seq in seqs]
-        emb = T.embedding_lookup(self.embedding, self.vocab.encode([tok for _, tok in cells]))
-        rows = np.array([-1 if tok.tag is None else base + tok.tag for base, tok in cells])
-        aligned = align_tags(rows, emb, objects).reshape(steps, len(seqs), -1)
-        return ground(aligned, [len(seq) for _, seq in seqs], self.ground_lstm)
-
     def forward_chunk(
         self, tasks: Sequence[TaskExample], rng: Optional[np.random.Generator] = None
     ) -> ChunkForward:
@@ -355,9 +342,14 @@ class VcrModel:
         n = len(tasks)
         d_o = self.obj_proj.weight.data.shape[0]
         k = max(task.objects.shape[0] for task in tasks)
+        steps = max(len(seq) for ex in tasks for seq in (ex.query, *ex.responses))
         objects = np.zeros((n, k, d_o))
         object_mask = np.zeros((n, k), dtype=bool)
-        queries, responses = [], []
+        # time-major cells of the n queries, then the 4n responses: each token's vocab
+        # id and the row of the flat (n·k, d_o) objects its tag reads, else pad id and -1
+        ids = np.full((steps, n * (1 + CANDIDATES)), self.vocab.pad_id)
+        rows = np.full(ids.shape, -1)
+        lengths = np.zeros(ids.shape[1], dtype=int)
         for i, ex in enumerate(tasks):
             k_i = ex.objects.shape[0]
             if len(ex.responses) != CANDIDATES:
@@ -366,20 +358,26 @@ class VcrModel:
                     f"got {len(ex.responses)}"
                 )
             self.check_object_width(ex.instance_id, ex.objects)
-            for tok in (tok for seq in (ex.query, *ex.responses) for tok in seq):
-                if tok.tag is not None and not 0 <= tok.tag < k_i:
-                    raise DataError(f"{ex.instance_id}: token {tok.text!r} tags object "
-                                    f"{tok.tag} but only {k_i} objects exist")
             objects[i, :k_i] = ex.objects
             object_mask[i, :k_i] = True
-            # a tag indexes its own task's k rows of the flattened (n·k, d_o) objects
-            queries.append((i * k, ex.query))
-            responses.extend((i * k, resp) for resp in ex.responses)
-        grounded = self._encode(queries + responses, Tensor(objects.reshape(n * k, d_o)))
+            cols = (i, *range(n + i * CANDIDATES, n + (i + 1) * CANDIDATES))
+            for col, seq in zip(cols, (ex.query, *ex.responses)):
+                lengths[col] = len(seq)
+                ids[:len(seq), col] = self.vocab.encode(seq)
+                for t, tok in enumerate(seq):
+                    if tok.tag is not None:
+                        if not 0 <= tok.tag < k_i:
+                            raise DataError(f"{ex.instance_id}: token {tok.text!r} tags "
+                                            f"object {tok.tag} but only {k_i} objects exist")
+                        rows[t, col] = i * k + tok.tag
+        objects = Tensor(objects)
+        emb = T.embedding_lookup(self.embedding, ids.ravel())
+        aligned = align_tags(rows.ravel(), emb, objects.reshape(n * k, d_o))
+        grounded = ground(aligned.reshape(steps, ids.shape[1], -1), lengths, self.ground_lstm)
         return ChunkState(
-            objects=GroundedSeq(L.linear(Tensor(objects), self.obj_proj), object_mask),
-            q=grounded.rows(0, n, max(len(seq) for _, seq in queries)),
-            r=grounded.rows(n, n + len(responses), max(len(seq) for _, seq in responses)),
+            objects=GroundedSeq(L.linear(objects, self.obj_proj), object_mask),
+            q=grounded.rows(0, n, lengths[:n].max()),
+            r=grounded.rows(n, ids.shape[1], lengths[n:].max()),
             traces=[],
         )
 

@@ -176,6 +176,23 @@ def test_forward_checks_each_tag_against_its_own_tasks_objects(objects, tag):
     assert str(err.value) == f"bad-0: token 'c' tags object {tag} but only {objects} objects exist"
 
 
+@pytest.mark.parametrize("bad_first", [False, True], ids=["a-b", "b-a"])
+def test_non_finite_features_stay_in_their_own_task(bad_first):
+    # a token reads only its own object row, so a NaN feature row of one
+    # task never reaches another task's logits through the shared chunk
+    inst = probe_instance()
+    model = probe_model(inst)
+    a = make_task(inst, TASK_Q2A)
+    objects = inst.objects.copy()
+    objects[1] = np.nan  # answers 1 and 3 tag object 1
+    b = dataclasses.replace(a, instance_id="nan-0", objects=objects)
+    chunk = [b, a] if bad_first else [a, b]
+    with np.errstate(invalid="ignore"):
+        rows = dict(zip((ex.instance_id for ex in chunk), model.forward_chunk(chunk).logits.data))
+    npt.assert_array_equal(rows[a.instance_id], _logits(model, a))
+    assert not np.isfinite(rows[b.instance_id]).any()
+
+
 def _randomize_head(model):
     # fresh heads are zero on purpose; give them values so logits differ
     rng = np.random.default_rng(99)

@@ -247,6 +247,23 @@ def test_non_finite_loss_raises_diverged(tmp_path):
     assert "first non-finite output from op concat (tape entry 1 of " in msg
 
 
+def test_divergence_names_the_instance_with_non_finite_features(tmp_path):
+    insts = synth_generate(7, 40)
+    tr, va = insts[:32], insts[32:]
+    bad = tr[5]
+    tag = next(tok.tag for seq in (bad.question, *bad.answers) for tok in seq
+               if tok.tag is not None)
+    bad.objects[tag] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as exc:
+            train(TrainConfig(epochs=1), tr, va, tmp_path)
+    msg = str(exc.value)
+    # the NaN row reaches no other instance of the mini-batch's chunk
+    assert msg.startswith(f"non-finite loss at epoch 0, instance {bad.instance_id}: ")
+    assert bad.instance_id == "synth-7-00005"
+    assert "first non-finite output from op concat (tape entry 1 of " in msg
+
+
 def test_empty_training_set_rejected(tmp_path):
     with pytest.raises(DataError):
         train(_quick_config(), [], [], tmp_path)
