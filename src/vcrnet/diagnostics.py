@@ -66,7 +66,7 @@ class CheckResult:
     max_rel_err: float
     coords: int
     seconds: float
-    # an end-to-end sweep's coordinate of largest error, e.g. "ground.bwd.b[5]"
+    # an end-to-end sweep's coordinate of largest error, e.g. "ground.b[13]"
     worst_at: Optional[str] = None
 
     def to_json_dict(self) -> dict:

@@ -21,7 +21,9 @@ activation in the backward, so a large taped chunk stays small in memory;
 projections the same way.
 `bilstm` packs each sequence's live steps to the front, sorts the
 sequences longest first and runs both directions in one loop over the
-longest sequence, so no step is masked.
+longest sequence, so no step is masked. Its parameters are stored the way
+it reads them: `w_x`, `w_h` and `b` each hold both directions on a leading
+axis, forward first, and its rule returns their gradients in that shape.
 """
 
 from __future__ import annotations
@@ -250,45 +252,30 @@ def feed_forward(
 
 
 @dataclass
-class LstmDirectionParams:
-    """One direction's gate parameters, fused with blocks in i/f/g/o order
-    (input, forget, candidate, output)."""
-
-    w_x: Tensor
-    w_h: Tensor
-    b: Tensor
-
-    @property
-    def d_h(self) -> int:
-        return self.w_h.data.shape[0]
-
-
-@dataclass
 class BiLstmParams:
-    fwd: LstmDirectionParams
-    bwd: LstmDirectionParams
+    """Both directions' gate parameters, stacked on a leading axis of 2 with
+    the forward direction at index 0; each direction's gate blocks are fused
+    in i/f/g/o order (input, forget, candidate, output)."""
+
+    w_x: Tensor  # (2, d_in, 4·d_h)
+    w_h: Tensor  # (2, d_h, 4·d_h)
+    b: Tensor  # (2, 4·d_h)
 
     @property
     def d_h(self) -> int:
-        return self.fwd.d_h
-
-
-def _init_direction(rng: np.random.Generator, d_in: int, d_h: int) -> LstmDirectionParams:
-    p = LstmDirectionParams(
-        w_x=_uniform(rng, d_in, (d_in, 4 * d_h)),
-        w_h=_uniform(rng, d_h, (d_h, 4 * d_h)),
-        b=_zeros((4 * d_h,)),
-    )
-    # forget-gate bias starts at +1 so early training does not erase state
-    p.b.data[d_h:2 * d_h] = 1.0
-    return p
+        return self.w_h.data.shape[1]
 
 
 def init_bilstm(rng: np.random.Generator, d_in: int, d_h: int) -> BiLstmParams:
-    return BiLstmParams(
-        fwd=_init_direction(rng, d_in, d_h),
-        bwd=_init_direction(rng, d_in, d_h),
-    )
+    w_x = np.empty((2, d_in, 4 * d_h))
+    w_h = np.empty((2, d_h, 4 * d_h))
+    for d in range(2):  # the forward direction's w_x and w_h are drawn first
+        w_x[d] = _uniform(rng, d_in, w_x.shape[1:]).data
+        w_h[d] = _uniform(rng, d_h, w_h.shape[1:]).data
+    b = np.zeros((2, 4 * d_h))
+    # forget-gate bias starts at +1 so early training does not erase state
+    b[:, d_h:2 * d_h] = 1.0
+    return BiLstmParams(*(Tensor(a, requires_grad=True) for a in (w_x, w_h, b)))
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -310,10 +297,10 @@ def bilstm(seq: Tensor, p: BiLstmParams, mask: Optional[np.ndarray] = None) -> T
     order for the forward direction and in reverse for the backward one,
     and the columns are sorted longest first, so the columns live at a
     packed step are a prefix of the batch and no step is masked. The
-    directions' weights are stacked on a leading axis on every call, so
-    one batched matmul per step serves both. The whole recurrence is one
-    tape entry with a hand-written backward-through-time rule that
-    scatters its gradients back to the (T, B) layout.
+    directions' weights are stored stacked on a leading axis, so one
+    batched matmul per step serves both. The whole recurrence is one tape
+    entry with a hand-written backward-through-time rule that scatters its
+    gradients back to the (T, B) layout.
     """
     x = seq.data
     if x.ndim != 3 or x.shape[0] < 1:
@@ -343,10 +330,8 @@ def bilstm(seq: Tensor, p: BiLstmParams, mask: Optional[np.ndarray] = None) -> T
     src_col = order[col_idx]
     dirs = np.arange(2)[:, None]
 
-    w_x = np.stack([p.fwd.w_x.data, p.bwd.w_x.data])
-    w_h = np.stack([p.fwd.w_h.data, p.bwd.w_h.data])
-    b = np.stack([p.fwd.b.data, p.bwd.b.data])[:, None, None]
-    proj = (x.reshape(-1, d_in) @ w_x).reshape(2, m, batch, 4 * d_h) + b
+    w_x, w_h, b = p.w_x.data, p.w_h.data, p.b.data
+    proj = (x.reshape(-1, d_in) @ w_x).reshape(2, m, batch, 4 * d_h) + b[:, None, None]
     packed = proj[dirs[:, :, None], pos, order]
 
     # gates hold i, f, g, o per step; hs / cs hold the state before each
@@ -403,7 +388,6 @@ def bilstm(seq: Tensor, p: BiLstmParams, mask: Optional[np.ndarray] = None) -> T
         d_x = (flat @ w_x.transpose(0, 2, 1)).sum(axis=0).reshape(x.shape)
         d_wx = x.reshape(-1, d_in).T @ flat
         d_b = flat.sum(axis=1)
-        return (d_x, d_wx[0], d_wh[0], d_b[0], d_wx[1], d_wh[1], d_b[1])
+        return d_x, d_wx, d_wh, d_b
 
-    inputs = (seq, p.fwd.w_x, p.fwd.w_h, p.fwd.b, p.bwd.w_x, p.bwd.w_h, p.bwd.b)
-    return record_op(out.reshape(m, batch, 2 * d_h), inputs, rule)
+    return record_op(out.reshape(m, batch, 2 * d_h), (seq, p.w_x, p.w_h, p.b), rule)

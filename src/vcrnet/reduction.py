@@ -1,12 +1,12 @@
 """Attention reduction, fusion of the two pooled vectors, and the logit head.
 
 Reduction pools a sequence into one vector by attentional reduction: a
-two-layer score MLP, run as the fused `feed_forward`, scores every
-position, and one fused `sdpa` call pools the rows by the masked softmax of
-those scores. The query and response pools are fused by two linear
-projections, added, LayerNorm-ed, and a final linear layer emits the
-per-candidate logit. Each step runs on a batch of candidates, one pooled
-row and one logit per candidate.
+two-layer score MLP, stored as the `FeedForwardParams` that the fused
+`feed_forward` reads, scores every position, and one fused `sdpa` call
+pools the rows by the masked softmax of those scores. The query and
+response pools are fused by two linear projections, added, LayerNorm-ed,
+and a final linear layer emits the per-candidate logit. Each step runs on
+a batch of candidates, one pooled row and one logit per candidate.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from vcrnet.tensor import Tensor, ShapeError
 
 @dataclass
 class ReductionParams:
-    """Score MLPs for the two paths (two LinearParams each), fusion, head."""
+    """Score MLPs for the two paths, fusion, head."""
 
-    mlp_q: list
-    mlp_r: list
+    mlp_q: FeedForwardParams
+    mlp_r: FeedForwardParams
     w1: Tensor
     w2: Tensor
     ln: LayerNormParams
@@ -44,8 +44,8 @@ class ReductionParams:
 
 def init_reduction(rng: np.random.Generator, d_model: int, d_c: int) -> ReductionParams:
     hidden = max(d_model // 2, 1)
-    mlp_q = [init_linear(rng, d_model, hidden), init_linear(rng, hidden, 1)]
-    mlp_r = [init_linear(rng, d_model, hidden), init_linear(rng, hidden, 1)]
+    mlp_q, mlp_r = (FeedForwardParams(init_linear(rng, d_model, hidden),
+                                      init_linear(rng, hidden, 1)) for _ in range(2))
     lim = 1.0 / np.sqrt(d_model)
     # the classifier starts at zero: a fresh model scores all candidates
     # identically, pinning the untrained loss at ln 4 and keeping the
@@ -63,17 +63,19 @@ def init_reduction(rng: np.random.Generator, d_model: int, d_c: int) -> Reductio
     )
 
 
-def reduce(Z: Tensor, mask: Optional[np.ndarray], p_mlp: list) -> tuple[Tensor, Tensor]:
+def reduce(
+    Z: Tensor, mask: Optional[np.ndarray], p_mlp: FeedForwardParams
+) -> tuple[Tensor, Tensor]:
     """Pool each sequence of a (B, m, d) batch by learned softmax weights.
 
     Returns (B, d) pooled vectors and (B, m) weights; `mask` is (B, m) or
     None. Masked positions get exactly zero weight; a fully masked sequence
     is an error. With a zero MLP the weights are uniform over unmasked rows.
 
-    The two linear layers of `p_mlp` run as one `feed_forward` (no
-    dropout), giving one score per position. The pooling is `sdpa` with one
-    unit query of width 1 over those scores as keys and the rows as values:
-    q kᵀ is exactly the scores and the scale is 1.
+    The score MLP `p_mlp`, d -> hidden -> 1, runs as one `feed_forward`
+    with no dropout, giving one score per position. The pooling is `sdpa`
+    with one unit query of width 1 over those scores as keys and the rows
+    as values: q kᵀ is exactly the scores and the scale is 1.
     """
     shape = Z.data.shape
     if len(shape) != 3 or shape[1] < 1:
@@ -81,7 +83,7 @@ def reduce(Z: Tensor, mask: Optional[np.ndarray], p_mlp: list) -> tuple[Tensor, 
     batch, m, d = shape
     if mask is not None and np.shape(mask) != shape[:-1]:
         raise ShapeError(f"mask shape {np.shape(mask)} does not match sequence shape {shape}")
-    scores = feed_forward(Z, FeedForwardParams(*p_mlp))
+    scores = feed_forward(Z, p_mlp)
     if scores.data.shape != shape[:-1] + (1,):
         raise ShapeError(f"score MLP must map to one column, got {scores.data.shape}")
     pooled, weights = sdpa(Tensor(np.ones((batch, 1, 1))), scores, Z, mask)

@@ -27,9 +27,9 @@ auditable.
 A backward pass writes `.grad` on leaves only, i.e. tensors that no entry
 of the tape produced (parameters and inputs); intermediate gradients are
 freed as soon as the entry that consumed them has run. A tape is seeded
-once: the walk releases each entry's backward rule, and every array the
-rule saved, as soon as the rule has run, so the backward holds only what
-the entries still waiting to run need.
+once: the walk releases each entry, with its inputs, its output, its
+backward rule and every array the rule saved, as soon as the rule has run,
+so the backward holds only what the entries still waiting to run need.
 """
 
 from __future__ import annotations
@@ -137,12 +137,12 @@ class Tape:
 
     Entries are appended in execution order, so every operation's inputs
     precede it; the backward walk visits entries once, in reverse. The walk
-    consumes the tape: each entry keeps its inputs and output but loses its
-    rule, so a tape is seeded once.
+    consumes the tape: it releases each entry, so a tape is seeded once.
     """
 
     def __init__(self):
-        self._entries: list[tuple[tuple[Tensor, ...], Tensor, Optional[Callable]]] = []
+        # an entry is None once the backward walk has released it
+        self._entries: list[Optional[tuple[tuple[Tensor, ...], Tensor, Callable]]] = []
         self._seeded = False
 
     def __enter__(self) -> "Tape":
@@ -189,12 +189,13 @@ class Tape:
         1/instances weight, and `grad_check` seeds a random projection.
 
         A tape is seeded once; a second call raises RuntimeError. The walk
-        takes each entry's rule out of the tape as it reaches the entry and
-        frees it, with every array it saved, once it returns; the entry's
-        output gradient is dropped then too. So a backward pass holds only
-        the rules and gradients still waiting to run. Only leaves (tensors
-        no entry produced) get their totals added into `.grad`, so seeding
-        the tapes of several forwards sums their gradients.
+        takes each entry out of the tape as it reaches it and frees it, with
+        its inputs, its output and every array its rule saved, once the rule
+        returns; the entry's output gradient is dropped then too. So a
+        backward pass holds only the entries and gradients still waiting to
+        run. Only leaves (tensors no entry produced) get their totals added
+        into `.grad`, so seeding the tapes of several forwards sums their
+        gradients.
         """
         self._check_unseeded("seed")
         if seed_grad.shape != output.data.shape:
@@ -208,9 +209,12 @@ class Tape:
         leaves: dict[int, Tensor] = {}
         if id(output) not in produced:
             leaves[id(output)] = output
+        # the id() keys stay sound although walked entries are freed: no
+        # tensor is created during the walk, and a pending tensor is held by
+        # its producer, which has not run yet, or by `leaves`
         for i in range(len(entries) - 1, -1, -1):
             inputs, out, rule = entries[i]
-            entries[i] = (inputs, out, None)
+            entries[i] = None
             g = pending.pop(id(out), None)
             if g is None:
                 continue

@@ -148,10 +148,13 @@ def predict_all(model: VcrModel, instances: Sequence[VcrInstance]) -> tuple:
     """Greedy (Q2A, QA2R) predictions over a dataset, each list in data order.
 
     The tasks are scored untaped, sorted by `task_lengths` and cut by
-    `chunked`, so that tasks of like length share a chunk. A logit does not
-    depend on its chunk's other tasks. Before any forward
-    runs, each instance is validated, checked for a repeated id and for
-    its object width, in data order, so an error names the first
+    `chunked`, so that tasks of like length share a chunk. A logit depends
+    on its chunk's other tasks only in the last bits: products over a
+    padded width round differently from those over the task's own width,
+    so a record here can differ from `model.predict`'s by about 1e-16. A
+    task's non-finite features stay in its own logits exactly. Before any
+    forward runs, each instance is validated, checked for a repeated id
+    and for its object width, in data order, so an error names the first
     malformed instance.
     """
     seen = set()

@@ -87,7 +87,7 @@ def composed_reduce(Z, mask, p_mlp):
     weighted sum of its rows, each its own op. Returns ((B, d) pooled,
     (B, m) weights)."""
     batch, m, d = Z.data.shape
-    scores = composed_linear(relu(composed_linear(Z, p_mlp[0])), p_mlp[1])
+    scores = composed_linear(relu(composed_linear(Z, p_mlp.lin1)), p_mlp.lin2)
     row = scores.reshape(batch, 1, m)
     bias = A.mask_bias(mask, m)
     if bias is not None:
@@ -204,21 +204,22 @@ def loop_forward(model, ex):
 def bilstm_two_pass(seq, p, mask):
     """Reference for `layers.bilstm`: each direction walks all T steps on its
     own, masking every step, and the two outputs are concatenated."""
-    return T.concat([_run_direction(seq, p.fwd, mask, reverse=False),
-                     _run_direction(seq, p.bwd, mask, reverse=True)], axis=-1)
+    return T.concat([_run_direction(seq, p, mask, 0), _run_direction(seq, p, mask, 1)],
+                    axis=-1)
 
 
-def _run_direction(seq, p, mask, reverse):
+def _run_direction(seq, p, mask, direction):
     """One direction's recurrence over a (T, B, d_in) batch as one tape
-    entry, walking all T steps (from T - 1 down when `reverse`). Off its
-    live steps (mask (T, B)) a sequence's state is frozen by `np.where` and
-    its output row is 0."""
+    entry, walking all T steps (from T - 1 down for direction 1, the
+    backward one) on its own slice of the stacked weights, whose other
+    slice gets a zero gradient. Off its live steps (mask (T, B)) a
+    sequence's state is frozen by `np.where` and its output row is 0."""
     x = seq.data
     shape = x.shape
     m, batch = shape[0], shape[1]
-    w_x, w_h, b = p.w_x.data, p.w_h.data, p.b.data
+    w_x, w_h, b = p.w_x.data[direction], p.w_h.data[direction], p.b.data[direction]
     d_h = w_h.shape[0]
-    positions = list(range(m - 1, -1, -1) if reverse else range(m))
+    positions = list(range(m - 1, -1, -1) if direction else range(m))
     # live[pos] marks the sequences that are real at that time step
     live = mask[:, :, None]
 
@@ -277,8 +278,13 @@ def _run_direction(seq, p, mask, reverse):
             dh_next = np.where(live[pos], dz @ w_h.T, dh)
             dc_next = np.where(live[pos], dc * f, dc_next)
         flat = d_proj.reshape(-1, 4 * d_h)
-        return ((flat @ w_x.T).reshape(shape), x.reshape(-1, shape[-1]).T @ flat, d_wh,
-                flat.sum(axis=0))
+        grads = []
+        for param, g in ((p.w_x, x.reshape(-1, shape[-1]).T @ flat), (p.w_h, d_wh),
+                         (p.b, flat.sum(axis=0))):
+            full = np.zeros_like(param.data)
+            full[direction] = g
+            grads.append(full)
+        return ((flat @ w_x.T).reshape(shape), *grads)
 
     return record_op(out, (seq, p.w_x, p.w_h, p.b), rule)
 

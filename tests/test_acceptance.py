@@ -125,10 +125,8 @@ def test_a2_attention_oracles():
         p = init_reduction(rng, d, d)
         mask = _rand_mask(rng, m) if m > 1 else None
         pooled, alpha = reduce(Tensor(Z[None]), _batch_of_one(mask), p.mlp_q)
-        hidden = Z
-        for lin in p.mlp_q[:-1]:
-            hidden = np.maximum(hidden @ lin.weight.data + lin.bias.data, 0.0)
-        last = p.mlp_q[-1]
+        lin, last = p.mlp_q.lin1, p.mlp_q.lin2
+        hidden = np.maximum(Z @ lin.weight.data + lin.bias.data, 0.0)
         scores = (hidden @ last.weight.data + last.bias.data)[:, 0]
         if mask is not None:
             scores[~mask] = scores[~mask] - 1e9

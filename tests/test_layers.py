@@ -319,13 +319,10 @@ def test_feed_forward_grad_check():
 
 
 def _zero_bilstm(d_in, d_h):
-    def direction():
-        z = lambda shape: Tensor(np.zeros(shape), requires_grad=True)
-        return L.LstmDirectionParams(
-            w_x=z((d_in, 4 * d_h)), w_h=z((d_h, 4 * d_h)), b=z((4 * d_h,))
-        )
-
-    return L.BiLstmParams(fwd=direction(), bwd=direction())
+    z = lambda shape: Tensor(np.zeros(shape), requires_grad=True)
+    return L.BiLstmParams(
+        w_x=z((2, d_in, 4 * d_h)), w_h=z((2, d_h, 4 * d_h)), b=z((2, 4 * d_h))
+    )
 
 
 def _alone(x, p):
@@ -353,8 +350,9 @@ def test_bilstm_rejects_empty_sequence():
         L.bilstm(Tensor(np.zeros((2, 3))), p)
 
 
-def _np_lstm_direction(x, p, reverse):
-    """Step-by-step single-cell reference, one gate block at a time."""
+def _np_lstm_direction(x, p, direction):
+    """Step-by-step single-cell reference, one gate block at a time, of
+    direction 0 (forward) or 1 (backward)."""
 
     def expit(z):
         return 1.0 / (1.0 + np.exp(-z))
@@ -364,11 +362,11 @@ def _np_lstm_direction(x, p, reverse):
 
     m = x.shape[0]
     d_h = p.d_h
-    w_x, w_h, b = p.w_x.data, p.w_h.data, p.b.data
+    w_x, w_h, b = p.w_x.data[direction], p.w_h.data[direction], p.b.data[direction]
     h = np.zeros(d_h)
     c = np.zeros(d_h)
     out = np.zeros((m, d_h))
-    order = reversed(range(m)) if reverse else range(m)
+    order = reversed(range(m)) if direction else range(m)
     for t in order:
         i = expit(x[t] @ block(w_x, 0) + h @ block(w_h, 0) + b[0 * d_h:1 * d_h])
         f = expit(x[t] @ block(w_x, 1) + h @ block(w_h, 1) + b[1 * d_h:2 * d_h])
@@ -387,7 +385,7 @@ def test_bilstm_matches_unrolled_cell_oracle():
         x = rng.standard_normal((3, 3))
         got = _alone(x, p)
         want = np.concatenate(
-            [_np_lstm_direction(x, p.fwd, False), _np_lstm_direction(x, p.bwd, True)],
+            [_np_lstm_direction(x, p, 0), _np_lstm_direction(x, p, 1)],
             axis=1,
         )
         npt.assert_allclose(got, want, atol=1e-10)
@@ -414,14 +412,14 @@ def test_bilstm_grad_check_sequence_and_weights():
     assert T.grad_check(lambda t: L.bilstm(t, p), x) < 1e-6
 
     def wrt_wh(t):
-        old = p.fwd.w_h
-        p.fwd.w_h = t
+        old = p.w_h
+        p.w_h = t
         try:
             return L.bilstm(x, p)
         finally:
-            p.fwd.w_h = old
+            p.w_h = old
 
-    assert T.grad_check(wrt_wh, p.fwd.w_h) < 1e-6
+    assert T.grad_check(wrt_wh, p.w_h) < 1e-6
 
 
 def _ragged_batch(rng, lengths, d_in=3):
@@ -566,13 +564,23 @@ def test_init_bounds_and_forget_bias():
     assert np.abs(lin.weight.data).max() <= 1.0 / 4.0
     npt.assert_array_equal(lin.bias.data, np.zeros(4))
 
+    state = rng.bit_generator.state
     p = L.init_bilstm(rng, 9, 4)
-    assert np.abs(p.fwd.w_x.data).max() <= 1.0 / 3.0
-    assert np.abs(p.fwd.w_h.data).max() <= 1.0 / 2.0
-    # bias is zero except the forget block, which starts at one
-    npt.assert_array_equal(p.fwd.b.data[4:8], np.ones(4))
-    npt.assert_array_equal(p.fwd.b.data[:4], np.zeros(4))
-    npt.assert_array_equal(p.fwd.b.data[8:], np.zeros(8))
+    assert np.abs(p.w_x.data).max() <= 1.0 / 3.0
+    assert np.abs(p.w_h.data).max() <= 1.0 / 2.0
+    # the draws of one direction after the other, each w_x then w_h, with
+    # each matrix's own bound: a seed gives the weights it always gave
+    again = np.random.default_rng()
+    again.bit_generator.state = state
+    for d in range(2):
+        npt.assert_array_equal(p.w_x.data[d], again.uniform(-1.0 / 3.0, 1.0 / 3.0, (9, 16)))
+        npt.assert_array_equal(p.w_h.data[d], again.uniform(-1.0 / 2.0, 1.0 / 2.0, (4, 16)))
+    # bias is zero except the forget block, which starts at one, in both
+    # directions
+    for b in p.b.data:
+        npt.assert_array_equal(b[4:8], np.ones(4))
+        npt.assert_array_equal(b[:4], np.zeros(4))
+        npt.assert_array_equal(b[8:], np.zeros(8))
 
 
 @dataclass

@@ -210,11 +210,9 @@ def _unit_layout(prefix, d, d_ff):
 
 
 def _bilstm_layout(prefix, d_in, d_h):
-    return [entry for direction in ("fwd", "bwd") for entry in (
-        (f"{prefix}.{direction}.w_x", (d_in, 4 * d_h)),
-        (f"{prefix}.{direction}.w_h", (d_h, 4 * d_h)),
-        (f"{prefix}.{direction}.b", (4 * d_h,)),
-    )]
+    # both directions stacked on a leading axis, the forward one first
+    return [(f"{prefix}.w_x", (2, d_in, 4 * d_h)), (f"{prefix}.w_h", (2, d_h, 4 * d_h)),
+            (f"{prefix}.b", (2, 4 * d_h))]
 
 
 def _expected_layout(ga, encoder):
@@ -231,14 +229,14 @@ def _expected_layout(ga, encoder):
     else:
         layout += _bilstm_layout("encoder", 8, 4)
     for path in ("mlp_q", "mlp_r"):
-        layout += [(f"reduce.{path}.0.weight", (8, 4)), (f"reduce.{path}.0.bias", (4,)),
-                   (f"reduce.{path}.1.weight", (4, 1)), (f"reduce.{path}.1.bias", (1,))]
+        layout += [(f"reduce.{path}.lin1.weight", (8, 4)), (f"reduce.{path}.lin1.bias", (4,)),
+                   (f"reduce.{path}.lin2.weight", (4, 1)), (f"reduce.{path}.lin2.bias", (1,))]
     layout += [("reduce.w1", (8, 8)), ("reduce.w2", (8, 8)), ("reduce.ln.gamma", (8,)),
                ("reduce.ln.beta", (8,)), ("reduce.clf.weight", (8, 1)), ("reduce.clf.bias", (1,))]
     return layout
 
 
-@pytest.mark.parametrize("arch,count", [({}, 95), ({"ga": False}, 71), ({"encoder": "lstm"}, 53)],
+@pytest.mark.parametrize("arch,count", [({}, 92), ({"ga": False}, 68), ({"encoder": "lstm"}, 47)],
                          ids=["default", "no-ga", "lstm"])
 def test_parameter_layout_is_pinned(arch, count):
     # checkpoint names and their order are a file format: the optimizer,
@@ -311,6 +309,19 @@ def test_load_rejects_mismatched_state():
     del missing["reduce.w1"]
     with pytest.raises(CheckpointError):
         VcrModel.from_state(model.config, model.vocab, missing)
+
+
+def test_a_state_with_split_lstm_directions_is_refused():
+    # the layout before the BiLSTM stored its directions stacked: each
+    # direction its own ground.fwd.* / ground.bwd.* entries
+    model = probe_model()
+    state = {name: value for name, value in model.state_dict().items()
+             if not name.startswith("ground.")}
+    for d, direction in enumerate(("fwd", "bwd")):
+        for key in ("w_x", "w_h", "b"):
+            state[f"ground.{direction}.{key}"] = model.state_dict()[f"ground.{key}"][d]
+    with pytest.raises(CheckpointError, match=r"6 unexpected parameters: ground\.bwd\.b, "):
+        VcrModel.from_state(model.config, model.vocab, state)
 
 
 @pytest.mark.parametrize("field,change", [

@@ -6,27 +6,27 @@ from helpers import composed_reduce, np_layer_norm
 
 from vcrnet import reduction as R
 from vcrnet import tensor as T
-from vcrnet.layers import LinearParams, init_linear
+from vcrnet.layers import FeedForwardParams, LinearParams, init_linear
 from vcrnet.tensor import Tape, Tensor, ShapeError
 
 
 def _mlp(rng, d, hidden=2):
-    return [init_linear(rng, d, hidden), init_linear(rng, hidden, 1)]
+    return FeedForwardParams(init_linear(rng, d, hidden), init_linear(rng, hidden, 1))
 
 
 def _first_feature_mlp(d, shift):
     """A score MLP whose score of a row is max(row[0], 0) + shift."""
     pick = np.zeros((d, 1))
     pick[0, 0] = 1.0
-    return [LinearParams(Tensor(pick), Tensor(np.zeros(1))),
-            LinearParams(Tensor(np.ones((1, 1))), Tensor(np.array([shift])))]
+    return FeedForwardParams(LinearParams(Tensor(pick), Tensor(np.zeros(1))),
+                             LinearParams(Tensor(np.ones((1, 1))), Tensor(np.array([shift]))))
 
 
 def _zero_mlp(d):
-    return [
+    return FeedForwardParams(
         LinearParams(Tensor(np.zeros((d, d // 2))), Tensor(np.zeros(d // 2))),
         LinearParams(Tensor(np.zeros((d // 2, 1))), Tensor(np.zeros(1))),
-    ]
+    )
 
 
 def test_reduce_zero_mlp_pools_uniformly():
@@ -96,7 +96,7 @@ def test_reduce_equals_its_composed_oracle_exactly(masked):
     rng = np.random.default_rng(31)
     for batch, m, d in ((1, 1, 4), (3, 5, 4), (6, 9, 8)):
         p_mlp = _mlp(rng, d, hidden=d // 2)
-        params = [t for lin in p_mlp for t in (lin.weight, lin.bias)]
+        params = [t for lin in (p_mlp.lin1, p_mlp.lin2) for t in (lin.weight, lin.bias)]
         Z = rng.standard_normal((batch, m, d)) * 3.0
         mask = np.arange(m) < rng.integers(1, m + 1, size=(batch, 1)) if masked else None
         seed = rng.standard_normal((batch, d))
@@ -114,10 +114,8 @@ def test_reduce_equals_its_composed_oracle_exactly(masked):
 
 
 def _np_mlp_scores(Z, p_mlp):
-    h = Z
-    for lin in p_mlp[:-1]:
-        h = np.maximum(h @ lin.weight.data + lin.bias.data, 0.0)
-    last = p_mlp[-1]
+    h = np.maximum(Z @ p_mlp.lin1.weight.data + p_mlp.lin1.bias.data, 0.0)
+    last = p_mlp.lin2
     return (h @ last.weight.data + last.bias.data)[:, 0]
 
 

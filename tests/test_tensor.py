@@ -269,8 +269,10 @@ def test_seed_writes_leaves_only_and_matches_full_accumulation():
         logits = model.forward_chunk(tasks).logits
         losses = task_loss(logits, [t.gold for t in tasks])
     want = all_gradients(tape, losses, np.ones(2))
+    outputs = [out for _, out, _ in tape._entries]
     tape.seed(losses, np.ones(2))
-    for _, out, _ in tape._entries:
+    assert all(entry is None for entry in tape._entries)
+    for out in outputs:
         assert out.grad is None
     for name, p in model.named_parameters():
         if id(p) in want:
@@ -306,7 +308,25 @@ def test_seed_releases_each_rule_as_it_runs():
     tape.seed(losses, np.ones(2))
     assert all(ref() is None for ref in heads)
     assert len(tape) == entries
-    assert all(rule is None for _, _, rule in tape._entries)
+    assert all(entry is None for entry in tape._entries)
+
+
+def test_seed_releases_each_entry_output():
+    # an intermediate output is held only by the tape: by the entry that
+    # produced it and the entries that read it, which the walk releases
+    inst = probe_instance()
+    model = probe_model(inst)
+    tasks = [make_task(inst, kind) for kind in (TASK_Q2A, TASK_QA2R)]
+    with Tape() as tape:
+        logits = model.forward_chunk(tasks).logits
+        losses = task_loss(logits, [t.gold for t in tasks])
+    # every output but those this test holds: the losses and the logits,
+    # whose data is a view of the head's output
+    refs = [weakref.ref(out.data) for _, out, _ in tape._entries
+            if not any(np.shares_memory(out.data, t.data) for t in (logits, losses))]
+    assert len(refs) == len(tape) - 3 and all(ref() is not None for ref in refs)
+    tape.seed(losses, np.ones(2))
+    assert all(ref() is None for ref in refs)
 
 
 def test_a_tape_is_seeded_once():
