@@ -8,12 +8,12 @@ generator to draw from.
 
 A unit is four sublayers run in order (`SUBLAYERS`): the multi-head
 attention, the first residual LayerNorm, the feed-forward and the second
-residual LayerNorm. They are steps over a (residual, branch) state:
-`BRANCHING` sublayers leave a pending branch, and a LayerNorm folds it in.
-Guided fusion and each co-attention stack are chains of units. `run_chain`
-runs a chain's (unit, sublayer) steps, or a trailing slice of them from
-the state before it, or one alone, so the gradient sweep can restart a
-perturbation at the one sublayer that reads the parameter.
+residual LayerNorm. They are steps over one state tensor: `mha` and `ffn`
+add a branch to it, and a LayerNorm normalizes it. Guided fusion and each
+co-attention stack are chains of units. `run_chain` runs a chain's (unit,
+sublayer) steps, or a trailing slice of them from the state before it, or
+one alone, so the gradient sweep can restart a perturbation at the one
+sublayer that reads the parameter.
 
 `sdpa` and `multi_head` are fused ops, one tape entry each, that share one
 masked softmax and its gradient (`_attend`, `_attend_grads`), so a taped
@@ -46,8 +46,6 @@ _MASK_SCORE = -1e9
 
 # a unit's sublayers in order, each named by its field of AttnUnitParams
 SUBLAYERS = ("mha", "ln1", "ffn", "ln2")
-# the sublayers that compute a branch, which the next sublayer folds in
-BRANCHING = ("mha", "ffn")
 
 
 @dataclass
@@ -281,21 +279,21 @@ def guided_attention_unit(
     rng: Optional[np.random.Generator] = None,
     label: str = "ga",
     sublayers: Sequence[str] = SUBLAYERS,
-    branch: Optional[Tensor] = None,
 ) -> tuple[Tensor, Optional[AttentionTrace]]:
     """One unit: attend x over the guide, then feed-forward; each sublayer
     adds its input back before its LayerNorm. A generator `rng` turns on
     the feed-forward's dropout.
 
-    The four sublayers are steps over a (residual, branch) state that
-    starts as (x, None): `mha` and `ffn` compute a branch from the
-    residual, and `ln1` and `ln2` fold it in, LN(residual + branch).
-    `sublayers` runs only a trailing slice of them, or one sublayer alone,
-    from the state (x, branch) before its first (see `run_chain`). Returns
-    (the output of the last sublayer run, the trace): the unit's output for
-    a trailing slice, and the trace is None if the slice skips `mha`.
+    The four sublayers are steps over one state, which starts as x: `mha`
+    and `ffn` add a branch computed from it, and `ln1` and `ln2` normalize
+    it. `sublayers` runs only a trailing slice of them, or one sublayer
+    alone, from the state before its first (see `run_chain`). Returns (the
+    state after the last sublayer run, the trace): the unit's output for a
+    trailing slice, and the trace is None if the slice skips `mha`. A
+    LayerNorm after its branch in one call reads the pair, LN(x + branch),
+    to the same bits as the sum x + branch that a slice ending there returns.
     """
-    trace = None
+    trace = branch = None
     for sub in sublayers:
         if sub == "mha":
             branch, trace = multi_head(x, guide, guide, p.mha, mask, label)
@@ -303,7 +301,9 @@ def guided_attention_unit(
             branch = feed_forward(x, p.ffn, rng)
         else:
             x, branch = layer_norm(x, getattr(p, sub), branch), None
-    return (x if branch is None else branch), trace
+    if branch is not None:
+        x = record_op(x.data + branch.data, (x, branch), lambda g: (g, g))
+    return x, trace
 
 
 def chain_steps(chain: Sequence[tuple]) -> tuple:
@@ -313,15 +313,15 @@ def chain_steps(chain: Sequence[tuple]) -> tuple:
 
 
 def run_chain(x: Tensor, chain: Sequence[tuple], steps: Optional[Sequence[tuple]] = None,
-              rng: Optional[np.random.Generator] = None, branch: Optional[Tensor] = None) -> tuple:
+              rng: Optional[np.random.Generator] = None) -> tuple:
     """Run a chain of attention units on x, each unit on the one before's output.
 
     A chain is a list of (name, params, guide, mask, label) entries: unit
     `name` attends over `guide` under its key `mask`, or over its own input
     if `guide` is None, and records its trace as `label`. `steps` runs only
     a trailing slice of `chain_steps(chain)`, or one step alone, from the
-    state (x, branch) before its first; the branch is the first unit's.
-    Returns (the output of the last step run, one trace per attention run).
+    state x before its first (see `guided_attention_unit`). Returns (the
+    state after the last step run, one trace per attention run).
     """
     traces = []
     for name, p, guide, mask, label in chain:
@@ -329,8 +329,7 @@ def run_chain(x: Tensor, chain: Sequence[tuple], steps: Optional[Sequence[tuple]
         if not sublayers:
             continue
         x, trace = guided_attention_unit(x, x if guide is None else guide, p, mask, rng, label,
-                                         sublayers, branch)
-        branch = None
+                                         sublayers)
         if trace is not None:
             traces.append(trace)
     return x, traces

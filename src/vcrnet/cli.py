@@ -162,17 +162,21 @@ def cmd_inspect(args) -> int:
     ckpt = _require(Path(args.ckpt), "checkpoint")
     data_dir = Path(args.data)
     _require(data_dir / FEATURES_FILE, "feature file")
-    insts = []
+    found = {}  # instance_id -> (instance, its annotation file)
     for name in (TRAIN_FILE, VAL_FILE):
         path = data_dir / name
-        if path.exists():
-            insts.extend(_load_annotations(path))
-    if not insts:
+        if not path.exists():
+            continue
+        for inst in _load_annotations(path):
+            if inst.instance_id in found:
+                raise DataError(f"instance_id {inst.instance_id!r} is in both "
+                                f"{found[inst.instance_id][1]} and {path}")
+            found[inst.instance_id] = inst, path
+    if not found:
         raise UsageError(f"no annotation files in {data_dir}")
-    by_id = {inst.instance_id: inst for inst in insts}
-    if args.instance_id not in by_id:
+    if args.instance_id not in found:
         raise UsageError(f"unknown instance id {args.instance_id!r}")
-    inst = by_id[args.instance_id]
+    inst = found[args.instance_id][0]
 
     model, _, _ = load_run(ckpt)
     out = _out_dir(args.out)

@@ -10,10 +10,11 @@ parameter, on the unperturbed state before it. For a parameter of an
 attention unit, it is the one sublayer of that unit that reads the
 parameter: the multi-head attention, a residual LayerNorm or the
 feed-forward, run alone as one step of the unit's chain from the
-unperturbed (residual, branch) state. Guided fusion is one chain, run
-through `grounding.guided_fuse`; each co-attention side's stack is one
-chain, run through `attention.run_chain`. For any other parameter, it is
-the `_stage_*` step of the stage the parameter feeds (`model.stage_of`).
+unperturbed state before it, one tensor. Guided fusion is one chain and
+each co-attention side's stack is one chain, and `_chain_restarts` runs
+every one of them through `attention.run_chain`. For any other parameter,
+it is the `_stage_*` step of the stage the parameter feeds
+(`model.stage_of`).
 The rest reads none of the part's parameters: the later steps of the
 chain, then the stages after the part's in `model.STAGES`, then the loss.
 It runs once per block of BLOCK coordinates, after each perturbation is
@@ -42,12 +43,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from vcrnet import layers as L
-from vcrnet.attention import (BRANCHING, chain_steps, guided_attention_unit, init_attn_unit,
-                              run_chain, sdpa)
+from vcrnet.attention import chain_steps, guided_attention_unit, init_attn_unit, run_chain, sdpa
 from vcrnet.coattention import join, side_chain
 from vcrnet.config import TrainConfig
 from vcrnet.data import TASK_Q2A, TaggedToken, VcrInstance, Vocab, make_task
-from vcrnet.grounding import align_tags, fuse_chain, guided_fuse
+from vcrnet.grounding import align_tags, fuse_chain
 from vcrnet.model import CANDIDATES, STAGES, VcrModel, stage_of
 from vcrnet.reduction import candidate_logit, fuse, init_reduction, reduce
 from vcrnet.tensor import Tensor, Tape, grad_check, repeat
@@ -232,8 +232,8 @@ def layer_checks() -> list:
     check("sdpa/batch/q", lambda t: sdpa(t, k, v, bmask, 2)[0], q)
     check("sdpa/batch/k", lambda t: sdpa(q, t, v, bmask, 2)[0], k)
     check("sdpa/batch/v", lambda t: sdpa(q, k, t, bmask, 2)[0], v)
-    # the rows of two candidates side by side against one task's keys and
-    # values, as guided fusion runs them
+    # six query rows over five keys and values in one batch row, so each
+    # key's and value's gradient sums the terms of every query row
     rng = np.random.default_rng(53)
     k = Tensor(rng.standard_normal((1, 5, 4)))
     v = Tensor(rng.standard_normal((1, 5, 4)))
@@ -260,7 +260,8 @@ def layer_checks() -> list:
     zmask = np.arange(5) < np.array([[5], [2], [4]])
     check("reduce/batch/Z", lambda t: reduce(t, zmask, red.mlp_q)[0], Z)
 
-    # each row copied once per candidate, as the joint stage copies queries
+    # each row copied once per candidate, as the encode stage copies each
+    # task's query and objects
     rng = np.random.default_rng(56)
     x = Tensor(rng.standard_normal((2, 3)))
     check("repeat/x", lambda t: repeat(t, 4), x)
@@ -419,9 +420,22 @@ def restart_points(model: VcrModel, task) -> dict:
         points[stage] = (part, lambda states, stage=stage: losses(stage, _stacked(states)))
         state = after[stage] = part()
     if model.ga_fuse is not None:
-        _fuse_restarts(points, model, after["encode"], losses)
+        grounded = after["encode"]
+        _chain_restarts(points, "fuse", lambda c: fuse_chain(c.q, c.objects, model.ga_fuse),
+                        grounded, grounded.r.positions,
+                        lambda c, y: losses("fuse", replace(c, r=replace(c.r, positions=y))))
     if model.coattn is not None:
-        _coattn_restarts(points, model, after["joint"], losses)
+        encoded = after["joint"]
+        for side in ("q", "r"):
+            # a side's rest scores the head with the other side's unperturbed output
+            def chain_of(c, side=side):
+                return side_chain(model.coattn, side, getattr(c, side).mask, join(c.q, c.r))
+
+            def finish(c, y, side=side):
+                return losses("joint", replace(c, **{f"z_{side}": y}))
+
+            _chain_restarts(points, f"coattn.{side}", chain_of, encoded,
+                            getattr(encoded, side).positions, finish)
     return points
 
 
@@ -449,77 +463,35 @@ def _stacked(states: list):
         return np.concatenate(states)
     if isinstance(first, list):
         return []
-    if isinstance(first, tuple):
-        return tuple(_stacked(list(column)) for column in zip(*states))
     return replace(first, **{f.name: _stacked([getattr(s, f.name) for s in states])
                              for f in fields(first)})
 
 
-def _step_restarts(points: dict, prefix: str, steps: tuple, state: tuple, run, base,
-                   finish) -> None:
+def _chain_restarts(points: dict, prefix: str, chain_of, base, x: Tensor, finish) -> None:
     """Add '<prefix>.<unit>.<sublayer>' -> (part, rest) to `points` for each
-    (unit, sublayer) step of an attention-unit chain that reads `base`, an
-    unperturbed state.
+    (unit, sublayer) step of the attention-unit chain `chain_of(base)`,
+    which runs on x; `base` is an unperturbed state.
 
-    `run(copies, steps, residual, branch)` runs a slice of the steps from
-    that state on `copies`, `base` or a stack of copies of it, and returns
-    the output of the last. A part runs its one step on `base` from the
-    unperturbed state before it (`state` before the first) and returns the
-    state after it. A rest runs the later steps on one copy of `base` per
-    state, and `finish(copies, output)` returns their losses.
+    A step's state is one tensor (see `attention.run_chain`). A part runs
+    its one step of base's chain on the unperturbed state before it (x
+    before the first) and returns the state after it. A rest runs the later
+    steps of the chain of one copy of `base` per state, and
+    `finish(copies, output)` returns their losses.
     """
+    chain = chain_of(base)
+    steps = chain_steps(chain)
+
+    def part(step, state):
+        return run_chain(state, chain, (step,))[0]
 
     def rest(later, states):
         copies = _stacked([base] * len(states))
-        return finish(copies, run(copies, later, *_stacked(states)))
+        return finish(copies, run_chain(_stacked(states), chain_of(copies), later)[0])
 
     for at, (unit, sub) in enumerate(steps):
-        part = functools.partial(_step_part, run, base, steps[at], state)
-        points[f"{prefix}.{unit}.{sub}"] = (part, functools.partial(rest, steps[at + 1:]))
-        state = part()
-
-
-def _step_part(run, base, step: tuple, state: tuple) -> tuple:
-    out = run(base, (step,), *state)
-    return (state[0], out) if step[1] in BRANCHING else (out, None)
-
-
-def _fuse_restarts(points: dict, model: VcrModel, s1, losses) -> None:
-    """The guided-fusion sublayer restarts, each step run through
-    `guided_fuse` on the encode state; a rest ends with the stages after
-    fusion."""
-
-    def run(copies, steps, residual, branch):
-        r = replace(copies.r, positions=residual)
-        return guided_fuse(copies.q, r, copies.objects, model.ga_fuse,
-                           steps=steps, branch=branch)[0].positions
-
-    def finish(copies, fr):
-        return losses("fuse", replace(copies, r=replace(copies.r, positions=fr)))
-
-    steps = chain_steps(fuse_chain(s1.q, s1.objects, model.ga_fuse))
-    _step_restarts(points, "fuse", steps, (s1.r.positions, None), run, s1, finish)
-
-
-def _coattn_restarts(points: dict, model: VcrModel, encoded, losses) -> None:
-    """The co-attention sublayer restarts, a side's stack one chain; a rest
-    scores the head with the other side's unperturbed output."""
-    joint = join(encoded.q, encoded.r)
-    for side in ("q", "r"):
-        seq = getattr(encoded, side)
-        one = side_chain(model.coattn, side, seq.mask, joint)
-
-        def run(copies, steps, y, branch, side=side, one=one):
-            # the unperturbed state's chain, and its join, are built once
-            chain = one if copies is encoded else side_chain(
-                model.coattn, side, getattr(copies, side).mask, join(copies.q, copies.r))
-            return run_chain(y, chain, steps, branch=branch)[0]
-
-        def finish(copies, y, side=side):
-            return losses("joint", replace(copies, **{f"z_{side}": y}))
-
-        _step_restarts(points, f"coattn.{side}", chain_steps(one), (seq.positions, None),
-                       run, encoded, finish)
+        start = functools.partial(part, steps[at], x)
+        points[f"{prefix}.{unit}.{sub}"] = (start, functools.partial(rest, steps[at + 1:]))
+        x = start()
 
 
 def run_all() -> list:

@@ -8,23 +8,23 @@ sequences through a BiLSTM whose bidirectional output width equals the
 model width. The queries and candidate responses of a chunk of tasks go
 through one masked recurrence together, so padding never enters it.
 `guided_fuse` then refines the batch of responses with the chain of units
-`fuse_chain`: one unit reads each task's grounded query, then a second
-reads that task's object features. A task's candidates sit side by side in
-one row of those units, so a candidate attends over its own task's query
-and objects only. Sequences here are numbers and masks only; the tokens
-that label them are attached at export (see `model.trace_labels`).
+`fuse_chain`: one unit reads each response's grounded query, then a second
+reads its object features. The model repeats each task's query and objects
+once per candidate, so a candidate attends over its own task's only.
+Sequences here are numbers and masks only; the tokens that label them are
+attached at export (see `model.trace_labels`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from vcrnet.attention import AttnUnitParams, run_chain
 from vcrnet.layers import BiLstmParams, bilstm
-from vcrnet.tensor import Tensor, ShapeError, concat, embedding_lookup
+from vcrnet.tensor import Tensor, ShapeError, concat, embedding_lookup, repeat
 
 
 @dataclass
@@ -48,6 +48,10 @@ class GroundedSeq:
         if length != pos.data.shape[1]:
             pos = pos.slice(1, 0, length)
         return GroundedSeq(pos, self.mask[start:stop, :length])
+
+    def repeat(self, count: int) -> "GroundedSeq":
+        """Each sequence copied `count` times in place (see `tensor.repeat`)."""
+        return GroundedSeq(repeat(self.positions, count), np.repeat(self.mask, count, axis=0))
 
 
 @dataclass
@@ -91,52 +95,22 @@ def ground(aligned: Tensor, lengths, p: BiLstmParams) -> GroundedSeq:
     return GroundedSeq(bilstm(aligned, p, mask).transpose((1, 0, 2)), mask.T)
 
 
-def _per_candidate(heads: np.ndarray, count: int) -> np.ndarray:
-    """(n, heads, count·w, k) weights of side-by-side candidates -> (n·count, heads, w, k)."""
-    n, h, rows, k = heads.shape
-    split = heads.reshape(n, h, count, rows // count, k).transpose(0, 2, 1, 3, 4)
-    return split.reshape(n * count, h, rows // count, k)
-
-
 def guided_fuse(
     grounded_q: GroundedSeq,
     grounded_r: GroundedSeq,
     objects: GroundedSeq,
     p: GaFuseParams,
     rng: Optional[np.random.Generator] = None,
-    steps: Optional[Sequence[tuple]] = None,
-    branch: Optional[Tensor] = None,
 ) -> tuple:
     """Refine the responses under query guidance, then under object guidance.
 
-    `grounded_q` holds n task queries and `objects` the n tasks' projected
-    object features; `grounded_r` holds each task's candidate responses in
-    turn, the same count per task. Each task's candidates are reshaped (no
-    copy) into one row of the units, so they attend over their own task's
-    query and objects only; the traces are split back to one row per
-    candidate, (n·count, heads, w, m_q) and (n·count, heads, w, k). Returns
-    (fused responses, traces); the query is not changed here.
-
-    `steps` runs only a trailing slice of `fuse_chain`'s (unit, sublayer)
-    steps, or one step alone, so a gradient sweep can restart at the
-    sublayer a parameter feeds: `grounded_r` then holds the residual before
-    the first step and `branch` its pending branch, in grounded_r's layout
-    (see `attention.run_chain`), and the result holds the output of the
-    last step run.
+    Row c of `grounded_q` and of `objects` is what response c reads: its own
+    task's grounded query and projected object features. Returns (fused
+    responses, traces of one row per response); the query is not changed.
     """
-    n = grounded_q.mask.shape[0]
-    rows, w = grounded_r.mask.shape
-    if rows % n or objects.mask.shape[0] != n:
-        raise ShapeError(
-            f"{rows} responses, {n} queries and {objects.mask.shape[0]} object sets "
-            f"do not split into tasks"
-        )
-    count = rows // n
-    d = grounded_r.positions.data.shape[-1]
-    r_pos = grounded_r.positions.reshape(n, count * w, d)
-    if branch is not None:
-        branch = branch.reshape(n, count * w, d)
-    r_pos, traces = run_chain(r_pos, fuse_chain(grounded_q, objects, p), steps, rng, branch)
-    for trace in traces:
-        trace.heads = _per_candidate(trace.heads, count)
-    return GroundedSeq(r_pos.reshape(rows, w, d), grounded_r.mask), traces
+    n_r, n_q, n_obj = (seq.mask.shape[0] for seq in (grounded_r, grounded_q, objects))
+    if not n_r == n_q == n_obj:
+        raise ShapeError(f"{n_r} responses, {n_q} queries and {n_obj} object sets are not one "
+                         f"row per response")
+    r_pos, traces = run_chain(grounded_r.positions, fuse_chain(grounded_q, objects, p), rng=rng)
+    return GroundedSeq(r_pos, grounded_r.mask), traces

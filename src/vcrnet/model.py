@@ -4,14 +4,15 @@ The forward pass scores a chunk of n tasks at once, which may mix Q2A and
 QA2R tasks of different instances. Embed the n queries and 4n candidate
 responses from one time-major token grid, join each tagged token to the
 object row it gathers, and ground all 5n in one masked BiLSTM recurrence.
-The queries come out as an (n, m_q, d) batch with an (n, m_q) mask, the
-responses as a (4n, w, d) batch with a (4n, w) mask (task-major,
-candidate-minor), each padded to the longest in the chunk, and each task's
-objects as one row of an (n, k, d) batch with an (n, k) mask. Refine the
-responses under their own task's query and object guidance. Encode the
-queries (repeated once per candidate) and the responses against their
-joint concatenation, pool each to a single vector, fuse, and emit one
-scalar logit per candidate: (n, 4) logits, whose rows feed a softmax.
+From then on the chunk holds one row per candidate, task-major and
+candidate-minor: the responses as a (4n, w, d) batch with a (4n, w) mask,
+and each task's grounded query and projected objects repeated once per
+candidate, as a (4n, m_q, d) and a (4n, k, d) batch with their masks, each
+padded to the longest in the chunk. So row c of every batch belongs to
+candidate c. Refine the responses under their query and object guidance.
+Encode the queries and the responses against their joint concatenation,
+pool each to a single vector, fuse, and emit one scalar logit per
+candidate: (n, 4) logits, whose rows feed a softmax.
 
 These steps are the four STAGES: `encode` (embed, gather, ground), `fuse`
 (the paper's image-text fusion module), `joint` (its inference module) and
@@ -129,12 +130,12 @@ def chunked(tasks: Sequence[TaskExample]) -> Iterator[list]:
 class ChunkState:
     """What the forward knows of a chunk after a stage; each stage returns a copy.
 
-    objects holds each task's projected object features, q the queries and r
-    the candidate responses (task-major), each padded to the longest of
-    them; from `joint` on, q holds each query once per candidate. z_q / z_r
-    are the encoded sides and logits the (n, 4) candidate logits, each None
-    until its stage sets it. traces gathers the attention traces in
-    pipeline order.
+    r holds the candidate responses (task-major), and q and objects each
+    task's grounded query and projected object features once per
+    candidate, so row c of each belongs to candidate c; each is padded to
+    the longest of its kind. z_q / z_r are the encoded sides and logits the
+    (n, 4) candidate logits, each None until its stage sets it. traces
+    gathers the attention traces in pipeline order.
     """
 
     objects: GroundedSeq
@@ -375,8 +376,8 @@ class VcrModel:
         aligned = align_tags(rows.ravel(), emb, objects.reshape(n * k, d_o))
         grounded = ground(aligned.reshape(steps, ids.shape[1], -1), lengths, self.ground_lstm)
         return ChunkState(
-            objects=GroundedSeq(L.linear(objects, self.obj_proj), object_mask),
-            q=grounded.rows(0, n, lengths[:n].max()),
+            objects=GroundedSeq(L.linear(objects, self.obj_proj), object_mask).repeat(CANDIDATES),
+            q=grounded.rows(0, n, lengths[:n].max()).repeat(CANDIDATES),
             r=grounded.rows(n, ids.shape[1], lengths[n:].max()),
             traces=[],
         )
@@ -388,15 +389,12 @@ class VcrModel:
         return replace(state, r=r, traces=state.traces + traces)
 
     def _stage_joint(self, state: ChunkState, rng) -> ChunkState:
-        # each candidate row pairs with its own task's copy of the query
-        q = GroundedSeq(T.repeat(state.q.positions, CANDIDATES),
-                        np.repeat(state.q.mask, CANDIDATES, axis=0))
-        joint = join(q, state.r)
+        joint = join(state.q, state.r)
         if self.coattn is not None:
-            z_q, z_r, traces = coattend(joint, q, state.r, self.coattn, rng=rng)
+            z_q, z_r, traces = coattend(joint, state.q, state.r, self.coattn, rng=rng)
         else:
             z_q, z_r, traces = lstm_encode(joint, self.encoder_lstm)
-        return replace(state, q=q, z_q=z_q, z_r=z_r, traces=state.traces + traces)
+        return replace(state, z_q=z_q, z_r=z_r, traces=state.traces + traces)
 
     def _stage_head(self, state: ChunkState, rng) -> ChunkState:
         pooled_q, alpha_q = reduce(state.z_q, state.q.mask, self.reduction.mlp_q)

@@ -210,11 +210,15 @@ def train(
     or as soon as the training set is fit perfectly. It keeps the last
     epoch's weights, not the best epoch's: the checkpoint, the returned
     model, its metrics and the last log line all describe those weights.
-    Raises TrainingDiverged on a non-finite loss.
+    Raises DataError if an instance is in both sets, TrainingDiverged on a
+    non-finite loss.
     """
     config.validate()
     if not train_insts:
         raise DataError("cannot train on an empty dataset")
+    shared = sorted({i.instance_id for i in train_insts} & {i.instance_id for i in val_insts})
+    if shared:
+        raise DataError(f"instance_id {shared[0]!r} is in both the training and validation sets")
 
     vocab = Vocab.build(train_insts)
     d_o = _object_width(list(train_insts) + list(val_insts))

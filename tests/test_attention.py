@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from helpers import composed_multi_head
 from vcrnet import attention as A
 from vcrnet import tensor as T
+from vcrnet.layers import feed_forward
 from vcrnet.tensor import Tensor, ShapeError
 
 
@@ -457,10 +459,11 @@ CUTS = {"sa-mha|rest": 1, "sa-mha|ln1|rest": 2, "sa-each": 3, "boundary-sa|ga": 
 @pytest.mark.parametrize("cut", list(CUTS.values()), ids=list(CUTS))
 def test_unit_sublayer_slices_compose_to_the_whole_unit(cut):
     # a gradient sweep runs a chain's steps one at a time up to a restart,
-    # then the trailing slice after it, each from the (residual, branch)
-    # state the one before left: that must be exactly the whole chain,
-    # dropout draws and traces too. A self-attention unit attends over its
-    # own input, not over the chain's
+    # then the trailing slice after it, each from the one state tensor the
+    # step before left: that must be exactly the whole chain, dropout draws
+    # and traces too. After a branching step the state is the residual sum
+    # x + branch. A self-attention unit attends over its own input, not
+    # over the chain's
     rng = np.random.default_rng(31)
     units = [A.init_attn_unit(rng, 8, 2, 16, p_drop=0.25) for _ in range(3)]
     x = Tensor(rng.standard_normal((2, 3, 8)))
@@ -481,13 +484,22 @@ def test_unit_sublayer_slices_compose_to_the_whole_unit(cut):
 
     steps = A.chain_steps(chain)
     assert len(steps) == 12 and steps[4] == ("ga", "mha")
+    by_name = {name: (p, g, m) for name, p, g, m, _ in chain}
     sliced_rng = np.random.default_rng(7)
-    residual, branch, traces = x, None, []
-    for step in steps[:cut]:
-        out, more = A.run_chain(residual, chain, (step,), sliced_rng, branch)
-        residual, branch = (residual, out) if step[1] in A.BRANCHING else (out, None)
+    state, traces = x, []
+    for unit, sub in steps[:cut]:
+        p, g, m = by_name[unit]
+        if sub == "mha":
+            keys = state if g is None else g
+            branch = A.multi_head(state, keys, keys, p.mha, m)[0]
+        elif sub == "ffn":
+            branch = feed_forward(state, p.ffn, copy.deepcopy(sliced_rng))
+        out, more = A.run_chain(state, chain, ((unit, sub),), sliced_rng)
+        if sub in ("mha", "ffn"):
+            npt.assert_array_equal(out.data, state.data + branch.data)
+        state = out
         traces += more
-    out, more = A.run_chain(residual, chain, steps[cut:], sliced_rng, branch)
+    out, more = A.run_chain(state, chain, steps[cut:], sliced_rng)
     traces += more
     npt.assert_array_equal(out.data, whole.data)
     assert [t.unit for t in traces] == [t.unit for t in whole_traces]

@@ -506,6 +506,34 @@ def test_repeated_instance_id_is_one_error_line(trained_run, tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "inspect"])
+def test_an_instance_in_both_sets_is_one_error_line(trained_run, tmp_path, capsys, command):
+    # the validation file repeats the first training instance: `inspect`
+    # would export one copy of it and `train` score it as held out
+    data, ckpt = trained_run
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    first = (copy / cli.TRAIN_FILE).read_text().splitlines(keepends=True)[0]
+    with open(copy / cli.VAL_FILE, "a") as fh:
+        fh.write(first)
+    inst_id = json.loads(first)["instance_id"]
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", str(copy), "--out", str(out), *_FAST],
+        "inspect": ["inspect", "--ckpt", str(ckpt), "--data", str(copy),
+                    "--instance-id", inst_id, "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert _one_error(capsys) == {
+        "train": f"error: instance_id {inst_id!r} is in both the training and "
+                 f"validation sets",
+        "inspect": f"error: instance_id {inst_id!r} is in both {copy / cli.TRAIN_FILE} "
+                   f"and {copy / cli.VAL_FILE}",
+    }[command]
+    assert list(out.glob("*")) == []  # nothing written
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_train_rejects_non_finite_lr(tmp_path, capsys, value):
     data = _synth(tmp_path)

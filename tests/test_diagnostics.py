@@ -224,18 +224,18 @@ def test_a_nan_central_difference_fails_its_stage(monkeypatch):
 
 
 def test_a_sweep_that_raises_leaves_the_model_as_it_was(monkeypatch):
-    # the guided-fusion parts fail as soon as they see a perturbed model: the
-    # coordinate being evaluated must be put back all the same
+    # the sublayer restarts' chains fail as soon as they see a perturbed
+    # model: the coordinate being evaluated must be put back all the same
     model = probe_model()
     before = model.flat.copy()
-    fuse = diagnostics.guided_fuse
+    run_chain = diagnostics.run_chain
 
-    def fuse_unperturbed_only(*args, **kwargs):
+    def chain_unperturbed_only(*args, **kwargs):
         if not np.array_equal(model.flat, before):
             raise RuntimeError("evaluation failed mid-sweep")
-        return fuse(*args, **kwargs)
+        return run_chain(*args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "guided_fuse", fuse_unperturbed_only)
+    monkeypatch.setattr(diagnostics, "run_chain", chain_unperturbed_only)
     with pytest.raises(RuntimeError, match="mid-sweep"):
         end_to_end_checks(model=model)
     assert model.flat.tobytes() == before.tobytes()

@@ -173,7 +173,8 @@ def test_guided_fuse_padding_content_cannot_leak():
 
 def test_guided_fuse_candidates_read_their_own_task():
     # two tasks of two candidates each, with different query lengths and
-    # object counts: each candidate must match a run on its own
+    # object counts, each task's query and objects repeated once per
+    # candidate: each candidate must match a run on its own
     rng = np.random.default_rng(10)
     p = _fuse_params(rng, 4)
     q_len, k_len = [2, 3], [3, 1]
@@ -186,7 +187,7 @@ def test_guided_fuse_candidates_read_their_own_task():
                             np.arange(3) < np.array([[3], [1]]))
     gr = G.GroundedSeq(Tensor(rng.standard_normal((4, 2, 4))),
                        np.array([[True, True], [True, False], [True, True], [True, True]]))
-    fr, traces = G.guided_fuse(gq, gr, objects, p)
+    fr, traces = G.guided_fuse(gq.repeat(2), gr, objects.repeat(2), p)
     for c in range(4):
         t = c // 2
         alone_q = gq.rows(t, t + 1, q_len[t])
@@ -198,6 +199,21 @@ def test_guided_fuse_candidates_read_their_own_task():
             npt.assert_allclose(row.heads[..., :want.heads.shape[-1]], want.heads[0],
                                 rtol=0, atol=1e-12)
             npt.assert_array_equal(row.heads[..., want.heads.shape[-1]:], 0.0)
+
+
+@pytest.mark.parametrize("queries,object_sets", [(2, 2), (4, 2)], ids=["per-task", "objects"])
+def test_guided_fuse_needs_one_query_and_object_row_per_response(queries, object_sets):
+    # four responses read four rows of each guide; fewer rows are an error,
+    # not a grouping of the responses into tasks
+    rng = np.random.default_rng(12)
+    p = _fuse_params(rng, 4)
+    gq = G.GroundedSeq(Tensor(rng.standard_normal((queries, 2, 4))), np.ones((queries, 2), bool))
+    objects = G.GroundedSeq(Tensor(rng.standard_normal((object_sets, 3, 4))),
+                            np.ones((object_sets, 3), bool))
+    gr = G.GroundedSeq(Tensor(rng.standard_normal((4, 2, 4))), np.ones((4, 2), bool))
+    with pytest.raises(ShapeError, match=f"^4 responses, {queries} queries and {object_sets} "
+                                         f"object sets are not one row per response$"):
+        G.guided_fuse(gq, gr, objects, p)
 
 
 def test_grounding_end_to_end_grad_check():

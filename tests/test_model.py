@@ -6,7 +6,7 @@ import pytest
 
 from helpers import add, loop_forward, padded_positions
 
-from vcrnet.attention import AttentionTrace
+from vcrnet.attention import SUBLAYERS, AttentionTrace
 from vcrnet.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from vcrnet.config import TrainConfig
 from vcrnet.data import (
@@ -191,6 +191,39 @@ def test_non_finite_features_stay_in_their_own_task(bad_first):
         rows = dict(zip((ex.instance_id for ex in chunk), model.forward_chunk(chunk).logits.data))
     npt.assert_array_equal(rows[a.instance_id], _logits(model, a))
     assert not np.isfinite(rows[b.instance_id]).any()
+
+
+def test_encode_holds_one_row_per_candidate():
+    # from encode on, row c of q, objects and r belongs to candidate c: rows
+    # 4i..4i+3 of q and objects are task i's own query and objects, padded
+    insts = synth_generate(21, 1) + synth_generate(22, 1, k_objects=6)
+    tasks = [make_task(insts[0], TASK_Q2A), make_task(insts[1], TASK_QA2R)]
+    assert len(tasks[0].query) != len(tasks[1].query)
+    assert tasks[0].objects.shape[0] != tasks[1].objects.shape[0]
+    model = VcrModel.build(_config(), Vocab.build(insts), insts[0].objects.shape[1],
+                           np.random.default_rng(13))
+    state = model._stage_encode(tasks, None)
+    for seq in (state.q, state.objects, state.r):
+        assert seq.mask.shape[0] == CANDIDATES * len(tasks)
+    for i, task in enumerate(tasks):
+        alone = model._stage_encode([task], None)
+        rows = slice(CANDIDATES * i, CANDIDATES * (i + 1))
+        for got, want in ((state.q, alone.q), (state.objects, alone.objects)):
+            width = want.mask.shape[1]
+            npt.assert_array_equal(got.positions.data[rows, :width], want.positions.data)
+            npt.assert_array_equal(got.mask[rows, :width], want.mask)
+            assert not got.mask[rows, width:].any()
+
+
+def test_taped_fusion_records_one_entry_per_sublayer():
+    # the fusion chain runs on the encode stage's rows as they are: no
+    # reshape in or out of it
+    inst = probe_instance()
+    model = probe_model(inst)
+    state = model._stage_encode([make_task(inst, TASK_Q2A), make_task(inst, TASK_QA2R)], None)
+    with Tape() as tape:
+        model._stage_fuse(state, None)
+    assert len(tape) == 2 * len(SUBLAYERS)
 
 
 def _randomize_head(model):

@@ -269,6 +269,15 @@ def test_empty_training_set_rejected(tmp_path):
         train(_quick_config(), [], [], tmp_path)
 
 
+def test_an_instance_in_both_sets_is_rejected(tmp_path):
+    # a validation copy of a training instance would score it as held out
+    train_set, val_set = _data(n=8)
+    with pytest.raises(DataError, match=f"^instance_id '{train_set[2].instance_id}' is in "
+                                        f"both the training and validation sets$"):
+        train(_quick_config(), train_set, val_set + train_set[2:3], tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 def test_mixed_object_widths_rejected(tmp_path):
     wide = synth_generate(0, 2, d_o=8)
     narrow = synth_generate(1, 2, d_o=4)
