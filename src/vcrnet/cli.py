@@ -62,13 +62,14 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _out_dir(path: str) -> Path:
-    """Create the --out directory; a file in its place is a usage error."""
+def _out_dir(path: str, create: bool = True) -> Path:
+    """The --out directory, created unless `create` is false; a file in its
+    place, or in place of a directory above it, is a usage error."""
     out = Path(path)
-    try:
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise UsageError(f"--out is not a directory: {out}")
+    if create:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise UsageError(f"--out is not a directory: {out}") from exc
     return out
 
 
@@ -113,7 +114,8 @@ def cmd_train(args) -> int:
     val_path = data_dir / VAL_FILE
     val_insts = _load_annotations(val_path) if val_path.exists() else []
 
-    out = _out_dir(args.out)
+    # `train` makes the directory once it has checked the data
+    out = _out_dir(args.out, create=False)
 
     def progress(report):
         val = ("none" if report.val_q2a is None

@@ -162,10 +162,10 @@ def layer_checks() -> list:
     check_params("feed_forward/train", ffn_drop, lambda: train_ffn(x))
 
     # bidirectional LSTM, including the fused backward-through-time rule,
-    # on a time-major batch of one
+    # on a batch of one
     rng = np.random.default_rng(46)
     bi = L.init_bilstm(rng, 5, 3)
-    x = Tensor(rng.standard_normal((4, 1, 5)))
+    x = Tensor(rng.standard_normal((1, 4, 5)))
     check("bilstm/x", lambda t: L.bilstm(t, bi), x)
     check_params("bilstm", bi, lambda: L.bilstm(x, bi))
 
@@ -241,15 +241,15 @@ def layer_checks() -> list:
     check("sdpa/shared/k", lambda t: sdpa(grouped, t, v, mask, 2)[0], k)
     check("sdpa/shared/v", lambda t: sdpa(grouped, k, t, mask, 2)[0], v)
 
-    # time-major BiLSTM batch of lengths 4, 2, 3, then the same batch under a
-    # step mask with holes, as the lstm encoder's [padded query | padded
-    # response] sequences have
+    # BiLSTM batch of lengths 4, 2, 3, then the same batch under a step mask
+    # with holes, as the lstm encoder's [padded query | padded response]
+    # sequences have
     rng = np.random.default_rng(54)
     lengths = np.array([4, 2, 3])
-    x = Tensor(rng.standard_normal((4, 3, 5)))
-    gaps = np.array([[True, True, False], [False, True, True], [True, False, False],
-                     [True, False, True]])
-    for label, steps in (("bilstm/batch", np.arange(4)[:, None] < lengths),
+    x = Tensor(rng.standard_normal((3, 4, 5)))
+    gaps = np.array([[True, False, True, True], [True, True, False, False],
+                     [False, True, False, True]])
+    for label, steps in (("bilstm/batch", np.arange(4) < lengths[:, None]),
                          ("bilstm/gap", gaps)):
         # each check runs before `steps` is rebound, so the lambdas see this one
         check(f"{label}/x", lambda t: L.bilstm(t, bi, steps), x)

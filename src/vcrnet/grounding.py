@@ -85,14 +85,13 @@ def align_tags(rows: np.ndarray, token_emb: Tensor, objects: Tensor) -> Tensor:
 
 
 def ground(aligned: Tensor, lengths, p: BiLstmParams) -> GroundedSeq:
-    """BiLSTM over a time-major (T, B, d) batch of aligned sequences.
+    """BiLSTM over a (B, T, d) batch of aligned sequences.
 
-    Sequence b is the first lengths[b] steps of column b; the result is a
-    batch-major GroundedSeq padded to T, with padded rows exactly zero and
-    masked out.
+    Sequence b is the first lengths[b] steps of row b; the result is a
+    GroundedSeq padded to T, with padded rows exactly zero and masked out.
     """
-    mask = np.arange(aligned.data.shape[0])[:, None] < np.asarray(lengths)
-    return GroundedSeq(bilstm(aligned, p, mask).transpose((1, 0, 2)), mask.T)
+    mask = np.arange(aligned.data.shape[1]) < np.asarray(lengths)[:, None]
+    return GroundedSeq(bilstm(aligned, p, mask), mask)
 
 
 def guided_fuse(

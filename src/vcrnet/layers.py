@@ -284,46 +284,46 @@ def _expit(z: np.ndarray) -> np.ndarray:
 
 
 def bilstm(seq: Tensor, p: BiLstmParams, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Forward and backward passes over a time-major batch, concatenated per position.
+    """Forward and backward passes over a batch of sequences, concatenated per position.
 
-    `seq` is a (T, B, d) batch and `mask` a (T, B) boolean array marking
+    `seq` is a (B, T, d) batch and `mask` a (B, T) boolean array marking
     the live steps of each sequence (default: all), each sequence needing
     at least one. Live steps may sit anywhere: a sequence skips its other
     steps, so it reads as its live steps packed together. Output rows of
     the other steps are exactly 0 and pass no gradient to their input rows.
 
     Both directions run as one recurrence of max(lengths) steps. Each
-    column's live steps are gathered to packed steps 0, 1, ..., in time
+    sequence's live steps are gathered to packed steps 0, 1, ..., in time
     order for the forward direction and in reverse for the backward one,
-    and the columns are sorted longest first, so the columns live at a
+    and the sequences are sorted longest first, so the sequences live at a
     packed step are a prefix of the batch and no step is masked. The
     directions' weights are stored stacked on a leading axis, so one
     batched matmul per step serves both. The whole recurrence is one tape
     entry with a hand-written backward-through-time rule that scatters its
-    gradients back to the (T, B) layout.
+    gradients back to the (B, T) layout.
     """
     x = seq.data
-    if x.ndim != 3 or x.shape[0] < 1:
-        raise ShapeError(f"bilstm needs a non-empty T x B x d batch, got shape {x.shape}")
+    if x.ndim != 3 or x.shape[1] < 1:
+        raise ShapeError(f"bilstm needs a non-empty B x T x d batch, got shape {x.shape}")
     mask = np.ones(x.shape[:2], dtype=bool) if mask is None else np.asarray(mask)
-    if mask.dtype != bool or mask.shape != x.shape[:2] or not mask.any(axis=0).all():
+    if mask.dtype != bool or mask.shape != x.shape[:2] or not mask.any(axis=1).all():
         raise ShapeError(
             f"bilstm mask must be a boolean {x.shape[:2]} array with a live step "
             f"in every sequence, got {mask.dtype} {mask.shape}"
         )
-    m, batch, d_in = x.shape
+    batch, m, d_in = x.shape
     d_h = p.d_h
-    lengths = mask.sum(axis=0)
+    lengths = mask.sum(axis=1)
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
     steps = int(lengths[0])
-    # active[t]: the number of (sorted) columns still live at packed step t
+    # active[t]: the number of (sorted) sequences still live at packed step t
     active = (np.arange(steps)[:, None] < lengths).sum(axis=1).tolist()
-    # each sorted column's live time steps first, in time order
-    times = np.argsort(~mask[:, order], axis=0, kind="stable")[:steps]
+    # each sorted sequence's live time steps first, in time order, as (steps, B)
+    times = np.argsort(~mask[order], axis=1, kind="stable")[:, :steps].T
     back = np.maximum(lengths - 1 - np.arange(steps)[:, None], 0)
-    # source time step of packed step t, column j, per direction; the
-    # entries past a column's length are never read
+    # source time step of packed step t, sequence j, per direction; the
+    # entries past a sequence's length are never read
     pos = np.stack([times, np.take_along_axis(times, back, axis=0)])
     step_idx, col_idx = np.nonzero(np.arange(steps)[:, None] < lengths)
     src_pos = pos[:, step_idx, col_idx]
@@ -331,8 +331,8 @@ def bilstm(seq: Tensor, p: BiLstmParams, mask: Optional[np.ndarray] = None) -> T
     dirs = np.arange(2)[:, None]
 
     w_x, w_h, b = p.w_x.data, p.w_h.data, p.b.data
-    proj = (x.reshape(-1, d_in) @ w_x).reshape(2, m, batch, 4 * d_h) + b[:, None, None]
-    packed = proj[dirs[:, :, None], pos, order]
+    proj = (x.reshape(-1, d_in) @ w_x).reshape(2, batch, m, 4 * d_h) + b[:, None, None]
+    packed = proj[dirs[:, :, None], order, pos]
 
     # gates hold i, f, g, o per step; hs / cs hold the state before each
     # step, so index t + 1 is the state after step t
@@ -351,12 +351,12 @@ def bilstm(seq: Tensor, p: BiLstmParams, mask: Optional[np.ndarray] = None) -> T
         tcs[:, t, :a] = tc
         hs[:, t + 1, :a] = gate[..., 3 * d_h:] * tc
 
-    out = np.zeros((m, batch, 2, d_h))
-    out[src_pos, src_col, dirs] = hs[:, 1:][:, step_idx, col_idx]
+    out = np.zeros((batch, m, 2, d_h))
+    out[src_col, src_pos, dirs] = hs[:, 1:][:, step_idx, col_idx]
 
     def rule(g_out):
         g_packed = np.zeros((2, steps, batch, d_h))
-        g_packed[:, step_idx, col_idx] = g_out.reshape(m, batch, 2, d_h)[src_pos, src_col, dirs]
+        g_packed[:, step_idx, col_idx] = g_out.reshape(batch, m, 2, d_h)[src_col, src_pos, dirs]
         d_packed = np.zeros((2, steps, batch, 4 * d_h))
         dh_next = np.zeros((2, batch, d_h))
         dc_next = np.zeros((2, batch, d_h))
@@ -382,12 +382,12 @@ def bilstm(seq: Tensor, p: BiLstmParams, mask: Optional[np.ndarray] = None) -> T
         # products need no mask
         d_wh = hs[:, :steps].reshape(2, -1, d_h).transpose(0, 2, 1) @ d_packed.reshape(
             2, -1, 4 * d_h)
-        d_proj = np.zeros((2, m, batch, 4 * d_h))
-        d_proj[dirs, src_pos, src_col] = d_packed[:, step_idx, col_idx]
+        d_proj = np.zeros((2, batch, m, 4 * d_h))
+        d_proj[dirs, src_col, src_pos] = d_packed[:, step_idx, col_idx]
         flat = d_proj.reshape(2, -1, 4 * d_h)
         d_x = (flat @ w_x.transpose(0, 2, 1)).sum(axis=0).reshape(x.shape)
         d_wx = x.reshape(-1, d_in).T @ flat
         d_b = flat.sum(axis=1)
         return d_x, d_wx, d_wh, d_b
 
-    return record_op(out.reshape(m, batch, 2 * d_h), (seq, p.w_x, p.w_h, p.b), rule)
+    return record_op(out.reshape(batch, m, 2 * d_h), (seq, p.w_x, p.w_h, p.b), rule)

@@ -2,17 +2,18 @@
 
 The forward pass scores a chunk of n tasks at once, which may mix Q2A and
 QA2R tasks of different instances. Embed the n queries and 4n candidate
-responses from one time-major token grid, join each tagged token to the
-object row it gathers, and ground all 5n in one masked BiLSTM recurrence.
-From then on the chunk holds one row per candidate, task-major and
-candidate-minor: the responses as a (4n, w, d) batch with a (4n, w) mask,
-and each task's grounded query and projected objects repeated once per
-candidate, as a (4n, m_q, d) and a (4n, k, d) batch with their masks, each
-padded to the longest in the chunk. So row c of every batch belongs to
-candidate c. Refine the responses under their query and object guidance.
-Encode the queries and the responses against their joint concatenation,
-pool each to a single vector, fuse, and emit one scalar logit per
-candidate: (n, 4) logits, whose rows feed a softmax.
+responses from one token grid, a row per sequence, join each tagged token
+to the object row it gathers, and ground all 5n in one masked BiLSTM
+recurrence over that (5n, T) batch. From then on the chunk holds one row
+per candidate, task-major and candidate-minor: the responses as a
+(4n, w, d) batch with a (4n, w) mask, and each task's grounded query and
+projected objects repeated once per candidate, as a (4n, m_q, d) and a
+(4n, k, d) batch with their masks, each padded to the longest in the
+chunk. So row c of every batch belongs to candidate c. Refine the
+responses under their query and object guidance. Encode the queries and
+the responses against their joint concatenation, pool each to a single
+vector, fuse, and emit one scalar logit per candidate: (n, 4) logits,
+whose rows feed a softmax.
 
 These steps are the four STAGES: `encode` (embed, gather, ground), `fuse`
 (the paper's image-text fusion module), `joint` (its inference module) and
@@ -54,7 +55,7 @@ from vcrnet import tensor as T
 from vcrnet import layers as L
 from vcrnet.attention import AttentionTrace, AttnUnitParams, init_attn_unit
 from vcrnet.checkpoint import CheckpointError, write_checkpoint
-from vcrnet.coattention import CoAttnLayerParams, CoAttnParams, coattend, join, lstm_encode
+from vcrnet.coattention import CoAttnLayerParams, CoAttnParams, coattend, lstm_encode
 from vcrnet.config import TrainConfig
 from vcrnet.data import (
     PAD_TOKEN,
@@ -133,12 +134,13 @@ class ChunkState:
     r holds the candidate responses (task-major), and q and objects each
     task's grounded query and projected object features once per
     candidate, so row c of each belongs to candidate c; each is padded to
-    the longest of its kind. z_q / z_r are the encoded sides and logits the
-    (n, 4) candidate logits, each None until its stage sets it. traces
-    gathers the attention traces in pipeline order.
+    the longest of its kind. objects is None in a model without guided
+    fusion, the one stage that reads them. z_q / z_r are the encoded sides
+    and logits the (n, 4) candidate logits, each None until its stage sets
+    it. traces gathers the attention traces in pipeline order.
     """
 
-    objects: GroundedSeq
+    objects: Optional[GroundedSeq]
     q: GroundedSeq
     r: GroundedSeq
     traces: list
@@ -346,11 +348,11 @@ class VcrModel:
         steps = max(len(seq) for ex in tasks for seq in (ex.query, *ex.responses))
         objects = np.zeros((n, k, d_o))
         object_mask = np.zeros((n, k), dtype=bool)
-        # time-major cells of the n queries, then the 4n responses: each token's vocab
+        # one row per sequence, the n queries then the 4n responses: each token's vocab
         # id and the row of the flat (n·k, d_o) objects its tag reads, else pad id and -1
-        ids = np.full((steps, n * (1 + CANDIDATES)), self.vocab.pad_id)
+        ids = np.full((n * (1 + CANDIDATES), steps), self.vocab.pad_id)
         rows = np.full(ids.shape, -1)
-        lengths = np.zeros(ids.shape[1], dtype=int)
+        lengths = np.zeros(ids.shape[0], dtype=int)
         for i, ex in enumerate(tasks):
             k_i = ex.objects.shape[0]
             if len(ex.responses) != CANDIDATES:
@@ -361,24 +363,25 @@ class VcrModel:
             self.check_object_width(ex.instance_id, ex.objects)
             objects[i, :k_i] = ex.objects
             object_mask[i, :k_i] = True
-            cols = (i, *range(n + i * CANDIDATES, n + (i + 1) * CANDIDATES))
-            for col, seq in zip(cols, (ex.query, *ex.responses)):
-                lengths[col] = len(seq)
-                ids[:len(seq), col] = self.vocab.encode(seq)
+            seqs = (i, *range(n + i * CANDIDATES, n + (i + 1) * CANDIDATES))
+            for row, seq in zip(seqs, (ex.query, *ex.responses)):
+                lengths[row] = len(seq)
+                ids[row, :len(seq)] = self.vocab.encode(seq)
                 for t, tok in enumerate(seq):
                     if tok.tag is not None:
                         if not 0 <= tok.tag < k_i:
                             raise DataError(f"{ex.instance_id}: token {tok.text!r} tags "
                                             f"object {tok.tag} but only {k_i} objects exist")
-                        rows[t, col] = i * k + tok.tag
+                        rows[row, t] = i * k + tok.tag
         objects = Tensor(objects)
         emb = T.embedding_lookup(self.embedding, ids.ravel())
         aligned = align_tags(rows.ravel(), emb, objects.reshape(n * k, d_o))
-        grounded = ground(aligned.reshape(steps, ids.shape[1], -1), lengths, self.ground_lstm)
+        grounded = ground(aligned.reshape(ids.shape + (-1,)), lengths, self.ground_lstm)
         return ChunkState(
-            objects=GroundedSeq(L.linear(objects, self.obj_proj), object_mask).repeat(CANDIDATES),
+            objects=None if self.ga_fuse is None else GroundedSeq(
+                L.linear(objects, self.obj_proj), object_mask).repeat(CANDIDATES),
             q=grounded.rows(0, n, lengths[:n].max()).repeat(CANDIDATES),
-            r=grounded.rows(n, ids.shape[1], lengths[n:].max()),
+            r=grounded.rows(n, ids.shape[0], lengths[n:].max()),
             traces=[],
         )
 
@@ -389,11 +392,10 @@ class VcrModel:
         return replace(state, r=r, traces=state.traces + traces)
 
     def _stage_joint(self, state: ChunkState, rng) -> ChunkState:
-        joint = join(state.q, state.r)
         if self.coattn is not None:
-            z_q, z_r, traces = coattend(joint, state.q, state.r, self.coattn, rng=rng)
+            z_q, z_r, traces = coattend(state.q, state.r, self.coattn, rng=rng)
         else:
-            z_q, z_r, traces = lstm_encode(joint, self.encoder_lstm)
+            z_q, z_r, traces = lstm_encode(state.q, state.r, self.encoder_lstm)
         return replace(state, z_q=z_q, z_r=z_r, traces=state.traces + traces)
 
     def _stage_head(self, state: ChunkState, rng) -> ChunkState:

@@ -11,11 +11,12 @@ which is a valid reverse-topological order because an operation's inputs
 always exist before the operation runs.
 
 The op set is `matmul` (`a @ b`), `concat`, `repeat`, `embedding_lookup`,
-and the methods `Tensor.reshape`, `Tensor.transpose` and `Tensor.slice`.
-An op stays here only while the program runs it; one training epoch
-reaches every one. Sums, nonlinearities and softmaxes live inside the
-fused ops, e.g. the residual sum in `layer_norm`, the relu in
-`feed_forward` and the masked softmax in `sdpa` and `multi_head`.
+and the methods `Tensor.reshape` and `Tensor.slice`; none permutes axes,
+as every sequence is batch-major. An op stays here only while the program
+runs it; one training epoch reaches every one. Sums, nonlinearities and
+softmaxes live inside the fused ops, e.g. the residual sum in `layer_norm`,
+the relu in `feed_forward` and the masked softmax in `sdpa` and
+`multi_head`.
 
 Broadcasting is deliberately restricted: `matmul` applies one 2-d right
 operand to every leading index of the left, or pairs two batches row by
@@ -94,14 +95,6 @@ class Tensor:
             shape = tuple(shape[0])
         old = self.data.shape
         return _result(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        """Permute the tensor's axes by `axes`."""
-        axes = tuple(axes)
-        if sorted(axes) != list(range(self.data.ndim)):
-            raise ShapeError(f"transpose axes {axes} do not permute shape {self.data.shape}")
-        inverse = tuple(np.argsort(axes))
-        return _result(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 
     def slice(self, axis: int, start: int, stop: int) -> "Tensor":
         """Contiguous block along one axis; gradient scatters back."""

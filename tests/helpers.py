@@ -8,7 +8,7 @@ import numpy.testing as npt
 from vcrnet import attention as A
 from vcrnet import tensor as T
 from vcrnet.checkpoint import MAGIC, VERSION, write_checkpoint
-from vcrnet.coattention import coattend, join, lstm_encode
+from vcrnet.coattention import coattend, lstm_encode
 from vcrnet.data import TASK_Q2A, make_task
 from vcrnet.diagnostics import H, probe_instance
 from vcrnet.grounding import GroundedSeq, align_tags, ground, guided_fuse
@@ -172,7 +172,7 @@ def loop_forward(model, ex):
     def encode(tokens):
         emb = T.embedding_lookup(model.embedding, model.vocab.encode(tokens))
         rows = np.array([-1 if tok.tag is None else tok.tag for tok in tokens])
-        aligned = align_tags(rows, emb, objects_t).reshape(len(tokens), 1, -1)
+        aligned = align_tags(rows, emb, objects_t).reshape(1, len(tokens), -1)
         return ground(aligned, [len(tokens)], model.ground_lstm)
 
     def pool_trace(label, alpha):
@@ -187,11 +187,10 @@ def loop_forward(model, ex):
         traces = []
         if model.ga_fuse is not None:
             gr, traces = guided_fuse(gq, gr, guide, model.ga_fuse)
-        joint = join(gq, gr)
         if model.coattn is not None:
-            z_q, z_r, more = coattend(joint, gq, gr, model.coattn)
+            z_q, z_r, more = coattend(gq, gr, model.coattn)
         else:
-            z_q, z_r, more = lstm_encode(joint, model.encoder_lstm)
+            z_q, z_r, more = lstm_encode(gq, gr, model.encoder_lstm)
         pooled_q, alpha_q = reduce(z_q, gq.mask, red.mlp_q)
         pooled_r, alpha_r = reduce(z_r, gr.mask, red.mlp_r)
         logits.append(candidate_logit(fuse(pooled_q, pooled_r, red), red))
@@ -209,12 +208,15 @@ def bilstm_two_pass(seq, p, mask):
 
 
 def _run_direction(seq, p, mask, direction):
-    """One direction's recurrence over a (T, B, d_in) batch as one tape
+    """One direction's recurrence over a (B, T, d_in) batch as one tape
     entry, walking all T steps (from T - 1 down for direction 1, the
     backward one) on its own slice of the stacked weights, whose other
-    slice gets a zero gradient. Off its live steps (mask (T, B)) a
-    sequence's state is frozen by `np.where` and its output row is 0."""
-    x = seq.data
+    slice gets a zero gradient. Off its live steps (mask (B, T)) a
+    sequence's state is frozen by `np.where` and its output row is 0.
+    It walks a time-major copy of the batch: the layout is converted with
+    numpy on the way in and out, gradients included."""
+    x = seq.data.transpose(1, 0, 2)
+    mask = mask.T
     shape = x.shape
     m, batch = shape[0], shape[1]
     w_x, w_h, b = p.w_x.data[direction], p.w_h.data[direction], p.b.data[direction]
@@ -253,6 +255,7 @@ def _run_direction(seq, p, mask, direction):
         c = np.where(live[pos], c_new, c)
 
     def rule(g_out):
+        g_out = g_out.transpose(1, 0, 2)
         d_proj = np.zeros((m, batch, 4 * d_h), dtype=x.dtype)
         d_wh = np.zeros_like(w_h)
         dh_next = np.zeros((batch, d_h), dtype=x.dtype)
@@ -284,9 +287,9 @@ def _run_direction(seq, p, mask, direction):
             full = np.zeros_like(param.data)
             full[direction] = g
             grads.append(full)
-        return ((flat @ w_x.T).reshape(shape), *grads)
+        return ((flat @ w_x.T).reshape(shape).transpose(1, 0, 2), *grads)
 
-    return record_op(out, (seq, p.w_x, p.w_h, p.b), rule)
+    return record_op(out.transpose(1, 0, 2), (seq, p.w_x, p.w_h, p.b), rule)
 
 
 def stage_sweep(model):

@@ -435,6 +435,21 @@ def test_out_pointing_at_a_file_is_a_usage_error(trained_run, tmp_path, capsys, 
     assert taken.read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_out_below_a_file_is_a_usage_error(trained_run, tmp_path, capsys, command):
+    # `train` makes its directory only once the data is checked, so it
+    # checks the path up front without making anything
+    data, _ = trained_run
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    out = taken / "run"
+    argv = {"synth": ["synth", "--n", "2"], "train": ["train", "--data", str(data), *_FAST]}
+    capsys.readouterr()
+    assert main(argv[command] + ["--out", str(out)]) == 2
+    assert _one_error(capsys) == f"error: --out is not a directory: {out}"
+    assert taken.read_text() == "keep me\n"
+
+
 @pytest.mark.parametrize("shape", [(), (0, 16)], ids=["rank-0", "no-rows"])
 def test_eval_reports_malformed_object_projection(trained_run, tmp_path, capsys, shape):
     # the object feature width is read off obj_proj.weight before any
@@ -531,7 +546,7 @@ def test_an_instance_in_both_sets_is_one_error_line(trained_run, tmp_path, capsy
         "inspect": f"error: instance_id {inst_id!r} is in both {copy / cli.TRAIN_FILE} "
                    f"and {copy / cli.VAL_FILE}",
     }[command]
-    assert list(out.glob("*")) == []  # nothing written
+    assert not out.exists()  # nothing written, not even the directory
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -35,7 +35,7 @@ def test_join_concatenates_query_first():
     q = _seq(rng, ["a", "b"])
     r = _seq(rng, ["c", "d", "e"])
     joint = C.join(q, r)
-    assert joint.m_query == 2
+    assert isinstance(joint, GroundedSeq)
     npt.assert_array_equal(joint.positions.data[:, :2], q.positions.data)
     npt.assert_array_equal(joint.positions.data[:, 2:], r.positions.data)
     npt.assert_array_equal(joint.mask, np.ones((1, 5), dtype=bool))
@@ -58,7 +58,7 @@ def test_coattend_output_shapes():
     q = _seq(rng, ["a", "b", "c"])
     r = _seq(rng, ["d", "e"])
     p = _params(rng, depth=2)
-    zq, zr, traces = C.coattend(C.join(q, r), q, r, p)
+    zq, zr, traces = C.coattend(q, r, p)
     assert zq.data.shape == (1, 3, 4)
     assert zr.data.shape == (1, 2, 4)
     # 2 layers x 2 modules x (SA + GA)
@@ -77,7 +77,7 @@ def test_coattend_draws_dropout_layer_by_layer_query_side_first():
     p = _params(rng, depth=3, p_drop=0.3)
     joint = C.join(q, r)
     drop = np.random.default_rng(5)
-    zq, zr, traces = C.coattend(joint, q, r, p, rng=drop)
+    zq, zr, traces = C.coattend(q, r, p, rng=drop)
 
     want = np.random.default_rng(5)
     ys = {"q": q.positions, "r": r.positions}
@@ -97,7 +97,7 @@ def test_coattend_draws_dropout_layer_by_layer_query_side_first():
     for got, expected in zip(traces, want_traces):
         npt.assert_array_equal(got.heads, expected.heads)
     assert drop.bit_generator.state == want.bit_generator.state
-    assert not np.array_equal(zq.data, C.coattend(joint, q, r, p)[0].data)
+    assert not np.array_equal(zq.data, C.coattend(q, r, p)[0].data)
 
 
 def _zero_params(depth, d=4, d_ff=8):
@@ -112,7 +112,7 @@ def test_coattend_zeroed_layer_is_layer_norm_cascade():
     rng = np.random.default_rng(4)
     q = _seq(rng, ["a", "b"])
     r = _seq(rng, ["c", "d"])
-    zq, zr, _ = C.coattend(C.join(q, r), q, r, _zero_params(depth=1))
+    zq, zr, _ = C.coattend(q, r, _zero_params(depth=1))
     npt.assert_allclose(zq.data, np_layer_norm(np_layer_norm(np_layer_norm(np_layer_norm(q.positions.data)))),
                         atol=1e-12)
     npt.assert_allclose(zr.data, np_layer_norm(np_layer_norm(np_layer_norm(np_layer_norm(r.positions.data)))),
@@ -125,7 +125,7 @@ def test_coattend_masks_padding_in_guide():
         q = _seq(rng, ["a", "b"])
         r = _seq(rng, ["c", "d", "<pad>"], mask=[True, True, False])
         p = _params(rng, depth=1)
-        _, _, traces = C.coattend(C.join(q, r), q, r, p)
+        _, _, traces = C.coattend(q, r, p)
         for tr in traces:
             if "ga" in tr.unit:
                 for head in tr.heads[0]:
@@ -139,10 +139,10 @@ def test_query_module_blind_to_response_order_in_guide():
     q = _seq(rng, ["a", "b"])
     r = _seq(rng, ["c", "d", "e"])
     p = _params(rng, depth=1)
-    base_q, _, _ = C.coattend(C.join(q, r), q, r, p)
+    base_q, _, _ = C.coattend(q, r, p)
     perm = np.array([2, 0, 1])
     r_shuffled = GroundedSeq(Tensor(r.positions.data[:, perm]), r.mask[:, perm])
-    shuffled_q, _, _ = C.coattend(C.join(q, r_shuffled), q, r_shuffled, p)
+    shuffled_q, _, _ = C.coattend(q, r_shuffled, p)
     npt.assert_allclose(shuffled_q.data, base_q.data, atol=1e-10)
 
 
@@ -153,17 +153,16 @@ def test_depth_mismatch_rejected():
     p = _params(rng, depth=1)
     p.r.append(p.r[0])
     with pytest.raises(ShapeError):
-        C.coattend(C.join(q, r), q, r, p)
+        C.coattend(q, r, p)
 
 
 def test_lstm_encoder_splits_by_provenance():
     rng = np.random.default_rng(9)
     q = _seq(rng, ["a", "b"])
     r = _seq(rng, ["c", "d", "e"])
-    joint = C.join(q, r)
     p = init_bilstm(rng, 4, 2)
-    zq, zr, traces = C.lstm_encode(joint, p)
-    full = bilstm(joint.positions.transpose((1, 0, 2)), p).data.transpose(1, 0, 2)
+    zq, zr, traces = C.lstm_encode(q, r, p)
+    full = bilstm(C.join(q, r).positions, p).data
     npt.assert_array_equal(zq.data, full[:, :2])
     npt.assert_array_equal(zr.data, full[:, 2:])
     assert traces == []
@@ -176,9 +175,9 @@ def test_lstm_encoder_reads_real_positions_packed():
     p = init_bilstm(rng, 4, 2)
     q = _seq(rng, ["a", "b", "<pad>"], mask=[True, True, False])
     r = _seq(rng, ["c", "d", "<pad>"], mask=[True, True, False])
-    zq, zr, _ = C.lstm_encode(C.join(q, r), p)
+    zq, zr, _ = C.lstm_encode(q, r, p)
     packed = np.concatenate([q.positions.data[:, :2], r.positions.data[:, :2]], axis=1)
-    want = bilstm(Tensor(packed.transpose(1, 0, 2)), p).data.transpose(1, 0, 2)
+    want = bilstm(Tensor(packed), p).data
     npt.assert_allclose(zq.data[:, :2], want[:, :2], rtol=0, atol=1e-12)
     npt.assert_allclose(zr.data[:, :2], want[:, 2:], rtol=0, atol=1e-12)
     npt.assert_array_equal(zq.data[:, 2], 0.0)
@@ -192,7 +191,7 @@ def test_coattention_grad_check_minimal_instance():
 
     def f(t):
         q = GroundedSeq(t, np.ones((1, 2), dtype=bool))
-        zq, zr, _ = C.coattend(C.join(q, r), q, r, p)
+        zq, zr, _ = C.coattend(q, r, p)
         return T.concat([zq, zr], axis=1)
 
     assert T.grad_check(f, Tensor(rng.standard_normal((1, 2, 4)))) < 1e-4

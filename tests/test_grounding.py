@@ -60,9 +60,9 @@ def test_align_grad_check_both_inputs():
 def test_ground_delegates_to_bilstm():
     rng = np.random.default_rng(3)
     p = init_bilstm(rng, 5, 2)
-    aligned = Tensor(rng.standard_normal((4, 1, 5)))
+    aligned = Tensor(rng.standard_normal((1, 4, 5)))
     seq = G.ground(aligned, [4], p)
-    npt.assert_array_equal(seq.positions.data, bilstm(aligned, p).data.transpose(1, 0, 2))
+    npt.assert_array_equal(seq.positions.data, bilstm(aligned, p).data)
     assert seq.positions.data.shape == (1, 4, 4)
     assert seq.mask.all() and seq.mask.shape == (1, 4)
 
@@ -226,7 +226,7 @@ def test_grounding_end_to_end_grad_check():
     obj_proj = Tensor(rng.standard_normal((3, 4)))
 
     def pipeline(objects):
-        aligned = G.align_tags(rows, emb, objects).reshape(3, 1, 5)
+        aligned = G.align_tags(rows, emb, objects).reshape(1, 3, 5)
         gq = G.ground(aligned, [len(rows)], lstm)
         scaled = add(gq.positions @ Tensor(0.5 * np.eye(4)), Tensor(np.full((1, 3, 4), 0.1)))
         gr = G.GroundedSeq(scaled, np.ones((1, 3), dtype=bool))

@@ -326,8 +326,8 @@ def _zero_bilstm(d_in, d_h):
 
 
 def _alone(x, p):
-    """bilstm over one (T, d) sequence, run as a time-major batch of one."""
-    return L.bilstm(Tensor(np.asarray(x)[:, None]), p).data[:, 0]
+    """bilstm over one (T, d) sequence, run as a batch of one."""
+    return L.bilstm(Tensor(np.asarray(x)[None]), p).data[0]
 
 
 def test_bilstm_zero_weights_zero_states():
@@ -345,7 +345,7 @@ def test_bilstm_single_step_sequence():
 def test_bilstm_rejects_empty_sequence():
     p = L.init_bilstm(np.random.default_rng(1), 3, 2)
     with pytest.raises(ShapeError):
-        L.bilstm(Tensor(np.zeros((0, 1, 3))), p)
+        L.bilstm(Tensor(np.zeros((1, 0, 3))), p)
     with pytest.raises(ShapeError):  # an unbatched sequence
         L.bilstm(Tensor(np.zeros((2, 3))), p)
 
@@ -408,7 +408,7 @@ def test_bilstm_causality():
 def test_bilstm_grad_check_sequence_and_weights():
     rng = np.random.default_rng(13)
     p = L.init_bilstm(rng, 3, 2)
-    x = Tensor(rng.standard_normal((2, 1, 3)))
+    x = Tensor(rng.standard_normal((1, 2, 3)))
     assert T.grad_check(lambda t: L.bilstm(t, p), x) < 1e-6
 
     def wrt_wh(t):
@@ -423,11 +423,11 @@ def test_bilstm_grad_check_sequence_and_weights():
 
 
 def _ragged_batch(rng, lengths, d_in=3):
-    """A time-major (T, B, d_in) batch with random values in the padded rows
-    too, and its (T, B) step mask."""
+    """A (B, T, d_in) batch with random values in the padded rows too, and
+    its (B, T) step mask."""
     steps = max(lengths)
-    return (rng.standard_normal((steps, len(lengths), d_in)),
-            np.arange(steps)[:, None] < np.asarray(lengths))
+    return (rng.standard_normal((len(lengths), steps, d_in)),
+            np.arange(steps) < np.asarray(lengths)[:, None])
 
 
 def test_bilstm_batch_matches_each_sequence_alone():
@@ -438,7 +438,7 @@ def test_bilstm_batch_matches_each_sequence_alone():
         x, mask = _ragged_batch(rng, lengths)
         got = L.bilstm(Tensor(x), p, mask).data
         for b, n in enumerate(lengths):
-            npt.assert_allclose(got[:n, b], _alone(x[:n, b], p), rtol=0, atol=1e-12)
+            npt.assert_allclose(got[b, :n], _alone(x[b, :n], p), rtol=0, atol=1e-12)
 
 
 def test_bilstm_batch_padding_is_zero_and_gets_no_gradient():
@@ -462,39 +462,39 @@ def test_bilstm_mask_gap_matches_packed_real_steps():
     # padded response
     rng = np.random.default_rng(15)
     p = L.init_bilstm(rng, 3, 2)
-    mask = np.array([[1, 1, 0], [0, 1, 1], [0, 1, 0], [1, 0, 1], [1, 1, 1]], dtype=bool)
-    x = Tensor(rng.standard_normal((5, 3, 3)), requires_grad=True)
-    seed = rng.standard_normal((5, 3, 4))
+    mask = np.array([[1, 0, 0, 1, 1], [1, 1, 1, 0, 1], [0, 1, 0, 1, 1]], dtype=bool)
+    x = Tensor(rng.standard_normal((3, 5, 3)), requires_grad=True)
+    seed = rng.standard_normal((3, 5, 4))
     with T.Tape() as tape:
         out = L.bilstm(x, p, mask)
         tape.seed(out, seed)
     for b in range(3):
-        live = np.flatnonzero(mask[:, b])
-        packed = Tensor(x.data[live, b][:, None], requires_grad=True)
+        live = np.flatnonzero(mask[b])
+        packed = Tensor(x.data[b, live][None], requires_grad=True)
         with T.Tape() as tape:
             alone = L.bilstm(packed, p)
-            tape.seed(alone, seed[live, b][:, None])
-        npt.assert_allclose(out.data[live, b], alone.data[:, 0], rtol=0, atol=1e-12)
-        npt.assert_allclose(x.grad[live, b], packed.grad[:, 0], rtol=0, atol=1e-12)
-        npt.assert_array_equal(out.data[~mask[:, b], b], 0.0)
-        npt.assert_array_equal(x.grad[~mask[:, b], b], 0.0)
+            tape.seed(alone, seed[b, live][None])
+        npt.assert_allclose(out.data[b, live], alone.data[0], rtol=0, atol=1e-12)
+        npt.assert_allclose(x.grad[b, live], packed.grad[0], rtol=0, atol=1e-12)
+        npt.assert_array_equal(out.data[b, ~mask[b]], 0.0)
+        npt.assert_array_equal(x.grad[b, ~mask[b]], 0.0)
     assert T.grad_check(lambda t: L.bilstm(t, p, mask), x) < 1e-6
 
 
 def _oracle_case(rng, kind):
-    """A (T, B) step mask of one kind of length pattern."""
+    """A (B, T) step mask of one kind of length pattern."""
     if kind == "T=1":
-        return np.ones((1, int(rng.integers(1, 5))), dtype=bool)
+        return np.ones((int(rng.integers(1, 5)), 1), dtype=bool)
     if kind == "B=1":
         steps = int(rng.integers(1, 7))
-        mask = rng.random((steps, 1)) < 0.6
-        mask[rng.integers(steps), 0] = True
+        mask = rng.random((1, steps)) < 0.6
+        mask[0, rng.integers(steps)] = True
         return mask
     if kind == "gapped":
         # live steps anywhere, as the lstm encoder's [query | response] mask
         steps, batch = int(rng.integers(2, 8)), int(rng.integers(2, 6))
-        mask = rng.random((steps, batch)) < 0.5
-        mask[rng.integers(steps, size=batch), np.arange(batch)] = True
+        mask = rng.random((batch, steps)) < 0.5
+        mask[np.arange(batch), rng.integers(steps, size=batch)] = True
         return mask
     if kind == "tied":
         lengths = np.repeat(rng.integers(1, 6, size=2), 2)
@@ -502,7 +502,7 @@ def _oracle_case(rng, kind):
         lengths = np.sort(rng.choice(np.arange(1, 8), size=4, replace=False))
     else:  # ragged
         lengths = rng.integers(1, 7, size=int(rng.integers(2, 6)))
-    return np.arange(lengths.max())[:, None] < lengths
+    return np.arange(lengths.max()) < lengths[:, None]
 
 
 _ORACLE_KINDS = ["ragged", "gapped", "tied", "unsorted", "T=1", "B=1"]
@@ -540,22 +540,22 @@ def test_bilstm_matches_two_pass_oracle(kind):
 def test_bilstm_is_one_tape_entry():
     rng = np.random.default_rng(16)
     p = L.init_bilstm(rng, 3, 2)
-    x = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((3, 4, 3)), requires_grad=True)
     with T.Tape() as tape:
-        L.bilstm(x, p, np.arange(4)[:, None] < np.array([2, 4, 1]))
+        L.bilstm(x, p, np.arange(4) < np.array([[2], [4], [1]]))
     assert len(tape) == 1
 
 
 def test_bilstm_batch_rejects_bad_lengths():
-    # the step mask must be a (T, B) boolean array with a live step per sequence
+    # the step mask must be a (B, T) boolean array with a live step per sequence
     p = L.init_bilstm(np.random.default_rng(1), 3, 2)
-    x = Tensor(np.zeros((3, 2, 3)))
-    for mask in (np.ones((3, 1), dtype=bool), np.ones((2, 2), dtype=bool),
-                 np.array([[True, False]] * 3), np.ones(2, dtype=bool), np.ones((3, 2))):
+    x = Tensor(np.zeros((2, 3, 3)))
+    for mask in (np.ones((1, 3), dtype=bool), np.ones((2, 2), dtype=bool),
+                 np.array([[True] * 3, [False] * 3]), np.ones(2, dtype=bool), np.ones((2, 3))):
         with pytest.raises(ShapeError):
             L.bilstm(x, p, mask)
     with pytest.raises(ShapeError):
-        L.bilstm(Tensor(np.zeros((3, 3))), p, np.ones((3, 1), dtype=bool))
+        L.bilstm(Tensor(np.zeros((3, 3))), p, np.ones((1, 3), dtype=bool))
 
 
 def test_init_bounds_and_forget_bias():

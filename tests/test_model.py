@@ -226,6 +226,46 @@ def test_taped_fusion_records_one_entry_per_sublayer():
     assert len(tape) == 2 * len(SUBLAYERS)
 
 
+def _default_chunk(**arch):
+    """The model `train` builds for TrainConfig(**arch) on the default data,
+    and its first mini-batch: the first 8 instances of synth_generate(9001,
+    40), 16 tasks, one chunk."""
+    insts = synth_generate(9001, 40)
+    config = TrainConfig(**arch)
+    model = VcrModel.build(config, Vocab.build(insts[:32]), insts[0].objects.shape[1],
+                           np.random.default_rng(config.seed))
+    return model, [make_task(inst, kind) for inst in insts[:8] for kind in (TASK_Q2A, TASK_QA2R)]
+
+
+@pytest.mark.parametrize("arch,want", [
+    ({}, {"encode": 10, "fuse": 8, "joint": 33, "head": 11}),
+    ({"ga": False}, {"encode": 8, "fuse": 0, "joint": 33, "head": 11}),
+    ({"encoder": "lstm"}, {"encode": 10, "fuse": 8, "joint": 4, "head": 11}),
+], ids=["default", "no-ga", "lstm"])
+def test_tape_entries_per_stage_of_the_default_chunk(arch, want):
+    # the first training chunk's entries per stage: no sequence is
+    # transposed, and objects are projected only for guided fusion
+    model, state = _default_chunk(**arch)
+    rng = np.random.default_rng(0)
+    got = {}
+    with Tape() as tape:
+        for stage in STAGES:
+            before = len(tape)
+            state = getattr(model, f"_stage_{stage}")(state, rng)
+            got[stage] = len(tape) - before
+    assert got == want
+
+
+def test_without_guided_fusion_encode_projects_no_objects():
+    model, tasks = _default_chunk(ga=False)
+    with Tape() as tape:
+        state = model._stage_encode(tasks, None)
+    assert state.objects is None
+    assert len(tape) == 8
+    weights = {id(model.obj_proj.weight), id(model.obj_proj.bias)}
+    assert not any(id(t) in weights for inputs, _, _ in tape._entries for t in inputs)
+
+
 def _randomize_head(model):
     # fresh heads are zero on purpose; give them values so logits differ
     rng = np.random.default_rng(99)

@@ -135,9 +135,6 @@ def test_grad_check_structural_ops():
     def reshape_make(rng):
         return (lambda t: t.reshape(6, 2)), Tensor(rng.standard_normal((3, 4)))
 
-    def transpose_make(rng):
-        return (lambda t: t.transpose((1, 0)) @ t), Tensor(rng.standard_normal((3, 4)))
-
     def slice_make(rng):
         return (lambda t: t.slice(1, 1, 3)), Tensor(rng.standard_normal((3, 4)))
 
@@ -145,7 +142,7 @@ def test_grad_check_structural_ops():
         other = Tensor(rng.standard_normal((2, 4)))
         return (lambda t: T.concat([t, other], axis=0)), Tensor(rng.standard_normal((3, 4)))
 
-    for make in (reshape_make, transpose_make, slice_make, concat_make):
+    for make in (reshape_make, slice_make, concat_make):
         _check_many(make, count=20)
 
 
@@ -339,13 +336,3 @@ def test_a_tape_is_seeded_once():
         with pytest.raises(RuntimeError, match="seeded already"):
             again()
     npt.assert_array_equal(x.grad, [2.0, 4.0])
-
-def test_transpose_permutes_axes():
-    rng = np.random.default_rng(15)
-    x = Tensor(rng.standard_normal((2, 3, 4)))
-    npt.assert_array_equal(x.transpose((1, 0, 2)).data, x.data.transpose(1, 0, 2))
-    assert T.grad_check(lambda t: t.transpose((2, 0, 1)), x) < 1e-7
-    with pytest.raises(ShapeError):
-        x.transpose((0, 0, 1))
-    with pytest.raises(TypeError):
-        x.transpose()
