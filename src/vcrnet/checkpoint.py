@@ -8,10 +8,10 @@ Layout, all integers little-endian:
     entry*    count times:
         name_len  u16
         name      UTF-8 bytes
-        dtype     u8   0 = float32, 1 = float64
+        dtype     u8   0 = float32, 1 = float64, 2 = uint8 (a `bytes` value)
         rank      u8
         extents   u32 per axis
-        payload   row-major little-endian floats
+        payload   row-major little-endian items
 
 Entries round-trip bitwise and keep their order, so identical inputs give
 identical files. Files are written atomically (`write_atomic`).
@@ -30,7 +30,7 @@ import numpy as np
 MAGIC = b"CANCKPT1"
 VERSION = 1
 
-_DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
 
 
 class CheckpointError(ValueError):
@@ -40,12 +40,9 @@ class CheckpointError(ValueError):
 def write_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:
     chunks = [MAGIC, struct.pack("<II", VERSION, len(entries))]
     for name, arr in entries.items():
-        arr = np.asarray(arr)
-        if arr.dtype == np.float32:
-            tag, payload = 0, arr.astype("<f4", copy=False)
-        elif arr.dtype == np.float64:
-            tag, payload = 1, arr.astype("<f8", copy=False)
-        else:
+        arr = np.frombuffer(arr, np.uint8) if isinstance(arr, bytes) else np.asarray(arr)
+        tag = next((t for t, dtype in _DTYPE_TAGS.items() if arr.dtype == dtype), None)
+        if tag is None:
             raise CheckpointError(f"entry {name!r} has unsupported dtype {arr.dtype}")
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
@@ -56,7 +53,7 @@ def write_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:
         chunks.append(encoded)
         chunks.append(struct.pack("<BB", tag, arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(np.ascontiguousarray(payload).tobytes())
+        chunks.append(np.ascontiguousarray(arr).tobytes())
     write_atomic(path, b"".join(chunks))
 
 

@@ -21,6 +21,7 @@ from vcrnet.config import ConfigError, TrainConfig
 from vcrnet.data import (
     TASK_Q2A,
     TASK_QA2R,
+    SYNTH_TASKS,
     DataError,
     load_instances,
     make_task,
@@ -84,7 +85,7 @@ def cmd_synth(args) -> int:
         raise UsageError("--n must be at least 1")
     out = _out_dir(args.out)
     n_val = args.n // 4
-    insts = synth_generate(args.seed, args.n + n_val)
+    insts = synth_generate(args.seed, args.n + n_val, task=args.task)
     save_annotations(out / TRAIN_FILE, insts[:args.n])
     save_annotations(out / VAL_FILE, insts[args.n:])
     save_features(out / FEATURES_FILE, insts)
@@ -232,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a deterministic synthetic dataset")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--n", type=int, required=True, help="training instances; val gets n//4")
+    p.add_argument("--task", choices=sorted(SYNTH_TASKS), default="tag",
+                   help="tag: candidates tag their object; mention: they name it, untagged")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

@@ -1,9 +1,9 @@
 """Flat training/model configuration with file and override plumbing.
 
-The on-disk format is one JSON object keyed by field name. It is the format
-`train` writes as a run's `config.json`, so that file reproduces the run.
-Every field of TrainConfig is addressable by its field name; command-line
-flags override file values, which override the defaults here.
+The on-disk format is one JSON object keyed by field name: a checkpoint's
+`config` entry, and a run's `config.json`, an export that no loader reads
+but `--config` takes to reproduce the run. Every field is addressable by
+name; command-line flags override file values, which override the defaults.
 """
 
 from __future__ import annotations

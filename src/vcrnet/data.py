@@ -6,9 +6,11 @@ indices inside the text ("[1]") linking a token to an object.
 
 Files: annotations are JSON Lines (one instance per line, token/tag arrays
 in parallel); object features live in a separate binary container keyed
-"objects/<instance_id>". The synthetic generator plants a feature signature
-on one focus object per instance so that the gold candidate is decidable,
-but only through tag-object alignment, never from text statistics alone.
+"objects/<instance_id>". The synthetic generator plants feature signatures
+on evidence objects so that the gold candidate is decidable, but only
+through the objects, never from text statistics alone: in its `tag` task a
+candidate tags its object, in its `mention` task it names the object's
+label, untagged, so only guided fusion can read the object's features.
 """
 
 from __future__ import annotations
@@ -223,6 +225,9 @@ def save_features(path, instances: Sequence[VcrInstance]) -> None:
 
 def load_instances(annotation_path, feature_path) -> list:
     features = read_checkpoint(feature_path)
+    for name, arr in features.items():
+        if arr.dtype.kind != "f":
+            raise DataError(f"{feature_path} entry {name!r} has dtype {arr.dtype}, not floats")
     instances = []
     first_line = {}  # instance_id -> the line that introduced it
     with open(annotation_path, "rb") as fh:
@@ -335,57 +340,110 @@ SIGNATURE_DIM = 0
 SIGNATURE_FOCUS = 3.0
 SIGNATURE_OTHER = -3.0
 
+# the mention task's features: a one-hot of the object's label in dims
+# 0-7, on noise, then the answer and the rationale signatures
+LABEL_SCALE = 2.0
+LABEL_NOISE = 0.3
+ANSWER_DIM = len(_OBJECT_NAMES)
+RATIONALE_DIM = ANSWER_DIM + 1
+
+# task -> default (k_objects, d_o)
+SYNTH_TASKS = {"tag": (4, 8), "mention": (6, 12)}
+
 
 def _words(rng: np.random.Generator, bank, count: int) -> list:
     return [TaggedToken(bank[i]) for i in rng.integers(0, len(bank), size=count)]
 
 
-def _candidates(rng: np.random.Generator, bank, k: int, focus: int) -> tuple:
-    """4 candidate sequences, each tagging a distinct object; gold tags the focus."""
+def _candidates(rng: np.random.Generator, bank, k: int, focus: int, labels=None) -> tuple:
+    """4 candidate sequences, each naming a distinct object; gold names the focus.
+
+    Without `labels` a candidate tags its object, first or last; with them it
+    names the object by its label word, untagged, at any position.
+    """
     others = [j for j in range(k) if j != focus]
     rng.shuffle(others)
     gold_slot = int(rng.integers(4))
-    tagged = others[:3]
-    tagged.insert(gold_slot, focus)
+    named = others[:3]
+    named.insert(gold_slot, focus)
     seqs = []
-    for obj in tagged:
+    for obj in named:
         fillers = _words(rng, bank, int(rng.integers(1, 3)))
-        tag_tok = TaggedToken(f"[{obj}]", obj)
-        if rng.random() < 0.3:
-            seqs.append([tag_tok] + fillers)
+        if labels is None:
+            name = TaggedToken(f"[{obj}]", obj)
+            at = 0 if rng.random() < 0.3 else len(fillers)
         else:
-            seqs.append(fillers + [tag_tok])
+            name = TaggedToken(labels[obj])
+            at = int(rng.integers(len(fillers) + 1))
+        seqs.append(fillers[:at] + [name] + fillers[at:])
     return seqs, gold_slot
+
+
+def _signature(objects: np.ndarray, dim: int, focus: int) -> None:
+    objects[:, dim] = SIGNATURE_OTHER
+    objects[focus, dim] = SIGNATURE_FOCUS
 
 
 def synth_generate(
     seed: int,
     n: int,
-    k_objects: int = 4,
-    d_o: int = 8,
+    k_objects: Optional[int] = None,
+    d_o: Optional[int] = None,
+    task: str = "tag",
 ) -> list:
     """Deterministic instances whose gold choice is decidable from the inputs.
 
-    One object per instance carries a planted signature in feature dim 0
-    (+3 focus, -3 everyone else); the gold answer and gold rationale are the
-    candidates whose tag points at that object. The question never mentions
-    it, so a correct model has to route object features to tag positions.
+    `task` is a key of SYNTH_TASKS, which also gives the default k_objects
+    and d_o. The question is filler and never names the evidence.
+
+    - tag: one focus object carries a planted signature in feature dim 0
+      (+3 focus, -3 everyone else); the gold answer and gold rationale are
+      the candidates whose tag points at it. A correct model has to route
+      object features to tag positions.
+    - mention: the k objects have distinct labels, each a one-hot in dims
+      0-7 times 2.0 on N(0, 0.3^2) noise. The answer signature (dim 8) and
+      the rationale signature (dim 9) sit on two different objects. No
+      token is tagged: each candidate names one object by its label word,
+      and the gold ones name the two signature holders, so only guided
+      fusion can read the evidence.
     """
+    if task not in SYNTH_TASKS:
+        raise ValueError(f"task must be one of {sorted(SYNTH_TASKS)}, got {task!r}")
+    default_k, default_d_o = SYNTH_TASKS[task]
+    k_objects = default_k if k_objects is None else k_objects
+    d_o = default_d_o if d_o is None else d_o
     if n < 1:
         raise ValueError(f"need at least one instance, got n={n}")
     if k_objects < 4:
         raise ValueError(f"need at least 4 objects for distinct candidates, got {k_objects}")
+    if task == "mention" and k_objects > len(_OBJECT_NAMES):
+        raise ValueError(f"need at most {len(_OBJECT_NAMES)} objects for distinct labels, "
+                         f"got {k_objects}")
+    if task == "mention" and d_o <= RATIONALE_DIM:
+        raise ValueError(f"need more than {RATIONALE_DIM} feature dims, got d_o={d_o}")
     instances = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
         rng = np.random.default_rng(child)
-        focus = int(rng.integers(k_objects))
-        objects = rng.standard_normal((k_objects, d_o)) * 0.5
-        objects[:, SIGNATURE_DIM] = SIGNATURE_OTHER
-        objects[focus, SIGNATURE_DIM] = SIGNATURE_FOCUS
-        labels = [_OBJECT_NAMES[j] for j in rng.integers(0, len(_OBJECT_NAMES), size=k_objects)]
-        question = _words(rng, _QUESTION_WORDS, int(rng.integers(3, 7)))
-        answers, gold_answer = _candidates(rng, _ANSWER_WORDS, k_objects, focus)
-        rationales, gold_rationale = _candidates(rng, _RATIONALE_WORDS, k_objects, focus)
+        if task == "tag":
+            focus = int(rng.integers(k_objects))
+            objects = rng.standard_normal((k_objects, d_o)) * 0.5
+            _signature(objects, SIGNATURE_DIM, focus)
+            labels = [_OBJECT_NAMES[j] for j in rng.integers(0, len(_OBJECT_NAMES), size=k_objects)]
+            question = _words(rng, _QUESTION_WORDS, int(rng.integers(3, 7)))
+            answers, gold_answer = _candidates(rng, _ANSWER_WORDS, k_objects, focus)
+            rationales, gold_rationale = _candidates(rng, _RATIONALE_WORDS, k_objects, focus)
+        else:
+            label_ids = rng.choice(len(_OBJECT_NAMES), size=k_objects, replace=False)
+            labels = [_OBJECT_NAMES[j] for j in label_ids]
+            answer_obj, rationale_obj = (int(j) for j in rng.choice(k_objects, 2, replace=False))
+            objects = rng.normal(0.0, LABEL_NOISE, size=(k_objects, d_o))
+            objects[np.arange(k_objects), label_ids] += LABEL_SCALE
+            _signature(objects, ANSWER_DIM, answer_obj)
+            _signature(objects, RATIONALE_DIM, rationale_obj)
+            question = _words(rng, _QUESTION_WORDS, int(rng.integers(3, 7)))
+            answers, gold_answer = _candidates(rng, _ANSWER_WORDS, k_objects, answer_obj, labels)
+            rationales, gold_rationale = _candidates(
+                rng, _RATIONALE_WORDS, k_objects, rationale_obj, labels)
         inst = VcrInstance(
             instance_id=f"synth-{seed}-{i:05d}",
             objects=objects,

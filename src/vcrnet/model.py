@@ -196,7 +196,7 @@ class VcrModel:
     config: TrainConfig
     vocab: Vocab
     embedding: Tensor
-    obj_proj: L.LinearParams
+    obj_proj: Optional[L.LinearParams]
     ground_lstm: L.BiLstmParams
     ga_fuse: Optional[GaFuseParams]
     coattn: Optional[CoAttnParams]
@@ -219,6 +219,7 @@ class VcrModel:
             rng.uniform(-lim, lim, size=(len(vocab), config.d_token)),
             requires_grad=True,
         )
+        # drawn in every model, so one seed gives every model the same later weights
         obj_proj = L.init_linear(rng, d_o, d)
         ground_lstm = L.init_bilstm(rng, config.d_token + d_o, d // 2)
 
@@ -241,7 +242,7 @@ class VcrModel:
 
         reduction = init_reduction(rng, d, d)
         return cls(
-            config, vocab, embedding, obj_proj, ground_lstm,
+            config, vocab, embedding, obj_proj if config.ga else None, ground_lstm,
             ga_fuse, coattn, encoder_lstm, reduction,
         )
 
@@ -283,6 +284,8 @@ class VcrModel:
                 raise CheckpointError(f"state has {_name_summary(what, names)}")
         for name, t in mine.items():
             arr = arrays[name]
+            if arr.dtype.kind != "f":
+                raise CheckpointError(f"parameter {name!r} has dtype {arr.dtype}, not floats")
             if arr.shape != t.data.shape:
                 raise CheckpointError(
                     f"parameter {name!r} has shape {arr.shape}, expected {t.data.shape}"
@@ -294,21 +297,23 @@ class VcrModel:
             t.grad = None
 
     def save(self, path) -> None:
-        write_checkpoint(path, self.state_dict())
+        """Write the parameters, then the config and vocabulary as UTF-8 JSON (`load_run`)."""
+        write_checkpoint(path, {**self.state_dict(), "config": self.config.to_json().encode(),
+                                "vocab": self.vocab.to_json().encode()})
 
     @classmethod
     def from_state(cls, config: TrainConfig, vocab: Vocab, arrays: dict) -> "VcrModel":
-        """The model whose state `arrays` holds. The config and vocabulary must
-        agree with the architecture its names and shapes imply before anything
-        is built; `heads` cannot be read from a state, so it is trusted."""
-        d_o, d_model = _matrix_shape(arrays, "obj_proj.weight")
-        vocab_size, d_token = _matrix_shape(arrays, "embedding")
+        """The model whose state `arrays` holds, for the config and vocabulary saved with
+        it, which must agree with the architecture its names and shapes imply before a build."""
+        vocab_size, d_token = _sizing_shape(arrays, "embedding", (1, 1))
+        # (2, d_token + d_o, 2·d_model): the BiLSTM reads a token and its object row
+        w_x = _sizing_shape(arrays, "ground.w_x", (1, d_token + 1, 1))
         stacks = {name.split(".", 3)[2] for name in arrays if name.startswith("coattn.q.")}
         coattn = any(name.startswith("coattn.") for name in arrays)
         for field, want, got in (
             ("vocabulary size", len(vocab), vocab_size),
             ("d_token", config.d_token, d_token),
-            ("d_model", config.d_model, d_model),
+            ("d_model", config.d_model, w_x[2] // 2),
             ("ga", config.ga, any(name.startswith("fuse.") for name in arrays)),
             ("encoder", config.encoder, "coattention" if coattn else "lstm"),
             # an lstm encoder has no stacks; the encoder check has settled it
@@ -316,15 +321,15 @@ class VcrModel:
         ):
             if want != got:
                 raise CheckpointError(f"checkpoint has {field} {got!r}, the run declares {want!r}")
-        model = cls.build(config, vocab, d_o, np.random.default_rng(0))
+        model = cls.build(config, vocab, w_x[1] - d_token, np.random.default_rng(0))
         model.load_state_dict(arrays)
         return model
 
     # -- forward -----------------------------------------------------------
 
     def check_object_width(self, instance_id: str, objects: np.ndarray) -> None:
-        """Raise DataError naming the instance unless its objects fit obj_proj."""
-        d_o = self.obj_proj.weight.data.shape[0]
+        """Raise DataError naming the instance unless its objects fit ground.w_x."""
+        d_o = self.ground_lstm.w_x.data.shape[1] - self.config.d_token
         if objects.shape[1] != d_o:
             raise DataError(
                 f"{instance_id}: object features are {objects.shape[1]} wide, "
@@ -343,7 +348,7 @@ class VcrModel:
 
     def _stage_encode(self, tasks: Sequence[TaskExample], rng) -> ChunkState:
         n = len(tasks)
-        d_o = self.obj_proj.weight.data.shape[0]
+        d_o = self.ground_lstm.w_x.data.shape[1] - self.config.d_token
         k = max(task.objects.shape[0] for task in tasks)
         steps = max(len(seq) for ex in tasks for seq in (ex.query, *ex.responses))
         objects = np.zeros((n, k, d_o))
@@ -410,14 +415,14 @@ class VcrModel:
         return self.forward_chunk([make_task(inst, kind)]).records()[0]
 
 
-def _matrix_shape(arrays: dict, name: str) -> tuple:
-    """The shape of state entry `name`, which sizes the model: a matrix with rows."""
+def _sizing_shape(arrays: dict, name: str, least: tuple) -> tuple:
+    """The shape of state entry `name`, which sizes the model: extents of at least `least`."""
     if name not in arrays:
         raise CheckpointError(f"state has no {name} to size the model from")
     shape = arrays[name].shape
-    if len(shape) != 2 or shape[0] < 1:
+    if len(shape) != len(least) or any(e < m for e, m in zip(shape, least)):
         raise CheckpointError(f"parameter {name!r} has shape {shape}, "
-                              f"expected a matrix with at least one row")
+                              f"expected extents of at least {least}")
     return shape
 
 

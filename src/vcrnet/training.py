@@ -39,7 +39,6 @@ from vcrnet.tensor import Tape, Tensor
 
 CHECKPOINT_NAME = "model.canckpt"
 CONFIG_NAME = "config.json"
-VOCAB_NAME = "vocab.json"
 LOG_NAME = "train_log.jsonl"
 
 
@@ -203,7 +202,7 @@ def train(
     out_dir,
     progress: Optional[Callable[[EpochReport], None]] = None,
 ) -> TrainResult:
-    """Fit a fresh model; writes config, vocab, per-epoch checkpoint and log.
+    """Fit a fresh model; writes its checkpoint each epoch, the log and an export config.json.
 
     Stops early when the validation answer accuracy fails to improve for
     `patience` epochs (without a validation set, patience does not apply),
@@ -228,7 +227,6 @@ def train(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / CONFIG_NAME, (config.to_json() + "\n").encode("utf-8"))
-    write_atomic(out_dir / VOCAB_NAME, (vocab.to_json() + "\n").encode("utf-8"))
     log_path = out_dir / LOG_NAME
     log_path.write_text("", encoding="utf-8")
 
@@ -294,25 +292,21 @@ def train(
 
 
 def load_run(ckpt_path) -> tuple:
-    """Rebuild (model, config, vocab) from a checkpoint and its sidecar files.
-
-    The config and vocabulary are expected beside the checkpoint under their
-    standard names.
-    """
+    """Rebuild (model, config, vocab) from a checkpoint alone: its `config` and `vocab`
+    entries hold UTF-8 JSON (`VcrModel.save`). A fault is a CheckpointError naming it."""
     ckpt_path = Path(ckpt_path)
     if not ckpt_path.is_file():
         raise FileNotFoundError(f"no checkpoint at {ckpt_path}")
-    config_path, vocab_path = ckpt_path.parent / CONFIG_NAME, ckpt_path.parent / VOCAB_NAME
-    for path in (config_path, vocab_path):
-        if not path.is_file():
-            raise FileNotFoundError(f"missing sidecar file {path}")
-    config = TrainConfig.read(config_path)
-    try:
-        vocab = Vocab.from_json(vocab_path.read_text(encoding="utf-8"))
-    except (DataError, UnicodeDecodeError) as exc:
-        raise DataError(f"{vocab_path}: {exc}") from exc
     arrays = read_checkpoint(ckpt_path)  # its errors name the file already
     try:
-        return VcrModel.from_state(config, vocab, arrays), config, vocab
+        run = []  # the config, then the vocabulary
+        for name, parse in (("config", TrainConfig.from_json), ("vocab", Vocab.from_json)):
+            if name not in arrays:
+                raise CheckpointError(f"no {name!r} entry: it predates one-file runs; retrain it")
+            try:
+                run.append(parse(arrays.pop(name).tobytes().decode("utf-8")))
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep, invalid
+                raise CheckpointError(f"entry {name!r}: {exc}") from exc
+        return (VcrModel.from_state(*run, arrays), *run)
     except CheckpointError as exc:
         raise CheckpointError(f"{ckpt_path}: {exc}") from exc

@@ -7,7 +7,7 @@ import numpy.testing as npt
 
 from vcrnet import attention as A
 from vcrnet import tensor as T
-from vcrnet.checkpoint import MAGIC, VERSION, write_checkpoint
+from vcrnet.checkpoint import MAGIC, VERSION, read_checkpoint, write_checkpoint
 from vcrnet.coattention import coattend, lstm_encode
 from vcrnet.data import TASK_Q2A, make_task
 from vcrnet.diagnostics import H, probe_instance
@@ -166,8 +166,8 @@ def loop_forward(model, ex):
     candidate, each trace one candidate's (heads, m, n) slice)."""
     objects = ex.objects
     objects_t = Tensor(objects)
-    guide = GroundedSeq(linear(Tensor(objects[None]), model.obj_proj),
-                        np.ones((1, len(objects)), dtype=bool))
+    guide = None if model.ga_fuse is None else GroundedSeq(
+        linear(Tensor(objects[None]), model.obj_proj), np.ones((1, len(objects)), dtype=bool))
 
     def encode(tokens):
         emb = T.embedding_lookup(model.embedding, model.vocab.encode(tokens))
@@ -398,3 +398,19 @@ def append_entry(path, name, array):
     one.unlink()
     path.write_bytes(blob[:len(MAGIC) + 4] + struct.pack("<I", count + 1)
                      + blob[len(MAGIC) + 8:] + entry)
+
+
+def entry_bytes(path, name):
+    """The bytes of entry `name` of the container at `path`."""
+    return read_checkpoint(path)[name].tobytes()
+
+
+def set_entry(path, name, blob):
+    """Rewrite the container at `path` with byte entry `name` holding `blob`,
+    in its place among the others, or without the entry if `blob` is None."""
+    entries = read_checkpoint(path)
+    if blob is None:
+        del entries[name]
+    else:
+        entries[name] = blob
+    write_checkpoint(path, entries)

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import append_entry, write_overflowing_container
+from helpers import append_entry, entry_bytes, set_entry, write_overflowing_container
 
 import vcrnet.cli as cli
 from vcrnet.checkpoint import MAGIC, read_checkpoint, write_checkpoint
@@ -17,6 +17,7 @@ from vcrnet.data import (
     make_task,
     save_annotations,
     save_features,
+    serialize_instance,
     synth_generate,
 )
 from vcrnet.diagnostics import CheckResult
@@ -54,6 +55,18 @@ def test_synth_reruns_are_byte_identical(tmp_path):
     b = _synth(tmp_path / "b", n=6, seed=11)
     for name in (cli.TRAIN_FILE, cli.VAL_FILE, cli.FEATURES_FILE):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_synth_writes_the_mention_task(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--n", "4", "--seed", "5", "--task", "mention",
+                 "--out", str(data)]) == 0
+    written = [inst for name in (cli.TRAIN_FILE, cli.VAL_FILE)
+               for inst in load_instances(data / name, data / cli.FEATURES_FILE)]
+    want = synth_generate(5, 5, task="mention")
+    assert [serialize_instance(x) for x in written] == [serialize_instance(x) for x in want]
+    for x, y in zip(written, want):
+        assert x.objects.tobytes() == y.objects.tobytes()
 
 
 def test_synth_rejects_nonpositive_n(tmp_path, capsys):
@@ -450,15 +463,16 @@ def test_out_below_a_file_is_a_usage_error(trained_run, tmp_path, capsys, comman
     assert taken.read_text() == "keep me\n"
 
 
-@pytest.mark.parametrize("shape", [(), (0, 16)], ids=["rank-0", "no-rows"])
+@pytest.mark.parametrize("shape", [(), (2, 8, 16)], ids=["rank-0", "no-rows"])
 def test_eval_reports_malformed_object_projection(trained_run, tmp_path, capsys, shape):
-    # the object feature width is read off obj_proj.weight before any
-    # other entry is checked, so a bad one must not reach the model build
+    # the object feature width is read off ground.w_x, (2, d_token + d_o,
+    # 2·d_model), before any other entry is checked, so a bad one (here one
+    # that reads only the 8-wide tokens) must not reach the model build
     data, ckpt = trained_run
     run = tmp_path / "run"
     shutil.copytree(ckpt.parent, run)
     state = read_checkpoint(ckpt)
-    state["obj_proj.weight"] = np.zeros(shape)
+    state["ground.w_x"] = np.zeros(shape)
     bad = run / ckpt.name
     write_checkpoint(bad, state)
     capsys.readouterr()
@@ -468,7 +482,7 @@ def test_eval_reports_malformed_object_projection(trained_run, tmp_path, capsys,
     err = captured.err.splitlines()
     errors = [line for line in err if line.startswith("error:")]
     assert len(errors) == 1
-    assert str(bad) in errors[0] and "obj_proj.weight" in errors[0] and str(shape) in errors[0]
+    assert str(bad) in errors[0] and "ground.w_x" in errors[0] and str(shape) in errors[0]
     assert not any("Traceback" in line for line in err)
 
 
@@ -478,15 +492,52 @@ def test_eval_reports_a_config_that_disagrees_with_its_checkpoint(trained_run, t
     data, ckpt = trained_run
     run = tmp_path / "run"
     shutil.copytree(ckpt.parent, run)
-    config = json.loads((run / "config.json").read_text())
+    config = json.loads(entry_bytes(run / ckpt.name, "config"))
     trained = config["layers"]
-    (run / "config.json").write_text(json.dumps({**config, "layers": 2000}))
+    set_entry(run / ckpt.name, "config", json.dumps({**config, "layers": 2000}).encode())
     capsys.readouterr()
     assert main(["eval", "--ckpt", str(run / ckpt.name),
                  "--data", str(data / cli.TRAIN_FILE)]) == 1
     assert _one_error(capsys) == (
         f"error: {run / ckpt.name}: checkpoint has layers {trained}, the run declares 2000"
     )
+
+
+def _eval_out(ckpt, data, capsys):
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / cli.TRAIN_FILE)]) == 0
+    return capsys.readouterr().out
+
+
+def test_eval_reads_nothing_beside_the_checkpoint(trained_run, tmp_path, capsys):
+    # the checkpoint holds its config and vocabulary; config.json is an export
+    data, ckpt = trained_run
+    run = tmp_path / "run"
+    shutil.copytree(ckpt.parent, run)
+    want = _eval_out(run / ckpt.name, data, capsys)
+    config = json.loads((run / "config.json").read_text())
+    (run / "config.json").write_text(json.dumps({**config, "heads": 4, "layers": 2000}))
+    (run / "vocab.json").write_text('{"tokens": ["<pad>", "<unk>"]}')
+    assert _eval_out(run / ckpt.name, data, capsys) == want
+    (run / "config.json").unlink()
+    (run / "vocab.json").unlink()
+    assert _eval_out(run / ckpt.name, data, capsys) == want
+
+
+def test_a_checkpoint_without_its_config_and_vocabulary_is_refused(trained_run, tmp_path,
+                                                                    capsys):
+    # as checkpoints were written before they held them; no sidecar is read
+    data, ckpt = trained_run
+    run = tmp_path / "run"
+    shutil.copytree(ckpt.parent, run)
+    (run / "vocab.json").write_bytes(entry_bytes(run / ckpt.name, "vocab"))
+    for name in ("config", "vocab"):
+        set_entry(run / ckpt.name, name, None)
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(run / ckpt.name),
+                 "--data", str(data / cli.TRAIN_FILE)]) == 1
+    error = _one_error(capsys)
+    assert error.startswith(f"error: {run / ckpt.name}: no 'config' entry") and "retrain" in error
 
 
 def _one_error(capsys) -> str:
@@ -671,12 +722,12 @@ def _config_file_byte(data, run, tmp_path):
              str(path)], 2, str(path))
 
 
-def _sidecar_byte(name):
+def _entry_byte(name):
     def case(data, run, tmp_path):
-        path = run / name
-        path.write_bytes(_NOT_UTF8 + path.read_bytes())
-        return (["eval", "--ckpt", str(run / "model.canckpt"), "--data",
-                 str(data / cli.TRAIN_FILE)], 1, str(path))
+        path = run / "model.canckpt"
+        set_entry(path, name, _NOT_UTF8 + entry_bytes(path, name))
+        return (["eval", "--ckpt", str(path), "--data", str(data / cli.TRAIN_FILE)], 1,
+                f"{path}: entry {name!r}: 'utf-8' codec can't decode")
     return case
 
 
@@ -692,7 +743,7 @@ def _feature_entry_name(data, run, tmp_path):
 @pytest.mark.parametrize(
     "case",
     [_annotation_byte, _data_directory, _config_directory, _config_file_byte,
-     _sidecar_byte("config.json"), _sidecar_byte("vocab.json"), _feature_entry_name],
+     _entry_byte("config"), _entry_byte("vocab"), _feature_entry_name],
     ids=["annotation-byte", "data-directory", "config-directory", "config-file-byte",
          "run-config-byte", "run-vocab-byte", "feature-entry-name"],
 )

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from helpers import entry_bytes, set_entry
+
 import vcrnet.cli as cli
 from vcrnet.config import ConfigError, TrainConfig
 from vcrnet.data import synth_generate
-from vcrnet.training import CHECKPOINT_NAME, CONFIG_NAME, VOCAB_NAME, train
+from vcrnet.training import CHECKPOINT_NAME, train
 
 
 def test_defaults_validate():
@@ -95,42 +97,44 @@ def test_from_json_rejects_non_finite_lr(blob):
 
 
 def _set_config_key(key, value):
-    def corrupt(path):
-        stored = json.loads(path.read_text())
-        stored[key] = value
-        path.write_text(json.dumps(stored))
+    def corrupt(blob):
+        return json.dumps({**json.loads(blob), key: value}).encode("utf-8")
 
     return corrupt
 
 
-def _assert_eval_fails_on_sidecar(tmp_path, capsys, sidecar, corrupt, expected):
+def _assert_eval_fails_on_entry(tmp_path, capsys, entry, corrupt, expected):
     insts = synth_generate(3, 4)
     config = TrainConfig(d_model=8, d_token=8, layers=1, dropout=0.0, epochs=1)
     run = tmp_path / "run"
     train(config, insts, [], run)
     data = tmp_path / "data.jsonl"
     data.write_text("")
-    corrupt(run / sidecar)
+    ckpt = run / CHECKPOINT_NAME
+    set_entry(ckpt, entry, corrupt(entry_bytes(ckpt, entry)))
     capsys.readouterr()
-    assert cli.main(["eval", "--ckpt", str(run / CHECKPOINT_NAME), "--data", str(data)]) == 1
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 1
     err = capsys.readouterr().err.splitlines()
     errors = [line for line in err if line.startswith("error:")]
-    assert len(errors) == 1 and expected in errors[0] and sidecar in errors[0]
+    assert len(errors) == 1 and expected in errors[0]
+    assert errors[0].startswith(f"error: {ckpt}: entry {entry!r}: ")
     assert not any("Traceback" in line for line in err)
 
 
 def test_eval_reports_mistyped_config_value(tmp_path, capsys):
-    _assert_eval_fails_on_sidecar(tmp_path, capsys, CONFIG_NAME,
-                                  _set_config_key("lr", "abc"), "lr must be float")
+    _assert_eval_fails_on_entry(tmp_path, capsys, "config",
+                                _set_config_key("lr", "abc"), "lr must be float")
 
 
-@pytest.mark.parametrize("sidecar,corrupt,expected", [
-    # run directories written while the six removed architecture keys existed
-    (CONFIG_NAME, _set_config_key("ga_order", "qr_first"), "unknown config keys"),
-    (VOCAB_NAME, lambda path: path.write_text('{"bad": '), "not valid JSON"),
-], ids=["removed-key", "vocab-truncated"])
-def test_eval_reports_corrupt_run_sidecar(tmp_path, capsys, sidecar, corrupt, expected):
-    _assert_eval_fails_on_sidecar(tmp_path, capsys, sidecar, corrupt, expected)
+@pytest.mark.parametrize("entry,corrupt,expected", [
+    # a config written while the six removed architecture keys existed
+    ("config", _set_config_key("ga_order", "qr_first"), "unknown config keys"),
+    ("vocab", lambda blob: b'{"bad": ', "not valid JSON"),
+    # valid JSON, but nested deeper than the parser recurses
+    ("config", lambda blob: b"[" * 100000 + b"]" * 100000, "maximum recursion depth"),
+], ids=["removed-key", "vocab-truncated", "config-too-deep"])
+def test_eval_reports_corrupt_run_sidecar(tmp_path, capsys, entry, corrupt, expected):
+    _assert_eval_fails_on_entry(tmp_path, capsys, entry, corrupt, expected)
 
 
 def test_with_overrides_skips_none():

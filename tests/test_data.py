@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from vcrnet import data as D
+from vcrnet.checkpoint import read_checkpoint, write_checkpoint
 from vcrnet.data import (
     DataError,
     PredictionRecord,
@@ -68,11 +69,73 @@ def test_synth_question_carries_no_tags():
         assert all(t.tag is None for t in inst.question)
 
 
+def test_synth_default_task_is_the_tag_task():
+    default, tag = synth_generate(seed=7, n=6), synth_generate(seed=7, n=6, task="tag")
+    assert [serialize_instance(x) for x in default] == [serialize_instance(y) for y in tag]
+    for x, y in zip(default, tag):
+        assert x.objects.tobytes() == y.objects.tobytes()
+
+
+def test_mention_synth_is_deterministic():
+    a, b = (synth_generate(seed=7, n=12, task="mention") for _ in range(2))
+    assert [serialize_instance(x) for x in a] == [serialize_instance(y) for y in b]
+    for x, y in zip(a, b):
+        assert x.objects.tobytes() == y.objects.tobytes()
+    other = synth_generate(seed=8, n=12, task="mention")
+    assert [serialize_instance(x) for x in a] != [serialize_instance(y) for y in other]
+
+
+def _named_object(seq, labels):
+    """The one object a mention candidate names by its label word."""
+    named = [labels.index(tok.text) for tok in seq if tok.text in labels]
+    assert len(named) == 1
+    return named[0]
+
+
+def test_mention_synth_has_the_planned_properties():
+    places = set()  # where a 3-token candidate names its object
+    for inst in synth_generate(seed=3, n=60, task="mention"):
+        k, d_o = inst.objects.shape
+        assert (k, d_o) == (6, 12)
+        labels = inst.object_labels
+        assert len(set(labels)) == k and set(labels) <= set(D._OBJECT_NAMES)
+        # a label one-hot, scaled by 2.0, stands out of the noise in dims 0-7
+        label_dims = [D._OBJECT_NAMES.index(label) for label in labels]
+        assert list(np.argmax(inst.objects[:, :D.ANSWER_DIM], axis=1)) == label_dims
+        holders = []
+        for dim in (D.ANSWER_DIM, D.RATIONALE_DIM):
+            column = inst.objects[:, dim]
+            assert sorted(column) == [-3.0] * (k - 1) + [3.0]
+            holders.append(int(np.argmax(column)))
+        assert holders[0] != holders[1]
+        assert 3 <= len(inst.question) <= 6
+        assert all(tok.text in D._QUESTION_WORDS for tok in inst.question)
+        for seqs, gold, holder, bank in (
+                (inst.answers, inst.gold_answer, holders[0], D._ANSWER_WORDS),
+                (inst.rationales, inst.gold_rationale, holders[1], D._RATIONALE_WORDS)):
+            named = [_named_object(seq, labels) for seq in seqs]
+            assert len(set(named)) == 4 and named[gold] == holder
+            for seq in seqs:
+                assert 2 <= len(seq) <= 3
+                assert sum(tok.text in bank for tok in seq) == len(seq) - 1
+                if len(seq) == 3:
+                    places.add(next(i for i, tok in enumerate(seq) if tok.text in labels))
+        assert all(tok.tag is None
+                   for seq in (inst.question, *inst.answers, *inst.rationales) for tok in seq)
+    assert places == {0, 1, 2}
+
+
 def test_synth_rejects_degenerate_sizes():
     with pytest.raises(ValueError):
         synth_generate(seed=0, n=0)
     with pytest.raises(ValueError):
         synth_generate(seed=0, n=4, k_objects=3)
+    with pytest.raises(ValueError, match="task must be one of"):
+        synth_generate(seed=0, n=4, task="ask")
+    with pytest.raises(ValueError, match="distinct labels"):
+        synth_generate(seed=0, n=4, k_objects=9, task="mention")
+    with pytest.raises(ValueError, match="feature dims"):
+        synth_generate(seed=0, n=4, d_o=9, task="mention")
 
 
 def test_make_task_q2a_uses_bare_question():
@@ -178,6 +241,17 @@ def test_loader_rejects_missing_feature_entry(tmp_path):
     with pytest.raises(DataError) as err:
         load_instances(ann, feat)
     assert "synth-31-00001" in str(err.value)
+
+
+def test_loader_rejects_a_byte_feature_entry(tmp_path):
+    # a container entry may hold bytes, but object features are floats
+    ann, feat = _write_instance_files(tmp_path)
+    features = read_checkpoint(feat)
+    name = next(iter(features))
+    features[name] = features[name].astype(np.uint8)
+    write_checkpoint(feat, features)
+    with pytest.raises(DataError, match=f"^{feat} entry {name!r} has dtype uint8"):
+        load_instances(ann, feat)
 
 
 def test_loader_rejects_feature_row_mismatch(tmp_path):

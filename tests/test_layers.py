@@ -617,6 +617,7 @@ def test_checkpoint_round_trip(tmp_path):
         "enc.bias": rng.standard_normal(4).astype(np.float32),
         "scalar": np.array(3.5),
         "unicode/имя": rng.standard_normal(2),
+        "config": np.frombuffer('{"lr": 0.001}'.encode("utf-8"), dtype=np.uint8),
     }
     path = tmp_path / "model.canckpt"
     write_checkpoint(path, entries)

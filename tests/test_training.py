@@ -1,5 +1,6 @@
 import inspect
 import json
+import shutil
 import sys
 
 import numpy as np
@@ -20,11 +21,11 @@ from vcrnet.training import (
     CHECKPOINT_NAME,
     CONFIG_NAME,
     LOG_NAME,
-    VOCAB_NAME,
     Adam,
     TrainingDiverged,
     evaluate,
     load_run,
+    predict_all,
     task_loss,
     train,
 )
@@ -136,9 +137,12 @@ def test_gradient_accumulation_is_linear():
 def test_train_writes_sidecars_and_log(tmp_path):
     tr, va = _data()
     result = train(_quick_config(epochs=1), tr, va, tmp_path)
-    assert (tmp_path / CHECKPOINT_NAME).exists()
-    assert (tmp_path / CONFIG_NAME).exists()
-    assert (tmp_path / VOCAB_NAME).exists()
+    # the checkpoint holds the config and the vocabulary; config.json is an export
+    entries = read_checkpoint(tmp_path / CHECKPOINT_NAME)
+    assert entries["config"].tobytes().decode("utf-8") == result.model.config.to_json()
+    assert entries["vocab"].tobytes().decode("utf-8") == result.vocab.to_json()
+    assert (tmp_path / CONFIG_NAME).read_text() == result.model.config.to_json() + "\n"
+    assert not (tmp_path / "vocab.json").exists()
     lines = (tmp_path / LOG_NAME).read_text().splitlines()
     assert len(lines) == len(result.reports)
     entry = json.loads(lines[0])
@@ -222,7 +226,7 @@ def test_early_stopping_keeps_the_last_weights(tmp_path, monkeypatch):
 
     final = read_checkpoint(tmp_path / CHECKPOINT_NAME)
     state = result.model.state_dict()
-    assert list(final) == list(state)
+    assert list(final) == list(state) + ["config", "vocab"]
     for name, arr in state.items():
         npt.assert_array_equal(final[name], arr)
         npt.assert_array_equal(saved[3][name], arr)
@@ -388,12 +392,42 @@ def test_load_run_round_trip(tmp_path):
         npt.assert_array_equal(ta.data, tb.data)
 
 
+def _logits(model, insts):
+    return [rec.logits for records in predict_all(model, insts) for rec in records]
+
+
 def test_load_run_missing_sidecar(tmp_path):
+    # a run directory holding only its checkpoint loads and scores as the run
     tr, va = _data()
-    train(_quick_config(epochs=1), tr, va, tmp_path)
-    (tmp_path / VOCAB_NAME).unlink()
-    with pytest.raises(FileNotFoundError):
-        load_run(tmp_path / CHECKPOINT_NAME)
+    result = train(_quick_config(epochs=1), tr, va, tmp_path / "run")
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    shutil.copy(tmp_path / "run" / CHECKPOINT_NAME, alone)
+    model, config, vocab = load_run(alone / CHECKPOINT_NAME)
+    assert [p.name for p in alone.iterdir()] == [CHECKPOINT_NAME]
+    assert config == result.model.config and vocab.tokens() == result.vocab.tokens()
+    assert _logits(model, tr + va) == _logits(result.model, tr + va)
+
+
+@pytest.mark.parametrize("edit", ["config-heads", "vocab-swap"])
+def test_files_beside_the_checkpoint_change_no_logit(tmp_path, edit):
+    # heads cannot be read off the parameters' shapes, nor token ids off
+    # the embedding: the checkpoint's own entries give them, so an edited
+    # config.json, or a vocab.json as runs once wrote, changes nothing
+    tr, va = _data()
+    result = train(_quick_config(epochs=1, heads=2), tr, va, tmp_path)
+    before = _logits(result.model, tr + va)
+    if edit == "config-heads":
+        config = json.loads((tmp_path / CONFIG_NAME).read_text())
+        (tmp_path / CONFIG_NAME).write_text(json.dumps({**config, "heads": 4}))
+    else:
+        tokens = result.vocab.tokens()
+        i, j = tokens.index("because"), tokens.index("clearly")
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+        (tmp_path / "vocab.json").write_text(Vocab(tokens).to_json())
+    model, config, vocab = load_run(tmp_path / CHECKPOINT_NAME)
+    assert _logits(model, tr + va) == before
+    assert config.heads == 2 and vocab.tokens() == result.vocab.tokens()
 
 
 def _op_builders():
